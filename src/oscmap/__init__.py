@@ -18,7 +18,7 @@ from .schemes import (
 from .phasemap import (
     PhaseMatrix, Regime, RegimeError, SpectralData, invariant_quadratic_form,
     modified_hamiltonian, propagate_closed_form, scheme_matrix,
-    scheme_series_matrix, spectral, step_matrix, step_series_matrix,
+    scheme_series_matrix, spectral,
 )
 from .analysis import (
     AnalysisError, ConvergenceStudy, PhaseErrorReport, StabilityLimit,
@@ -38,7 +38,7 @@ __all__ = [
     "PhaseMatrix", "Regime", "RegimeError", "SpectralData",
     "invariant_quadratic_form", "modified_hamiltonian",
     "propagate_closed_form", "scheme_matrix", "scheme_series_matrix",
-    "spectral", "step_matrix", "step_series_matrix",
+    "spectral",
     "AnalysisError", "ConvergenceStudy", "PhaseErrorReport", "StabilityLimit",
     "analyze", "convergence_study", "effective_param_series",
     "normalized_coefficient", "omega_a_series", "order_coefficient",

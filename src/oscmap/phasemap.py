@@ -1,10 +1,14 @@
-"""Exact per-timestep 2x2 phase-space maps and their spectral analysis.
+"""The exact per-timestep 2x2 map of a splitting scheme and its spectrum.
 
-A scheme acting on the oscillator is a linear map of (q, p). Its matrix is
-stored through the four entries [[g, tau], [-nu, h]]; symplecticity means
-det = g*h + tau*nu = 1. Entries are either floats (numeric mode, explicit
-timestep eps and frequency omega) or Series in x = eps*omega (series mode,
-omega fixed to 1).
+A scheme acting on the oscillator is a linear map of (q, p), stored through
+the four entries [[g, tau], [-nu, h]]; symplecticity means
+det = g*h + tau*nu = 1. In x = eps*omega (and omega = 1) each entry is a
+finite polynomial: every drift or kick raises the degree by one and every
+force-gradient kick by three. The four polynomials are built once per scheme
+by multiplying its shears in the Series ring, and every other form is read
+from them: series mode pads or truncates them to a requested order, and
+numeric mode (explicit timestep eps and frequency omega) evaluates them by
+Horner's rule.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -22,12 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from .series import Series
-from .schemes import DRIFT, GKICK, Scheme, Step, is_symmetric
+from .schemes import DRIFT, GKICK, Scheme, Step, has_exact_coefficients, is_symmetric
 
 __all__ = [
     "PhaseMatrix", "SpectralData", "Regime", "RegimeError",
-    "step_matrix", "scheme_matrix", "step_series_matrix",
-    "scheme_series_matrix", "spectral", "propagate_closed_form",
+    "scheme_matrix", "scheme_series_matrix", "spectral",
+    "propagate_closed_form",
     "modified_hamiltonian", "invariant_quadratic_form",
     "PARABOLIC_TOL", "REVERSIBLE_TOL",
 ]
@@ -105,89 +109,84 @@ class SpectralData:
     detail: str = ""
 
 
-# --------------------------------------------------------------- numeric mode
+# ------------------------------------------------------------ polynomial map
 
-def step_matrix(step: Step, eps: float, omega: float) -> PhaseMatrix:
-    """Numeric matrix of one elementary step; eps may be negative."""
-    if step.kind == DRIFT:
-        return PhaseMatrix(1.0, float(step.c) * eps, 0.0, 1.0, eps, omega)
-    mu = float(step.c) * eps * omega**2
-    if step.kind == GKICK:
-        mu += float(step.u) * eps**3 * omega**4
-    return PhaseMatrix(1.0, 0.0, mu, 1.0, eps, omega)
+#: Built maps, keyed by (active steps, exact). The steps alone are not a key:
+#: Fraction(1, 2) == 0.5 and both hash alike, so an exact and a float scheme
+#: with equal coefficients would otherwise share one build.
+_POLYNOMIALS: dict[tuple[tuple[Step, ...], bool], tuple] = {}
 
 
-def _numeric_identity(eps, omega) -> PhaseMatrix:
-    return PhaseMatrix(1.0, 0.0, 0.0, 1.0, eps, omega)
+def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series]:
+    """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
 
-
-def _series_identity(order: int) -> PhaseMatrix:
-    return PhaseMatrix(Series.one(order), Series.zero(order),
-                       Series.zero(order), Series.one(order))
-
-
-def _assemble(mats: list[PhaseMatrix], palindromic: bool,
-              identity: PhaseMatrix) -> PhaseMatrix:
-    """Product with the first factor rightmost.
-
-    Palindromic sequences are multiplied center-outward, M -> m_i M m_i, so
-    equal diagonal entries stay exactly equal (bitwise, even with float
-    coefficients): conjugating a matrix with g = h by one shear preserves the
-    equality term by term.
+    Built once per key at truncation order = degree, so nothing is dropped;
+    callers copy what they use. Palindromic sequences are multiplied
+    center-outward, M -> m_i M m_i, so g and h stay equal bitwise even with
+    float coefficients: conjugating a matrix with g = h by one shear
+    preserves the equality term by term.
     """
-    if not mats:
-        return identity
+    steps = s.active_steps()
+    if exact:
+        inexact = [v for st in steps for v in (st.c, st.u)
+                   if v is not None and not isinstance(v, (int, Fraction))]
+        if inexact:
+            raise TypeError(f"coefficient {inexact[0]!r} is not exact; rational "
+                            "series mode needs int or Fraction scheme coefficients")
+    key = (steps, exact)
+    polys = _POLYNOMIALS.get(key)
+    if polys is not None:
+        return polys
+    coeff = (lambda v: v) if exact else float
+    degree = sum(3 if st.kind == GKICK else 1 for st in steps)
+    one, zero = Series.one(degree), Series.zero(degree)
+    mats = []
+    for st in steps:
+        c = coeff(st.c)
+        if st.kind == DRIFT:
+            mats.append(PhaseMatrix(one, Series([0, c], degree), zero, one))
+        else:
+            mu = [0, c, 0, coeff(st.u)] if st.kind == GKICK else [0, c]
+            mats.append(PhaseMatrix(one, zero, Series(mu, degree), one))
     n = len(mats)
-    if palindromic:
-        m = mats[n // 2] if n % 2 else identity
+    if is_symmetric(s):
+        m = mats[n // 2] if n % 2 else PhaseMatrix(one, zero, zero, one)
         for k in range(n // 2 - 1, -1, -1):
             m = mats[n - 1 - k] @ m @ mats[k]
-        return m
-    m = mats[0]
-    for factor in mats[1:]:
-        m = factor @ m
-    return m
+    else:
+        m = mats[0]
+        for factor in mats[1:]:
+            m = factor @ m
+    polys = _POLYNOMIALS[key] = (m.g, m.tau.divided_by_x(),
+                                 m.nu.divided_by_x(), m.h)
+    return polys
 
 
 def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
-    """Numeric one-timestep matrix of a scheme (identity steps ignored)."""
-    mats = [step_matrix(st, eps, omega) for st in s.active_steps()]
-    return _assemble(mats, is_symmetric(s), _numeric_identity(eps, omega))
+    """Numeric one-timestep matrix: the polynomials evaluated at x = eps*omega.
 
-
-# --------------------------------------------------------------- series mode
-
-def _series_coeff(value, exact: bool):
-    if exact:
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(
-                f"coefficient {value!r} is not exact; rational series mode "
-                "needs int or Fraction scheme coefficients"
-            )
-        return value
-    return float(value)
-
-
-def step_series_matrix(step: Step, order: int, exact: bool = False) -> PhaseMatrix:
-    """Series-mode matrix of one step in x = eps*omega (omega = 1)."""
-    one, zero = Series.one(order), Series.zero(order)
-    c = _series_coeff(step.c, exact)
-    if step.kind == DRIFT:
-        return PhaseMatrix(one, Series([0, c][: order + 1], order), zero, one)
-    mu = [0, c, 0]
-    if step.kind == GKICK:
-        mu.append(_series_coeff(step.u, exact))
-    return PhaseMatrix(one, zero, Series(mu[: order + 1], order), one)
+    The entries are g(x), eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x),
+    with no division by omega, so omega = 0 and negative eps are fine.
+    """
+    g, tau_x, nu_x, h = _polynomials(s, False)
+    x = eps * omega
+    return PhaseMatrix(g(x), eps * tau_x(x), eps * omega * omega * nu_x(x),
+                       h(x), eps, omega)
 
 
 def scheme_series_matrix(s: Scheme, order: int,
                          exact: bool | None = None) -> PhaseMatrix:
-    """Series-mode one-timestep matrix; exact defaults to the coefficients."""
+    """Series-mode matrix: the polynomials padded or truncated to `order`.
+
+    exact defaults to whether every coefficient is an int or Fraction.
+    """
     if exact is None:
-        from .schemes import has_exact_coefficients
         exact = has_exact_coefficients(s)
-    mats = [step_series_matrix(st, order, exact) for st in s.active_steps()]
-    return _assemble(mats, is_symmetric(s), _series_identity(order))
+    g, tau_x, nu_x, h = _polynomials(s, exact)
+    return PhaseMatrix(*(
+        Series(c[: order + 1], order)
+        for c in (g.coeffs, [0] + tau_x.coeffs, [0] + nu_x.coeffs, h.coeffs)
+    ))
 
 
 # ------------------------------------------------------------------ spectral

@@ -1,37 +1,21 @@
 """Tests for the 2x2 map construction, spectral data, and closed-form power."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oscmap.schemes import DRIFT, GKICK, KICK, Step, get_scheme, registry
+from oscmap import phasemap
+from oscmap.schemes import Step, get_scheme, registry
 from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, invariant_quadratic_form,
     modified_hamiltonian, propagate_closed_form, scheme_matrix,
-    scheme_series_matrix, spectral, step_matrix,
+    scheme_series_matrix, spectral,
 )
 
 F = Fraction
-
-
-# ------------------------------------------------------------- step matrices
-
-def test_drift_step_matrix():
-    m = step_matrix(Step(DRIFT, 1), 0.1, 1.0).as_array()
-    assert np.allclose(m, [[1, 0.1], [0, 1]], rtol=0, atol=0)
-
-
-def test_kick_step_matrix():
-    m = step_matrix(Step(KICK, 0.5), 0.1, 1.0).as_array()
-    assert np.allclose(m, [[1, 0], [-0.05, 1]], rtol=0, atol=1e-18)
-
-
-def test_gradient_kick_step_matrix():
-    # lower-left entry -(c*eps*w^2 + u*eps^3*w^4) at eps=0.3, w=1
-    m = step_matrix(Step(GKICK, 2 / 3, 1 / 36), 0.3, 1.0).as_array()
-    assert math.isclose(m[1, 0], -0.20075, rel_tol=0, abs_tol=1e-15)
 
 
 # ------------------------------------------------------------ scheme matrices
@@ -110,6 +94,50 @@ def test_lf1_series_diagonal_gap():
 def test_rational_mode_requires_exact_coefficients():
     with pytest.raises(TypeError, match="not exact"):
         scheme_series_matrix(get_scheme("FR"), 6, exact=True)
+
+
+def _with_float_coefficients(s):
+    return replace(s, steps=tuple(
+        Step(st.kind, float(st.c), None if st.u is None else float(st.u))
+        for st in s.steps
+    ))
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+@pytest.mark.parametrize("name", ["SV", "C"])
+def test_series_mode_follows_coefficient_type_whichever_is_built_first(
+        name, float_first, monkeypatch):
+    # Float SV's steps compare and hash equal to registry SV's Fraction steps,
+    # so the built maps must be told apart by coefficient mode as well.
+    monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
+    exact = get_scheme(name)
+    approx = _with_float_coefficients(exact)
+    for s in ((approx, exact) if float_first else (exact, approx)):
+        scheme_series_matrix(s, 8)
+    floats = scheme_series_matrix(approx, 8)
+    fracs = scheme_series_matrix(exact, 8)
+    assert any(isinstance(c, Fraction) for c in fracs.g.coeffs)
+    for a, b in ((floats.g, fracs.g), (floats.tau, fracs.tau),
+                 (floats.nu, fracs.nu), (floats.h, fracs.h)):
+        assert any(isinstance(c, float) for c in a.coeffs)
+        assert not any(isinstance(c, Fraction) for c in a.coeffs)
+        assert not any(isinstance(c, float) for c in b.coeffs)
+        assert all(abs(u - v) <= 1e-15 for u, v in zip(a.coeffs, b.coeffs))
+    with pytest.raises(TypeError, match="not exact"):
+        scheme_series_matrix(approx, 8, exact=True)
+    assert scheme_matrix(approx, 0.3, 1.0) == scheme_matrix(exact, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 7, 30])
+def test_series_matrix_pads_or_truncates_the_exact_map(order):
+    # FR's map has degree 7: lower orders truncate it, higher ones pad zeros.
+    full = scheme_series_matrix(get_scheme("FR"), 40)
+    m = scheme_series_matrix(get_scheme("FR"), order)
+    for got, ref in ((m.g, full.g), (m.tau, full.tau), (m.nu, full.nu),
+                     (m.h, full.h)):
+        assert got.order == order
+        assert got.coeffs == ref.coeffs[: order + 1]
+    assert all(c == 0 for c in full.g.coeffs[8:] + full.tau.coeffs[8:])
 
 
 # ------------------------------------------------------------------ spectral

@@ -15,13 +15,20 @@ from oscmap.sim import iterate, phase_drift, portrait
 
 
 def test_single_step_matches_matrix():
-    for name in ("SV", "LF1", "FR", "C"):
-        s = get_scheme(name)
-        rec = iterate(s, 0.7, -0.3, 0.25, 1.0, 1)
-        m = scheme_matrix(s, 0.25, 1.0).as_array()
-        ref = m @ np.array([0.7, -0.3])
-        assert abs(rec.q[-1] - ref[0]) <= 1e-15
-        assert abs(rec.p[-1] - ref[1]) <= 1e-15
+    # The shear loop is the oracle for the polynomial map: its one-step
+    # images of the unit vectors are the matrix columns, for every registry
+    # scheme (C covers the force-gradient kick), x over (0, 10], two
+    # frequencies and both signs of eps.
+    for s in registry():
+        for omega in (1.0, 2.5):
+            for x in np.linspace(10.0 / 64, 10.0, 64):
+                for eps in (x / omega, -x / omega):
+                    cols = [iterate(s, q0, p0, eps, omega, 1)
+                            for q0, p0 in ((1.0, 0.0), (0.0, 1.0))]
+                    ref = np.array([[c.q[-1] for c in cols],
+                                    [c.p[-1] for c in cols]])
+                    m = scheme_matrix(s, eps, omega).as_array()
+                    assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_iterate_matches_closed_form_long_run():
