@@ -40,10 +40,14 @@ def _fmt(v) -> str:
 
 
 def _jnum(v):
-    """JSON value rounded to the same 12 significant digits as the CSV."""
+    """JSON value rounded to the same 12 significant digits as the CSV.
+
+    NaN and infinities become null: strict JSON has no literal for them.
+    """
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    return float(f"{float(v):.12g}")
+    v = float(v)
+    return float(f"{v:.12g}") if math.isfinite(v) else None
 
 
 def _write(text: str, path: str | None) -> None:
@@ -68,7 +72,7 @@ def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
 
 
 def _emit_json(obj, path: str | None) -> None:
-    _write(json.dumps(obj, indent=2) + "\n", path)
+    _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
 
 
 def _resolve_scheme(args):
@@ -234,6 +238,8 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
+    if args.x == 0.0 or not math.isfinite(args.x):
+        raise SchemeError("simulate needs a finite, nonzero --x")
     s = _resolve_scheme(args)
     eps, omega = args.x, 1.0
     rec = sim.iterate(s, args.q0, args.p0, eps, omega, args.steps,

@@ -206,6 +206,8 @@ def load_scheme(path: str) -> Scheme:
             obj = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemeFileError(f"scheme file not found: {path}") from exc
+    except OSError as exc:
+        raise SchemeFileError(f"cannot read scheme file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise SchemeFileError(f"{path}: invalid JSON: {exc}") from exc
     return _scheme_from_dict(obj, str(path))

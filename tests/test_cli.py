@@ -12,6 +12,7 @@ To record the files again after an intended output change, run
 and list the changed files with `git status tests/golden`.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ import pytest
 from oscmap.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
+SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMES = ("SV", "LF1", "FR", "C", "BM")
 FORMATS = ("csv", "json")
 
@@ -67,6 +69,30 @@ def test_output_matches_golden(stem, fmt, capsys):
     else:
         assert code == 0
         assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--file", "{tmp}"],
+    ["simulate", "SV", "--x", "0", "--steps", "10"],
+    ["simulate", "SV", "--x", "nan", "--steps", "10"],
+    ["simulate", "SV", "--x", "inf", "--steps", "10"],
+])
+def test_bad_input_exits_1_with_error_line(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscmap", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("oscmap: error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_simulate_accepts_negative_x(capsys):
+    code, out, _ = _run(["simulate", "SV", "--x", "-0.5", "--steps", "4"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("-2,")
 
 
 def _record() -> None:

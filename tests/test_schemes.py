@@ -158,6 +158,11 @@ def test_load_missing_file():
         load_scheme("/nonexistent/never.json")
 
 
+def test_load_directory_is_a_file_error(tmp_path):
+    with pytest.raises(SchemeFileError, match="cannot read scheme file"):
+        load_scheme(str(tmp_path))
+
+
 def test_load_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
