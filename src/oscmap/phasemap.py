@@ -121,7 +121,7 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
 
     Built once per key at truncation order = degree, so nothing is dropped;
-    callers copy what they use. Palindromic sequences are multiplied
+    callers must not mutate it. Palindromic sequences are multiplied
     center-outward, M -> m_i M m_i, so g and h stay equal bitwise even with
     float coefficients: conjugating a matrix with g = h by one shear
     preserves the equality term by term.

@@ -49,6 +49,15 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
+def _oscmap(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run `python -m oscmap` from this checkout's src in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "oscmap", *argv],
+        capture_output=True, text=True, env=env, check=False)
+
+
 def _run(argv: list[str], capsys) -> tuple[int, str, str]:
     code = main(argv)
     out, err = capsys.readouterr()
@@ -78,11 +87,7 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["simulate", "SV", "--x", "inf", "--steps", "10"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "oscmap", *(a.format(tmp=tmp_path) for a in argv)],
-        capture_output=True, text=True, env=env, check=False)
+    proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("oscmap: error: ")
@@ -101,10 +106,7 @@ def _record() -> None:
         stale.unlink()
     for stem, argv in sorted(CASES.items()):
         for fmt in FORMATS:
-            cmd = [sys.executable, "-W", "ignore::RuntimeWarning", "-m",
-                   "oscmap", *argv, "--format", fmt]
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  check=False)
+            proc = _oscmap([*argv, "--format", fmt])
             path = GOLDEN / f"{stem}.{fmt}"
             path.write_text(proc.stdout, encoding="utf-8")
             if proc.returncode != 0:
