@@ -43,6 +43,15 @@ def _cases() -> dict[str, list[str]]:
             cases[f"{command}_{name}"] = [command, name, *extra]
     cases["simulate_SV_diverging"] = ["simulate", "SV", "--x", "2.5",
                                       "--steps", "2000", "--stride", "100"]
+    for quantity in ("phase_error", "det", "trace", "m_star", "k_star"):
+        cases[f"sweep_FR_{quantity}"] = [*cases["sweep_FR"],
+                                         "--quantity", quantity]
+    # x = 2 is SV's parabolic point: one elliptic, parabolic, hyperbolic row
+    cases["sweep_SV_regimes"] = ["sweep", "SV", "--min", "1", "--max", "3",
+                                 "--points", "3"]
+    # BM's thin unstable window near x = 3.14 and the stable re-entry after it
+    cases["sweep_BM_window"] = ["sweep", "BM", "--min", "3.12", "--max", "3.17",
+                                "--points", "6"]
     return cases
 
 
