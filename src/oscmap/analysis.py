@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
+import numpy as np
 
 from . import series as series_mod
 from .phasemap import Regime, RegimeError, scheme_matrix, scheme_series_matrix, spectral
@@ -224,25 +225,24 @@ def normalized_coefficient(s: Scheme, reference: Scheme | None = None) -> float:
 def stability_limit(s: Scheme) -> StabilityLimit:
     """First x > 0 where |Tr M(x)/2| reaches 1, by scan plus bisection.
 
-    Scans (0, 10] in steps of 1e-3 and bisects the first bracket to 1e-10.
-    Returns (10.0, False) when no crossing lies in the bracket.
+    Scans (0, 10] in steps of 1e-3, as one evaluation of the map over the
+    whole grid k * 1e-3, and bisects the first bracket to 1e-10 with scalar
+    evaluations. Returns (10.0, False) when no crossing lies in the bracket.
+    A stable window that starts again after the first crossing is not seen.
     """
 
-    def excess(x: float) -> float:
+    def excess(x):
         m = scheme_matrix(s, x, 1.0)
         return abs(m.trace()) / 2.0 - 1.0
 
-    lo = 0.0
-    hi = None
     steps = int(round(_STABILITY_BRACKET / _STABILITY_SCAN_STEP))
-    for k in range(1, steps + 1):
-        x = k * _STABILITY_SCAN_STEP
-        if excess(x) >= 0.0:
-            hi = x
-            break
-        lo = x
-    if hi is None:
+    grid = np.arange(1, steps + 1) * _STABILITY_SCAN_STEP
+    crossed = excess(grid) >= 0.0
+    if not crossed.any():
         return StabilityLimit(_STABILITY_BRACKET, False)
+    k = int(crossed.argmax())
+    lo = float(grid[k - 1]) if k else 0.0
+    hi = float(grid[k])
     while hi - lo > _STABILITY_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) >= 0.0:

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -61,7 +62,8 @@ def _write(text: str, path: str | None) -> None:
             raise SchemeError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
+def _emit_csv(header: list[str], rows: Iterable[Sequence],
+              path: str | None) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -194,44 +196,33 @@ def _analyze_nonreversible(s, args) -> int:
 
 # -------------------------------------------------------------------- sweep
 
-def _sweep_value(quantity: str, m, d):
-    if quantity == "det":
-        return m.det()
-    if quantity == "trace":
-        return m.trace()
-    if d.regime is not Regime.ELLIPTIC:
-        return None
-    if quantity == "omega_a":
-        return d.omega_a
-    if quantity == "phase_error":
-        return 2.0 * math.pi * (d.omega_a - 1.0)
-    if quantity == "m_star":
-        return d.m_star
-    if quantity == "k_star":
-        return d.k_star
-    raise SchemeError(f"unknown sweep quantity {quantity!r}")
-
-
 def cmd_sweep(args) -> int:
-    if not (0.0 < args.min < args.max):
-        raise SchemeError("sweep needs 0 < --min < --max")
+    if not 0.0 < args.min < args.max < math.inf:
+        raise SchemeError("sweep needs finite --min and --max with "
+                          "0 < --min < --max")
     if args.points < 2:
         raise SchemeError("sweep needs at least 2 points")
     s = _resolve_scheme(args)
-    rows = []
-    for x in np.linspace(args.min, args.max, args.points):
-        m = scheme_matrix(s, float(x), 1.0)
-        d = spectral(m)
-        rows.append((float(x), _sweep_value(args.quantity, m, d),
-                     d.regime.value))
+    xs = np.linspace(args.min, args.max, args.points)
+    m = scheme_matrix(s, xs, 1.0)
+    d = spectral(m)
+    if args.quantity in ("det", "trace"):
+        values = getattr(m, args.quantity)().tolist()
+    else:
+        if args.quantity == "phase_error":
+            values = 2.0 * math.pi * (d.omega_a - 1.0)
+        else:
+            values = getattr(d, args.quantity)
+        # NaN marks exactly the points where a rotation quantity is undefined
+        values = [None if math.isnan(v) else v for v in values.tolist()]
+    rows = zip(xs.tolist(), values, (r.value for r in d.regime))
     if args.format == "json":
         _emit_json([
             {"x": _jnum(x), "value": _jnum(v), "regime": regime}
             for x, v, regime in rows
         ], args.output)
     else:
-        _emit_csv(["x", "value", "regime"],
-                  [[x, v, regime] for x, v, regime in rows], args.output)
+        _emit_csv(["x", "value", "regime"], rows, args.output)
     return 0
 
 
@@ -242,15 +233,18 @@ def cmd_simulate(args) -> int:
         raise SchemeError("simulate needs a finite, nonzero --x")
     s = _resolve_scheme(args)
     eps, omega = args.x, 1.0
-    rec = sim.iterate(s, args.q0, args.p0, eps, omega, args.steps,
-                      args.stride)
+    # a hyperbolic map diverges to inf and NaN: legitimate output
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = sim.iterate(s, args.q0, args.p0, eps, omega, args.steps,
+                          args.stride)
     m = scheme_matrix(s, eps, omega)
     d = spectral(m)
     elliptic = d.regime is Regime.ELLIPTIC
     start = np.array([args.q0, args.p0])
     rows = []
     for i, n in enumerate(rec.step_index):
-        row = {"t": rec.t[i], "q": rec.q[i], "p": rec.p[i],
+        # + 0.0 turns the -0.0 of step 0 at a negative timestep into 0
+        row = {"t": rec.t[i] + 0.0, "q": rec.q[i], "p": rec.p[i],
                "H": rec.energy[i]}
         if elliptic:
             if rec.modified_energy is not None:

@@ -8,7 +8,9 @@ force-gradient kick by three. The four polynomials are built once per scheme
 by multiplying its shears in the Series ring, and every other form is read
 from them: series mode pads or truncates them to a requested order, and
 numeric mode (explicit timestep eps and frequency omega) evaluates them by
-Horner's rule.
+Horner's rule. Numeric mode takes a whole grid of timesteps as one numpy
+array just as it takes one float, and `spectral` then classifies every point
+of the grid at once; both give, point by point, the bits of the scalar call.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -97,7 +99,12 @@ class PhaseMatrix:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Rotation data of an elliptic map; degenerate fields are None."""
+    """Rotation data of an elliptic map; degenerate fields are None.
+
+    For a matrix over a grid of timesteps every field is an array over the
+    grid: the numeric fields hold NaN where they are undefined, `regime` holds
+    a Regime per point and `reversible` a bool per point.
+    """
 
     theta: float | None
     xi: float | None
@@ -162,16 +169,22 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     return polys
 
 
-def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
+def scheme_matrix(s: Scheme, eps, omega: float) -> PhaseMatrix:
     """Numeric one-timestep matrix: the polynomials evaluated at x = eps*omega.
 
     The entries are g(x), eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x),
     with no division by omega, so omega = 0 and negative eps are fine.
+
+    eps may be a float or a 1-D float array; for an array every entry is an
+    array over it. Horner's rule uses only * and +, which numpy rounds like
+    Python floats, so each point is bitwise the scalar call at that eps.
+    Entries that overflow become inf or NaN silently, as Python floats do.
     """
     g, tau_x, nu_x, h = _polynomials(s, False)
     x = eps * omega
-    return PhaseMatrix(g(x), eps * tau_x(x), eps * omega * omega * nu_x(x),
-                       h(x), eps, omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PhaseMatrix(g(x), eps * tau_x(x), eps * omega * omega * nu_x(x),
+                           h(x), eps, omega)
 
 
 def scheme_series_matrix(s: Scheme, order: int,
@@ -191,33 +204,59 @@ def scheme_series_matrix(s: Scheme, order: int,
 
 # ------------------------------------------------------------------ spectral
 
+#: Regime by code: 0 elliptic, 1 parabolic, 2 hyperbolic.
+_REGIMES = np.array(list(Regime), dtype=object)
+
+
+def _classify(g, tau, nu, h):
+    """The tests behind the regime, for float entries and arrays alike.
+
+    Returns (half_trace, disc, hyperbolic, elliptic, reversible). A map is
+    hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL, else
+    elliptic where disc > 0, else parabolic. det = 1 makes disc =
+    nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
+    keeps the classification sharp near theta -> 0, where the trace is
+    quadratically insensitive.
+    """
+    w = (g - h) / 2.0
+    disc = nu * tau - w * w
+    return ((g + h) / 2.0, disc, abs(g + h) - 2.0 > PARABOLIC_TOL, disc > 0.0,
+            abs(g - h) <= REVERSIBLE_TOL)
+
+
 def spectral(mat: PhaseMatrix) -> SpectralData:
     """Classify the map and extract rotation angle and effective parameters.
 
     In the elliptic regime (|Tr M| < 2) the eigenvalues are exp(+-i*theta)
     with theta on (0, pi); the map rotates an invariant ellipse at the
-    modified frequency omega_a = theta/eps, with effective mass and spring
+    modified frequency omega_a = theta/|eps|, with effective mass and spring
     constant 1/m* = omega_a*sqrt(tau/nu), k* = omega_a*sqrt(nu/tau) when
-    nu*tau > 0. Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry
-    only the regime flag and a detail message.
+    nu*tau > 0. A negative eps gives the inverse map, which conserves the
+    same ellipse, so omega_a, m* and k* do not change sign with it.
+    Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry only the
+    regime flag and a detail message.
+
+    A matrix over a grid of timesteps (see `scheme_matrix`) gives array
+    fields, each point bitwise the scalar result. A NaN entry raises
+    ValueError: no regime can be read from it.
     """
     if mat.is_series:
         raise TypeError("spectral analysis needs a numeric-mode matrix")
     g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
-    half_trace = (g + h) / 2.0
-    reversible = abs(g - h) <= REVERSIBLE_TOL
-    if abs(g + h) - 2.0 > PARABOLIC_TOL:
+    if np.isnan((g, tau, nu, h)).any():
+        raise ValueError("the map has a NaN entry, so it has no regime; its "
+                         "polynomials overflowed or the timestep is NaN")
+    if np.ndim(g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _spectral_grid(mat, *_classify(g, tau, nu, h))
+    half_trace, disc, hyperbolic, elliptic, reversible = _classify(g, tau, nu, h)
+    if hyperbolic:
         return SpectralData(
             None, None, None, None, None, Regime.HYPERBOLIC, reversible,
             detail=f"|trace|/2 = {abs(half_trace)!r} exceeds 1; the map is "
                    "unstable and has no real rotation angle",
         )
-    w = (g - h) / 2.0
-    # det = 1 makes nu*tau - w^2 = sin^2(theta); testing it instead of the
-    # trace keeps the classification sharp near theta -> 0, where the trace
-    # is quadratically insensitive.
-    disc = nu * tau - w * w
-    if disc <= 0.0:
+    if not elliptic:
         return SpectralData(
             None, None, None, None, None, Regime.PARABOLIC, reversible,
             detail="|trace| equals 2 within tolerance; the rotation angle is "
@@ -227,7 +266,7 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     # atan2 form of arccos(half_trace): same principal branch (0, pi) since
     # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
     theta = math.atan2(xi, half_trace)
-    omega_a = theta / mat.eps
+    omega_a = theta / abs(mat.eps)
     m_star = k_star = None
     if nu * tau > 0:
         root = math.sqrt(tau / nu)
@@ -235,6 +274,25 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
         k_star = omega_a / root
     return SpectralData(theta, xi, omega_a, m_star, k_star,
                         Regime.ELLIPTIC, reversible)
+
+
+def _spectral_grid(mat: PhaseMatrix, half_trace, disc, hyperbolic, elliptic,
+                   reversible) -> SpectralData:
+    """The elliptic branch of `spectral` on the points of a grid where it holds."""
+    elliptic = elliptic & ~hyperbolic
+    undefined = np.full(disc.shape, np.nan)
+    xi, theta, m_star, k_star = (undefined.copy() for _ in range(4))
+    xi[elliptic] = np.sqrt(disc[elliptic])
+    # math.atan2 point by point: np.arctan2 can differ from it in the last bit
+    theta[elliptic] = [math.atan2(a, b) for a, b in
+                       zip(xi[elliptic].tolist(), half_trace[elliptic].tolist())]
+    omega_a = theta / np.abs(mat.eps)
+    shaped = elliptic & (mat.nu * mat.tau > 0)
+    root = np.sqrt(mat.tau[shaped] / mat.nu[shaped])
+    m_star[shaped] = 1.0 / (omega_a[shaped] * root)
+    k_star[shaped] = omega_a[shaped] / root
+    regime = _REGIMES[np.where(hyperbolic, 2, np.where(elliptic, 0, 1))]
+    return SpectralData(theta, xi, omega_a, m_star, k_star, regime, reversible)
 
 
 def _require_elliptic(mat: PhaseMatrix) -> SpectralData:

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oscmap.analysis import (
@@ -11,7 +12,7 @@ from oscmap.analysis import (
     stability_limit,
 )
 from oscmap.phasemap import RegimeError
-from oscmap.schemes import adjoint, get_scheme
+from oscmap.schemes import DRIFT, GKICK, adjoint, get_scheme, registry_names
 
 F = Fraction
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -180,6 +181,33 @@ def test_stability_limit_invariant_under_adjoint():
             stability_limit(s).x_max, stability_limit(adjoint(s)).x_max,
             rel_tol=0, abs_tol=1e-10,
         )
+
+
+def _shear_half_trace(s, xs):
+    """|Tr M|/2 over a grid from the plain product of float shears (omega = 1)."""
+    a, b = np.ones_like(xs), np.zeros_like(xs)
+    c, d = np.zeros_like(xs), np.ones_like(xs)
+    for st in s.active_steps():
+        if st.kind == DRIFT:  # q += c*x*p
+            k = float(st.c) * xs
+            a, b = a + k * c, b + k * d
+        else:  # p -= (c*x + u*x^3)*q
+            mu = float(st.c) * xs
+            if st.kind == GKICK:
+                mu = mu + float(st.u) * xs**3
+            c, d = c - mu * a, d - mu * b
+    return abs(a + d) / 2.0
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_stability_limit_brackets_first_shear_crossing(name):
+    s = get_scheme(name)
+    xs = np.arange(1, 10001) * 1e-3
+    k = int(np.argmax(_shear_half_trace(s, xs) >= 1.0))
+    assert k > 0
+    lim = stability_limit(s)
+    assert lim.bounded
+    assert xs[k - 1] <= lim.x_max <= xs[k]
 
 
 # ---------------------------------------------------------------- convergence

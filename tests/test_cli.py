@@ -63,7 +63,7 @@ def _oscmap(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "oscmap", *argv],
+        [sys.executable, "-m", "oscmap", *argv],
         capture_output=True, text=True, env=env, check=False)
 
 
@@ -73,7 +73,7 @@ def _run(argv: list[str], capsys) -> tuple[int, str, str]:
     return code, out, err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_output_matches_golden(stem, fmt, capsys):
@@ -94,6 +94,8 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["simulate", "SV", "--x", "0", "--steps", "10"],
     ["simulate", "SV", "--x", "nan", "--steps", "10"],
     ["simulate", "SV", "--x", "inf", "--steps", "10"],
+    ["sweep", "SV", "--min", "0.1", "--max", "inf", "--points", "3"],
+    ["sweep", "SV", "--min", "nan", "--max", "1", "--points", "3"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
@@ -104,9 +106,16 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
 
 
 def test_simulate_accepts_negative_x(capsys):
-    code, out, _ = _run(["simulate", "SV", "--x", "-0.5", "--steps", "4"], capsys)
+    argv = ["simulate", "SV", "--steps", "4", "--x"]
+    code, out, _ = _run([*argv, "-0.5"], capsys)
+    _, forward, _ = _run([*argv, "0.5"], capsys)
     assert code == 0
-    assert out.splitlines()[-1].startswith("-2,")
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[1][0] == "0" and rows[-1][0] == "-2"
+    # M(-eps) = M(eps)^-1 conserves the same shadow energy
+    h_a = rows[0].index("H_A")
+    assert [r[h_a] for r in rows[1:]] == [
+        line.split(",")[h_a] for line in forward.splitlines()[1:]]
 
 
 def _record() -> None:

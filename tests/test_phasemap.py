@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscmap import phasemap
-from oscmap.schemes import Step, get_scheme, registry
+from oscmap.schemes import Step, get_scheme, is_symmetric, registry
 from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, invariant_quadratic_form,
     modified_hamiltonian, propagate_closed_form, scheme_matrix,
@@ -173,6 +174,54 @@ def test_spectral_carries_omega_scaling():
     assert math.isclose(d.omega_a, math.acos(1 - x * x / 2) / 0.25, rel_tol=1e-13)
     assert math.isclose(d.k_star, d.omega_a * 2.0 * math.sqrt(1 - x * x / 4),
                         rel_tol=1e-12)
+
+
+def test_spectral_rejects_nan_entries():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        spectral(PhaseMatrix(nan, 1.0, 1.0, nan, 1.0, 1.0))
+    with pytest.raises(ValueError, match="NaN"):
+        spectral(scheme_matrix(get_scheme("SV"), np.array([0.5, nan]), 1.0))
+
+
+def test_spectral_negative_step_keeps_shadow_parameters():
+    # M(-eps) = M(eps)^-1 for a palindromic scheme: same ellipse, same rate
+    for s in filter(is_symmetric, registry()):
+        fwd = spectral(scheme_matrix(s, 0.4, 1.5))
+        back = spectral(scheme_matrix(s, -0.4, 1.5))
+        assert (back.omega_a, back.m_star, back.k_star) == (
+            fwd.omega_a, fwd.m_star, fwd.k_star)
+        assert fwd.omega_a > 0 and fwd.m_star > 0 and fwd.k_star > 0
+
+
+# --------------------------------------------------------------- grid form
+
+def _bits(v):
+    """Exact identity of a float cell, sign of zero included; None for undefined."""
+    return None if v is None or math.isnan(v) else float(v).hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-6.0, 6.0), max_size=30), st.sampled_from([1.0, 2.5]))
+def test_grid_matches_scalar_calls_bitwise(extra, omega):
+    # eps = 0 is parabolic for every scheme and x = +-2 for SV; the fixed
+    # grid crosses every registry scheme's stability limit both ways
+    grid = np.concatenate([np.linspace(-6.0, 6.0, 121),
+                           [0.0, 2.0 / omega, -2.0 / omega], extra])
+    for s in registry():
+        m = scheme_matrix(s, grid, omega)
+        d = spectral(m)
+        for i, eps in enumerate(grid.tolist()):
+            ms = scheme_matrix(s, eps, omega)
+            ds = spectral(ms)
+            for entry in ("g", "tau", "nu", "h"):
+                assert _bits(getattr(m, entry)[i]) == _bits(getattr(ms, entry))
+            for field in ("theta", "xi", "omega_a", "m_star", "k_star"):
+                assert _bits(getattr(d, field)[i]) == _bits(getattr(ds, field))
+            assert d.regime[i] is ds.regime
+            assert d.reversible[i] == ds.reversible
+        if s.name == "SV" and omega == 1.0:
+            assert set(d.regime) == set(Regime)
 
 
 # ------------------------------------------------------------- closed form
