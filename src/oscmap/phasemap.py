@@ -169,7 +169,8 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     return polys
 
 
-def scheme_matrix(s: Scheme, eps, omega: float) -> PhaseMatrix:
+def scheme_matrix(s: Scheme, eps: float | np.ndarray,
+                  omega: float) -> PhaseMatrix:
     """Numeric one-timestep matrix: the polynomials evaluated at x = eps*omega.
 
     The entries are g(x), eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x),
