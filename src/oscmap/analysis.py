@@ -17,15 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath
 import numpy as np
 
 from . import series as series_mod
 from .phasemap import Regime, RegimeError, scheme_matrix, scheme_series_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme, get_scheme, is_symmetric
 from .series import Series
+
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "AnalysisError", "PhaseErrorReport", "StabilityLimit", "ConvergenceRow",
@@ -114,6 +116,8 @@ def phase_error(s: Scheme, x: float) -> float:
 
 def _mp_half_trace(s: Scheme, x: mpmath.mpf) -> mpmath.mpf:
     """Half trace of the scheme matrix at working precision (direct shears)."""
+    import mpmath
+
     one, zero = mpmath.mpf(1), mpmath.mpf(0)
     m = [[one, zero], [zero, one]]
     for st in s.active_steps():
@@ -135,6 +139,8 @@ def _mp_half_trace(s: Scheme, x: mpmath.mpf) -> mpmath.mpf:
 
 
 def _to_mpf(v):
+    import mpmath
+
     if isinstance(v, Fraction):
         return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
     return mpmath.mpf(v)
@@ -148,8 +154,11 @@ def _richardson_order_coefficient(s: Scheme, n: int) -> float:
     shares nothing with the series ring. The deviation is measured relative
     to its x -> 0 floor: float rounding of the consistency sums (~1e-17)
     shifts omega_a/omega by a constant, which the 1/x^n division would
-    otherwise amplify through the extrapolation.
+    otherwise amplify through the extrapolation. mpmath is imported here and
+    in the helpers, not at module level, because only this check needs it.
     """
+    import mpmath
+
     with mpmath.workdps(50):
         x_floor = mpmath.mpf("1e-6")
         floor = mpmath.acos(_mp_half_trace(s, x_floor)) / x_floor - 1

@@ -1,13 +1,18 @@
 """Brute-force iteration of schemes on the oscillator.
 
-The stepping applies each shear update directly to (q, p), two fused
-multiply-adds per factor, without ever forming the composed 2x2 matrix; that
-keeps this module an independent oracle for the closed-form propagation and
-for the conservation of the modified energy.
+The stepping applies each shear update directly to (q, p), one multiply and
+one add per factor, without ever forming the composed 2x2 matrix; that keeps
+this module an independent oracle for the closed-form propagation and for the
+conservation of the modified energy. The step loop is generated once per
+drift/kick pattern of a scheme (e.g. "dkdkdkd") as straight-line Python, one
+line per shear in the scheme's order; the coefficients are arguments of the
+generated function, never part of its source, so schemes with the same
+pattern share one compiled loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,47 +46,73 @@ class TrajectoryRecord:
 
 
 def _kick_drift_program(s: Scheme, eps: float, omega: float):
-    """Precompiled per-step updates: ('d', c*eps) or ('k', mu)."""
+    """Per-step shear pattern and coefficients: 'd' for c*eps, 'k' for mu."""
     w2 = omega * omega
-    program = []
+    pattern = []
+    coeffs = []
     for st in s.active_steps():
         if st.kind == DRIFT:
-            program.append((True, float(st.c) * eps))
+            pattern.append("d")
+            coeffs.append(float(st.c) * eps)
         else:
             mu = float(st.c) * eps * w2
             if st.kind == GKICK:
                 mu += float(st.u) * eps**3 * w2 * w2
-            program.append((False, mu))
-    return program
+            pattern.append("k")
+            coeffs.append(mu)
+    return "".join(pattern), coeffs
+
+
+@functools.lru_cache(maxsize=None)
+def _shear_loop(pattern: str):
+    """Compiled step loop for one drift/kick pattern.
+
+    The generated function takes (q, p, n_steps, stride, c0, c1, ...) and
+    returns the lists of q and p after 0 steps, after every multiple of the
+    stride and after the last step. Each shear is one line, `q += ci * p` or
+    `p -= ci * q`, in the pattern's order.
+    """
+    coeffs = ", ".join(f"c{i}" for i in range(len(pattern)))
+    shears = "\n".join(
+        f"            q += c{i} * p" if kind == "d" else f"            p -= c{i} * q"
+        for i, kind in enumerate(pattern))
+    source = f"""\
+def run(q, p, n_steps, stride, {coeffs}):
+    qs = [q]
+    ps = [p]
+    done = 0
+    while done < n_steps:
+        block = min(stride, n_steps - done)
+        for _ in range(block):
+{shears}
+        done += block
+        qs.append(q)
+        ps.append(p)
+    return qs, ps
+"""
+    namespace = {}
+    exec(compile(source, f"<shear loop {pattern}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
             n_steps: int, sample_stride: int = 1) -> TrajectoryRecord:
     """Apply the scheme's shear updates n_steps times, sampling every stride.
 
-    The final state is always included. Divergence in the hyperbolic regime
-    is legitimate output, not an error.
+    The shears act one by one on (q, p) through the loop `_shear_loop`
+    generates for the scheme's drift/kick pattern, with this call's
+    coefficients passed as arguments. Samples are taken at step 0, at every
+    multiple of the stride and at the final step, which is always included.
+    Divergence in the hyperbolic regime is legitimate output, not an error.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if sample_stride < 1:
         raise ValueError("sample_stride must be at least 1")
-    program = _kick_drift_program(s, eps, omega)
-    idx = [0]
-    qs = [float(q0)]
-    ps = [float(p0)]
-    q, p = float(q0), float(p0)
-    for k in range(1, n_steps + 1):
-        for is_drift, coeff in program:
-            if is_drift:
-                q += coeff * p
-            else:
-                p -= coeff * q
-        if k % sample_stride == 0 or k == n_steps:
-            idx.append(k)
-            qs.append(q)
-            ps.append(p)
-    index = np.array(idx, dtype=np.int64)
+    pattern, coeffs = _kick_drift_program(s, eps, omega)
+    qs, ps = _shear_loop(pattern)(float(q0), float(p0), n_steps, sample_stride,
+                                  *coeffs)
+    index = np.array([*range(0, n_steps, sample_stride), n_steps], dtype=np.int64)
     q_arr = np.array(qs)
     p_arr = np.array(ps)
     energy = 0.5 * p_arr**2 + 0.5 * (omega * q_arr) ** 2
@@ -117,11 +148,11 @@ def phase_drift(s: Scheme, x: float, periods: int) -> float:
     if not data.reversible:
         raise ValueError("phase drift is defined for time-reversible schemes")
     t_star = periods * 2.0 * math.pi
-    n = math.ceil(t_star / x)
-    rec = iterate(s, 1.0, 0.0, x, 1.0, n, 1)
-    rotation = -(rec.phase - rec.phase[0])  # clockwise sweep, increasing
     j = int(t_star / x)
     frac = t_star / x - j
+    # j + 1 steps, so rotation[j + 1] exists also when t_star / x is whole
+    rec = iterate(s, 1.0, 0.0, x, 1.0, j + 1, 1)
+    rotation = -(rec.phase - rec.phase[0])  # clockwise sweep, increasing
     swept = rotation[j] + frac * (rotation[j + 1] - rotation[j])
     return float(swept - t_star)
 

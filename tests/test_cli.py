@@ -58,13 +58,17 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _oscmap(argv: list[str]) -> subprocess.CompletedProcess:
-    """Run `python -m oscmap` from this checkout's src in a fresh interpreter."""
+def _python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the interpreter with this checkout's src on its path, afresh."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "oscmap", *argv],
-        capture_output=True, text=True, env=env, check=False)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def _oscmap(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run `python -m oscmap` from this checkout's src in a fresh interpreter."""
+    return _python(["-m", "oscmap", *argv])
 
 
 def _run(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -103,6 +107,20 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("oscmap: error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import oscmap"],
+    ["-m", "oscmap", "simulate", "SV", "--x", "0.5", "--steps", "4"],
+])
+def test_mpmath_not_imported_outside_richardson_check(args):
+    proc = _python(["-X", "importtime", *args])
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "oscmap" in imported
+    assert not any(name.split(".")[0] == "mpmath" for name in imported)
 
 
 def test_simulate_accepts_negative_x(capsys):

@@ -1,17 +1,123 @@
 """Tests for the brute-force iteration oracle, phase drift, and portraits."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscmap.analysis import phase_error, order_coefficient
 from oscmap.phasemap import (
     RegimeError, invariant_quadratic_form, propagate_closed_form,
     scheme_matrix,
 )
-from oscmap.schemes import get_scheme, registry, is_symmetric
+from oscmap.schemes import (
+    DRIFT, GKICK, Scheme, Step, get_scheme, is_symmetric, load_scheme, registry,
+)
 from oscmap.sim import iterate, phase_drift, portrait
+
+
+def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
+    """Reference: the shear loop `iterate` ran before it was generated.
+
+    Returns (step indices, q samples, p samples).
+    """
+    w2 = omega * omega
+    program = []
+    for st_ in s.active_steps():
+        if st_.kind == DRIFT:
+            program.append((True, float(st_.c) * eps))
+        else:
+            mu = float(st_.c) * eps * w2
+            if st_.kind == GKICK:
+                mu += float(st_.u) * eps**3 * w2 * w2
+            program.append((False, mu))
+    idx = [0]
+    qs = [float(q0)]
+    ps = [float(p0)]
+    q, p = float(q0), float(p0)
+    for k in range(1, n_steps + 1):
+        for is_drift, coeff in program:
+            if is_drift:
+                q += coeff * p
+            else:
+                p -= coeff * q
+        if k % sample_stride == 0 or k == n_steps:
+            idx.append(k)
+            qs.append(q)
+            ps.append(p)
+    return idx, qs, ps
+
+
+def _assert_matches_generic_loop(s, q0, p0, eps, omega, n_steps, stride):
+    rec = iterate(s, q0, p0, eps, omega, n_steps, stride)
+    idx, qs, ps = _generic_loop(s, q0, p0, eps, omega, n_steps, stride)
+    assert rec.step_index.tolist() == idx
+    assert [float.hex(float(v)) for v in rec.q] == [float.hex(v) for v in qs]
+    assert [float.hex(float(v)) for v in rec.p] == [float.hex(v) for v in ps]
+
+
+@pytest.fixture(scope="module")
+def uneven_scheme(tmp_path_factory):
+    # two drifts in a row, a force-gradient kick and an identity kick
+    path = tmp_path_factory.mktemp("schemes") / "uneven.json"
+    path.write_text(json.dumps({
+        "name": "UNEVEN", "order": 1, "force_evals": 2,
+        "steps": [{"kind": "drift", "c": 0.3}, {"kind": "drift", "c": 0.2},
+                  {"kind": "gkick", "c": 0.6, "u": 0.01},
+                  {"kind": "kick", "c": 0},
+                  {"kind": "drift", "c": 0.5}, {"kind": "kick", "c": 0.4}],
+    }), encoding="utf-8")
+    return load_scheme(str(path))
+
+
+@st.composite
+def _step_counts(draw):
+    """(n_steps, stride): 1, stride - 1, stride, k*stride + r, stride > n."""
+    stride = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 25))
+    r = draw(st.integers(0, stride - 1))
+    n_steps = draw(st.sampled_from(
+        [1, max(stride - 1, 1), stride, k * stride + r]))
+    return n_steps, stride
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x up to 7.5 diverges
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(registry())),
+       counts=_step_counts(),
+       q0=st.floats(-10, 10), p0=st.floats(-10, 10),
+       eps=st.floats(-3, 3), omega=st.sampled_from((1.0, 2.5)))
+def test_iterate_matches_generic_loop_bitwise(uneven_scheme, which, counts,
+                                              q0, p0, eps, omega):
+    schemes = [*registry(), uneven_scheme]
+    _assert_matches_generic_loop(schemes[which], q0, p0, eps, omega, *counts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n_steps, stride", [(600, 1), (2000, 100)])
+def test_iterate_matches_generic_loop_when_diverging(n_steps, stride):
+    # SV at x = 2.5 (the CLI's diverging run) overflows to inf at step 514
+    # and to nan after it; both must land where the generic loop put them
+    s = get_scheme("SV")
+    rec = iterate(s, 1.0, 0.0, 2.5, 1.0, n_steps, stride)
+    assert np.isnan(rec.q[-1])
+    assert np.isinf(rec.q).any() == (stride == 1)
+    _assert_matches_generic_loop(s, 1.0, 0.0, 2.5, 1.0, n_steps, stride)
+
+
+def test_schemes_sharing_a_pattern_keep_their_coefficients():
+    # SV and this scheme both compile to the pattern kick-drift-kick, so they
+    # run one cached loop that must take its coefficients from each call
+    sv = get_scheme("SV")
+    skew = Scheme("SKEW", (Step("kick", 0.3), Step("drift", 1.0),
+                           Step("kick", 0.7)), order=1, force_evals=2)
+    runs = [iterate(s, 1.0, 0.0, 0.4, 1.0, 50, 5) for s in (sv, skew, sv)]
+    assert not np.array_equal(runs[0].q, runs[1].q)
+    assert np.array_equal(runs[0].q, runs[2].q)
+    for s in (sv, skew):
+        _assert_matches_generic_loop(s, 1.0, 0.0, 0.4, 1.0, 50, 5)
 
 
 def test_single_step_matches_matrix():
@@ -105,6 +211,13 @@ def test_phase_drift_sv_hundred_periods():
     drift = phase_drift(get_scheme("SV"), 0.1, 100)
     assert abs(drift - 100 * phase_error(get_scheme("SV"), 0.1)) <= 1e-6
     assert math.isclose(drift, 0.2621, rel_tol=1e-3)
+
+
+def test_phase_drift_whole_number_of_steps():
+    # t_star / x = 4 exactly: the interpolation needs the sample after it
+    s = get_scheme("SV")
+    drift = phase_drift(s, math.pi / 2, 1)
+    assert abs(drift - phase_error(s, math.pi / 2)) <= 1e-6
 
 
 def test_phase_drift_fr_negative():
