@@ -13,25 +13,27 @@ from oscmap.phasemap import (
     scheme_matrix,
 )
 from oscmap.schemes import (
-    DRIFT, GKICK, Scheme, Step, get_scheme, is_symmetric, load_scheme, registry,
+    DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
+    registry,
 )
 from oscmap.sim import iterate, phase_drift, portrait
 
 
 def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
-    """Reference: the shear loop `iterate` ran before it was generated.
+    """Reference for `iterate`: one generic loop over (is_drift, coeff) pairs.
 
-    Returns (step indices, q samples, p samples).
+    Returns (step indices, q samples, p samples); the generated per-pattern
+    loops must reproduce them bit for bit.
     """
     w2 = omega * omega
     program = []
-    for st_ in s.active_steps():
-        if st_.kind == DRIFT:
-            program.append((True, float(st_.c) * eps))
+    for step in s.active_steps():
+        if step.kind == DRIFT:
+            program.append((True, float(step.c) * eps))
         else:
-            mu = float(st_.c) * eps * w2
-            if st_.kind == GKICK:
-                mu += float(st_.u) * eps**3 * w2 * w2
+            mu = float(step.c) * eps * w2
+            if step.kind == GKICK:
+                mu += float(step.u) * eps**3 * w2 * w2
             program.append((False, mu))
     idx = [0]
     qs = [float(q0)]
@@ -111,8 +113,8 @@ def test_schemes_sharing_a_pattern_keep_their_coefficients():
     # SV and this scheme both compile to the pattern kick-drift-kick, so they
     # run one cached loop that must take its coefficients from each call
     sv = get_scheme("SV")
-    skew = Scheme("SKEW", (Step("kick", 0.3), Step("drift", 1.0),
-                           Step("kick", 0.7)), order=1, force_evals=2)
+    skew = Scheme("SKEW", (Step(KICK, 0.3), Step(DRIFT, 1.0), Step(KICK, 0.7)),
+                  order=1, force_evals=2)
     runs = [iterate(s, 1.0, 0.0, 0.4, 1.0, 50, 5) for s in (sv, skew, sv)]
     assert not np.array_equal(runs[0].q, runs[1].q)
     assert np.array_equal(runs[0].q, runs[2].q)
