@@ -61,13 +61,18 @@ class StabilityLimit(NamedTuple):
     bounded: bool
 
 
-def _reversible_series_matrix(s: Scheme, order: int, exact: bool | None):
+def _frequency_parts(s: Scheme, order: int, exact: bool | None):
+    """(tau/x, nu/x, asin(sqrt(nu*tau))/x) at truncation order + 2."""
     if not is_symmetric(s):
         raise AnalysisError(
             f"scheme {s.name!r} is not palindromic: the series route assumes "
             "equal diagonal entries (time reversibility)"
         )
-    return scheme_series_matrix(s, order, exact)
+    m = scheme_series_matrix(s, order + 2, exact)
+    t1 = m.tau.divided_by_x()
+    n1 = m.nu.divided_by_x()
+    xi = (t1 * n1).sqrt().times_x()
+    return t1, n1, series_mod.asin(xi).divided_by_x()
 
 
 def omega_a_series(s: Scheme, order: int = 10,
@@ -79,11 +84,7 @@ def omega_a_series(s: Scheme, order: int = 10,
     root of the even ratio, and restoring the power; the result is
     asin(xi)/x, truncated at `order`.
     """
-    m = _reversible_series_matrix(s, order + 2, exact)
-    t1 = m.tau.divided_by_x()
-    n1 = m.nu.divided_by_x()
-    xi = (t1 * n1).sqrt().times_x()
-    return series_mod.asin(xi).divided_by_x().truncated(order)
+    return _frequency_parts(s, order, exact)[2].truncated(order)
 
 
 def effective_param_series(s: Scheme, order: int = 10,
@@ -94,10 +95,7 @@ def effective_param_series(s: Scheme, order: int = 10,
     (omega_a/omega) * sqrt(nu/tau), with the product equal to
     (omega_a/omega)^2 term by term.
     """
-    m = _reversible_series_matrix(s, order + 2, exact)
-    t1 = m.tau.divided_by_x()
-    n1 = m.nu.divided_by_x()
-    wa = series_mod.asin((t1 * n1).sqrt().times_x()).divided_by_x()
+    t1, n1, wa = _frequency_parts(s, order, exact)
     ratio = (t1 * n1.reciprocal()).sqrt()
     inv_mass = (wa * ratio).truncated(order)
     k_star = (wa * ratio.reciprocal()).truncated(order)

@@ -1,8 +1,13 @@
 """Command-line frontend: benchmark tables and trajectories as CSV or JSON.
 
-Every subcommand is deterministic (no timestamps, fixed 12-significant-digit
-formatting), so outputs are byte-stable and suitable for golden-file
-comparisons. Errors go to stderr and flip the exit code; data never does.
+Each subcommand builds its table once from raw values: a header, rows and,
+where the JSON shape is not one record per row, a document made from the
+same report objects. `_emit` renders it. CSV writes the header and rows with
+every number at 12 significant digits; JSON writes the document, or the rows
+as records, with every number rounded to the same digits and NaN and
+infinities as null. Outputs are deterministic (no timestamps), so byte-stable
+and suitable for golden-file comparisons. Errors go to stderr and flip the
+exit code; data never does.
 """
 
 from __future__ import annotations
@@ -51,30 +56,38 @@ def _jnum(v):
     return float(f"{v:.12g}") if math.isfinite(v) else None
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
+def _jsonable(obj):
+    """obj with _jnum applied to every value inside its dicts and lists."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_jsonable(v) for v in obj]
+    return _jnum(obj)
+
+
+def _emit(args, header: list[str], rows: Iterable[Sequence], doc=None) -> None:
+    """Render one table in args.format to args.output or stdout."""
+    if args.format == "json":
+        if doc is None:
+            doc = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
     else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SchemeError(f"cannot write output file {path}: {exc}") from exc
-
-
-def _emit_csv(header: list[str], rows: Iterable[Sequence],
-              path: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                         for cell in row])
-    _write(buf.getvalue(), path)
-
-
-def _emit_json(obj, path: str | None) -> None:
-    _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
+                             for cell in row])
+        text = buf.getvalue()
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemeError(
+            f"cannot write output file {args.output}: {exc}") from exc
 
 
 def _resolve_scheme(args):
@@ -85,6 +98,11 @@ def _resolve_scheme(args):
     raise SchemeError("give a registry scheme name or --file <scheme.json>")
 
 
+def _check_x(args) -> None:
+    if args.x == 0.0 or not math.isfinite(args.x):
+        raise SchemeError(f"{args.command} needs a finite, nonzero --x")
+
+
 # ------------------------------------------------------------------ schemes
 
 def cmd_schemes(args) -> int:
@@ -92,30 +110,25 @@ def cmd_schemes(args) -> int:
     for name in registry_names():
         try:
             s = get_scheme(name)
-            rows.append({
-                "name": s.name, "order": s.order,
-                "force_evals": s.force_evals, "steps": len(s.steps),
-                "symmetric": is_symmetric(s), "status": "ok",
-            })
+            rows.append([s.name, s.order, s.force_evals, len(s.steps),
+                         is_symmetric(s), "ok"])
         except SchemeFileError as exc:
-            rows.append({
-                "name": name, "order": None, "force_evals": None,
-                "steps": None, "symmetric": None,
-                "status": f"coefficients unavailable: {exc}",
-            })
-    if args.format == "json":
-        _emit_json([{k: _jnum(v) for k, v in r.items()} for r in rows],
-                   args.output)
-    else:
-        header = ["name", "order", "force_evals", "steps", "symmetric", "status"]
-        _emit_csv(header, [[r[k] for k in header] for r in rows], args.output)
+            rows.append([name, None, None, None, None,
+                         f"coefficients unavailable: {exc}"])
+    _emit(args, ["name", "order", "force_evals", "steps", "symmetric",
+                 "status"], rows)
     return 0
 
 
 # ------------------------------------------------------------------ analyze
 
-def _series_rows(name: str, series) -> list[list]:
-    return [[name, str(k), _fmt(float(c))] for k, c in enumerate(series.coeffs)]
+def _emit_report(args, head: dict, lim: analysis.StabilityLimit,
+                 tail: list[list], **sections) -> None:
+    """Emit a report as head, stability and tail rows, or as one document."""
+    rows = [[k, "", v] for k, v in head.items()]
+    rows += [[f"stability_{k}", "", v] for k, v in lim._asdict().items()]
+    _emit(args, ["field", "key", "value"], rows + tail,
+          {**head, "stability": lim._asdict(), **sections})
 
 
 def cmd_analyze(args) -> int:
@@ -123,74 +136,32 @@ def cmd_analyze(args) -> int:
     if not is_symmetric(s):
         return _analyze_nonreversible(s, args)
     rep = analysis.analyze(s, args.order)
-    if args.format == "json":
-        obj = {
-            "scheme": rep.scheme,
-            "reversible": True,
-            "declared_order": rep.order_declared,
-            "n": rep.n,
-            "c_n": _jnum(rep.c_n),
-            "c_star": _jnum(rep.c_star),
-            "stability": {"x_max": _jnum(rep.stability.x_max),
-                          "bounded": rep.stability.bounded},
-            "series": {
-                "omega_a": [_jnum(float(c)) for c in rep.omega_a.coeffs],
-                "inv_mass": [_jnum(float(c)) for c in rep.inv_mass.coeffs],
-                "k_star": [_jnum(float(c)) for c in rep.k_star.coeffs],
-            },
-        }
-        _emit_json(obj, args.output)
-        return 0
-    rows = [
-        ["scheme", "", rep.scheme],
-        ["reversible", "", "true"],
-        ["declared_order", "", _fmt(rep.order_declared)],
-        ["n", "", _fmt(rep.n)],
-        ["c_n", "", _fmt(rep.c_n)],
-        ["c_star", "", _fmt(rep.c_star)],
-        ["stability_x_max", "", _fmt(rep.stability.x_max)],
-        ["stability_bounded", "", _fmt(rep.stability.bounded)],
-    ]
-    rows += _series_rows("omega_a", rep.omega_a)
-    rows += _series_rows("inv_mass", rep.inv_mass)
-    rows += _series_rows("k_star", rep.k_star)
-    _emit_csv(["field", "key", "value"], rows, args.output)
+    head = {"scheme": rep.scheme, "reversible": True,
+            "declared_order": rep.order_declared, "n": rep.n,
+            "c_n": rep.c_n, "c_star": rep.c_star}
+    series = {name: [float(c) for c in getattr(rep, name).coeffs]
+              for name in ("omega_a", "inv_mass", "k_star")}
+    tail = [[name, k, c] for name, cs in series.items() for k, c in enumerate(cs)]
+    _emit_report(args, head, rep.stability, tail, series=series)
     return 0
 
 
 def _analyze_nonreversible(s, args) -> int:
     note = ("series extraction needs a time-reversible (palindromic) scheme; "
             "reporting closed-form translation diagnostics instead")
-    lim = analysis.stability_limit(s)
     sigma = {}
-    for x in (0.1, 0.3, 0.5):
-        m = scheme_matrix(s, x, 1.0)
+    for key in ("0.1", "0.3", "0.5"):
+        m = scheme_matrix(s, float(key), 1.0)
         d = spectral(m)
         if d.regime is Regime.ELLIPTIC:
-            sigma[x] = (m.g - m.h) / (2.0 * d.xi)
+            sigma[key] = (m.g - m.h) / (2.0 * d.xi)
         else:
-            sigma[x] = None
-    if args.format == "json":
-        obj = {
-            "scheme": s.name,
-            "reversible": False,
-            "declared_order": s.order,
-            "note": note,
-            "stability": {"x_max": _jnum(lim.x_max), "bounded": lim.bounded},
-            "sigma_amplitude": {_fmt(x): _jnum(v) for x, v in sigma.items()},
-        }
-        _emit_json(obj, args.output)
-        return 0
-    rows = [
-        ["scheme", "", s.name],
-        ["reversible", "", "false"],
-        ["declared_order", "", _fmt(s.order)],
-        ["note", "", note],
-        ["stability_x_max", "", _fmt(lim.x_max)],
-        ["stability_bounded", "", _fmt(lim.bounded)],
-    ]
-    rows += [["sigma_amplitude", _fmt(x), _fmt(v)] for x, v in sigma.items()]
-    _emit_csv(["field", "key", "value"], rows, args.output)
+            sigma[key] = None
+    head = {"scheme": s.name, "reversible": False,
+            "declared_order": s.order, "note": note}
+    tail = [["sigma_amplitude", key, v] for key, v in sigma.items()]
+    _emit_report(args, head, analysis.stability_limit(s), tail,
+                 sigma_amplitude=sigma)
     return 0
 
 
@@ -216,21 +187,17 @@ def cmd_sweep(args) -> int:
         # NaN marks exactly the points where a rotation quantity is undefined
         values = [None if math.isnan(v) else v for v in values.tolist()]
     rows = zip(xs.tolist(), values, (r.value for r in d.regime))
-    if args.format == "json":
-        _emit_json([
-            {"x": _jnum(x), "value": _jnum(v), "regime": regime}
-            for x, v, regime in rows
-        ], args.output)
-    else:
-        _emit_csv(["x", "value", "regime"], rows, args.output)
+    _emit(args, ["x", "value", "regime"], rows)
     return 0
 
 
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    if args.x == 0.0 or not math.isfinite(args.x):
-        raise SchemeError("simulate needs a finite, nonzero --x")
+    _check_x(args)
+    for flag, value in (("--steps", args.steps), ("--stride", args.stride)):
+        if value < 1:
+            raise SchemeError(f"simulate needs {flag} of at least 1")
     s = _resolve_scheme(args)
     eps, omega = args.x, 1.0
     # a hyperbolic map diverges to inf and NaN: legitimate output
@@ -240,32 +207,25 @@ def cmd_simulate(args) -> int:
     m = scheme_matrix(s, eps, omega)
     d = spectral(m)
     elliptic = d.regime is Regime.ELLIPTIC
-    start = np.array([args.q0, args.p0])
-    rows = []
-    for i, n in enumerate(rec.step_index):
-        # + 0.0 turns the -0.0 of step 0 at a negative timestep into 0
-        row = {"t": rec.t[i] + 0.0, "q": rec.q[i], "p": rec.p[i],
-               "H": rec.energy[i]}
-        if elliptic:
-            if rec.modified_energy is not None:
-                row["H_A"] = rec.modified_energy[i]
-            else:
-                angle = d.theta * rec.t[i] / eps
-                row["sigma"] = (m.g - m.h) / (2.0 * d.xi) * math.sin(angle)
-            ref = propagate_closed_form(m, float(rec.t[i])) @ start
-            row["closed_form_error"] = max(abs(rec.q[i] - ref[0]),
-                                           abs(rec.p[i] - ref[1]))
-        rows.append(row)
+    header = ["t", "q", "p", "H"]
     if elliptic:
         mid = "H_A" if rec.modified_energy is not None else "sigma"
-        header = ["t", "q", "p", "H", mid, "closed_form_error"]
-    else:
-        header = ["t", "q", "p", "H"]
-    if args.format == "json":
-        _emit_json([{k: _jnum(r[k]) for k in header} for r in rows],
-                   args.output)
-    else:
-        _emit_csv(header, [[r[k] for k in header] for r in rows], args.output)
+        header += [mid, "closed_form_error"]
+    start = np.array([args.q0, args.p0])
+    rows = []
+    for i in range(len(rec.step_index)):
+        # + 0.0 turns the -0.0 of step 0 at a negative timestep into 0
+        row = [rec.t[i] + 0.0, rec.q[i], rec.p[i], rec.energy[i]]
+        if elliptic:
+            if rec.modified_energy is not None:
+                row.append(rec.modified_energy[i])
+            else:
+                angle = d.theta * rec.t[i] / eps
+                row.append((m.g - m.h) / (2.0 * d.xi) * math.sin(angle))
+            ref = propagate_closed_form(m, float(rec.t[i])) @ start
+            row.append(max(abs(rec.q[i] - ref[0]), abs(rec.p[i] - ref[1])))
+        rows.append(row)
+    _emit(args, header, rows)
     return 0
 
 
@@ -274,38 +234,26 @@ def cmd_simulate(args) -> int:
 def cmd_stability(args) -> int:
     s = _resolve_scheme(args)
     lim = analysis.stability_limit(s)
-    if args.format == "json":
-        _emit_json({"scheme": s.name, "x_max": _jnum(lim.x_max),
-                    "bounded": lim.bounded}, args.output)
-    else:
-        _emit_csv(["scheme", "x_max", "bounded"],
-                  [[s.name, lim.x_max, lim.bounded]], args.output)
+    header = ["scheme", "x_max", "bounded"]
+    row = [s.name, lim.x_max, lim.bounded]
+    _emit(args, header, [row], dict(zip(header, row)))
     return 0
 
 
 # -------------------------------------------------------------- convergence
 
 def cmd_convergence(args) -> int:
+    _check_x(args)
     s = _resolve_scheme(args)
     study = analysis.convergence_study(s, args.x, args.order)
-    if args.format == "json":
-        obj = {
-            "scheme": study.scheme,
-            "x": _jnum(study.x),
-            "closed_form": _jnum(study.closed_form),
-            "radius_estimate": _jnum(study.radius_estimate),
-            "rows": [
-                {"k": r.order, "partial_sum": _jnum(r.partial_sum),
-                 "abs_error": _jnum(r.abs_error)}
-                for r in study.rows
-            ],
-        }
-        _emit_json(obj, args.output)
-        return 0
-    rows = [[str(r.order), _fmt(r.partial_sum), _fmt(r.abs_error)]
-            for r in study.rows]
-    rows.append(["radius_estimate", _fmt(study.radius_estimate), ""])
-    _emit_csv(["k", "partial_sum", "abs_error"], rows, args.output)
+    header = ["k", "partial_sum", "abs_error"]
+    rows = [[r.order, r.partial_sum, r.abs_error] for r in study.rows]
+    doc = {"scheme": study.scheme, "x": study.x,
+           "closed_form": study.closed_form,
+           "radius_estimate": study.radius_estimate,
+           "rows": [dict(zip(header, row)) for row in rows]}
+    _emit(args, header, [*rows, ["radius_estimate", study.radius_estimate, ""]],
+          doc)
     return 0
 
 

@@ -138,6 +138,8 @@ def phase_drift(s: Scheme, x: float, periods: int) -> float:
     interpolation onto t (not a multiple of eps in general) is exact up to
     roundoff.
     """
+    if not x > 0.0:
+        raise ValueError(f"phase drift needs a positive x, got {x!r}")
     if periods < 0:
         raise ValueError("periods must be non-negative")
     if periods == 0:

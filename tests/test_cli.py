@@ -12,6 +12,9 @@ To record the files again after an intended output change, run
 and list the changed files with `git status tests/golden`.
 """
 
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +103,11 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["simulate", "SV", "--x", "inf", "--steps", "10"],
     ["sweep", "SV", "--min", "0.1", "--max", "inf", "--points", "3"],
     ["sweep", "SV", "--min", "nan", "--max", "1", "--points", "3"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "0"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "10", "--stride", "0"],
+    ["convergence", "SV", "--x", "0"],
+    ["convergence", "SV", "--x", "nan"],
+    ["stability", "SV", "-o", "{tmp}/no_such_dir/out.csv"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
@@ -107,6 +115,56 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("oscmap: error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--steps", ["simulate", "SV", "--x", "0.5", "--steps", "0"]),
+    ("--stride", ["simulate", "SV", "--x", "0.5", "--steps", "10",
+                  "--stride", "0"]),
+    ("--x", ["convergence", "SV", "--x", "0"]),
+    ("--x", ["convergence", "SV", "--x", "inf"]),
+])
+def test_bad_value_error_names_its_flag(flag, argv, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 1 and out == ""
+    assert flag in err
+
+
+def _cell_matches(cell: str, value) -> bool:
+    """One CSV cell against the JSON value of the same field."""
+    if value is None:  # JSON null: an absent value or a non-finite number
+        return cell == "" or not math.isfinite(float(cell))
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, str):
+        return cell == value
+    return float(cell) == value
+
+
+@pytest.mark.parametrize("stem", [
+    stem for stem in sorted(CASES)
+    if stem == "schemes" or stem.startswith(("sweep_", "simulate_"))])
+def test_csv_and_json_goldens_hold_the_same_records(stem):
+    with open(GOLDEN / f"{stem}.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    records = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+    assert isinstance(records, list)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert list(record) == header
+        assert all(_cell_matches(cell, value)
+                   for cell, value in zip(row, record.values())), row
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("stem", ["sweep_SV", "stability_SV", "analyze_SV",
+                                  "analyze_LF1"])
+def test_output_file_gets_the_stdout_bytes(stem, fmt, tmp_path, capsys):
+    argv = [*CASES[stem], "--format", fmt]
+    _, expected, _ = _run(argv, capsys)
+    path = tmp_path / f"out.{fmt}"
+    assert _run([*argv, "-o", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("args", [

@@ -244,6 +244,12 @@ def test_phase_drift_rejects_hyperbolic():
         phase_drift(get_scheme("SV"), 2.5, 1)
 
 
+@pytest.mark.parametrize("x", [-0.1, 0.0, math.nan])
+def test_phase_drift_rejects_nonpositive_x(x):
+    with pytest.raises(ValueError, match="positive x"):
+        phase_drift(get_scheme("SV"), x, 1)
+
+
 # ---------------------------------------------------------------- portraits
 
 def test_portrait_sv_axis_aligned():
