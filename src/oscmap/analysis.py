@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from . import series as series_mod
-from .phasemap import Regime, RegimeError, scheme_matrix, scheme_series_matrix, spectral
-from .schemes import DRIFT, GKICK, Scheme, get_scheme, is_symmetric
+from .phasemap import (
+    Regime, RegimeError, _polynomials, scheme_matrix, scheme_series_matrix,
+    spectral,
+)
+from .schemes import (
+    DRIFT, GKICK, Scheme, get_scheme, has_exact_coefficients, is_symmetric,
+)
 from .series import Series
 
 if TYPE_CHECKING:
@@ -46,8 +49,6 @@ RICHARDSON_GRID = (1e-2, 5e-3, 2.5e-3)
 RICHARDSON_RTOL = 1e-6
 
 _STABILITY_BRACKET = 10.0
-_STABILITY_SCAN_STEP = 1e-3
-_STABILITY_TOL = 1e-10
 
 
 class AnalysisError(ValueError):
@@ -230,33 +231,139 @@ def normalized_coefficient(s: Scheme, reference: Scheme | None = None) -> float:
 # ------------------------------------------------------------ stability
 
 def stability_limit(s: Scheme) -> StabilityLimit:
-    """First x > 0 where |Tr M(x)/2| reaches 1, by scan plus bisection.
+    """First x in (0, 10] where |Tr M(x)/2| reaches 1, from the exact roots.
 
-    Scans (0, 10] in steps of 1e-3, as one evaluation of the map over the
-    whole grid k * 1e-3, and bisects the first bracket to 1e-10 with scalar
-    evaluations. Returns (10.0, False) when no crossing lies in the bracket.
-    A stable window that starts again after the first crossing is not seen.
+    With T = Tr M/2, the map is stable while T^2 < 1, and T(0) = 1, so x^2
+    divides T^2 - 1. The roots of P = (T^2 - 1)/x^2, a polynomial in
+    y = x^2 with exact rational coefficients (binary-exact ones for a float
+    scheme), are the edges of every stable window, whether T crosses or
+    only touches +-1 there. A Sturm chain counts them exactly, so no window edge
+    is missed however narrow the window. The first root in (0, 100] is
+    isolated by Sturm counts and then bisected, on the exact sign of P's
+    square-free part, down to adjacent floats; x_max = sqrt of the upper one,
+    which is the root itself when the root is a float (y = 4 for SV, so
+    x_max = 2.0). Returns (10.0, False) when P has no root in (0, 100].
     """
-
-    def excess(x):
-        m = scheme_matrix(s, x, 1.0)
-        return abs(m.trace()) / 2.0 - 1.0
-
-    steps = int(round(_STABILITY_BRACKET / _STABILITY_SCAN_STEP))
-    grid = np.arange(1, steps + 1) * _STABILITY_SCAN_STEP
-    crossed = excess(grid) >= 0.0
-    if not crossed.any():
+    chain = _sturm_chain(_square_free(_stability_polynomial(s)))
+    lo, hi = 0.0, _STABILITY_BRACKET ** 2
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    if v_lo == v_hi:
         return StabilityLimit(_STABILITY_BRACKET, False)
-    k = int(crossed.argmax())
-    lo = float(grid[k - 1]) if k else 0.0
-    hi = float(grid[k])
-    while hi - lo > _STABILITY_TOL:
+    # no root in (0, lo], at least one in (lo, hi]; narrow to just one
+    while v_lo - v_hi > 1:
         mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            hi = mid
+        if not lo < mid < hi:
+            break
+        v_mid = _variations(chain, mid)
+        if v_mid < v_lo:
+            hi, v_hi = mid, v_mid
         else:
+            lo, v_lo = mid, v_mid
+    # the square-free part changes sign at its one root in (lo, hi] only
+    q = chain[0]
+    sign_hi = _sign_at(q, hi)
+    while sign_hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        sign_mid = _sign_at(q, mid)
+        if sign_mid == -sign_hi:
             lo = mid
-    return StabilityLimit(0.5 * (lo + hi), True)
+        else:
+            hi, sign_hi = mid, sign_mid
+    return StabilityLimit(math.sqrt(hi), True)
+
+
+# Integer polynomials below are coefficient lists, lowest power first, with
+# no trailing zeros; [] is the zero polynomial.
+
+def _stability_polynomial(s: Scheme) -> list[int]:
+    """A positive multiple of (T^2 - 1)/x^2 as an integer polynomial in y = x^2.
+
+    T = (g + h)/2 comes from the exact build for an exact scheme and from the
+    float build otherwise; Fraction(float) is binary-exact. T is even in x,
+    because every shear keeps the diagonal even and the off-diagonal odd, so
+    its odd coefficients are structural zeros and T(x) = U(x^2).
+    """
+    g, _, _, h = _polynomials(s, has_exact_coefficients(s))
+    u = [(Fraction(a) + Fraction(b)) / 2
+         for a, b in zip(g.coeffs[::2], h.coeffs[::2])]
+    d = math.lcm(*(c.denominator for c in u))
+    n = [int(c * d) for c in u]
+    # U^2 - 1 = (n^2 - d^2)/d^2, and n(0) = d, so y divides n^2 - d^2
+    sq = [0] * (2 * len(n) - 1)
+    for i, a in enumerate(n):
+        for j, b in enumerate(n):
+            sq[i + j] += a * b
+    sq[0] -= d * d
+    return _primitive(sq[1:])
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the positive gcd of its coefficients."""
+    p = _trim(list(p))
+    content = math.gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lc(b)^(deg a - deg b + 1) * a = q*b + r and deg r < deg b."""
+    lead, db = b[-1], len(b) - 1
+    q, r = [0] * (len(a) - db), list(a)
+    for k in range(len(q) - 1, -1, -1):
+        top = r.pop()
+        q = [lead * c for c in q]
+        q[k] += top
+        r = [lead * c for c in r]
+        for i in range(db):
+            r[k + i] -= top * b[i]
+    return q, _trim(r)
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then each term a positive multiple of -rem(two before, one before).
+
+    The last term is gcd(p, p') up to a constant factor.
+    """
+    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        _, r = _pseudo_divmod(a, b)
+        if not r:
+            break
+        # the pseudo-remainder is lc(b)^(deg a - deg b + 1) times rem(a, b)
+        flip = b[-1] > 0 or (len(a) - len(b)) % 2 == 1
+        chain.append(_primitive([-c if flip else c for c in r]))
+    return chain
+
+
+def _square_free(p: list[int]) -> list[int]:
+    """p divided by gcd(p, p'): the same roots, each of multiplicity one."""
+    g = _sturm_chain(p)[-1]
+    return p if len(g) == 1 else _primitive(_pseudo_divmod(p, g)[0])
+
+
+def _sign_at(p: list[int], y: float) -> int:
+    """Exact sign of p(y) at a float y."""
+    n, d = y.as_integer_ratio()
+    acc, scale = 0, 1
+    # Horner on the numerator of p(n/d) * d^deg, all in integers
+    for c in reversed(p):
+        acc = acc * n + c * scale
+        scale *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], y: float) -> int:
+    """Sign changes along the chain at y, zeros skipped (Sturm's V(y))."""
+    signs = [v for v in (_sign_at(p, y) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 # ----------------------------------------------------------- convergence

@@ -20,8 +20,6 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 from . import analysis, sim
 from .phasemap import Regime, propagate_closed_form, scheme_matrix, spectral
 from .schemes import (
@@ -38,8 +36,8 @@ def _fmt(v) -> str:
     """Fixed 12-significant-digit decimal rendering for CSV cells."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     if v is None:
         return ""
     return f"{float(v):.12g}"
@@ -131,7 +129,13 @@ def _emit_report(args, head: dict, lim: analysis.StabilityLimit,
           {**head, "stability": lim._asdict(), **sections})
 
 
+def _check_order(args) -> None:
+    if args.order < 0:
+        raise SchemeError(f"{args.command} needs -K of at least 0")
+
+
 def cmd_analyze(args) -> int:
+    _check_order(args)
     s = _resolve_scheme(args)
     if not is_symmetric(s):
         return _analyze_nonreversible(s, args)
@@ -168,6 +172,8 @@ def _analyze_nonreversible(s, args) -> int:
 # -------------------------------------------------------------------- sweep
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     if not 0.0 < args.min < args.max < math.inf:
         raise SchemeError("sweep needs finite --min and --max with "
                           "0 < --min < --max")
@@ -194,7 +200,12 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
     _check_x(args)
+    for flag, value in (("--q0", args.q0), ("--p0", args.p0)):
+        if not math.isfinite(value):
+            raise SchemeError(f"simulate needs a finite {flag}")
     for flag, value in (("--steps", args.steps), ("--stride", args.stride)):
         if value < 1:
             raise SchemeError(f"simulate needs {flag} of at least 1")
@@ -244,6 +255,7 @@ def cmd_stability(args) -> int:
 
 def cmd_convergence(args) -> int:
     _check_x(args)
+    _check_order(args)
     s = _resolve_scheme(args)
     study = analysis.convergence_study(s, args.x, args.order)
     header = ["k", "partial_sum", "abs_error"]

@@ -11,6 +11,8 @@ numeric mode (explicit timestep eps and frequency omega) evaluates them by
 Horner's rule. Numeric mode takes a whole grid of timesteps as one numpy
 array just as it takes one float, and `spectral` then classifies every point
 of the grid at once; both give, point by point, the bits of the scalar call.
+numpy is used only for such grids and for the array results of the closed
+form; it is imported inside those functions, so scalar work never loads it.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -20,15 +22,18 @@ pins this choice.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .series import Series
 from .schemes import DRIFT, GKICK, Scheme, Step, has_exact_coefficients, is_symmetric
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PhaseMatrix", "SpectralData", "Regime", "RegimeError",
@@ -94,6 +99,8 @@ class PhaseMatrix:
         """Numeric 2x2 array; series-mode matrices have no single array."""
         if self.is_series:
             raise TypeError("series-mode matrix cannot be converted to an array")
+        import numpy as np
+
         return np.array([[self.g, self.tau], [-self.nu, self.h]], dtype=float)
 
 
@@ -183,7 +190,13 @@ def scheme_matrix(s: Scheme, eps: float | np.ndarray,
     """
     g, tau_x, nu_x, h = _polynomials(s, False)
     x = eps * omega
-    with np.errstate(over="ignore", invalid="ignore"):
+    if type(x) in (float, int):
+        quiet = contextlib.nullcontext()
+    else:
+        import numpy as np
+
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet:
         return PhaseMatrix(g(x), eps * tau_x(x), eps * omega * omega * nu_x(x),
                            h(x), eps, omega)
 
@@ -205,10 +218,6 @@ def scheme_series_matrix(s: Scheme, order: int,
 
 # ------------------------------------------------------------------ spectral
 
-#: Regime by code: 0 elliptic, 1 parabolic, 2 hyperbolic.
-_REGIMES = np.array(list(Regime), dtype=object)
-
-
 def _classify(g, tau, nu, h):
     """The tests behind the regime, for float entries and arrays alike.
 
@@ -223,6 +232,10 @@ def _classify(g, tau, nu, h):
     disc = nu * tau - w * w
     return ((g + h) / 2.0, disc, abs(g + h) - 2.0 > PARABOLIC_TOL, disc > 0.0,
             abs(g - h) <= REVERSIBLE_TOL)
+
+
+_NAN_ENTRY = ("the map has a NaN entry, so it has no regime; its polynomials "
+              "overflowed or the timestep is NaN")
 
 
 def spectral(mat: PhaseMatrix) -> SpectralData:
@@ -244,12 +257,15 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     if mat.is_series:
         raise TypeError("spectral analysis needs a numeric-mode matrix")
     g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
-    if np.isnan((g, tau, nu, h)).any():
-        raise ValueError("the map has a NaN entry, so it has no regime; its "
-                         "polynomials overflowed or the timestep is NaN")
-    if np.ndim(g):
+    if not isinstance(g, (int, float)):
+        import numpy as np
+
+        if np.isnan((g, tau, nu, h)).any():
+            raise ValueError(_NAN_ENTRY)
         with np.errstate(over="ignore", invalid="ignore"):
             return _spectral_grid(mat, *_classify(g, tau, nu, h))
+    if any(math.isnan(v) for v in (g, tau, nu, h)):
+        raise ValueError(_NAN_ENTRY)
     half_trace, disc, hyperbolic, elliptic, reversible = _classify(g, tau, nu, h)
     if hyperbolic:
         return SpectralData(
@@ -280,6 +296,8 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
 def _spectral_grid(mat: PhaseMatrix, half_trace, disc, hyperbolic, elliptic,
                    reversible) -> SpectralData:
     """The elliptic branch of `spectral` on the points of a grid where it holds."""
+    import numpy as np
+
     elliptic = elliptic & ~hyperbolic
     undefined = np.full(disc.shape, np.nan)
     xi, theta, m_star, k_star = (undefined.copy() for _ in range(4))
@@ -292,7 +310,9 @@ def _spectral_grid(mat: PhaseMatrix, half_trace, disc, hyperbolic, elliptic,
     root = np.sqrt(mat.tau[shaped] / mat.nu[shaped])
     m_star[shaped] = 1.0 / (omega_a[shaped] * root)
     k_star[shaped] = omega_a[shaped] / root
-    regime = _REGIMES[np.where(hyperbolic, 2, np.where(elliptic, 0, 1))]
+    # regime by code: 0 elliptic, 1 parabolic, 2 hyperbolic
+    regimes = np.array(list(Regime), dtype=object)
+    regime = regimes[np.where(hyperbolic, 2, np.where(elliptic, 0, 1))]
     return SpectralData(theta, xi, omega_a, m_star, k_star, regime, reversible)
 
 
@@ -311,6 +331,8 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> np.ndarray:
     exactly for time-reversible maps (h = g). t need not be a multiple of
     the timestep; at t = N*eps the result equals the N-fold matrix power.
     """
+    import numpy as np
+
     data = _require_elliptic(mat)
     angle = data.theta * t / mat.eps
     c, s = math.cos(angle), math.sin(angle)
@@ -345,6 +367,8 @@ def invariant_quadratic_form(mat: PhaseMatrix) -> np.ndarray:
     M^T Q M = Q whenever det M = 1, reversible or not. For non-reversible
     maps the off-diagonal entry tilts the invariant ellipse.
     """
+    import numpy as np
+
     _require_elliptic(mat)
     w = (mat.g - mat.h) / 2.0
     return np.array([[mat.nu, w], [w, mat.tau]], dtype=float)

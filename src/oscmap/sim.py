@@ -15,11 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .phasemap import Regime, RegimeError, scheme_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TrajectoryRecord", "PortraitFit", "iterate", "phase_drift", "portrait"]
 
@@ -105,6 +107,8 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
     multiple of the stride and at the final step, which is always included.
     Divergence in the hyperbolic regime is legitimate output, not an error.
     """
+    import numpy as np
+
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if sample_stride < 1:
@@ -173,6 +177,8 @@ class PortraitFit:
 def portrait(s: Scheme, q0: float, p0: float, eps: float, omega: float,
              n_steps: int) -> PortraitFit:
     """Sample an orbit and fit the invariant ellipse through it."""
+    import numpy as np
+
     if n_steps < 8:
         raise ValueError("need at least 8 points for a conic fit")
     data = spectral(scheme_matrix(s, eps, omega))

@@ -3,13 +3,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oscmap.analysis import (
-    AnalysisError, analyze, convergence_study, effective_param_series,
-    normalized_coefficient, omega_a_series, order_coefficient, phase_error,
-    stability_limit,
+    AnalysisError, _mp_half_trace, _square_free, _sturm_chain, _variations,
+    analyze, convergence_study, effective_param_series, normalized_coefficient,
+    omega_a_series, order_coefficient, phase_error, stability_limit,
 )
 from oscmap.phasemap import RegimeError
 from oscmap.schemes import DRIFT, GKICK, adjoint, get_scheme, registry_names
@@ -181,6 +184,51 @@ def test_stability_limit_invariant_under_adjoint():
             stability_limit(s).x_max, stability_limit(adjoint(s)).x_max,
             rel_tol=0, abs_tol=1e-10,
         )
+
+
+@pytest.mark.parametrize("name, x_max", [
+    ("SV", 2.0), ("LF1", 2.0), ("LF1T", 2.0), ("C", math.sqrt(8.0)),
+])
+def test_stability_limit_is_exact_root(name, x_max):
+    assert stability_limit(get_scheme(name)) == (x_max, True)
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_stability_limit_against_mpmath_shear_product(name):
+    s = get_scheme(name)
+    x_max = stability_limit(s).x_max
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x_max)
+        assert abs(abs(_mp_half_trace(s, x)) - 1) <= 1e-12
+        assert abs(_mp_half_trace(s, x * (1 - mpmath.mpf("1e-9")))) < 1
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+       st.lists(st.integers(1, 4), max_size=2), st.sampled_from([-3, -1, 1, 2]))
+# remainders that drop two degrees, where the chain's sign rule matters
+@example([3, 1, 3], [3], -1)
+@example([-3, 0, -2], [4], 2)
+def test_sturm_count_of_square_free_part_is_distinct_real_roots(roots, quads,
+                                                                lead):
+    # integer roots, repeated at will, times factors y^2 + k with no real root
+    p = [lead]
+    for r in roots:
+        p = _times(p, [-r, 1])
+    for k in quads:
+        p = _times(p, [k, 0, 1])
+    chain = _sturm_chain(_square_free(p))
+    for lo, hi in ((0.0, 100.0), (-5.5, 2.0), (1.0, 3.5)):
+        assert (_variations(chain, lo) - _variations(chain, hi)
+                == len({r for r in roots if lo < r <= hi}))
 
 
 def _shear_half_trace(s, xs):

@@ -108,6 +108,10 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["convergence", "SV", "--x", "0"],
     ["convergence", "SV", "--x", "nan"],
     ["stability", "SV", "-o", "{tmp}/no_such_dir/out.csv"],
+    ["analyze", "SV", "-K", "-3"],
+    ["convergence", "SV", "--x", "0.5", "-K", "-1"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "3", "--q0", "nan"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "3", "--p0", "inf"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
@@ -123,6 +127,10 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
                   "--stride", "0"]),
     ("--x", ["convergence", "SV", "--x", "0"]),
     ("--x", ["convergence", "SV", "--x", "inf"]),
+    ("-K", ["analyze", "SV", "-K", "-3"]),
+    ("-K", ["convergence", "SV", "--x", "0.5", "-K", "-1"]),
+    ("--q0", ["simulate", "SV", "--x", "0.5", "--steps", "3", "--q0", "nan"]),
+    ("--p0", ["simulate", "SV", "--x", "0.5", "--steps", "3", "--p0=-inf"]),
 ])
 def test_bad_value_error_names_its_flag(flag, argv, capsys):
     code, out, err = _run(argv, capsys)
@@ -167,18 +175,35 @@ def test_output_file_gets_the_stdout_bytes(stem, fmt, tmp_path, capsys):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-@pytest.mark.parametrize("args", [
-    ["-c", "import oscmap"],
-    ["-m", "oscmap", "simulate", "SV", "--x", "0.5", "--steps", "4"],
-])
-def test_mpmath_not_imported_outside_richardson_check(args):
+def _imported_packages(args: list[str]) -> set[str]:
+    """Top-level packages `-X importtime` lists for a successful run."""
     proc = _python(["-X", "importtime", *args])
     assert proc.returncode == 0
     imported = {line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "oscmap" in imported
-    assert not any(name.split(".")[0] == "mpmath" for name in imported)
+    return {name.split(".")[0] for name in imported}
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import oscmap"],
+    ["-m", "oscmap", "simulate", "SV", "--x", "0.5", "--steps", "4"],
+])
+def test_mpmath_not_imported_outside_richardson_check(args):
+    assert "mpmath" not in _imported_packages(args)
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import oscmap"],
+    ["-m", "oscmap", "schemes"],
+    ["-m", "oscmap", "analyze", "SV"],
+    ["-m", "oscmap", "analyze", "LF1"],
+    ["-m", "oscmap", "stability", "BM"],
+    ["-m", "oscmap", "convergence", "C", "--x", "0.5", "-K", "20"],
+])
+def test_numpy_not_imported_outside_array_work(args):
+    assert "numpy" not in _imported_packages(args)
 
 
 def test_simulate_accepts_negative_x(capsys):
