@@ -20,13 +20,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import series as series_mod
-from .phasemap import (
-    Regime, RegimeError, _polynomials, scheme_matrix, scheme_series_matrix,
-    spectral,
-)
-from .schemes import (
-    DRIFT, GKICK, Scheme, get_scheme, has_exact_coefficients, is_symmetric,
-)
+from .phasemap import Regime, RegimeError, scheme_matrix, scheme_series_matrix, spectral
+from .schemes import DRIFT, GKICK, Scheme, get_scheme, is_symmetric
 from .series import Series
 
 if TYPE_CHECKING:
@@ -231,47 +226,39 @@ def normalized_coefficient(s: Scheme, reference: Scheme | None = None) -> float:
 # ------------------------------------------------------------ stability
 
 def stability_limit(s: Scheme) -> StabilityLimit:
-    """First x in (0, 10] where |Tr M(x)/2| reaches 1, from the exact roots.
+    """First x in (0, 10] past which |Tr M(x)/2| exceeds 1, from the exact roots.
 
-    With T = Tr M/2, the map is stable while T^2 < 1, and T(0) = 1, so x^2
-    divides T^2 - 1. The roots of P = (T^2 - 1)/x^2, a polynomial in
-    y = x^2 with exact rational coefficients (binary-exact ones for a float
-    scheme), are the edges of every stable window, whether T crosses or
-    only touches +-1 there. A Sturm chain counts them exactly, so no window edge
-    is missed however narrow the window. The first root in (0, 100] is
-    isolated by Sturm counts and then bisected, on the exact sign of P's
-    square-free part, down to adjacent floats; x_max = sqrt of the upper one,
-    which is the root itself when the root is a float (y = 4 for SV, so
-    x_max = 2.0). Returns (10.0, False) when P has no root in (0, 100].
+    With T = Tr M/2, the map is unstable where T^2 > 1, and T(0) = 1, so x^2
+    divides T^2 - 1. P = (T^2 - 1)/x^2 is a polynomial in y = x^2 with exact
+    rational coefficients (binary-exact ones for a float scheme). A stable
+    window ends where P changes sign, at a root of odd multiplicity. At a
+    root of even multiplicity T only touches +-1 and the map stays stable on
+    both sides; an n-fold repeat of a scheme has n - 1 such touch points.
+    A Sturm chain of the odd-multiplicity part of P counts the window edges
+    exactly, so none is missed however narrow the window. The first one in
+    (0, 100] is bisected on Sturm counts down to adjacent floats; x_max =
+    sqrt of the upper one, which is the edge itself when it is a float (y = 4
+    for SV, so x_max = 2.0). Returns (10.0, False) when P changes sign
+    nowhere in (0, 100].
     """
-    chain = _sturm_chain(_square_free(_stability_polynomial(s)))
+    p = _stability_polynomial(s)
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:  # repeated roots: keep the odd-multiplicity ones
+        chain = _sturm_chain(_odd_part(p))
     lo, hi = 0.0, _STABILITY_BRACKET ** 2
     v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
     if v_lo == v_hi:
         return StabilityLimit(_STABILITY_BRACKET, False)
-    # no root in (0, lo], at least one in (lo, hi]; narrow to just one
-    while v_lo - v_hi > 1:
+    # no edge in (0, lo], at least one in (lo, hi]
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            return StabilityLimit(math.sqrt(hi), True)
         v_mid = _variations(chain, mid)
         if v_mid < v_lo:
-            hi, v_hi = mid, v_mid
+            hi = mid
         else:
             lo, v_lo = mid, v_mid
-    # the square-free part changes sign at its one root in (lo, hi] only
-    q = chain[0]
-    sign_hi = _sign_at(q, hi)
-    while sign_hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        sign_mid = _sign_at(q, mid)
-        if sign_mid == -sign_hi:
-            lo = mid
-        else:
-            hi, sign_hi = mid, sign_mid
-    return StabilityLimit(math.sqrt(hi), True)
 
 
 # Integer polynomials below are coefficient lists, lowest power first, with
@@ -280,23 +267,32 @@ def stability_limit(s: Scheme) -> StabilityLimit:
 def _stability_polynomial(s: Scheme) -> list[int]:
     """A positive multiple of (T^2 - 1)/x^2 as an integer polynomial in y = x^2.
 
-    T = (g + h)/2 comes from the exact build for an exact scheme and from the
-    float build otherwise; Fraction(float) is binary-exact. T is even in x,
-    because every shear keeps the diagonal even and the off-diagonal odd, so
-    its odd coefficients are structural zeros and T(x) = U(x^2).
+    T = (a + d)/2 comes from the exact product of the shears, each coefficient
+    taken as a Fraction (binary-exact for a float). A float build would not
+    do: its rounding can split a point where T only touches -1 into two
+    close roots, an unstable window that the scheme does not have. With
+    x = D*z, D the lcm of the coefficient denominators, every shear is an
+    integer polynomial in z. T is even in x, because every shear keeps the
+    diagonal even and the off-diagonal odd, so T(x) = U(x^2).
     """
-    g, _, _, h = _polynomials(s, has_exact_coefficients(s))
-    u = [(Fraction(a) + Fraction(b)) / 2
-         for a, b in zip(g.coeffs[::2], h.coeffs[::2])]
-    d = math.lcm(*(c.denominator for c in u))
-    n = [int(c * d) for c in u]
-    # U^2 - 1 = (n^2 - d^2)/d^2, and n(0) = d, so y divides n^2 - d^2
-    sq = [0] * (2 * len(n) - 1)
-    for i, a in enumerate(n):
-        for j, b in enumerate(n):
-            sq[i + j] += a * b
-    sq[0] -= d * d
-    return _primitive(sq[1:])
+    steps = [(st.kind, Fraction(st.c), Fraction(st.u or 0))
+             for st in s.active_steps()]
+    den = math.lcm(*(v.denominator for _, c, u in steps for v in (c, u)))
+    a, b, c, d = [1], [], [], [1]
+    for kind, k, u in steps:
+        if kind == DRIFT:  # q += k*x*p
+            shear = [0, int(k * den)]
+            a, b = _mul_add(a, shear, c), _mul_add(b, shear, d)
+        else:  # p -= (k*x + u*x^3)*q
+            shear = [0, -int(k * den)] + ([0, -int(u * den ** 3)]
+                                          if kind == GKICK else [])
+            c, d = _mul_add(c, shear, a), _mul_add(d, shear, b)
+    # 2T = sum t_2j (x/D)^2j; times D^2m it is sum n_j y^j with n_0 = 2 D^2m
+    t = _trim(_mul_add(a, [1], d))[::2]
+    m = len(t) - 1
+    n = [v * den ** (2 * (m - j)) for j, v in enumerate(t)]
+    # (n^2 - n_0^2)/y is a positive multiple of (T^2 - 1)/x^2
+    return _primitive(_mul_add([-n[0] ** 2], n, n)[1:])
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -343,10 +339,37 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     return chain
 
 
-def _square_free(p: list[int]) -> list[int]:
-    """p divided by gcd(p, p'): the same roots, each of multiplicity one."""
-    g = _sturm_chain(p)[-1]
-    return p if len(g) == 1 else _primitive(_pseudo_divmod(p, g)[0])
+def _odd_part(p: list[int]) -> list[int]:
+    """Product of the factors of p whose roots have odd multiplicity, each once.
+
+    With g_0 = p and g_j = gcd(g_(j-1), g_(j-1)'), s_j = g_(j-1)/g_j has each
+    root of multiplicity >= j once, so s_j/s_(j+1) has those of multiplicity
+    exactly j; their product over odd j is the result.
+    """
+    parts = []
+    while len(p) > 1:
+        g = _sturm_chain(p)[-1]
+        parts.append(_exact_div(p, g))
+        p = g
+    parts.append([1])
+    odd = [1]
+    for a, b in zip(parts[::2], parts[1::2]):
+        odd = _mul_add([], odd, _exact_div(a, b))
+    return odd
+
+
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a/b, for b dividing a."""
+    return _primitive(_pseudo_divmod(a, b)[0])
+
+
+def _mul_add(p: list[int], a: list[int], b: list[int]) -> list[int]:
+    """p + a*b."""
+    out = p + [0] * (len(a) + len(b) - 1 - len(p))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _sign_at(p: list[int], y: float) -> int:

@@ -10,12 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscmap.analysis import (
-    AnalysisError, _mp_half_trace, _square_free, _sturm_chain, _variations,
+    AnalysisError, _mp_half_trace, _odd_part, _sturm_chain, _variations,
     analyze, convergence_study, effective_param_series, normalized_coefficient,
     omega_a_series, order_coefficient, phase_error, stability_limit,
 )
 from oscmap.phasemap import RegimeError
-from oscmap.schemes import DRIFT, GKICK, adjoint, get_scheme, registry_names
+from oscmap.schemes import (
+    DRIFT, GKICK, KICK, Scheme, Step, adjoint, get_scheme, load_scheme,
+    registry_names, save_scheme,
+)
 
 F = Fraction
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -217,18 +220,20 @@ def _times(p, q):
 # remainders that drop two degrees, where the chain's sign rule matters
 @example([3, 1, 3], [3], -1)
 @example([-3, 0, -2], [4], 2)
-def test_sturm_count_of_square_free_part_is_distinct_real_roots(roots, quads,
-                                                                lead):
+@example([2, 2, 2, 1, 1, 3], [], 1)
+def test_sturm_count_of_odd_part_is_odd_multiplicity_roots(roots, quads,
+                                                           lead):
     # integer roots, repeated at will, times factors y^2 + k with no real root
     p = [lead]
     for r in roots:
         p = _times(p, [-r, 1])
     for k in quads:
         p = _times(p, [k, 0, 1])
-    chain = _sturm_chain(_square_free(p))
+    chain = _sturm_chain(_odd_part(p))
+    odd = {r for r in roots if roots.count(r) % 2}
     for lo, hi in ((0.0, 100.0), (-5.5, 2.0), (1.0, 3.5)):
         assert (_variations(chain, lo) - _variations(chain, hi)
-                == len({r for r in roots if lo < r <= hi}))
+                == len({r for r in odd if lo < r <= hi}))
 
 
 def _shear_half_trace(s, xs):
@@ -257,6 +262,37 @@ def test_stability_limit_brackets_first_shear_crossing(name):
     assert lim.bounded
     assert xs[k - 1] <= lim.x_max <= xs[k]
 
+
+
+def _repeated_sv(n):
+    """n Stoermer-Verlet steps of size 1/n in one map: M(x) = M_SV(x/n)^n."""
+    h = Fraction(1, n)
+    steps = [Step(KICK, h / 2)]
+    for i in range(n):
+        steps += [Step(DRIFT, h), Step(KICK, h / 2 if i == n - 1 else h)]
+    return Scheme(f"SV{n}", steps, order=2, force_evals=n)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "file"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stability_limit_steps_over_touch_points(n, exact, tmp_path):
+    # T = cos(n*theta) with theta the SV angle at x/n: M = +-I wherever
+    # n*theta is a multiple of pi, n - 1 touch points of T = +-1 inside the
+    # stable window, which ends at theta = pi, x = 2n
+    s = _repeated_sv(n)
+    if not exact:  # float coefficients, as read by --file
+        save_scheme(s, tmp_path / "s.json")
+        s = load_scheme(tmp_path / "s.json")
+    lim = stability_limit(s)
+    assert lim.bounded
+    if exact or n != 3:  # 1/3 is not a float
+        assert lim.x_max == 2 * n
+    assert abs(lim.x_max - 2 * n) <= 1e-14 * n
+    # a float product rounds |T| past 1 at a touch point on the grid (x = 3
+    # for n = 3); past a crossing |T| - 1 grows linearly, far above 1e-12
+    xs = np.arange(1, 10001) * 1e-3
+    k = int(np.argmax(_shear_half_trace(s, xs) >= 1.0 + 1e-12))
+    assert xs[k - 1] <= lim.x_max <= xs[k]
 
 # ---------------------------------------------------------------- convergence
 
