@@ -217,9 +217,12 @@ def _times(p, q):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
        st.lists(st.integers(1, 4), max_size=2), st.sampled_from([-3, -1, 1, 2]))
-# remainders that drop two degrees, where the chain's sign rule matters
-@example([3, 1, 3], [3], -1)
-@example([-3, 0, -2], [4], 2)
+# the chain's sign rule matters here: each one miscounts if the remainder is
+# always negated, negated by lc(b) alone or by deg a - deg b alone
+@example([1, 3], [3], -1)
+@example([1, 3], [3], 1)
+@example([-5], [1, 2], -1)
+# a triple root beside a double one
 @example([2, 2, 2, 1, 1, 3], [], 1)
 def test_sturm_count_of_odd_part_is_odd_multiplicity_roots(roots, quads,
                                                            lead):
