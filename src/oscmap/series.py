@@ -5,6 +5,11 @@ exactly K+1 coefficients and never reads or writes beyond index K.
 Coefficients may be floats or exact values (int, fractions.Fraction);
 arithmetic preserves exactness whenever every input coefficient is exact, so
 the same code path serves both the floating-point and the rational mode.
+Every operation costs O(K^2) coefficient operations: products, reciprocals
+and square roots by their convolution recurrences, and `asin` from the
+derivative identity d/dx asin(u) = u' (1 - u^2)^(-1/2), which needs one
+product and two more convolution passes, not a composition of the Maclaurin
+series; in rational mode its coefficients are exact.
 
 The variable is the dimensionless product x = (timestep) * (angular
 frequency); all frequency expansions in this package are series in x.
@@ -255,28 +260,35 @@ class Series:
         return out
 
 
-def _asin_coefficient(m: int) -> Fraction:
-    # Maclaurin arcsin(z) = sum_m C(2m, m) / (4^m (2m+1)) z^(2m+1)
-    return Fraction(math.comb(2 * m, m), 4**m * (2 * m + 1))
-
-
 def asin(u: Series) -> Series:
     """Arcsine of a series with zero constant term, truncated at u's order.
 
-    Realized by composing the Maclaurin expansion
-    arcsin(z) = z + z^3/6 + 3 z^5/40 + 15 z^7/336 + ... with u; exact at the
-    truncation order because composition with a zero-constant-term series
-    never mixes information across powers beyond it.
+    Built from the derivative identity d/dx asin(u) = u' * (1 - u^2)^(-1/2)
+    in three O(K^2) passes: f = 1 - u*u (the only ring multiplication),
+    w = f^(-1/2) from the power recurrence
+    2n w_n = sum_{k=1..n} (k - 2n) f_k w_(n-k) with w_0 = 1, and the
+    integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0. Every
+    division is by an integer through `_exact_inverse`, so rational input
+    gives the exact coefficients and float input stays float.
     """
     if not _is_zero(u.coeffs[0]):
         raise ValueError("asin composition needs a zero constant term")
-    order = u.order
-    if order == 0:
-        return Series.zero(0)
-    top = order if order % 2 == 1 else order - 1
-    u2 = u * u
-    # Horner scheme in u^2 over the odd Maclaurin coefficients
-    acc = Series([_asin_coefficient(top // 2)], order)
-    for j in range(top - 2, 0, -2):
-        acc = acc * u2 + Series([_asin_coefficient(j // 2)], order)
-    return acc * u
+    uu = (u * u).coeffs
+    f = [1] + [-c for c in uu[1:]]
+    w = [1]
+    for n in range(1, len(f)):
+        s = 0
+        for k in range(1, n + 1):
+            # skipping exact-zero factors keeps structural zeros exact
+            if f[k] and w[n - k]:
+                s += (k - 2 * n) * f[k] * w[n - k]
+        w.append(s * _exact_inverse(2 * n) if s else s)
+    ku = [k * c for k, c in enumerate(u.coeffs)]
+    y = [0]
+    for n in range(1, len(ku)):
+        s = 0
+        for k in range(1, n + 1):
+            if ku[k] and w[n - k]:
+                s += ku[k] * w[n - k]
+        y.append(s * _exact_inverse(n) if s else s)
+    return Series(y)

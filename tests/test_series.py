@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscmap.phasemap import scheme_series_matrix
+from oscmap.schemes import get_scheme
 from oscmap.series import Series, asin
 
 F = Fraction
@@ -130,6 +132,65 @@ def test_asin_sv_frequency_expansion():
     xi = (Series([1, 0, F(-1, 4)], order - 1).sqrt()).times_x()
     wa = asin(xi).divided_by_x()
     assert wa.coeffs[:7] == [1, 0, F(1, 24), 0, F(3, 640), 0, F(5, 7168)]
+
+
+def _asin_horner(u: Series) -> Series:
+    """Reference arcsine: the Maclaurin series composed with u by Horner.
+
+    arcsin(z) = sum_m C(2m, m) / (4^m (2m + 1)) z^(2m+1), evaluated in u^2
+    over the odd coefficients; about K/2 ring products, so O(K^3).
+    """
+    order = u.order
+    if order == 0:
+        return Series.zero(0)
+    top = order if order % 2 == 1 else order - 1
+    u2 = u * u
+
+    def coefficient(m):
+        return Fraction(math.comb(2 * m, m), 4**m * (2 * m + 1))
+
+    acc = Series([coefficient(top // 2)], order)
+    for j in range(top - 2, 0, -2):
+        acc = acc * u2 + Series([coefficient(j // 2)], order)
+    return acc * u
+
+
+def _xi(name: str, order: int) -> Series:
+    """sqrt(nu*tau) of a registry scheme, the argument analysis passes to asin."""
+    m = scheme_series_matrix(get_scheme(name), order)
+    return (m.tau.divided_by_x() * m.nu.divided_by_x()).sqrt().times_x()
+
+
+odd_exact_series = st.integers(min_value=1, max_value=15).flatmap(
+    lambda order: st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=8),
+        min_size=(order + 1) // 2, max_size=(order + 1) // 2,
+    ).map(lambda odd: Series(
+        [c for v in odd for c in (0, v)][:order + 1], order)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_exact_series)
+def test_asin_equals_maclaurin_composition_exact(u):
+    assert asin(u) == _asin_horner(u)
+
+
+@pytest.mark.parametrize("name", ["SV", "C"])
+def test_asin_equals_maclaurin_composition_on_scheme_xi(name):
+    xi = _xi(name, 60)
+    got, ref = asin(xi), _asin_horner(xi)
+    assert got.coeffs == ref.coeffs
+    # structural zeros stay int 0, which JSON output renders as 0, not 0.0
+    assert [type(c) for c in got.coeffs] == [type(c) for c in ref.coeffs]
+
+
+@pytest.mark.parametrize("name", ["FR", "M", "BM"])
+def test_asin_agrees_with_maclaurin_composition_float(name):
+    xi = _xi(name, 60)
+    got, ref = asin(xi), _asin_horner(xi)
+    assert all(isinstance(c, (int, float)) for c in got.coeffs)
+    for u, v in zip(got.coeffs, ref.coeffs):
+        assert close(u, v)
 
 
 # ---------------------------------------------------------------- helpers
