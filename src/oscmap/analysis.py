@@ -91,11 +91,16 @@ def effective_param_series(s: Scheme, order: int = 10,
     (omega_a/omega) * sqrt(nu/tau), with the product equal to
     (omega_a/omega)^2 term by term.
     """
+    return _frequency_series(s, order, exact)[1:]
+
+
+def _frequency_series(s: Scheme, order: int,
+                      exact: bool | None = None) -> tuple[Series, Series, Series]:
+    """(omega_a/omega, 1/m*, k*/omega^2) from one build of the frequency parts."""
     t1, n1, wa = _frequency_parts(s, order, exact)
     ratio = (t1 * n1.reciprocal()).sqrt()
-    inv_mass = (wa * ratio).truncated(order)
-    k_star = (wa * ratio.reciprocal()).truncated(order)
-    return inv_mass, k_star
+    return (wa.truncated(order), (wa * ratio).truncated(order),
+            (wa * ratio.reciprocal()).truncated(order))
 
 
 def phase_error(s: Scheme, x: float) -> float:
@@ -203,6 +208,15 @@ def normalized_coefficient(s: Scheme, reference: Scheme | None = None) -> float:
     to the Forest-Ruth scheme and one gradient evaluation counts as one force
     evaluation through the declared force_evals metadata.
     """
+    return _normalized(s, reference, None)
+
+
+def _normalized(s: Scheme, reference: Scheme | None, lead) -> float:
+    """normalized_coefficient, given s's (n, c_n) as `lead` or None.
+
+    The reference's order coefficient is computed only when the reference
+    is not s itself; each one costs a series build and a Richardson check.
+    """
     ref = reference if reference is not None else get_scheme("FR")
     for scheme in (s, ref):
         if scheme.order != 4:
@@ -210,12 +224,12 @@ def normalized_coefficient(s: Scheme, reference: Scheme | None = None) -> float:
                 f"normalization is defined for 4th-order schemes; "
                 f"{scheme.name!r} declares order {scheme.order}"
             )
-    n, c4 = order_coefficient(s)
+    n, c4 = lead if lead is not None else order_coefficient(s)
     if n != 4:
         raise AnalysisError(
             f"{s.name!r} declares order 4 but its leading deviation is x^{n}"
         )
-    n_ref, c4_ref = order_coefficient(ref)
+    n_ref, c4_ref = (n, c4) if ref == s else order_coefficient(ref)
     if n_ref != 4:
         raise AnalysisError(
             f"reference {ref.name!r} leading deviation is x^{n_ref}, not x^4"
@@ -464,11 +478,10 @@ def analyze(s: Scheme, order: int = 10,
     """Full phase-error report; raises AnalysisError for non-reversible schemes."""
     n, c_n = order_coefficient(s)
     try:
-        c_star = normalized_coefficient(s, reference)
+        c_star = _normalized(s, reference, (n, c_n))
     except AnalysisError:
         c_star = None
-    wa = omega_a_series(s, order)
-    inv_mass, k_star = effective_param_series(s, order)
+    wa, inv_mass, k_star = _frequency_series(s, order)
     return PhaseErrorReport(
         scheme=s.name,
         order_declared=s.order,

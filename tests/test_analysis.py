@@ -1,5 +1,6 @@
 """Tests for the frequency-series and phase-error benchmark machinery."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscmap import analysis
 from oscmap.analysis import (
     AnalysisError, _mp_half_trace, _odd_part, _sturm_chain, _variations,
     analyze, convergence_study, effective_param_series, normalized_coefficient,
@@ -83,6 +85,25 @@ def test_fr_effective_parameters():
     assert abs(k_star.coeffs[6] - ks6) <= 1e-12
 
 
+def _binary_exact(s: Scheme) -> Scheme:
+    """s with every float coefficient replaced by its exact binary value."""
+    return dataclasses.replace(s, steps=tuple(
+        dataclasses.replace(st, c=F(st.c), u=None if st.u is None else F(st.u))
+        for st in s.steps))
+
+
+@pytest.mark.parametrize("name", ["FR", "M"])
+def test_float_frequency_series_at_round_off_floor(name):
+    # Fraction(float) is exact, so the rational build is the float scheme's
+    # true series; float rounding must stay within 1e-16 out to x^60
+    s = get_scheme(name)
+    exact = omega_a_series(_binary_exact(s), 60)
+    assert all(isinstance(c, (int, Fraction)) for c in exact.coeffs)
+    got = omega_a_series(s, 60)
+    for a, b in zip(got.coeffs, exact.coeffs):
+        assert abs(a - float(b)) <= 1e-16
+
+
 @pytest.mark.parametrize("name", ["SV", "FR", "C", "M", "BM"])
 def test_mass_times_spring_is_frequency_squared(name):
     s = get_scheme(name)
@@ -151,6 +172,26 @@ def test_normalized_coefficients_table():
     assert abs(normalized_coefficient(get_scheme("M")) - (-0.0043)) <= 1e-4
     assert abs(normalized_coefficient(get_scheme("BM")) - (-0.0032)) <= 1e-4
     assert abs(normalized_coefficient(get_scheme("C")) - 0.0062) <= 1e-4
+
+
+@pytest.mark.parametrize("name, checks", [("C", 2), ("FR", 1), ("SV", 1)])
+def test_analyze_runs_each_richardson_check_once(name, checks, monkeypatch):
+    # C needs its own c_4 and FR's; FR is its own reference; SV has no c*
+    calls = []
+    check = analysis._richardson_order_coefficient
+    monkeypatch.setattr(analysis, "_richardson_order_coefficient",
+                        lambda s, n: calls.append(s.name) or check(s, n))
+    analyze(get_scheme(name))
+    assert len(calls) == checks
+
+
+def test_analyze_matches_the_public_functions():
+    s = get_scheme("BM")
+    rep = analyze(s, 8)
+    assert (rep.n, rep.c_n) == (4, float(order_coefficient(s)[1]))
+    assert rep.c_star == normalized_coefficient(s)
+    assert rep.omega_a == omega_a_series(s, 8)
+    assert (rep.inv_mass, rep.k_star) == effective_param_series(s, 8)
 
 
 def test_normalized_coefficient_needs_order_four():
