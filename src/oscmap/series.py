@@ -5,11 +5,11 @@ exactly K+1 coefficients and never reads or writes beyond index K.
 Coefficients may be floats or exact values (int, fractions.Fraction);
 arithmetic preserves exactness whenever every input coefficient is exact, so
 the same code path serves both the floating-point and the rational mode.
-Every operation costs O(K^2) coefficient operations: products, reciprocals
-and square roots by their convolution recurrences, and `asin` from the
-derivative identity d/dx asin(u) = u' (1 - u^2)^(-1/2), which needs one
-product and two more convolution passes, not a composition of the Maclaurin
-series; in rational mode its coefficients are exact.
+No operation costs more than O(K^2) coefficient operations: products,
+reciprocals and square roots by their convolution recurrences, and `asin`
+from the derivative identity d/dx asin(u) = u' (1 - u^2)^(-1/2), which needs
+one product and two more convolution passes, not a composition of the
+Maclaurin series; in rational mode its coefficients are exact.
 
 The variable is the dimensionless product x = (timestep) * (angular
 frequency); all frequency expansions in this package are series in x.
@@ -267,9 +267,10 @@ def asin(u: Series) -> Series:
     in three O(K^2) passes: f = 1 - u*u (the only ring multiplication),
     w = f^(-1/2) from the power recurrence
     2n w_n = sum_{k=1..n} (k - 2n) f_k w_(n-k) with w_0 = 1, and the
-    integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0. Every
-    division is by an integer through `_exact_inverse`, so rational input
-    gives the exact coefficients and float input stays float.
+    integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0; a float
+    u_0 within PARITY_TOL counts as 0. Every division is by an integer
+    through `_exact_inverse`, so rational input gives the exact coefficients
+    and float input stays float.
     """
     if not _is_zero(u.coeffs[0]):
         raise ValueError("asin composition needs a zero constant term")
@@ -282,6 +283,7 @@ def asin(u: Series) -> Series:
             # skipping exact-zero factors keeps structural zeros exact
             if f[k] and w[n - k]:
                 s += (k - 2 * n) * f[k] * w[n - k]
+        # a zero sum is kept as it is, so an int 0 stays an int
         w.append(s * _exact_inverse(2 * n) if s else s)
     ku = [k * c for k, c in enumerate(u.coeffs)]
     y = [0]
