@@ -3,13 +3,15 @@
 Any composition of drifts, kicks, and force-gradient kicks acts on the
 oscillator as one 2x2 symplectic matrix whose entries g, tau, nu and h are
 finite polynomials in x = eps*omega. `phasemap` builds those four
-polynomials once per scheme; numeric matrices are their values at a given
-timestep and frequency, and series-mode matrices are the polynomials
-themselves, rational when the scheme's coefficients are. From that one map
-the package solves the N-step evolution in closed form, extracts the
-modified (shadow) Hamiltonian with its effective mass and spring constant,
-and benchmarks schemes through their phase-error coefficients and stability
-limits. Two independent routes check it: brute-force shear-by-shear
+polynomials once per scheme, in exact rational arithmetic (binary-exact for
+float coefficients). Series-mode matrices are the polynomials themselves,
+rational when the scheme's coefficients are and correctly rounded to floats
+otherwise; numeric matrices are the rounded polynomials evaluated at a given
+timestep and frequency; the stability limit comes from the exact half trace.
+From that one map the package solves the N-step evolution in closed form,
+extracts the modified (shadow) Hamiltonian with its effective mass and
+spring constant, and benchmarks schemes through their phase-error
+coefficients and stability limits. Two independent routes check it: brute-force shear-by-shear
 iteration (`sim`) and a high-precision shear product behind the Richardson
 estimate (`analysis`).
 """

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import series as series_mod
-from .phasemap import Regime, RegimeError, scheme_matrix, scheme_series_matrix, spectral
+from .phasemap import (Regime, RegimeError, _polynomials, scheme_matrix,
+                       scheme_series_matrix, spectral)
 from .schemes import DRIFT, GKICK, Scheme, get_scheme, is_symmetric
 from .series import Series
 
@@ -179,17 +180,26 @@ def order_coefficient(s: Scheme, max_order: int | None = None):
     Richardson estimate; disagreement beyond 1e-6 relative raises instead of
     averaging.
     """
-    order = max_order if max_order is not None else max(10, s.order + 4)
-    wa = omega_a_series(s, order)
+    order = max_order if max_order is not None else _lead_order(s)
+    return _leading_term(s, omega_a_series(s, order))
+
+
+def _lead_order(s: Scheme) -> int:
+    """Default truncation order of the leading-term search."""
+    return max(10, s.order + 4)
+
+
+def _leading_term(s: Scheme, wa: Series):
+    """(n, c_n) of order_coefficient, read from the omega_a series wa."""
     n = None
-    for k in range(1, order + 1):
+    for k in range(1, wa.order + 1):
         c = wa.coeffs[k]
         if not (abs(c) <= COEFF_TOL if isinstance(c, float) else c == 0):
             n = k
             break
     if n is None:
         raise AnalysisError(
-            f"leading order of {s.name!r} exceeds truncation order {order}"
+            f"leading order of {s.name!r} exceeds truncation order {wa.order}"
         )
     c_n = wa.coeffs[n]
     numeric = _richardson_order_coefficient(s, n)
@@ -281,30 +291,18 @@ def stability_limit(s: Scheme) -> StabilityLimit:
 def _stability_polynomial(s: Scheme) -> list[int]:
     """A positive multiple of (T^2 - 1)/x^2 as an integer polynomial in y = x^2.
 
-    T = (a + d)/2 comes from the exact product of the shears, each coefficient
-    taken as a Fraction (binary-exact for a float). A float build would not
-    do: its rounding can split a point where T only touches -1 into two
-    close roots, an unstable window that the scheme does not have. With
-    x = D*z, D the lcm of the coefficient denominators, every shear is an
-    integer polynomial in z. T is even in x, because every shear keeps the
-    diagonal even and the off-diagonal odd, so T(x) = U(x^2).
+    T = (g + h)/2 is read from the scheme's exact map (`phasemap`), whose
+    coefficients are exact rationals, binary-exact ones for a float scheme.
+    A rounded map would not do: rounding can split a point where T only
+    touches -1 into two close roots, an unstable window that the scheme does
+    not have. T is even in x, because every shear keeps the diagonal even and
+    the off-diagonal odd, so 2T = sum e_j y^j; with L the lcm of the
+    denominators of the e_j, n_j = L*e_j are integers and n_0 = 2L.
     """
-    steps = [(st.kind, Fraction(st.c), Fraction(st.u or 0))
-             for st in s.active_steps()]
-    den = math.lcm(*(v.denominator for _, c, u in steps for v in (c, u)))
-    a, b, c, d = [1], [], [], [1]
-    for kind, k, u in steps:
-        if kind == DRIFT:  # q += k*x*p
-            shear = [0, int(k * den)]
-            a, b = _mul_add(a, shear, c), _mul_add(b, shear, d)
-        else:  # p -= (k*x + u*x^3)*q
-            shear = [0, -int(k * den)] + ([0, -int(u * den ** 3)]
-                                          if kind == GKICK else [])
-            c, d = _mul_add(c, shear, a), _mul_add(d, shear, b)
-    # 2T = sum t_2j (x/D)^2j; times D^2m it is sum n_j y^j with n_0 = 2 D^2m
-    t = _trim(_mul_add(a, [1], d))[::2]
-    m = len(t) - 1
-    n = [v * den ** (2 * (m - j)) for j, v in enumerate(t)]
+    g, _, _, h = _polynomials(s, True)
+    t = [Fraction(v) for v in (g + h).coeffs[::2]]
+    den = math.lcm(*(v.denominator for v in t))
+    n = [int(v * den) for v in t]
     # (n^2 - n_0^2)/y is a positive multiple of (T^2 - 1)/x^2
     return _primitive(_mul_add([-n[0] ** 2], n, n)[1:])
 
@@ -475,13 +473,20 @@ class PhaseErrorReport:
 
 def analyze(s: Scheme, order: int = 10,
             reference: Scheme | None = None) -> PhaseErrorReport:
-    """Full phase-error report; raises AnalysisError for non-reversible schemes."""
-    n, c_n = order_coefficient(s)
+    """Full phase-error report; raises AnalysisError for non-reversible schemes.
+
+    The frequency series are built once, at the larger of `order` and the
+    leading-term search order; series coefficients do not depend on the
+    truncation order, so each truncation equals a build at that order.
+    """
+    lead = _lead_order(s)
+    series = _frequency_series(s, max(order, lead))
+    n, c_n = _leading_term(s, series[0].truncated(lead))
     try:
         c_star = _normalized(s, reference, (n, c_n))
     except AnalysisError:
         c_star = None
-    wa, inv_mass, k_star = _frequency_series(s, order)
+    wa, inv_mass, k_star = (f.truncated(order) for f in series)
     return PhaseErrorReport(
         scheme=s.name,
         order_declared=s.order,

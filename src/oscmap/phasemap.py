@@ -4,15 +4,20 @@ A scheme acting on the oscillator is a linear map of (q, p), stored through
 the four entries [[g, tau], [-nu, h]]; symplecticity means
 det = g*h + tau*nu = 1. In x = eps*omega (and omega = 1) each entry is a
 finite polynomial: every drift or kick raises the degree by one and every
-force-gradient kick by three. The four polynomials are built once per scheme
-by multiplying its shears in the Series ring, and every other form is read
-from them: series mode pads or truncates them to a requested order, and
-numeric mode (explicit timestep eps and frequency omega) evaluates them by
-Horner's rule. Numeric mode takes a whole grid of timesteps as one numpy
-array just as it takes one float, and `spectral` then classifies every point
-of the grid at once; both give, point by point, the bits of the scalar call.
-numpy is used only for such grids and for the array results of the closed
-form; it is imported inside those functions, so scalar work never loads it.
+force-gradient kick by three. The four polynomials are built once per scheme,
+in exact arithmetic, by multiplying its shears in the Series ring with every
+coefficient taken as a Fraction; for a float coefficient that conversion is
+binary-exact, so the build is exact for any scheme. Every other form is read
+from it: rational series mode pads or truncates it to a requested order,
+float series mode does the same with each coefficient correctly rounded, and
+numeric mode (explicit timestep eps and frequency omega) evaluates the
+rounded polynomials by Horner's rule. The stability limit in `analysis`
+reads the half trace from the exact build. Numeric mode takes a whole grid
+of timesteps as one numpy array just as it takes one float, and `spectral`
+then classifies every point of the grid at once; both give, point by point,
+the bits of the scalar call. numpy is used only for such grids and for the
+array results of the closed form; it is imported inside those functions, so
+scalar work never loads it.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -30,7 +35,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .series import Series
-from .schemes import DRIFT, GKICK, Scheme, Step, has_exact_coefficients, is_symmetric
+from .schemes import DRIFT, GKICK, Scheme, Step, has_exact_coefficients
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,11 +95,6 @@ class PhaseMatrix:
     def is_series(self) -> bool:
         return isinstance(self.g, Series)
 
-    def is_reversible(self, tol: float = REVERSIBLE_TOL) -> bool:
-        if self.is_series:
-            return self.g == self.h
-        return abs(self.g - self.h) <= tol
-
     def as_array(self) -> np.ndarray:
         """Numeric 2x2 array; series-mode matrices have no single array."""
         if self.is_series:
@@ -125,55 +125,40 @@ class SpectralData:
 
 # ------------------------------------------------------------ polynomial map
 
-#: Built maps, keyed by (active steps, exact). The steps alone are not a key:
-#: Fraction(1, 2) == 0.5 and both hash alike, so an exact and a float scheme
-#: with equal coefficients would otherwise share one build.
-_POLYNOMIALS: dict[tuple[tuple[Step, ...], bool], tuple] = {}
+#: Built maps, keyed by active steps: (exact polynomials, float polynomials).
+_POLYNOMIALS: dict[tuple[Step, ...], tuple[tuple, tuple]] = {}
 
 
 def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series]:
     """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
 
-    Built once per key at truncation order = degree, so nothing is dropped;
-    callers must not mutate it. Palindromic sequences are multiplied
-    center-outward, M -> m_i M m_i, so g and h stay equal bitwise even with
-    float coefficients: conjugating a matrix with g = h by one shear
-    preserves the equality term by term.
+    The shears are multiplied once per scheme, left to right in the Series
+    ring at truncation order = degree, so nothing is dropped, with every
+    coefficient taken as Fraction(v). That conversion is binary-exact for a
+    float, so the build is the exact map of the scheme as stored, and float
+    mode is the same build with each coefficient rounded by float(): correctly
+    rounded, and g = h bitwise whenever g = h exactly. Steps that compare
+    equal, such as Fraction(1, 2) and 0.5, have the same exact value, so
+    they share one build. Callers must not mutate the result.
     """
     steps = s.active_steps()
-    if exact:
-        inexact = [v for st in steps for v in (st.c, st.u)
-                   if v is not None and not isinstance(v, (int, Fraction))]
-        if inexact:
-            raise TypeError(f"coefficient {inexact[0]!r} is not exact; rational "
-                            "series mode needs int or Fraction scheme coefficients")
-    key = (steps, exact)
-    polys = _POLYNOMIALS.get(key)
-    if polys is not None:
-        return polys
-    coeff = (lambda v: v) if exact else float
-    degree = sum(3 if st.kind == GKICK else 1 for st in steps)
-    one, zero = Series.one(degree), Series.zero(degree)
-    mats = []
-    for st in steps:
-        c = coeff(st.c)
-        if st.kind == DRIFT:
-            mats.append(PhaseMatrix(one, Series([0, c], degree), zero, one))
-        else:
-            mu = [0, c, 0, coeff(st.u)] if st.kind == GKICK else [0, c]
-            mats.append(PhaseMatrix(one, zero, Series(mu, degree), one))
-    n = len(mats)
-    if is_symmetric(s):
-        m = mats[n // 2] if n % 2 else PhaseMatrix(one, zero, zero, one)
-        for k in range(n // 2 - 1, -1, -1):
-            m = mats[n - 1 - k] @ m @ mats[k]
-    else:
-        m = mats[0]
-        for factor in mats[1:]:
-            m = factor @ m
-    polys = _POLYNOMIALS[key] = (m.g, m.tau.divided_by_x(),
-                                 m.nu.divided_by_x(), m.h)
-    return polys
+    built = _POLYNOMIALS.get(steps)
+    if built is None:
+        degree = sum(3 if st.kind == GKICK else 1 for st in steps)
+        one, zero = Series.one(degree), Series.zero(degree)
+        m = PhaseMatrix(one, zero, zero, one)
+        for st in steps:
+            c = Fraction(st.c)
+            if st.kind == DRIFT:
+                shear = PhaseMatrix(one, Series([0, c], degree), zero, one)
+            else:
+                mu = [0, c, 0, Fraction(st.u)] if st.kind == GKICK else [0, c]
+                shear = PhaseMatrix(one, zero, Series(mu, degree), one)
+            m = shear @ m
+        polys = (m.g, m.tau.divided_by_x(), m.nu.divided_by_x(), m.h)
+        built = _POLYNOMIALS[steps] = (
+            polys, tuple(Series([float(c) for c in p.coeffs]) for p in polys))
+    return built[0] if exact else built[1]
 
 
 def scheme_matrix(s: Scheme, eps: float | np.ndarray,
@@ -209,6 +194,9 @@ def scheme_series_matrix(s: Scheme, order: int,
     """
     if exact is None:
         exact = has_exact_coefficients(s)
+    elif exact and not has_exact_coefficients(s):
+        raise TypeError(f"scheme {s.name!r} has coefficients that are not exact; "
+                        "rational series mode needs int or Fraction ones")
     g, tau_x, nu_x, h = _polynomials(s, exact)
     return PhaseMatrix(*(
         Series(c[: order + 1], order)

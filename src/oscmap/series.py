@@ -248,17 +248,6 @@ class Series:
             acc = acc * x0 + c
         return acc
 
-    def partial_sums(self, x0) -> list:
-        """Cumulative sums a_0, a_0 + a_1 x0, ... through the full order."""
-        out = []
-        acc = 0
-        power = 1
-        for c in self.coeffs:
-            acc = acc + c * power
-            out.append(acc)
-            power = power * x0
-        return out
-
 
 def asin(u: Series) -> Series:
     """Arcsine of a series with zero constant term, truncated at u's order.

@@ -176,13 +176,18 @@ def test_normalized_coefficients_table():
 
 @pytest.mark.parametrize("name, checks", [("C", 2), ("FR", 1), ("SV", 1)])
 def test_analyze_runs_each_richardson_check_once(name, checks, monkeypatch):
-    # C needs its own c_4 and FR's; FR is its own reference; SV has no c*
-    calls = []
+    # C needs its own c_4 and FR's; FR is its own reference; SV has no c*.
+    # Each check needs one build of the frequency series, and no more.
+    calls, builds = [], []
     check = analysis._richardson_order_coefficient
+    parts = analysis._frequency_parts
     monkeypatch.setattr(analysis, "_richardson_order_coefficient",
                         lambda s, n: calls.append(s.name) or check(s, n))
+    monkeypatch.setattr(analysis, "_frequency_parts",
+                        lambda s, *a: builds.append(s.name) or parts(s, *a))
     analyze(get_scheme(name))
     assert len(calls) == checks
+    assert len(builds) == checks
 
 
 def test_analyze_matches_the_public_functions():

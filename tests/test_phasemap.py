@@ -129,6 +129,40 @@ def test_series_mode_follows_coefficient_type_whichever_is_built_first(
     assert scheme_matrix(approx, 0.3, 1.0) == scheme_matrix(exact, 0.3, 1.0)
 
 
+def _binary_exact(s):
+    return replace(s, steps=tuple(
+        Step(st.kind, F(st.c), None if st.u is None else F(st.u))
+        for st in s.steps
+    ))
+
+
+@pytest.mark.parametrize("s", [pytest.param(s, id=s.name) for s in registry()] + [
+    pytest.param(_with_float_coefficients(get_scheme(name)), id=name + "-float")
+    for name in ("SV", "C")
+])
+def test_float_mode_is_the_correctly_rounded_exact_map(s, monkeypatch):
+    degree = sum(3 if st.kind == "gkick" else 1 for st in s.active_steps())
+    monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
+    exact = scheme_series_matrix(_binary_exact(s), degree, exact=True)
+    monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
+    floats = scheme_series_matrix(s, degree, exact=False)
+    for a, b in ((floats.g, exact.g), (floats.tau, exact.tau),
+                 (floats.nu, exact.nu), (floats.h, exact.h)):
+        assert ([float(c).hex() for c in a.coeffs]
+                == [float(c).hex() for c in b.coeffs])
+
+
+def test_one_build_serves_numeric_series_and_stability(monkeypatch):
+    from oscmap.analysis import stability_limit
+
+    monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
+    c = get_scheme("C")
+    scheme_matrix(c, 0.3, 1.0)
+    scheme_series_matrix(c, 8)
+    stability_limit(c)
+    assert len(phasemap._POLYNOMIALS) == 1
+
+
 @pytest.mark.parametrize("order", [0, 1, 5, 7, 30])
 def test_series_matrix_pads_or_truncates_the_exact_map(order):
     # FR's map has degree 7: lower orders truncate it, higher ones pad zeros.

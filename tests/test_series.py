@@ -215,7 +215,6 @@ def test_parity_queries():
 def test_evaluation():
     a = Series([1, 2, 3])
     assert a(2.0) == 1 + 4 + 12
-    assert a.partial_sums(2.0) == [1, 5, 17]
 
 
 # ---------------------------------------------------------------- properties
