@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscmap import phasemap
-from oscmap.schemes import Step, get_scheme, is_symmetric, registry
+from oscmap.analysis import stability_limit
+from oscmap.schemes import GKICK, Step, get_scheme, is_symmetric, registry
 from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, invariant_quadratic_form,
     modified_hamiltonian, propagate_closed_form, scheme_matrix,
@@ -141,7 +142,7 @@ def _binary_exact(s):
     for name in ("SV", "C")
 ])
 def test_float_mode_is_the_correctly_rounded_exact_map(s, monkeypatch):
-    degree = sum(3 if st.kind == "gkick" else 1 for st in s.active_steps())
+    degree = sum(3 if st.kind == GKICK else 1 for st in s.active_steps())
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
     exact = scheme_series_matrix(_binary_exact(s), degree, exact=True)
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
@@ -153,8 +154,6 @@ def test_float_mode_is_the_correctly_rounded_exact_map(s, monkeypatch):
 
 
 def test_one_build_serves_numeric_series_and_stability(monkeypatch):
-    from oscmap.analysis import stability_limit
-
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
     c = get_scheme("C")
     scheme_matrix(c, 0.3, 1.0)
