@@ -25,14 +25,14 @@ from .schemes import (
 from .phasemap import (
     PhaseMatrix, Regime, RegimeError, SpectralData, invariant_quadratic_form,
     modified_hamiltonian, propagate_closed_form, scheme_matrix,
-    scheme_series_matrix, spectral,
+    scheme_series_matrix, spectral, sweep,
 )
 from .analysis import (
     AnalysisError, ConvergenceStudy, PhaseErrorReport, StabilityLimit,
     analyze, convergence_study, effective_param_series, normalized_coefficient,
     omega_a_series, order_coefficient, phase_error, stability_limit,
 )
-from .sim import PortraitFit, TrajectoryRecord, iterate, phase_drift, portrait
+from .sim import TrajectoryRecord, iterate
 
 __version__ = "0.1.0"
 
@@ -45,11 +45,11 @@ __all__ = [
     "PhaseMatrix", "Regime", "RegimeError", "SpectralData",
     "invariant_quadratic_form", "modified_hamiltonian",
     "propagate_closed_form", "scheme_matrix", "scheme_series_matrix",
-    "spectral",
+    "spectral", "sweep",
     "AnalysisError", "ConvergenceStudy", "PhaseErrorReport", "StabilityLimit",
     "analyze", "convergence_study", "effective_param_series",
     "normalized_coefficient", "omega_a_series", "order_coefficient",
     "phase_error", "stability_limit",
-    "PortraitFit", "TrajectoryRecord", "iterate", "phase_drift", "portrait",
+    "TrajectoryRecord", "iterate",
     "__version__",
 ]

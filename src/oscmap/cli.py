@@ -21,7 +21,10 @@ import sys
 from collections.abc import Iterable, Sequence
 
 from . import analysis, sim
-from .phasemap import Regime, propagate_closed_form, scheme_matrix, spectral
+from .phasemap import (
+    SWEEP_QUANTITIES, Regime, propagate_closed_form, scheme_matrix, spectral,
+    sweep,
+)
 from .schemes import (
     SchemeError, SchemeFileError, get_scheme, is_symmetric, load_scheme,
     registry_names,
@@ -29,11 +32,12 @@ from .schemes import (
 
 __all__ = ["main"]
 
-_SWEEP_QUANTITIES = ("omega_a", "phase_error", "det", "trace", "m_star", "k_star")
+#: Cell types of a column that `_csv_column` writes with one format spec.
+_FLOAT_COLUMN = {float, type(None)}
 
 
 def _fmt(v) -> str:
-    """Fixed 12-significant-digit decimal rendering for CSV cells."""
+    """Fixed 12-significant-digit decimal rendering for one CSV cell."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -41,6 +45,17 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     return f"{float(v):.12g}"
+
+
+def _csv_column(cells: tuple) -> list[str]:
+    """The CSV cells of one column: strings as they are, numbers by `_fmt`.
+
+    A column of floats and gaps (None) takes one format spec for all its
+    numbers, which gives `_fmt`'s bytes without its per-cell type tests.
+    """
+    if set(map(type, cells)) <= _FLOAT_COLUMN:
+        return ["" if v is None else format(v, ".12g") for v in cells]
+    return [v if isinstance(v, str) else _fmt(v) for v in cells]
 
 
 def _jnum(v):
@@ -73,9 +88,7 @@ def _emit(args, header: list[str], rows: Iterable[Sequence], doc=None) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                             for cell in row])
+        writer.writerows(zip(*map(_csv_column, zip(*rows, strict=True))))
         text = buf.getvalue()
     if args.output is None:
         sys.stdout.write(text)
@@ -171,37 +184,38 @@ def _analyze_nonreversible(s, args) -> int:
 
 # -------------------------------------------------------------------- sweep
 
-def cmd_sweep(args) -> int:
-    import numpy as np
+def _sweep_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi, both included.
 
+    The formula of np.linspace, so the points are its values bit for bit:
+    i*step + lo with step = (hi - lo)/(n - 1), the last point set to hi, and
+    (i/(n - 1))*(hi - lo) + lo where the step underflows to 0.
+    """
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:
+        xs = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        xs = [i * step + lo for i in range(n)]
+    xs[-1] = hi
+    return xs
+
+
+def cmd_sweep(args) -> int:
     if not 0.0 < args.min < args.max < math.inf:
         raise SchemeError("sweep needs finite --min and --max with "
                           "0 < --min < --max")
     if args.points < 2:
         raise SchemeError("sweep needs at least 2 points")
     s = _resolve_scheme(args)
-    xs = np.linspace(args.min, args.max, args.points)
-    m = scheme_matrix(s, xs, 1.0)
-    d = spectral(m)
-    if args.quantity in ("det", "trace"):
-        values = getattr(m, args.quantity)().tolist()
-    else:
-        if args.quantity == "phase_error":
-            values = 2.0 * math.pi * (d.omega_a - 1.0)
-        else:
-            values = getattr(d, args.quantity)
-        # NaN marks exactly the points where a rotation quantity is undefined
-        values = [None if math.isnan(v) else v for v in values.tolist()]
-    rows = zip(xs.tolist(), values, (r.value for r in d.regime))
-    _emit(args, ["x", "value", "regime"], rows)
+    rows = sweep(s, _sweep_grid(args.min, args.max, args.points), args.quantity)
+    _emit(args, ["x", "value", "regime"],
+          [(x, value, regime.value) for x, value, regime in rows])
     return 0
 
 
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
     _check_x(args)
     for flag, value in (("--q0", args.q0), ("--p0", args.p0)):
         if not math.isfinite(value):
@@ -210,11 +224,9 @@ def cmd_simulate(args) -> int:
         if value < 1:
             raise SchemeError(f"simulate needs {flag} of at least 1")
     s = _resolve_scheme(args)
-    eps, omega = args.x, 1.0
+    eps, omega, q0, p0 = args.x, 1.0, args.q0, args.p0
     # a hyperbolic map diverges to inf and NaN: legitimate output
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec = sim.iterate(s, args.q0, args.p0, eps, omega, args.steps,
-                          args.stride)
+    rec = sim.iterate(s, q0, p0, eps, omega, args.steps, args.stride)
     m = scheme_matrix(s, eps, omega)
     d = spectral(m)
     elliptic = d.regime is Regime.ELLIPTIC
@@ -222,19 +234,20 @@ def cmd_simulate(args) -> int:
     if elliptic:
         mid = "H_A" if rec.modified_energy is not None else "sigma"
         header += [mid, "closed_form_error"]
-    start = np.array([args.q0, args.p0])
     rows = []
-    for i in range(len(rec.step_index)):
+    for i, t in enumerate(rec.t):
+        q, p = rec.q[i], rec.p[i]
         # + 0.0 turns the -0.0 of step 0 at a negative timestep into 0
-        row = [rec.t[i] + 0.0, rec.q[i], rec.p[i], rec.energy[i]]
+        row = [t + 0.0, q, p, rec.energy[i]]
         if elliptic:
             if rec.modified_energy is not None:
                 row.append(rec.modified_energy[i])
             else:
-                angle = d.theta * rec.t[i] / eps
+                angle = d.theta * t / eps
                 row.append((m.g - m.h) / (2.0 * d.xi) * math.sin(angle))
-            ref = propagate_closed_form(m, float(rec.t[i])) @ start
-            row.append(max(abs(rec.q[i] - ref[0]), abs(rec.p[i] - ref[1])))
+            (a, b), (c, e) = propagate_closed_form(m, t)
+            row.append(max(abs(q - (a * q0 + b * p0)),
+                           abs(p - (c * q0 + e * p0))))
         rows.append(row)
     _emit(args, header, rows)
     return 0
@@ -307,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)
     p.add_argument("--points", type=int, default=100)
-    p.add_argument("--quantity", choices=_SWEEP_QUANTITIES, default="omega_a")
+    p.add_argument("--quantity", choices=SWEEP_QUANTITIES, default="omega_a")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[common, withscheme],

@@ -12,12 +12,12 @@ from it: rational series mode pads or truncates it to a requested order,
 float series mode does the same with each coefficient correctly rounded, and
 numeric mode (explicit timestep eps and frequency omega) evaluates the
 rounded polynomials by Horner's rule. The stability limit in `analysis`
-reads the half trace from the exact build. Numeric mode takes a whole grid
-of timesteps as one numpy array just as it takes one float, and `spectral`
-then classifies every point of the grid at once; both give, point by point,
-the bits of the scalar call. numpy is used only for such grids and for the
-array results of the closed form; it is imported inside those functions, so
-scalar work never loads it.
+reads the half trace from the exact build. Numeric work is one timestep at a
+time in plain Python floats: four Horner sums and one atan2 per point. The
+per-point work sits in two private helpers, `_entries` (the four entries)
+and `_rotation` (regime and rotation), which `scheme_matrix` and `spectral`
+wrap and which `sweep` calls directly for each timestep of a grid, so every
+route computes a point the same way, bit for bit.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -27,31 +27,33 @@ pins this choice.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .series import Series
 from .schemes import DRIFT, GKICK, Scheme, Step, has_exact_coefficients
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "PhaseMatrix", "SpectralData", "Regime", "RegimeError",
-    "scheme_matrix", "scheme_series_matrix", "spectral",
+    "scheme_matrix", "scheme_series_matrix", "spectral", "sweep",
     "propagate_closed_form",
     "modified_hamiltonian", "invariant_quadratic_form",
-    "PARABOLIC_TOL", "REVERSIBLE_TOL",
+    "PARABOLIC_TOL", "REVERSIBLE_TOL", "SWEEP_QUANTITIES",
 ]
 
 #: |Tr M| within this of 2 is classified parabolic rather than elliptic.
 PARABOLIC_TOL = 1e-12
 #: |g - h| at or below this counts as time-reversible in numeric mode.
 REVERSIBLE_TOL = 1e-12
+
+#: What `sweep` can tabulate: a spectral field, the phase error per period,
+#: or the determinant or trace of the map.
+SWEEP_QUANTITIES = ("omega_a", "phase_error", "det", "trace", "m_star", "k_star")
+
+#: A numeric 2x2 matrix as its two rows.
+Rows = tuple[tuple[float, float], tuple[float, float]]
 
 
 class Regime(str, Enum):
@@ -95,22 +97,14 @@ class PhaseMatrix:
     def is_series(self) -> bool:
         return isinstance(self.g, Series)
 
-    def as_array(self) -> np.ndarray:
-        """Numeric 2x2 array; series-mode matrices have no single array."""
-        if self.is_series:
-            raise TypeError("series-mode matrix cannot be converted to an array")
-        import numpy as np
-
-        return np.array([[self.g, self.tau], [-self.nu, self.h]], dtype=float)
-
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Rotation data of an elliptic map; degenerate fields are None.
+    """Rotation data of one numeric map; fields undefined in its regime are None.
 
-    For a matrix over a grid of timesteps every field is an array over the
-    grid: the numeric fields hold NaN where they are undefined, `regime` holds
-    a Regime per point and `reversible` a bool per point.
+    theta, xi, omega_a, m_star and k_star are set in the elliptic regime
+    only, m_star and k_star only where nu*tau > 0 as well; `detail` says why
+    a parabolic or hyperbolic map has none of them.
     """
 
     theta: float | None
@@ -161,29 +155,27 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     return built[0] if exact else built[1]
 
 
-def scheme_matrix(s: Scheme, eps: float | np.ndarray,
-                  omega: float) -> PhaseMatrix:
+def _entries(polys: tuple[Series, Series, Series, Series], eps: float,
+             omega: float) -> tuple[float, float, float, float]:
+    """g, tau, nu and h of the map at one timestep, by Horner's rule.
+
+    polys is the float build `_polynomials(s, False)`. The entries are g(x),
+    eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x) at x = eps*omega, with no
+    division by omega, so omega = 0 and negative eps are fine. Entries that
+    overflow become inf or NaN silently, as Python floats do.
+    """
+    g, tau_x, nu_x, h = polys
+    x = eps * omega
+    return g(x), eps * tau_x(x), eps * omega * omega * nu_x(x), h(x)
+
+
+def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
     """Numeric one-timestep matrix: the polynomials evaluated at x = eps*omega.
 
-    The entries are g(x), eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x),
-    with no division by omega, so omega = 0 and negative eps are fine.
-
-    eps may be a float or a 1-D float array; for an array every entry is an
-    array over it. Horner's rule uses only * and +, which numpy rounds like
-    Python floats, so each point is bitwise the scalar call at that eps.
-    Entries that overflow become inf or NaN silently, as Python floats do.
+    eps and omega are Python floats; see `_entries` for how the four entries
+    are computed.
     """
-    g, tau_x, nu_x, h = _polynomials(s, False)
-    x = eps * omega
-    if type(x) in (float, int):
-        quiet = contextlib.nullcontext()
-    else:
-        import numpy as np
-
-        quiet = np.errstate(over="ignore", invalid="ignore")
-    with quiet:
-        return PhaseMatrix(g(x), eps * tau_x(x), eps * omega * omega * nu_x(x),
-                           h(x), eps, omega)
+    return PhaseMatrix(*_entries(_polynomials(s, False), eps, omega), eps, omega)
 
 
 def scheme_series_matrix(s: Scheme, order: int,
@@ -206,24 +198,41 @@ def scheme_series_matrix(s: Scheme, order: int,
 
 # ------------------------------------------------------------------ spectral
 
-def _classify(g, tau, nu, h):
-    """The tests behind the regime, for float entries and arrays alike.
-
-    Returns (half_trace, disc, hyperbolic, elliptic, reversible). A map is
-    hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL, else
-    elliptic where disc > 0, else parabolic. det = 1 makes disc =
-    nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
-    keeps the classification sharp near theta -> 0, where the trace is
-    quadratically insensitive.
-    """
-    w = (g - h) / 2.0
-    disc = nu * tau - w * w
-    return ((g + h) / 2.0, disc, abs(g + h) - 2.0 > PARABOLIC_TOL, disc > 0.0,
-            abs(g - h) <= REVERSIBLE_TOL)
-
-
 _NAN_ENTRY = ("the map has a NaN entry, so it has no regime; its polynomials "
               "overflowed or the timestep is NaN")
+
+
+def _rotation(g: float, tau: float, nu: float, h: float, eps: float) -> tuple:
+    """(theta, xi, omega_a, m_star, k_star, regime, reversible) of one map.
+
+    The fields are those of SpectralData, in its order, None where undefined.
+    A map is hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL,
+    else elliptic where disc > 0, else parabolic. det = 1 makes disc =
+    nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
+    keeps the classification sharp near theta -> 0, where the trace is
+    quadratically insensitive. A NaN entry raises ValueError: no regime can
+    be read from it.
+    """
+    if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
+        raise ValueError(_NAN_ENTRY)
+    reversible = abs(g - h) <= REVERSIBLE_TOL
+    if abs(g + h) - 2.0 > PARABOLIC_TOL:
+        return None, None, None, None, None, Regime.HYPERBOLIC, reversible
+    w = (g - h) / 2.0
+    disc = nu * tau - w * w
+    if not disc > 0.0:
+        return None, None, None, None, None, Regime.PARABOLIC, reversible
+    xi = math.sqrt(disc)
+    # atan2 form of arccos(half_trace): same principal branch (0, pi) since
+    # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
+    theta = math.atan2(xi, (g + h) / 2.0)
+    omega_a = theta / abs(eps)
+    m_star = k_star = None
+    if nu * tau > 0:
+        root = math.sqrt(tau / nu)
+        m_star = 1.0 / (omega_a * root)
+        k_star = omega_a / root
+    return theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC, reversible
 
 
 def spectral(mat: PhaseMatrix) -> SpectralData:
@@ -236,72 +245,55 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     nu*tau > 0. A negative eps gives the inverse map, which conserves the
     same ellipse, so omega_a, m* and k* do not change sign with it.
     Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry only the
-    regime flag and a detail message.
-
-    A matrix over a grid of timesteps (see `scheme_matrix`) gives array
-    fields, each point bitwise the scalar result. A NaN entry raises
-    ValueError: no regime can be read from it.
+    regime flag and a detail message. The classification is `_rotation`'s;
+    a NaN entry raises ValueError.
     """
     if mat.is_series:
         raise TypeError("spectral analysis needs a numeric-mode matrix")
-    g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
-    if not isinstance(g, (int, float)):
-        import numpy as np
-
-        if np.isnan((g, tau, nu, h)).any():
-            raise ValueError(_NAN_ENTRY)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _spectral_grid(mat, *_classify(g, tau, nu, h))
-    if any(math.isnan(v) for v in (g, tau, nu, h)):
-        raise ValueError(_NAN_ENTRY)
-    half_trace, disc, hyperbolic, elliptic, reversible = _classify(g, tau, nu, h)
-    if hyperbolic:
-        return SpectralData(
-            None, None, None, None, None, Regime.HYPERBOLIC, reversible,
-            detail=f"|trace|/2 = {abs(half_trace)!r} exceeds 1; the map is "
-                   "unstable and has no real rotation angle",
-        )
-    if not elliptic:
-        return SpectralData(
-            None, None, None, None, None, Regime.PARABOLIC, reversible,
-            detail="|trace| equals 2 within tolerance; the rotation angle is "
-                   "degenerate and no spectral quantities are defined",
-        )
-    xi = math.sqrt(disc)
-    # atan2 form of arccos(half_trace): same principal branch (0, pi) since
-    # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
-    theta = math.atan2(xi, half_trace)
-    omega_a = theta / abs(mat.eps)
-    m_star = k_star = None
-    if nu * tau > 0:
-        root = math.sqrt(tau / nu)
-        m_star = 1.0 / (omega_a * root)
-        k_star = omega_a / root
-    return SpectralData(theta, xi, omega_a, m_star, k_star,
-                        Regime.ELLIPTIC, reversible)
+    fields = _rotation(mat.g, mat.tau, mat.nu, mat.h, mat.eps)
+    regime = fields[-2]
+    detail = ""
+    if regime is Regime.HYPERBOLIC:
+        detail = (f"|trace|/2 = {abs(mat.g + mat.h) / 2.0!r} exceeds 1; the map "
+                  "is unstable and has no real rotation angle")
+    elif regime is Regime.PARABOLIC:
+        detail = ("|trace| equals 2 within tolerance; the rotation angle is "
+                  "degenerate and no spectral quantities are defined")
+    return SpectralData(*fields, detail=detail)
 
 
-def _spectral_grid(mat: PhaseMatrix, half_trace, disc, hyperbolic, elliptic,
-                   reversible) -> SpectralData:
-    """The elliptic branch of `spectral` on the points of a grid where it holds."""
-    import numpy as np
+def sweep(s: Scheme, xs: list[float],
+          quantity: str) -> list[tuple[float, float | None, Regime]]:
+    """(x, value, regime) of one quantity at each timestep x, with omega = 1.
 
-    elliptic = elliptic & ~hyperbolic
-    undefined = np.full(disc.shape, np.nan)
-    xi, theta, m_star, k_star = (undefined.copy() for _ in range(4))
-    xi[elliptic] = np.sqrt(disc[elliptic])
-    # math.atan2 point by point: np.arctan2 can differ from it in the last bit
-    theta[elliptic] = [math.atan2(a, b) for a, b in
-                       zip(xi[elliptic].tolist(), half_trace[elliptic].tolist())]
-    omega_a = theta / np.abs(mat.eps)
-    shaped = elliptic & (mat.nu * mat.tau > 0)
-    root = np.sqrt(mat.tau[shaped] / mat.nu[shaped])
-    m_star[shaped] = 1.0 / (omega_a[shaped] * root)
-    k_star[shaped] = omega_a[shaped] / root
-    # regime by code: 0 elliptic, 1 parabolic, 2 hyperbolic
-    regimes = np.array(list(Regime), dtype=object)
-    regime = regimes[np.where(hyperbolic, 2, np.where(elliptic, 0, 1))]
-    return SpectralData(theta, xi, omega_a, m_star, k_star, regime, reversible)
+    value is None where the quantity is undefined in the map's regime. Each
+    point is `_entries` and `_rotation` on the float build read once, so it
+    equals `spectral(scheme_matrix(s, x, 1.0))` bit for bit without making
+    either object; the phase error is 2*pi*(omega_a - 1), as in
+    `analysis.phase_error`.
+    """
+    if quantity not in SWEEP_QUANTITIES:
+        raise ValueError(f"unknown sweep quantity {quantity!r}; "
+                         f"choose from {', '.join(SWEEP_QUANTITIES)}")
+    polys = _polynomials(s, False)
+    rows = []
+    for x in xs:
+        g, tau, nu, h = _entries(polys, x, 1.0)
+        _, _, omega_a, m_star, k_star, regime, _ = _rotation(g, tau, nu, h, x)
+        if quantity == "omega_a":
+            value = omega_a
+        elif quantity == "phase_error":
+            value = None if omega_a is None else 2.0 * math.pi * (omega_a - 1.0)
+        elif quantity == "det":
+            value = g * h + tau * nu
+        elif quantity == "trace":
+            value = g + h
+        elif quantity == "m_star":
+            value = m_star
+        else:
+            value = k_star
+        rows.append((x, value, regime))
+    return rows
 
 
 def _require_elliptic(mat: PhaseMatrix) -> SpectralData:
@@ -311,27 +303,21 @@ def _require_elliptic(mat: PhaseMatrix) -> SpectralData:
     return data
 
 
-def propagate_closed_form(mat: PhaseMatrix, t: float) -> np.ndarray:
+def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     """Exact evolution over continuous time t as rotation plus translation.
 
-    Returns R + Sigma where R is the pure rotation with angle theta*t/eps and
-    Sigma = ((g-h)/(2 xi)) sin(theta t/eps) diag(1, -1). Sigma vanishes
-    exactly for time-reversible maps (h = g). t need not be a multiple of
-    the timestep; at t = N*eps the result equals the N-fold matrix power.
+    Returns the rows ((a, b), (c, d)) of R + Sigma, where R is the pure
+    rotation with angle theta*t/eps and Sigma = ((g-h)/(2 xi))
+    sin(theta t/eps) diag(1, -1). Sigma vanishes exactly for time-reversible
+    maps (h = g). t need not be a multiple of the timestep; at t = N*eps the
+    result equals the N-fold matrix power.
     """
-    import numpy as np
-
     data = _require_elliptic(mat)
     angle = data.theta * t / mat.eps
     c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([
-        [c, (mat.tau / data.xi) * s],
-        [-(mat.nu / data.xi) * s, c],
-    ])
     shift = ((mat.g - mat.h) / (2.0 * data.xi)) * s
-    rot[0, 0] += shift
-    rot[1, 1] -= shift
-    return rot
+    return ((c + shift, (mat.tau / data.xi) * s),
+            (-(mat.nu / data.xi) * s, c - shift))
 
 
 def modified_hamiltonian(data: SpectralData, q: float, p: float) -> float:
@@ -348,15 +334,13 @@ def modified_hamiltonian(data: SpectralData, q: float, p: float) -> float:
     return p * p / (2.0 * data.m_star) + 0.5 * data.k_star * q * q
 
 
-def invariant_quadratic_form(mat: PhaseMatrix) -> np.ndarray:
-    """The symmetric matrix Q = [[nu, (g-h)/2], [(g-h)/2, tau]].
+def invariant_quadratic_form(mat: PhaseMatrix) -> Rows:
+    """The rows of the symmetric matrix Q = [[nu, (g-h)/2], [(g-h)/2, tau]].
 
     The quadratic form (q, p) Q (q, p)^T is exactly conserved by the map:
     M^T Q M = Q whenever det M = 1, reversible or not. For non-reversible
     maps the off-diagonal entry tilts the invariant ellipse.
     """
-    import numpy as np
-
     _require_elliptic(mat)
     w = (mat.g - mat.h) / 2.0
-    return np.array([[mat.nu, w], [w, mat.tau]], dtype=float)
+    return ((mat.nu, w), (w, mat.tau))

@@ -20,9 +20,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oscmap.cli import main
+from oscmap.cli import _sweep_grid, main
 
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -201,9 +203,31 @@ def test_mpmath_not_imported_outside_richardson_check(args):
     ["-m", "oscmap", "analyze", "LF1"],
     ["-m", "oscmap", "stability", "BM"],
     ["-m", "oscmap", "convergence", "C", "--x", "0.5", "-K", "20"],
+    ["-m", "oscmap", "sweep", "BM", "--min", "0.1", "--max", "4", "--points", "50"],
+    ["-m", "oscmap", "sweep", "C", "--min", "0.1", "--max", "4", "--points", "50",
+     "--quantity", "det", "--format", "json"],
+    ["-m", "oscmap", "simulate", "FR", "--x", "0.5", "--steps", "100"],
+    ["-m", "oscmap", "simulate", "LF1", "--x", "0.5", "--steps", "100"],
+    ["-m", "oscmap", "simulate", "SV", "--x", "2.5", "--steps", "2000",
+     "--stride", "100"],
 ])
-def test_numpy_not_imported_outside_array_work(args):
+def test_numpy_never_imported(args):
     assert "numpy" not in _imported_packages(args)
+
+
+# --------------------------------------------------------------- sweep grid
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(0.0, 1e6, exclude_min=True),
+       width=st.floats(0.0, 1e6, exclude_min=True),
+       points=st.integers(2, 400))
+@example(lo=5e-324, width=5e-324, points=7)  # the step underflows to 0
+@example(lo=0.1, width=3.9, points=2)
+def test_sweep_grid_is_linspace_bitwise(lo, width, points):
+    hi = lo + width
+    assume(lo < hi)
+    assert ([x.hex() for x in _sweep_grid(lo, hi, points)]
+            == [x.hex() for x in np.linspace(lo, hi, points).tolist()])
 
 
 def test_simulate_accepts_negative_x(capsys):

@@ -6,18 +6,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from oscmap import phasemap
-from oscmap.analysis import stability_limit
+from oscmap.analysis import phase_error, stability_limit
 from oscmap.schemes import GKICK, Step, get_scheme, is_symmetric, registry
 from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, invariant_quadratic_form,
-    modified_hamiltonian, propagate_closed_form, scheme_matrix,
-    scheme_series_matrix, spectral,
+    SWEEP_QUANTITIES, modified_hamiltonian, propagate_closed_form,
+    scheme_matrix, scheme_series_matrix, spectral, sweep,
 )
 
 F = Fraction
+
+
+def _array(m):
+    """A numeric map as the 2x2 numpy array [[g, tau], [-nu, h]]."""
+    return np.array([[m.g, m.tau], [-m.nu, m.h]])
 
 
 # ------------------------------------------------------------ scheme matrices
@@ -43,7 +47,7 @@ def test_sv_symbolic_entries():
 
 def test_any_scheme_identity_at_zero_step():
     for s in registry():
-        m = scheme_matrix(s, 0.0, 1.0).as_array()
+        m = _array(scheme_matrix(s, 0.0, 1.0))
         assert np.array_equal(m, np.eye(2))
 
 
@@ -214,7 +218,7 @@ def test_spectral_rejects_nan_entries():
     with pytest.raises(ValueError, match="NaN"):
         spectral(PhaseMatrix(nan, 1.0, 1.0, nan, 1.0, 1.0))
     with pytest.raises(ValueError, match="NaN"):
-        spectral(scheme_matrix(get_scheme("SV"), np.array([0.5, nan]), 1.0))
+        spectral(scheme_matrix(get_scheme("SV"), nan, 1.0))
 
 
 def test_spectral_negative_step_keeps_shadow_parameters():
@@ -227,34 +231,44 @@ def test_spectral_negative_step_keeps_shadow_parameters():
         assert fwd.omega_a > 0 and fwd.m_star > 0 and fwd.k_star > 0
 
 
-# --------------------------------------------------------------- grid form
+# -------------------------------------------------------------------- sweep
 
 def _bits(v):
-    """Exact identity of a float cell, sign of zero included; None for undefined."""
-    return None if v is None or math.isnan(v) else float(v).hex()
+    return None if v is None else float(v).hex()
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(-6.0, 6.0), max_size=30), st.sampled_from([1.0, 2.5]))
-def test_grid_matches_scalar_calls_bitwise(extra, omega):
-    # eps = 0 is parabolic for every scheme and x = +-2 for SV; the fixed
-    # grid crosses every registry scheme's stability limit both ways
-    grid = np.concatenate([np.linspace(-6.0, 6.0, 121),
-                           [0.0, 2.0 / omega, -2.0 / omega], extra])
+def _sweep_test_grid() -> list[float]:
+    """x over (0, 8], each registry stability limit +-1 ulp and SV's x = 2."""
+    xs = np.linspace(0.05, 8.0, 160).tolist() + [2.0]
     for s in registry():
-        m = scheme_matrix(s, grid, omega)
+        limit = stability_limit(s).x_max
+        xs += [math.nextafter(limit, 0.0), limit, math.nextafter(limit, 9.0)]
+    return xs
+
+
+@pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
+@pytest.mark.parametrize("s", registry(), ids=lambda s: s.name)
+def test_sweep_is_the_scalar_calls_bitwise(s, quantity):
+    xs = _sweep_test_grid()
+    rows = sweep(s, xs, quantity)
+    assert [x for x, _, _ in rows] == xs
+    for x, value, regime in rows:
+        m = scheme_matrix(s, x, 1.0)
         d = spectral(m)
-        for i, eps in enumerate(grid.tolist()):
-            ms = scheme_matrix(s, eps, omega)
-            ds = spectral(ms)
-            for entry in ("g", "tau", "nu", "h"):
-                assert _bits(getattr(m, entry)[i]) == _bits(getattr(ms, entry))
-            for field in ("theta", "xi", "omega_a", "m_star", "k_star"):
-                assert _bits(getattr(d, field)[i]) == _bits(getattr(ds, field))
-            assert d.regime[i] is ds.regime
-            assert d.reversible[i] == ds.reversible
-        if s.name == "SV" and omega == 1.0:
-            assert set(d.regime) == set(Regime)
+        elliptic = d.regime is Regime.ELLIPTIC
+        expected = {
+            "omega_a": d.omega_a, "m_star": d.m_star, "k_star": d.k_star,
+            "phase_error": phase_error(s, x) if elliptic else None,
+            "det": m.det(), "trace": m.trace(),
+        }[quantity]
+        assert (_bits(value), regime) == (_bits(expected), d.regime), x
+    if s.name == "SV":
+        assert {regime for _, _, regime in rows} == set(Regime)
+
+
+def test_sweep_rejects_an_unknown_quantity():
+    with pytest.raises(ValueError, match="unknown sweep quantity 'theta'"):
+        sweep(get_scheme("SV"), [0.5], "theta")
 
 
 # ------------------------------------------------------------- closed form
@@ -267,23 +281,23 @@ def test_propagate_zero_time_is_identity():
 def test_propagate_single_step_reproduces_matrix():
     for name in ("SV", "FR", "LF1", "C"):
         m = scheme_matrix(get_scheme(name), 0.4, 1.0)
-        assert np.allclose(propagate_closed_form(m, 0.4), m.as_array(),
+        assert np.allclose(propagate_closed_form(m, 0.4), _array(m),
                            rtol=0, atol=1e-14)
 
 
 def test_propagate_matches_matrix_power():
     m = scheme_matrix(get_scheme("SV"), 0.3, 1.0)
     for n in (1, 10, 1000, 10000):
-        brute = np.linalg.matrix_power(m.as_array(), n)
-        closed = propagate_closed_form(m, n * 0.3)
+        brute = np.linalg.matrix_power(_array(m), n)
+        closed = np.array(propagate_closed_form(m, n * 0.3))
         assert np.max(np.abs(brute - closed)) <= 1e-9
 
 
 def test_propagate_matches_matrix_power_nonreversible():
     m = scheme_matrix(get_scheme("LF1"), 0.5, 1.0)
     for n in (1, 10, 1000):
-        brute = np.linalg.matrix_power(m.as_array(), n)
-        closed = propagate_closed_form(m, n * 0.5)
+        brute = np.linalg.matrix_power(_array(m), n)
+        closed = np.array(propagate_closed_form(m, n * 0.5))
         assert np.max(np.abs(brute - closed)) <= 1e-10
 
 
@@ -332,14 +346,14 @@ def test_modified_hamiltonian_rejects_nonreversible():
 
 def test_invariant_form_reversible_is_diagonal():
     q = invariant_quadratic_form(scheme_matrix(get_scheme("SV"), 0.3, 1.0))
-    assert q[0, 1] == 0.0 and q[1, 0] == 0.0
+    assert q[0][1] == 0.0 and q[1][0] == 0.0
 
 
 def test_invariant_form_conserved_under_map():
     for name in ("SV", "LF1", "FR", "C", "M", "BM"):
         m = scheme_matrix(get_scheme(name), 0.2, 1.0)
-        q = invariant_quadratic_form(m)
-        a = m.as_array()
+        q = np.array(invariant_quadratic_form(m))
+        a = _array(m)
         assert np.max(np.abs(a.T @ q @ a - q)) <= 1e-12
 
 
@@ -347,14 +361,14 @@ def test_invariant_form_first_order_cross_term():
     # cross term magnitude relative to the p^2 entry is eps*w^2/2
     x = 0.2
     m = scheme_matrix(get_scheme("LF1"), x, 1.0)
-    q = invariant_quadratic_form(m)
-    assert math.isclose(abs(q[0, 1]) / q[1, 1], x / 2, rel_tol=1e-12)
+    (_, cross), (_, p2) = invariant_quadratic_form(m)
+    assert math.isclose(abs(cross) / p2, x / 2, rel_tol=1e-12)
 
 
 def test_invariant_form_tilt_approaches_45_degrees():
     for x in (0.05, 0.02):
         q = invariant_quadratic_form(scheme_matrix(get_scheme("LF1"), x, 1.0))
-        evals, evecs = np.linalg.eigh(q)
+        evals, evecs = np.linalg.eigh(np.array(q))
         major = evecs[:, 0]  # smaller eigenvalue = longer axis
         tilt = math.degrees(math.atan2(major[1], major[0]))
         if tilt > 90:
@@ -381,5 +395,5 @@ def test_time_reversibility_of_symmetric_schemes():
         for x in (0.1, 0.7, 1.4):
             fwd = scheme_matrix(s, x, 1.0)
             back = scheme_matrix(s, -x, 1.0)
-            prod = (back @ fwd).as_array()
+            prod = _array(back @ fwd)
             assert np.max(np.abs(prod - np.eye(2))) <= 1e-12

@@ -118,11 +118,11 @@ def test_adjoint_inverts_under_negative_timestep(seed):
     eps = 0.37
     m_fwd = phasemap.scheme_matrix(s, eps, 1.0)
     m_back = phasemap.scheme_matrix(adjoint(s), -eps, 1.0)
-    prod = (m_back @ m_fwd).as_array()
-    assert abs(prod[0, 0] - 1) <= 1e-12
-    assert abs(prod[1, 1] - 1) <= 1e-12
-    assert abs(prod[0, 1]) <= 1e-12
-    assert abs(prod[1, 0]) <= 1e-12
+    prod = m_back @ m_fwd
+    assert abs(prod.g - 1) <= 1e-12
+    assert abs(prod.h - 1) <= 1e-12
+    assert abs(prod.tau) <= 1e-12
+    assert abs(prod.nu) <= 1e-12
 
 
 # ------------------------------------------------------------- file I/O

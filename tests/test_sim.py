@@ -1,22 +1,105 @@
-"""Tests for the brute-force iteration oracle, phase drift, and portraits."""
+"""Tests for the brute-force iteration oracle, phase drift, and portraits.
+
+Phase drift and the portrait fit are measurements made on `iterate`'s
+samples with numpy; they live here as test helpers, not in the package.
+"""
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oscmap.analysis import phase_error, order_coefficient
 from oscmap.phasemap import (
-    RegimeError, invariant_quadratic_form, propagate_closed_form,
-    scheme_matrix,
+    Regime, RegimeError, invariant_quadratic_form, propagate_closed_form,
+    scheme_matrix, spectral,
 )
 from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
     registry,
 )
-from oscmap.sim import iterate, phase_drift, portrait
+from oscmap.sim import iterate
+
+
+def _phase(s, rec, eps, omega):
+    """Unwrapped angle atan2(p, sqrt(m* k*) q) of the samples, or None.
+
+    None where m* and k* are undefined (not elliptic, or nu*tau <= 0).
+    Reliable when consecutive samples advance by less than pi (stride 1 and
+    moderate eps*omega).
+    """
+    data = spectral(scheme_matrix(s, eps, omega))
+    if data.regime is not Regime.ELLIPTIC or data.m_star is None:
+        return None
+    scale = math.sqrt(data.m_star * data.k_star)
+    return np.unwrap(np.arctan2(rec.p, scale * np.array(rec.q)))
+
+
+def phase_drift(s, x, periods):
+    """Accumulated phase error after the given number of periods.
+
+    Runs the trajectory at eps = x with omega = 1, measures the rotation
+    angle swept in the rescaled plane (sqrt(m* k*) q, p), and subtracts the
+    exact rotation omega*t at t = periods * 2*pi. The map rotates by exactly
+    theta per step, so the angle is linear in the step index and linear
+    interpolation onto t (not a multiple of eps in general) is exact up to
+    roundoff.
+    """
+    if not x > 0.0:
+        raise ValueError(f"phase drift needs a positive x, got {x!r}")
+    if periods < 0:
+        raise ValueError("periods must be non-negative")
+    if periods == 0:
+        return 0.0
+    data = spectral(scheme_matrix(s, x, 1.0))
+    if data.regime is not Regime.ELLIPTIC:
+        raise RegimeError(f"{data.regime.value} map at x = {x}: {data.detail}")
+    if not data.reversible:
+        raise ValueError("phase drift is defined for time-reversible schemes")
+    t_star = periods * 2.0 * math.pi
+    j = int(t_star / x)
+    frac = t_star / x - j
+    # j + 1 steps, so rotation[j + 1] exists also when t_star / x is whole
+    phase = _phase(s, iterate(s, 1.0, 0.0, x, 1.0, j + 1, 1), x, 1.0)
+    rotation = -(phase - phase[0])  # clockwise sweep, increasing
+    swept = rotation[j] + frac * (rotation[j + 1] - rotation[j])
+    return float(swept - t_star)
+
+
+@dataclass(frozen=True)
+class PortraitFit:
+    """Least-squares conic through a sampled orbit: A q^2 + B qp + C p^2 = 1."""
+
+    conic: np.ndarray        # [[A, B/2], [B/2, C]]
+    tilt_deg: float          # principal (major) axis angle in (-90, 90]
+    axis_ratio: float        # major/minor semi-axis ratio, >= 1
+
+
+def portrait(s, q0, p0, eps, omega, n_steps):
+    """Sample an orbit and fit the invariant ellipse through it."""
+    if n_steps < 8:
+        raise ValueError("need at least 8 points for a conic fit")
+    data = spectral(scheme_matrix(s, eps, omega))
+    if data.regime is not Regime.ELLIPTIC:
+        raise RegimeError(f"{data.regime.value} map: {data.detail}")
+    rec = iterate(s, q0, p0, eps, omega, n_steps, 1)
+    q, p = np.array(rec.q), np.array(rec.p)
+    design = np.column_stack([q**2, q * p, p**2])
+    coef, *_ = np.linalg.lstsq(design, np.ones(len(q)), rcond=None)
+    a, b, c = coef
+    conic = np.array([[a, b / 2.0], [b / 2.0, c]])
+    evals, evecs = np.linalg.eigh(conic)
+    major = evecs[:, 0]  # smaller eigenvalue = longer semi-axis
+    tilt = math.degrees(math.atan2(major[1], major[0]))
+    if tilt > 90.0:
+        tilt -= 180.0
+    elif tilt <= -90.0:
+        tilt += 180.0
+    ratio = math.sqrt(evals[1] / evals[0])
+    return PortraitFit(conic, tilt, ratio)
 
 
 def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
@@ -55,9 +138,9 @@ def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
 def _assert_matches_generic_loop(s, q0, p0, eps, omega, n_steps, stride):
     rec = iterate(s, q0, p0, eps, omega, n_steps, stride)
     idx, qs, ps = _generic_loop(s, q0, p0, eps, omega, n_steps, stride)
-    assert rec.step_index.tolist() == idx
-    assert [float.hex(float(v)) for v in rec.q] == [float.hex(v) for v in qs]
-    assert [float.hex(float(v)) for v in rec.p] == [float.hex(v) for v in ps]
+    assert rec.step_index == idx
+    assert [float.hex(v) for v in rec.q] == [float.hex(v) for v in qs]
+    assert [float.hex(v) for v in rec.p] == [float.hex(v) for v in ps]
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +168,6 @@ def _step_counts(draw):
     return n_steps, stride
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x up to 7.5 diverges
 @settings(max_examples=60, deadline=None)
 @given(which=st.integers(0, len(registry())),
        counts=_step_counts(),
@@ -97,7 +179,6 @@ def test_iterate_matches_generic_loop_bitwise(uneven_scheme, which, counts,
     _assert_matches_generic_loop(schemes[which], q0, p0, eps, omega, *counts)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n_steps, stride", [(600, 1), (2000, 100)])
 def test_iterate_matches_generic_loop_when_diverging(n_steps, stride):
     # SV at x = 2.5 (the CLI's diverging run) overflows to inf at step 514
@@ -107,6 +188,44 @@ def test_iterate_matches_generic_loop_when_diverging(n_steps, stride):
     assert np.isnan(rec.q[-1])
     assert np.isinf(rec.q).any() == (stride == 1)
     _assert_matches_generic_loop(s, 1.0, 0.0, 2.5, 1.0, n_steps, stride)
+
+
+def _array_energies(s, rec, eps, omega):
+    """Energy and shadow energy by the numpy formulas `iterate` once used."""
+    q, p = np.array(rec.q), np.array(rec.p)
+    modified = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = 0.5 * p**2 + 0.5 * (omega * q) ** 2
+        data = spectral(scheme_matrix(s, eps, omega))
+        if (data.regime is Regime.ELLIPTIC and data.m_star is not None
+                and data.reversible):
+            modified = p**2 / (2.0 * data.m_star) + 0.5 * data.k_star * q**2
+    return energy, modified
+
+
+def _hexes(values):
+    return None if values is None else [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(registry()) - 1),
+       q0=st.floats(-10, 10), p0=st.floats(-10, 10),
+       eps=st.floats(-3, 3), omega=st.sampled_from((1.0, 2.5)),
+       stride=st.integers(1, 7))
+@example(which=0, q0=1.0, p0=0.0, eps=2.5, omega=1.0, stride=1)  # SV diverging
+def test_energies_match_the_array_formulas_bitwise(which, q0, p0, eps, omega,
+                                                   stride):
+    s = registry()[which]
+    rec = iterate(s, q0, p0, eps, omega, 600, stride)
+    energy, modified = _array_energies(s, rec, eps, omega)
+    assert _hexes(rec.energy) == _hexes(energy)
+    assert _hexes(rec.modified_energy) == _hexes(modified)
+
+
+def test_energies_of_the_diverging_run_overflow_to_inf_and_nan():
+    # p * p overflows to inf here, where a float p ** 2 would raise
+    rec = iterate(get_scheme("SV"), 1.0, 0.0, 2.5, 1.0, 600)
+    assert any(map(math.isinf, rec.energy)) and math.isnan(rec.energy[-1])
 
 
 def test_schemes_sharing_a_pattern_keep_their_coefficients():
@@ -135,7 +254,8 @@ def test_single_step_matches_matrix():
                             for q0, p0 in ((1.0, 0.0), (0.0, 1.0))]
                     ref = np.array([[c.q[-1] for c in cols],
                                     [c.p[-1] for c in cols]])
-                    m = scheme_matrix(s, eps, omega).as_array()
+                    m = scheme_matrix(s, eps, omega)
+                    m = np.array([[m.g, m.tau], [-m.nu, m.h]])
                     assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -143,7 +263,7 @@ def test_iterate_matches_closed_form_long_run():
     s = get_scheme("SV")
     rec = iterate(s, 1.0, 0.0, 0.3, 1.0, 10_000, sample_stride=10_000)
     m = scheme_matrix(s, 0.3, 1.0)
-    ref = propagate_closed_form(m, 10_000 * 0.3) @ np.array([1.0, 0.0])
+    ref = np.array(propagate_closed_form(m, 10_000 * 0.3)) @ np.array([1.0, 0.0])
     assert abs(rec.q[-1] - ref[0]) <= 1e-9
     assert abs(rec.p[-1] - ref[1]) <= 1e-9
 
@@ -153,7 +273,7 @@ def test_iterate_matches_closed_form_all_schemes(x):
     for s in registry():
         rec = iterate(s, 1.0, 0.0, x, 1.0, 10_000, sample_stride=10_000)
         ref = propagate_closed_form(scheme_matrix(s, x, 1.0), 10_000 * x)
-        state = ref @ np.array([1.0, 0.0])
+        state = np.array(ref) @ np.array([1.0, 0.0])
         assert abs(rec.q[-1] - state[0]) <= 1e-9
         assert abs(rec.p[-1] - state[1]) <= 1e-9
 
@@ -168,15 +288,15 @@ def test_iterate_hyperbolic_growth():
 def test_modified_energy_constant():
     rec = iterate(get_scheme("SV"), 1.0, 0.0, 0.5, 1.0, 100_000,
                   sample_stride=100)
-    h_a = rec.modified_energy
-    assert h_a is not None
+    assert rec.modified_energy is not None
+    h_a = np.array(rec.modified_energy)
     assert np.max(np.abs(h_a - h_a[0])) / abs(h_a[0]) <= 1e-10
 
 
 def test_true_energy_bounded_not_growing():
     rec = iterate(get_scheme("SV"), 1.0, 0.0, 0.5, 1.0, 100_000,
                   sample_stride=1)
-    dev = np.abs(rec.energy - rec.energy[0])
+    dev = np.abs(np.array(rec.energy) - rec.energy[0])
     # O(x^2) bounded oscillation: window maxima constant across the run.
     # Windows must be long enough that the discrete sampling lands within
     # ~4e-5 rad of the envelope peak; 25k steps per window suffices.
@@ -198,9 +318,10 @@ def test_reversibility_round_trip():
 
 
 def test_non_reversible_excluded_from_modified_energy():
-    rec = iterate(get_scheme("LF1"), 1.0, 0.0, 0.3, 1.0, 10)
+    s = get_scheme("LF1")
+    rec = iterate(s, 1.0, 0.0, 0.3, 1.0, 10)
     assert rec.modified_energy is None
-    assert rec.phase is not None  # rotation angle still well defined
+    assert _phase(s, rec, 0.3, 1.0) is not None  # rotation angle still defined
 
 
 # ------------------------------------------------------------------- drift
@@ -267,7 +388,7 @@ def test_portrait_conic_matches_invariant_form():
     for name in ("SV", "LF1"):
         s = get_scheme(name)
         fit = portrait(s, 1.0, 0.0, 0.3, 1.0, 3000)
-        q_ref = invariant_quadratic_form(scheme_matrix(s, 0.3, 1.0))
+        q_ref = np.array(invariant_quadratic_form(scheme_matrix(s, 0.3, 1.0)))
         got = fit.conic / np.linalg.norm(fit.conic)
         ref = q_ref / np.linalg.norm(q_ref)
         assert np.max(np.abs(got - ref)) <= 0.01 * np.max(np.abs(ref))
