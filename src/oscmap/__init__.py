@@ -20,7 +20,7 @@ from .series import Series, asin
 from .schemes import (
     DRIFT, KICK, GKICK, Step, Scheme, SchemeError, SchemeFileError,
     adjoint, get_scheme, has_exact_coefficients, is_symmetric, load_scheme,
-    registry, registry_names, save_scheme, scheme_to_dict, DATA_DIR_ENV,
+    registry, registry_names, DATA_DIR_ENV,
 )
 from .phasemap import (
     PhaseMatrix, Regime, RegimeError, SpectralData, invariant_quadratic_form,
@@ -41,7 +41,7 @@ __all__ = [
     "DRIFT", "KICK", "GKICK", "Step", "Scheme", "SchemeError",
     "SchemeFileError", "adjoint", "get_scheme", "has_exact_coefficients",
     "is_symmetric", "load_scheme", "registry", "registry_names",
-    "save_scheme", "scheme_to_dict", "DATA_DIR_ENV",
+    "DATA_DIR_ENV",
     "PhaseMatrix", "Regime", "RegimeError", "SpectralData",
     "invariant_quadratic_form", "modified_hamiltonian",
     "propagate_closed_form", "scheme_matrix", "scheme_series_matrix",

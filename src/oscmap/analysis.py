@@ -1,15 +1,17 @@
 """Benchmark quantities of a scheme: frequency series, phase error, cost.
 
-For a time-reversible (palindromic) scheme the one-step map has equal
-diagonal entries g = h and unit determinant, so its rotation angle satisfies
-sin(theta) = sqrt(nu * tau). The modified-frequency expansion
+The one-step map [[g, tau], [-nu, h]] has unit determinant, so its rotation
+angle satisfies sin^2(theta) = nu*tau - w^2 with w = (g - h)/2, for any
+scheme, reversible or not. The modified-frequency expansion
 
-    omega_a / omega = asin(sqrt(nu * tau)) / x,    x = eps * omega,
+    omega_a / omega = asin(sqrt(nu*tau - w^2)) / x,    x = eps * omega,
 
 is computed here entirely inside the truncated series ring, which makes the
 coefficients exact in rational mode. The leading coefficient beyond 1 is the
 order coefficient c_n, the per-period phase error being 2*pi*c_n*x^n to
-leading order.
+leading order. The tilt amplitude w/sin(theta) of the invariant ellipse is
+a series too: identically zero for a palindromic scheme, where g = h, and
+starting at x^1 for a first-order one.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import series as series_mod
 from .phasemap import (Regime, RegimeError, _polynomials, scheme_matrix,
                        scheme_series_matrix, spectral)
-from .schemes import DRIFT, GKICK, Scheme, get_scheme, is_symmetric
-from .series import Series
+from .schemes import DRIFT, GKICK, Scheme, get_scheme
+from .series import Series, _is_zero
 
 if TYPE_CHECKING:
     import mpmath
@@ -35,10 +37,6 @@ __all__ = [
     "stability_limit", "convergence_study", "analyze",
     "RICHARDSON_GRID", "RICHARDSON_RTOL",
 ]
-
-#: Series coefficients at or below this magnitude count as zero when the
-#: leading order is extracted.
-COEFF_TOL = 1e-14
 
 #: Grid for the numeric Richardson cross-check of the order coefficient.
 RICHARDSON_GRID = (1e-2, 5e-3, 2.5e-3)
@@ -59,29 +57,30 @@ class StabilityLimit(NamedTuple):
 
 
 def _frequency_parts(s: Scheme, order: int, exact: bool | None):
-    """(tau/x, nu/x, asin(sqrt(nu*tau))/x) at truncation order + 2."""
-    if not is_symmetric(s):
-        raise AnalysisError(
-            f"scheme {s.name!r} is not palindromic: the series route assumes "
-            "equal diagonal entries (time reversibility)"
-        )
+    """(tau/x, nu/x, w/x, sin(theta)/x, omega_a/omega) at truncation order + 1.
+
+    w/x = (g - h)/(2x) is defined because g(0) = h(0) = 1, and is exactly
+    zero for a palindromic scheme, whose products the ring then skips.
+    """
     m = scheme_series_matrix(s, order + 2, exact)
     t1 = m.tau.divided_by_x()
     n1 = m.nu.divided_by_x()
-    xi = (t1 * n1).sqrt().times_x()
-    return t1, n1, series_mod.asin(xi).divided_by_x()
+    w1 = ((m.g - m.h) / 2).divided_by_x()
+    s1 = (t1 * n1 - w1 * w1).sqrt()
+    return t1, n1, w1, s1, series_mod.asin(s1.times_x()).divided_by_x()
 
 
 def omega_a_series(s: Scheme, order: int = 10,
                    exact: bool | None = None) -> Series:
-    """Series of omega_a/omega in x = eps*omega for a reversible scheme.
+    """Series of omega_a/omega in x = eps*omega, for any scheme.
 
-    Both tau and nu are odd with leading coefficient x, so xi = sqrt(nu*tau)
-    is built by stripping one power of x from each factor, taking the square
-    root of the even ratio, and restoring the power; the result is
-    asin(xi)/x, truncated at `order`.
+    tau and nu are odd with leading coefficient x and w = (g - h)/2 is even
+    with no constant term, so sin(theta) = sqrt(nu*tau - w^2) is built by
+    stripping one power of x from each, taking the square root of the even
+    remainder, and restoring the power; the result is asin(sin(theta))/x,
+    truncated at `order`.
     """
-    return _frequency_parts(s, order, exact)[2].truncated(order)
+    return _frequency_parts(s, order, exact)[4].truncated(order)
 
 
 def effective_param_series(s: Scheme, order: int = 10,
@@ -92,16 +91,21 @@ def effective_param_series(s: Scheme, order: int = 10,
     (omega_a/omega) * sqrt(nu/tau), with the product equal to
     (omega_a/omega)^2 term by term.
     """
-    return _frequency_series(s, order, exact)[1:]
+    return _frequency_series(s, order, exact)[1:3]
 
 
-def _frequency_series(s: Scheme, order: int,
-                      exact: bool | None = None) -> tuple[Series, Series, Series]:
-    """(omega_a/omega, 1/m*, k*/omega^2) from one build of the frequency parts."""
-    t1, n1, wa = _frequency_parts(s, order, exact)
+def _frequency_series(s: Scheme, order: int, exact: bool | None = None
+                      ) -> tuple[Series, Series, Series, Series]:
+    """(omega_a/omega, 1/m*, k*/omega^2, sigma) from one build of the parts.
+
+    sigma = w/sin(theta) is the tilt amplitude (g - h)/(2 sin(theta)) of the
+    closed-form evolution.
+    """
+    t1, n1, w1, s1, wa = _frequency_parts(s, order, exact)
     ratio = (t1 * n1.reciprocal()).sqrt()
     return (wa.truncated(order), (wa * ratio).truncated(order),
-            (wa * ratio.reciprocal()).truncated(order))
+            (wa * ratio.reciprocal()).truncated(order),
+            (w1 * s1.reciprocal()).truncated(order))
 
 
 def phase_error(s: Scheme, x: float) -> float:
@@ -191,12 +195,8 @@ def _lead_order(s: Scheme) -> int:
 
 def _leading_term(s: Scheme, wa: Series):
     """(n, c_n) of order_coefficient, read from the omega_a series wa."""
-    n = None
-    for k in range(1, wa.order + 1):
-        c = wa.coeffs[k]
-        if not (abs(c) <= COEFF_TOL if isinstance(c, float) else c == 0):
-            n = k
-            break
+    n = next((k for k in range(1, wa.order + 1) if not _is_zero(wa.coeffs[k])),
+             None)
     if n is None:
         raise AnalysisError(
             f"leading order of {s.name!r} exceeds truncation order {wa.order}"
@@ -441,7 +441,7 @@ def convergence_study(s: Scheme, x: float, order: int = 20,
         rows.append(ConvergenceRow(k, acc, err))
     nonzero = [
         (k, abs(float(c))) for k, c in enumerate(wa.coeffs)
-        if k >= 1 and not (abs(float(c)) <= COEFF_TOL)
+        if k >= 1 and not _is_zero(float(c))
     ]
     radius = None
     if len(nonzero) >= 2:
@@ -458,7 +458,7 @@ def convergence_study(s: Scheme, x: float, order: int = 20,
 
 @dataclass(frozen=True)
 class PhaseErrorReport:
-    """Everything cmd_analyze prints for one reversible scheme."""
+    """Everything cmd_analyze prints for one scheme except `reversible`."""
 
     scheme: str
     order_declared: int
@@ -469,11 +469,12 @@ class PhaseErrorReport:
     omega_a: Series
     inv_mass: Series
     k_star: Series
+    sigma: Series
 
 
 def analyze(s: Scheme, order: int = 10,
             reference: Scheme | None = None) -> PhaseErrorReport:
-    """Full phase-error report; raises AnalysisError for non-reversible schemes.
+    """Full phase-error report of any scheme, reversible or not.
 
     The frequency series are built once, at the larger of `order` and the
     leading-term search order; series coefficients do not depend on the
@@ -486,7 +487,7 @@ def analyze(s: Scheme, order: int = 10,
         c_star = _normalized(s, reference, (n, c_n))
     except AnalysisError:
         c_star = None
-    wa, inv_mass, k_star = (f.truncated(order) for f in series)
+    wa, inv_mass, k_star, sigma = (f.truncated(order) for f in series)
     return PhaseErrorReport(
         scheme=s.name,
         order_declared=s.order,
@@ -497,4 +498,5 @@ def analyze(s: Scheme, order: int = 10,
         omega_a=wa,
         inv_mass=inv_mass,
         k_star=k_star,
+        sigma=sigma,
     )

@@ -133,15 +133,6 @@ def cmd_schemes(args) -> int:
 
 # ------------------------------------------------------------------ analyze
 
-def _emit_report(args, head: dict, lim: analysis.StabilityLimit,
-                 tail: list[list], **sections) -> None:
-    """Emit a report as head, stability and tail rows, or as one document."""
-    rows = [[k, "", v] for k, v in head.items()]
-    rows += [[f"stability_{k}", "", v] for k, v in lim._asdict().items()]
-    _emit(args, ["field", "key", "value"], rows + tail,
-          {**head, "stability": lim._asdict(), **sections})
-
-
 def _check_order(args) -> None:
     if args.order < 0:
         raise SchemeError(f"{args.command} needs -K of at least 0")
@@ -150,35 +141,18 @@ def _check_order(args) -> None:
 def cmd_analyze(args) -> int:
     _check_order(args)
     s = _resolve_scheme(args)
-    if not is_symmetric(s):
-        return _analyze_nonreversible(s, args)
     rep = analysis.analyze(s, args.order)
-    head = {"scheme": rep.scheme, "reversible": True,
+    head = {"scheme": rep.scheme, "reversible": is_symmetric(s),
             "declared_order": rep.order_declared, "n": rep.n,
             "c_n": rep.c_n, "c_star": rep.c_star}
+    lim = rep.stability._asdict()
     series = {name: [float(c) for c in getattr(rep, name).coeffs]
-              for name in ("omega_a", "inv_mass", "k_star")}
-    tail = [[name, k, c] for name, cs in series.items() for k, c in enumerate(cs)]
-    _emit_report(args, head, rep.stability, tail, series=series)
-    return 0
-
-
-def _analyze_nonreversible(s, args) -> int:
-    note = ("series extraction needs a time-reversible (palindromic) scheme; "
-            "reporting closed-form translation diagnostics instead")
-    sigma = {}
-    for key in ("0.1", "0.3", "0.5"):
-        m = scheme_matrix(s, float(key), 1.0)
-        d = spectral(m)
-        if d.regime is Regime.ELLIPTIC:
-            sigma[key] = (m.g - m.h) / (2.0 * d.xi)
-        else:
-            sigma[key] = None
-    head = {"scheme": s.name, "reversible": False,
-            "declared_order": s.order, "note": note}
-    tail = [["sigma_amplitude", key, v] for key, v in sigma.items()]
-    _emit_report(args, head, analysis.stability_limit(s), tail,
-                 sigma_amplitude=sigma)
+              for name in ("omega_a", "inv_mass", "k_star", "sigma")}
+    rows = [[k, "", v] for k, v in head.items()]
+    rows += [[f"stability_{k}", "", v] for k, v in lim.items()]
+    rows += [[name, k, c] for name, cs in series.items() for k, c in enumerate(cs)]
+    _emit(args, ["field", "key", "value"], rows,
+          {**head, "stability": lim, "series": series})
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Factorization schemes: ordered kick/drift step lists, registry, file I/O.
+"""Factorization schemes: ordered kick/drift step lists, registry, file loading.
 
 A scheme is a palindromic-or-not sequence of elementary updates applied to the
 oscillator phase point in list order:
@@ -24,8 +24,7 @@ __all__ = [
     "DRIFT", "KICK", "GKICK", "Step", "Scheme",
     "SchemeError", "SchemeFileError",
     "is_symmetric", "adjoint", "has_exact_coefficients",
-    "registry", "registry_names", "get_scheme", "load_scheme",
-    "scheme_to_dict", "save_scheme", "DATA_DIR_ENV",
+    "registry", "registry_names", "get_scheme", "load_scheme", "DATA_DIR_ENV",
 ]
 
 DRIFT = "drift"
@@ -182,12 +181,16 @@ def _scheme_from_dict(obj: dict, where: str) -> Scheme:
     if not isinstance(obj["steps"], list) or not obj["steps"]:
         raise SchemeFileError(f"{where}: steps must be a non-empty array")
     steps = _steps_from_list(obj["steps"], where)
+    for key in ("order", "force_evals"):
+        v = obj[key]
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise SchemeFileError(f"{where}: {key} must be an integer, got {v!r}")
     try:
         return Scheme(
             name=str(obj["name"]),
             steps=steps,
-            order=int(obj["order"]),
-            force_evals=int(obj["force_evals"]),
+            order=obj["order"],
+            force_evals=obj["force_evals"],
             citation=str(obj.get("citation", "")),
         )
     except SchemeError as exc:
@@ -211,35 +214,6 @@ def load_scheme(path: str) -> Scheme:
     except json.JSONDecodeError as exc:
         raise SchemeFileError(f"{path}: invalid JSON: {exc}") from exc
     return _scheme_from_dict(obj, str(path))
-
-
-def scheme_to_dict(s: Scheme) -> dict:
-    """Plain-data form of a scheme, matching the coefficient-file format."""
-    steps = []
-    for st in s.steps:
-        d = {"kind": st.kind, "c": _plain_number(st.c)}
-        if st.kind == GKICK:
-            d["u"] = _plain_number(st.u)
-        steps.append(d)
-    return {
-        "name": s.name,
-        "order": s.order,
-        "force_evals": s.force_evals,
-        "citation": s.citation,
-        "steps": steps,
-    }
-
-
-def _plain_number(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else float(v)
-    return v
-
-
-def save_scheme(s: Scheme, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scheme_to_dict(s), fh, indent=2)
-        fh.write("\n")
 
 
 # ------------------------------------------------------------------ registry

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 __all__ = ["Series", "asin", "PARITY_TOL"]
 
-# Float coefficients with magnitude at or below this count as zero in parity
-# queries and zero-constant-term checks. Exact coefficients must be exactly 0.
+# Float coefficients with magnitude at or below this count as zero in
+# zero-constant-term checks and leading-term searches. Exact coefficients
+# must be exactly 0.
 PARITY_TOL = 1e-14
 
 
@@ -93,13 +94,6 @@ class Series:
     def one(cls, order: int) -> "Series":
         return cls([1], order)
 
-    @classmethod
-    def x(cls, order: int, coefficient=1) -> "Series":
-        """The monomial ``coefficient * x`` at the given truncation order."""
-        if order < 1:
-            raise ValueError("order must be at least 1 to represent x")
-        return cls([0, coefficient], order)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -124,20 +118,6 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({self.coeffs!r})"
-
-    def is_even(self, tol: float = PARITY_TOL) -> bool:
-        """True iff every odd-power coefficient vanishes."""
-        return all(self._parity_zero(c, tol) for c in self.coeffs[1::2])
-
-    def is_odd(self, tol: float = PARITY_TOL) -> bool:
-        """True iff every even-power coefficient vanishes."""
-        return all(self._parity_zero(c, tol) for c in self.coeffs[0::2])
-
-    @staticmethod
-    def _parity_zero(c, tol) -> bool:
-        if isinstance(c, float):
-            return abs(c) <= tol
-        return c == 0
 
     # -- ring arithmetic ----------------------------------------------
 

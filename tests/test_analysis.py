@@ -1,6 +1,7 @@
 """Tests for the frequency-series and phase-error benchmark machinery."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -16,10 +17,10 @@ from oscmap.analysis import (
     analyze, convergence_study, effective_param_series, normalized_coefficient,
     omega_a_series, order_coefficient, phase_error, stability_limit,
 )
-from oscmap.phasemap import RegimeError
+from oscmap.phasemap import RegimeError, scheme_matrix, spectral, sweep
 from oscmap.schemes import (
-    DRIFT, GKICK, KICK, Scheme, Step, adjoint, get_scheme, load_scheme,
-    registry_names, save_scheme,
+    DRIFT, GKICK, KICK, Scheme, Step, adjoint, get_scheme, is_symmetric,
+    load_scheme, registry, registry_names,
 )
 
 F = Fraction
@@ -49,9 +50,11 @@ def test_c_frequency_series_exact():
     assert wa.coeffs == [1, 0, 0, 0, F(1, 7680)]
 
 
-def test_omega_a_series_rejects_nonreversible():
-    with pytest.raises(AnalysisError, match="not palindromic"):
-        omega_a_series(get_scheme("LF1"), 6)
+@pytest.mark.parametrize("name", ["LF1", "LF1T"])
+def test_nonreversible_frequency_series_equals_sv(name):
+    # all three maps have the half trace 1 - x^2/2, so the same angle
+    assert omega_a_series(get_scheme(name), 20) == omega_a_series(
+        get_scheme("SV"), 20)
 
 
 def test_symmetric_series_have_no_odd_terms():
@@ -115,6 +118,40 @@ def test_mass_times_spring_is_frequency_squared(name):
     )
 
 
+# ------------------------------------------------------------- tilt series
+
+def _sigma(s, order):
+    return analysis._frequency_series(s, order)[3]
+
+
+def test_tilt_series_vanishes_for_palindromes():
+    for s in filter(is_symmetric, registry()):
+        assert not any(_sigma(s, 12).coeffs), s.name
+
+
+def test_tilt_series_first_order():
+    # sigma = (x/2) (1 - x^2/4)^(-1/2) for LF1, minus that for its transpose
+    sigma = _sigma(get_scheme("LF1"), 5)
+    assert sigma.coeffs == [0, F(1, 2), 0, F(1, 16), 0, F(3, 256)]
+    assert _sigma(get_scheme("LF1T"), 5) == -sigma
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("name", ["LF1", "LF1T"])
+def test_tilt_series_sums_to_the_numeric_tilt(name, x):
+    s = get_scheme(name)
+    m = scheme_matrix(s, x, 1.0)
+    tilt = (m.g - m.h) / (2.0 * spectral(m).xi)
+    assert abs(float(_sigma(s, 40)(x)) - tilt) <= 1e-12
+
+
+def test_lf1_inverse_mass_series_sums_to_the_sweep():
+    s = get_scheme("LF1")
+    inv_mass, _ = effective_param_series(s, 40)
+    [(_, m_star, _)] = sweep(s, [0.2], "m_star")
+    assert abs(float(inv_mass(0.2)) - 1.0 / m_star) <= 1e-12
+
+
 # ----------------------------------------------------------------- phase error
 
 def test_phase_error_sv_small_step():
@@ -174,10 +211,11 @@ def test_normalized_coefficients_table():
     assert abs(normalized_coefficient(get_scheme("C")) - 0.0062) <= 1e-4
 
 
-@pytest.mark.parametrize("name, checks", [("C", 2), ("FR", 1), ("SV", 1)])
+@pytest.mark.parametrize("name, checks",
+                         [("C", 2), ("FR", 1), ("SV", 1), ("LF1", 1)])
 def test_analyze_runs_each_richardson_check_once(name, checks, monkeypatch):
-    # C needs its own c_4 and FR's; FR is its own reference; SV has no c*.
-    # Each check needs one build of the frequency series, and no more.
+    # C needs its own c_4 and FR's; FR is its own reference; SV and LF1 have
+    # no c*. Each check needs one build of the frequency series, and no more.
     calls, builds = [], []
     check = analysis._richardson_order_coefficient
     parts = analysis._frequency_parts
@@ -330,8 +368,13 @@ def test_stability_limit_steps_over_touch_points(n, exact, tmp_path):
     # stable window, which ends at theta = pi, x = 2n
     s = _repeated_sv(n)
     if not exact:  # float coefficients, as read by --file
-        save_scheme(s, tmp_path / "s.json")
-        s = load_scheme(tmp_path / "s.json")
+        path = tmp_path / "s.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"name": s.name, "order": s.order,
+                       "force_evals": s.force_evals,
+                       "steps": [{"kind": st.kind, "c": float(st.c)}
+                                 for st in s.steps]}, fh)
+        s = load_scheme(path)
     lim = stability_limit(s)
     assert lim.bounded
     if exact or n != 3:  # 1/3 is not a float

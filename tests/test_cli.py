@@ -123,6 +123,22 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key", ["order", "force_evals"])
+@pytest.mark.parametrize("value", ["1e400", "null", "2.5", '"3"', "true", "NaN"])
+def test_scheme_file_metadata_must_be_an_integer(key, value, tmp_path):
+    doc = {"name": "SV", "order": 2, "force_evals": 1,
+           "steps": [{"kind": "kick", "c": 0.5}, {"kind": "drift", "c": 1},
+                     {"kind": "kick", "c": 0.5}]}
+    doc[key] = "@"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
+    proc = _oscmap(["stability", "--file", str(path)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("oscmap: error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr and key in proc.stderr
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--steps", ["simulate", "SV", "--x", "0.5", "--steps", "0"]),
     ("--stride", ["simulate", "SV", "--x", "0.5", "--steps", "10",

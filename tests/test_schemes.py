@@ -9,7 +9,7 @@ from oscmap import phasemap
 from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, SchemeError, SchemeFileError, Step,
     adjoint, get_scheme, has_exact_coefficients, is_symmetric, load_scheme,
-    registry, registry_names, save_scheme, scheme_to_dict,
+    registry, registry_names,
 )
 
 
@@ -127,16 +127,31 @@ def test_adjoint_inverts_under_negative_timestep(seed):
 
 # ------------------------------------------------------------- file I/O
 
+def _file_dict(s):
+    """The coefficient-file form of s, every coefficient written as a float."""
+    steps = [{"kind": st.kind, "c": float(st.c)} for st in s.steps]
+    for d, st in zip(steps, s.steps):
+        if st.kind == GKICK:
+            d["u"] = float(st.u)
+    return {"name": s.name, "order": s.order, "force_evals": s.force_evals,
+            "citation": s.citation, "steps": steps}
+
+
+def _write(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+
+
 def test_sv_round_trips(tmp_path):
     sv = get_scheme("SV")
     path = tmp_path / "sv.json"
-    save_scheme(sv, str(path))
+    _write(_file_dict(sv), path)
     loaded = load_scheme(str(path))
     assert loaded == sv  # Fraction(1,2) == 0.5 coefficient-wise
 
 
 def test_load_bad_kick_sum(tmp_path):
-    obj = scheme_to_dict(get_scheme("SV"))
+    obj = _file_dict(get_scheme("SV"))
     obj["steps"][0]["c"] = 0.4
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -145,7 +160,7 @@ def test_load_bad_kick_sum(tmp_path):
 
 
 def test_load_unknown_kind(tmp_path):
-    obj = scheme_to_dict(get_scheme("SV"))
+    obj = _file_dict(get_scheme("SV"))
     obj["steps"][1]["kind"] = "slide"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -182,7 +197,7 @@ def test_gkick_file_round_trip(tmp_path):
     # decimal JSON cannot hold 1/6 exactly, so compare within float rounding
     c = get_scheme("C")
     path = tmp_path / "c.json"
-    save_scheme(c, str(path))
+    _write(_file_dict(c), path)
     loaded = load_scheme(str(path))
     assert loaded.name == c.name and loaded.force_evals == c.force_evals
     assert loaded.steps[3].kind == GKICK
