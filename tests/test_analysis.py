@@ -369,11 +369,9 @@ def test_stability_limit_steps_over_touch_points(n, exact, tmp_path):
     s = _repeated_sv(n)
     if not exact:  # float coefficients, as read by --file
         path = tmp_path / "s.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"name": s.name, "order": s.order,
-                       "force_evals": s.force_evals,
-                       "steps": [{"kind": st.kind, "c": float(st.c)}
-                                 for st in s.steps]}, fh)
+        path.write_text(json.dumps({
+            "name": s.name, "order": s.order, "force_evals": s.force_evals,
+            "steps": [{"kind": st.kind, "c": float(st.c)} for st in s.steps]}))
         s = load_scheme(path)
     lim = stability_limit(s)
     assert lim.bounded

@@ -137,15 +137,10 @@ def _file_dict(s):
             "citation": s.citation, "steps": steps}
 
 
-def _write(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-
-
 def test_sv_round_trips(tmp_path):
     sv = get_scheme("SV")
     path = tmp_path / "sv.json"
-    _write(_file_dict(sv), path)
+    path.write_text(json.dumps(_file_dict(sv)))
     loaded = load_scheme(str(path))
     assert loaded == sv  # Fraction(1,2) == 0.5 coefficient-wise
 
@@ -197,7 +192,7 @@ def test_gkick_file_round_trip(tmp_path):
     # decimal JSON cannot hold 1/6 exactly, so compare within float rounding
     c = get_scheme("C")
     path = tmp_path / "c.json"
-    _write(_file_dict(c), path)
+    path.write_text(json.dumps(_file_dict(c)))
     loaded = load_scheme(str(path))
     assert loaded.name == c.name and loaded.force_evals == c.force_evals
     assert loaded.steps[3].kind == GKICK
