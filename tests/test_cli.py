@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oscmap.cli import _sweep_grid, main
+from oscmap.schemes import registry_names
 
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -57,6 +58,10 @@ def _cases() -> dict[str, list[str]]:
     # BM's thin unstable window near x = 3.14 and the stable re-entry after it
     cases["sweep_BM_window"] = ["sweep", "BM", "--min", "3.12", "--max", "3.17",
                                 "--points", "6"]
+    # every point past x = 0.5 overflows the polynomials: hyperbolic rows
+    for name in registry_names():
+        cases[f"sweep_{name}_overflow"] = ["sweep", name, "--min", "0.5",
+                                           "--max", "1e300", "--points", "9"]
     return cases
 
 

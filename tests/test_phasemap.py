@@ -1,6 +1,7 @@
 """Tests for the 2x2 map construction, spectral data, and closed-form power."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -264,6 +265,17 @@ def test_sweep_is_the_scalar_calls_bitwise(s, quantity):
         assert (_bits(value), regime) == (_bits(expected), d.regime), x
     if s.name == "SV":
         assert {regime for _, _, regime in rows} == set(Regime)
+
+
+@pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
+@pytest.mark.parametrize("s", registry(), ids=lambda s: s.name)
+def test_sweep_past_float_range_is_hyperbolic(s, quantity):
+    # the Horner sums overflow to inf or NaN from some power of ten on
+    xs = [10.0 ** k for k in range(1, 309)] + [sys.float_info.max]
+    rows = sweep(s, xs, quantity)
+    assert {regime for _, _, regime in rows} == {Regime.HYPERBOLIC}
+    if quantity not in ("det", "trace"):
+        assert {value for _, value, _ in rows} == {None}
 
 
 def test_sweep_rejects_an_unknown_quantity():
