@@ -12,12 +12,17 @@ from it: rational series mode pads or truncates it to a requested order,
 float series mode does the same with each coefficient correctly rounded, and
 numeric mode (explicit timestep eps and frequency omega) evaluates the
 rounded polynomials by Horner's rule. The stability limit in `analysis`
-reads the half trace from the exact build. Numeric work is one timestep at a
-time in plain Python floats: four Horner sums and one atan2 per point. The
-per-point work sits in two private helpers, `_entries` (the four entries)
-and `_rotation` (regime and rotation), which `scheme_matrix` and `spectral`
-wrap and which `sweep` calls directly for each timestep of a grid, so every
-route computes a point the same way, bit for bit.
+reads the half trace from the exact build. Numeric work is in plain Python
+floats. `scheme_matrix` and `spectral` take one timestep at a time through
+two private helpers, `_entries` (four Horner sums in x) and `_rotation`
+(regime and rotation). `sweep` runs a kernel generated once per scheme and
+quantity instead: straight-line Python that evaluates, per grid point, the
+even polynomials T = (g + h)/2, tau/x, nu/x and W = w/x^2 with
+w = (g - h)/2 in y = x^2, each coefficient rounded once from the exact
+build, and reads the regime from T and the discriminant scaled by x^2. The
+two routes agree to round-off, not bit for bit. The scaled discriminant
+keeps sweep elliptic at the smallest steps, where `_rotation`'s unscaled
+nu*tau - w^2 underflows (below x ~ 1e-162).
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -28,6 +33,7 @@ pins this choice.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -121,6 +127,8 @@ class SpectralData:
 
 #: Built maps, keyed by active steps: (exact polynomials, float polynomials).
 _POLYNOMIALS: dict[tuple[Step, ...], tuple[tuple, tuple]] = {}
+#: Generated sweep kernels, keyed by (active steps, quantity).
+_KERNELS: dict[tuple[tuple[Step, ...], str], Callable] = {}
 
 
 def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series]:
@@ -262,38 +270,141 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     return SpectralData(*fields, detail=detail)
 
 
+#: Per sweep quantity, its value in a hyperbolic or parabolic row and in an
+#: elliptic row, as expressions in the kernel's locals.
+_KERNEL_VALUES = {
+    "omega_a": ("None", "omega_a"),
+    "phase_error": ("None", f"{2.0 * math.pi!r} * (omega_a - 1.0)"),
+    "det": ("det", "det"),
+    "trace": ("2.0 * T", "2.0 * T"),
+    "m_star": ("None", "1.0 / (omega_a * sqrt(tx / nx))"),
+    "k_star": ("None", "omega_a / sqrt(tx / nx)"),
+}
+
+
+def _horner_y(coeffs: list[Fraction]) -> str:
+    """Source of sum_j coeffs[j]*y^j by Horner's rule.
+
+    Each coefficient is rounded once by float() and written as its repr;
+    trailing zeros are dropped.
+    """
+    cs = [float(c) for c in coeffs]
+    while cs and cs[-1] == 0.0:
+        cs.pop()
+    src = repr(cs.pop()) if cs else "0.0"
+    for c in reversed(cs):
+        src = f"{c!r} + y * ({src})"
+    return src
+
+
+def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
+    """Compiled grid loop of one scheme and quantity, built once and cached.
+
+    The generated function takes (xs, scalar) and returns sweep's rows. Per
+    point it evaluates T = (g + h)/2, tau/x, nu/x and W = w/x^2, where
+    w = (g - h)/2, as polynomials in y = x^2 with coefficients rounded once
+    from the exact build; every entry is even in x, so each sum has half the
+    terms. A map is hyperbolic where |T| - 1 > PARABOLIC_TOL/2, else elliptic
+    where d = (tau/x)(nu/x) - (x*W)^2 > 0, else parabolic. d equals
+    sin^2(theta)/x^2 and is never folded into one polynomial, which would
+    lose accuracy near the stability limit; theta = atan2(|x|*sqrt(d), T).
+    det is (T + w)(T - w) + y*(tau/x)(nu/x) and the trace 2T. A palindrome
+    has W = 0, and its kernel leaves W out. A point whose sums are not all
+    finite, and x = 0, go to scalar(x) instead.
+    """
+    key = (s.active_steps(), quantity)
+    kernel = _KERNELS.get(key)
+    if kernel is not None:
+        return kernel
+    g, tau_x, nu_x, h = _polynomials(s, True)
+    even_g, even_h = g.coeffs[::2], h.coeffs[::2]
+    tilt = _horner_y([(a - b) / 2 for a, b in zip(even_g[1:], even_h[1:])])
+    if tilt == "0.0":
+        lines, sums = [], "T + tx + nx"
+        det, disc = "T * T + y * tx * nx", "tx * nx"
+    else:
+        lines, sums = [f"W = {tilt}", "wx = x * W"], "T + tx + nx + W"
+        det, disc = "(T + x * wx) * (T - x * wx) + y * tx * nx", "tx * nx - wx * wx"
+    off, on = _KERNEL_VALUES[quantity]
+    elliptic = [f"append((x, {on}, ELLIPTIC))"]
+    if "omega_a" in on:
+        elliptic[:0] = ["ax = abs(x)", "omega_a = atan2(ax * sqrt(d), T) / ax"]
+    body = [
+        "y = x * x",
+        f"T = {_horner_y([(a + b) / 2 for a, b in zip(even_g, even_h)])}",
+        f"tx = {_horner_y(tau_x.coeffs[::2])}",
+        f"nx = {_horner_y(nu_x.coeffs[::2])}",
+        *lines,
+        f"if not (x and isfinite({sums})):",
+        "    append(scalar(x))",
+        "    continue",
+        *([f"det = {det}"] if quantity == "det" else []),
+        f"if abs(T) - 1.0 > {PARABOLIC_TOL / 2!r}:",
+        f"    append((x, {off}, HYPERBOLIC))",
+        "    continue",
+        f"d = {disc}",
+        "if d > 0.0:",
+        *(f"    {line}" for line in elliptic),
+        "else:",
+        f"    append((x, {off}, PARABOLIC))",
+    ]
+    loop = "\n".join(f"        {line}" for line in body)
+    source = f"""\
+def kernel(xs, scalar):
+    rows = []
+    append = rows.append
+    for x in xs:
+{loop}
+    return rows
+"""
+    namespace = {"atan2": math.atan2, "sqrt": math.sqrt,
+                 "isfinite": math.isfinite, "ELLIPTIC": Regime.ELLIPTIC,
+                 "PARABOLIC": Regime.PARABOLIC, "HYPERBOLIC": Regime.HYPERBOLIC}
+    exec(compile(source, f"<sweep kernel {quantity}>", "exec"), namespace)
+    kernel = _KERNELS[key] = namespace["kernel"]
+    return kernel
+
+
+def _scalar_point(polys: tuple[Series, Series, Series, Series], x: float,
+                  quantity: str) -> tuple[float, float | None, Regime]:
+    """One sweep row from `_entries` and `_rotation`, the route of `spectral`."""
+    g, tau, nu, h = _entries(polys, x, 1.0)
+    _, _, omega_a, m_star, k_star, regime, _ = _rotation(g, tau, nu, h, x)
+    if quantity == "omega_a":
+        value = omega_a
+    elif quantity == "phase_error":
+        value = None if omega_a is None else 2.0 * math.pi * (omega_a - 1.0)
+    elif quantity == "det":
+        value = g * h + tau * nu
+    elif quantity == "trace":
+        value = g + h
+    elif quantity == "m_star":
+        value = m_star
+    else:
+        value = k_star
+    return x, value, regime
+
+
 def sweep(s: Scheme, xs: list[float],
           quantity: str) -> list[tuple[float, float | None, Regime]]:
     """(x, value, regime) of one quantity at each timestep x, with omega = 1.
 
-    value is None where the quantity is undefined in the map's regime. Each
-    point is `_entries` and `_rotation` on the float build read once, so it
-    equals `spectral(scheme_matrix(s, x, 1.0))` bit for bit without making
-    either object; the phase error is 2*pi*(omega_a - 1), as in
-    `analysis.phase_error`.
+    value is None where the quantity is undefined in the map's regime; the
+    phase error is 2*pi*(omega_a - 1), as in `analysis.phase_error`. The
+    points run through the scheme's generated kernel (`_sweep_kernel`). It
+    agrees with `spectral(scheme_matrix(s, x, 1.0))` to round-off, not bit
+    for bit. The regimes can differ only within round-off of a regime
+    boundary, and below x ~ 1e-162, where the kernel reads elliptic with
+    omega_a = 1 and `spectral` reads parabolic. Points whose polynomial sums
+    overflow, and x = 0, take the scalar route of `spectral`, so a NaN x
+    raises ValueError as it does there.
     """
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"unknown sweep quantity {quantity!r}; "
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
     polys = _polynomials(s, False)
-    rows = []
-    for x in xs:
-        g, tau, nu, h = _entries(polys, x, 1.0)
-        _, _, omega_a, m_star, k_star, regime, _ = _rotation(g, tau, nu, h, x)
-        if quantity == "omega_a":
-            value = omega_a
-        elif quantity == "phase_error":
-            value = None if omega_a is None else 2.0 * math.pi * (omega_a - 1.0)
-        elif quantity == "det":
-            value = g * h + tau * nu
-        elif quantity == "trace":
-            value = g + h
-        elif quantity == "m_star":
-            value = m_star
-        else:
-            value = k_star
-        rows.append((x, value, regime))
-    return rows
+    return _sweep_kernel(s, quantity)(
+        xs, lambda x: _scalar_point(polys, x, quantity))
 
 
 def _require_elliptic(mat: PhaseMatrix) -> SpectralData:

@@ -1,15 +1,18 @@
 """Tests for the 2x2 map construction, spectral data, and closed-form power."""
 
+import functools
 import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from oscmap import phasemap
-from oscmap.analysis import phase_error, stability_limit
+from oscmap.analysis import _mp_half_trace, stability_limit
+from oscmap.series import Series
 from oscmap.schemes import GKICK, Step, get_scheme, is_symmetric, registry
 from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, invariant_quadratic_form,
@@ -234,37 +237,143 @@ def test_spectral_negative_step_keeps_shadow_parameters():
 
 # -------------------------------------------------------------------- sweep
 
-def _bits(v):
-    return None if v is None else float(v).hex()
+#: Twice the largest relative error of sweep's omega_a against 40-digit
+#: mpmath on x = 0.005k, k = 1..2000 (measured: SV, LF1 and LF1T 2.7e-16,
+#: FR 2.3e-15, C 1.2e-13, M 5.0e-12, BM 6.3e-11). Near a stability limit
+#: theta is near 0 or pi and the error grows; this grid comes within 0.005
+#: of every limit.
+OMEGA_REL_TOL = {"SV": 5.4e-16, "LF1": 5.4e-16, "LF1T": 5.4e-16, "FR": 4.6e-15,
+                 "C": 2.4e-13, "M": 1.01e-11, "BM": 1.27e-10}
+#: Within this of a regime boundary, a float evaluation may read either side.
+BOUNDARY = 1e-12
 
 
 def _sweep_test_grid() -> list[float]:
-    """x over (0, 8], each registry stability limit +-1 ulp and SV's x = 2."""
-    xs = np.linspace(0.05, 8.0, 160).tolist() + [2.0]
+    """x = 0.005k for k = 1..2000, SV's parabolic point x = 2, and each
+    registry stability limit, 1 ulp either side of it and 1e-9 past it,
+    where |T| - 1 is a few times 1e-9: hyperbolic beyond doubt."""
+    xs = [0.005 * k for k in range(1, 2001)] + [2.0]
     for s in registry():
         limit = stability_limit(s).x_max
-        xs += [math.nextafter(limit, 0.0), limit, math.nextafter(limit, 9.0)]
+        xs += [math.nextafter(limit, 0.0), limit, math.nextafter(limit, 9.0),
+               limit * (1 + 1e-9)]
     return xs
+
+
+def _regimes_near(half_trace: Fraction, disc: Fraction) -> set[Regime]:
+    """Regimes a float evaluation may read from the exact T and scaled d.
+
+    The map is hyperbolic where |T| - 1 > PARABOLIC_TOL/2, else elliptic
+    where d > 0, else parabolic; within BOUNDARY of a boundary either side
+    is allowed. At FR's float x_max the exact d is 4.7e-18, for example.
+    """
+    over = abs(half_trace) - 1 - Fraction(phasemap.PARABOLIC_TOL) / 2
+    allowed = set()
+    if over > -BOUNDARY:
+        allowed.add(Regime.HYPERBOLIC)
+    if over < BOUNDARY:
+        if disc > -BOUNDARY:
+            allowed.add(Regime.ELLIPTIC)
+        if disc < BOUNDARY:
+            allowed.add(Regime.PARABOLIC)
+    return allowed
+
+
+def _abs_sum(p: Series, y: float) -> float:
+    """sum |c_j| y^j over the coefficients of p: the scale of the round-off
+    in a float Horner sum of p at y."""
+    return sum(abs(float(c)) * y**j for j, c in enumerate(p.coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_reference(name: str) -> list[tuple]:
+    """(allowed regimes, exact T, trace tolerance, omega_a, sqrt(tau/nu),
+    relative tolerance of that root) at each grid point.
+
+    T = (g + h)/2 and d = (tau/x)(nu/x) - (w/x)^2, w = (g - h)/2, come from
+    the exact build at Fraction(x). Where the map is elliptic by a margin,
+    omega_a is acos of the 40-digit mpmath shear product over x and the root
+    is sqrt(tau/nu) of the exact build; elsewhere both are None. The
+    tolerances are 16 units of round-off of each Horner sum.
+    """
+    s = get_scheme(name)
+    polys = phasemap._polynomials(s, True)
+    # every entry is even in x: evaluate in y = x^2 at half the length
+    g, tau_x, nu_x, h = (Series(p.coeffs[::2]) for p in polys)
+    half = Series([(a + b) / 2 for a, b in zip(g.coeffs, h.coeffs)])
+    ulp = 2.0 ** -53
+    refs = []
+    for x in _sweep_test_grid():
+        yf, y = Fraction(x) ** 2, x * x
+        gv, hv, tv, nv = g(yf), h(yf), tau_x(yf), nu_x(yf)
+        half_trace = (gv + hv) / 2
+        allowed = _regimes_near(half_trace, tv * nv - (gv - hv) ** 2 / (4 * yf))
+        omega_a = root = root_tol = None
+        if allowed == {Regime.ELLIPTIC}:
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                omega_a = float(mpmath.acos(_mp_half_trace(s, xm)) / xm)
+            root = math.sqrt(tv / nv)
+            root_tol = 16 * ulp * (_abs_sum(tau_x, y) / abs(float(tv))
+                                   + _abs_sum(nu_x, y) / abs(float(nv)))
+        refs.append((allowed, half_trace, 32 * ulp * _abs_sum(half, y),
+                     omega_a, root, root_tol))
+    return refs
 
 
 @pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
 @pytest.mark.parametrize("s", registry(), ids=lambda s: s.name)
-def test_sweep_is_the_scalar_calls_bitwise(s, quantity):
+def test_sweep_matches_the_exact_map(s, quantity):
     xs = _sweep_test_grid()
     rows = sweep(s, xs, quantity)
     assert [x for x, _, _ in rows] == xs
-    for x, value, regime in rows:
-        m = scheme_matrix(s, x, 1.0)
-        d = spectral(m)
-        elliptic = d.regime is Regime.ELLIPTIC
-        expected = {
-            "omega_a": d.omega_a, "m_star": d.m_star, "k_star": d.k_star,
-            "phase_error": phase_error(s, x) if elliptic else None,
-            "det": m.det(), "trace": m.trace(),
-        }[quantity]
-        assert (_bits(value), regime) == (_bits(expected), d.regime), x
+    tol = OMEGA_REL_TOL[s.name]
+    for (x, value, regime), (allowed, half_trace, trace_tol, omega_a, root,
+                             root_tol) in zip(rows, _sweep_reference(s.name)):
+        assert regime in allowed, x
+        if quantity == "trace":
+            assert abs(value - 2 * half_trace) <= trace_tol, x
+            continue
+        if regime is not Regime.ELLIPTIC and quantity != "det":
+            assert value is None, x
+        if omega_a is None:
+            continue
+        if quantity == "det":
+            assert abs(value - 1.0) <= 1e-12, x
+        elif quantity == "phase_error":
+            two_pi = 2.0 * math.pi
+            assert abs(value - two_pi * (omega_a - 1.0)) <= two_pi * omega_a * tol, x
+        else:
+            expected = {"omega_a": omega_a, "m_star": 1.0 / (omega_a * root),
+                        "k_star": omega_a / root}[quantity]
+            rel_tol = tol if quantity == "omega_a" else tol + root_tol
+            assert math.isclose(value, expected, rel_tol=rel_tol), x
     if s.name == "SV":
         assert {regime for _, _, regime in rows} == set(Regime)
+
+
+@pytest.mark.parametrize("x", [1e-170, 1e-300])
+@pytest.mark.parametrize("name", ["SV", "BM"])
+def test_sweep_stays_elliptic_where_the_discriminant_would_underflow(name, x):
+    # nu*tau - w^2 ~ x^2 underflows below x ~ 1e-162; its scaling by x^2 does not
+    s = get_scheme(name)
+    assert sweep(s, [x], "omega_a") == [(x, 1.0, Regime.ELLIPTIC)]
+    assert sweep(s, [x], "det") == [(x, 1.0, Regime.ELLIPTIC)]
+
+
+@pytest.mark.parametrize("s", registry(), ids=lambda s: s.name)
+def test_sweep_at_zero_and_negative_steps(s):
+    # x = 0 takes the scalar route: the identity map, parabolic
+    for quantity in SWEEP_QUANTITIES:
+        [(_, value, regime)] = sweep(s, [0.0], quantity)
+        assert regime is Regime.PARABOLIC
+        assert value == {"det": 1.0, "trace": 2.0}.get(quantity)
+    # omega_a is even in x: M(-eps) has the inverse rotation at the same rate
+    xs = [0.01 * k for k in range(1, 300)]
+    assert ([row[1:] for row in sweep(s, xs, "omega_a")]
+            == [row[1:] for row in sweep(s, [-x for x in xs], "omega_a")])
+    with pytest.raises(ValueError, match="NaN"):
+        sweep(s, [0.5, math.nan], "omega_a")
 
 
 @pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
