@@ -50,9 +50,16 @@ class SchemeFileError(SchemeError):
 
 
 def _finite(v) -> bool:
+    """True for a finite float, or an int or Fraction that float() can round."""
     if isinstance(v, float):
         return math.isfinite(v)
-    return isinstance(v, (int, Fraction))
+    if not isinstance(v, (int, Fraction)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -67,10 +74,11 @@ class Step:
         if self.kind not in _KINDS:
             raise SchemeError(f"unknown step kind {self.kind!r}")
         if not _finite(self.c):
-            raise SchemeError(f"non-finite coefficient {self.c!r}")
+            raise SchemeError("coefficient c must be finite and within float range")
         if self.kind == GKICK:
             if self.u is None or not _finite(self.u):
-                raise SchemeError("gkick step needs a finite gradient coefficient u")
+                raise SchemeError("gkick step needs a gradient coefficient u "
+                                  "that is finite and within float range")
         elif self.u is not None:
             raise SchemeError(f"{self.kind} step must not carry a gradient coefficient")
 
@@ -185,13 +193,17 @@ def _scheme_from_dict(obj: dict, where: str) -> Scheme:
         v = obj[key]
         if not isinstance(v, int) or isinstance(v, bool):
             raise SchemeFileError(f"{where}: {key} must be an integer, got {v!r}")
+    for key in ("name", "citation"):
+        v = obj.get(key, "")
+        if not isinstance(v, str):
+            raise SchemeFileError(f"{where}: {key} must be a string, got {v!r}")
     try:
         return Scheme(
-            name=str(obj["name"]),
+            name=obj["name"],
             steps=steps,
             order=obj["order"],
             force_evals=obj["force_evals"],
-            citation=str(obj.get("citation", "")),
+            citation=obj.get("citation", ""),
         )
     except SchemeError as exc:
         raise SchemeFileError(f"{where}: {exc}") from exc

@@ -144,6 +144,47 @@ def test_scheme_file_metadata_must_be_an_integer(key, value, tmp_path):
     assert str(path) in proc.stderr and key in proc.stderr
 
 
+@pytest.mark.parametrize("key", ["name", "citation"])
+@pytest.mark.parametrize("value", ["null", "5", "[1, 2]", "true"])
+def test_scheme_file_name_and_citation_must_be_strings(key, value, tmp_path):
+    doc = {"name": "SV", "citation": "", "order": 2, "force_evals": 1,
+           "steps": [{"kind": "kick", "c": 0.5}, {"kind": "drift", "c": 1},
+                     {"kind": "kick", "c": 0.5}]}
+    doc[key] = "@"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
+    proc = _oscmap(["stability", "--file", str(path)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("oscmap: error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr and f"{key} must be a string" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--x", "0.1", "--steps", "2"],
+    ["sweep", "--min", "0.1", "--max", "1"],
+    ["stability"],
+])
+@pytest.mark.parametrize("step, steps", [
+    # drifts 10^400, -10^400 and 1 sum to 1 exactly, as integers
+    (0, [{"kind": "drift", "c": 10**400}, {"kind": "drift", "c": -10**400},
+         {"kind": "drift", "c": 1}, {"kind": "kick", "c": 1}]),
+    (1, [{"kind": "drift", "c": 1},
+         {"kind": "gkick", "c": 1, "u": -10**400}]),
+])
+def test_scheme_file_coefficient_beyond_float_range(command, step, steps,
+                                                    tmp_path):
+    doc = {"name": "big", "order": 1, "force_evals": 1, "steps": steps}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _oscmap([command[0], "--file", str(path), *command[1:]])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("oscmap: error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert f"{path}: step {step}: " in proc.stderr
+    assert "within float range" in proc.stderr
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--steps", ["simulate", "SV", "--x", "0.5", "--steps", "0"]),
     ("--stride", ["simulate", "SV", "--x", "0.5", "--steps", "10",

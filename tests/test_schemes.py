@@ -60,6 +60,16 @@ def test_step_validation():
         Step(KICK, 0.5, u=0.1)
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3),
+                                   float("nan"), float("inf")])
+def test_step_coefficients_must_round_to_a_finite_float(value):
+    with pytest.raises(SchemeError, match="within float range"):
+        Step(DRIFT, value)
+    with pytest.raises(SchemeError, match="within float range"):
+        Step(GKICK, 0.5, u=value)
+    assert Step(DRIFT, Fraction(1, 10**400)).c > 0  # rounds to 0.0, fine
+
+
 def test_consistency_sums_enforced():
     with pytest.raises(SchemeError, match="kick coefficients sum to 0.9"):
         Scheme("bad", (Step(DRIFT, 1), Step(KICK, 0.9)), 1, 1)
