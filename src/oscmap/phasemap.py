@@ -402,9 +402,8 @@ def sweep(s: Scheme, xs: list[float],
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"unknown sweep quantity {quantity!r}; "
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
-    polys = _polynomials(s, False)
     return _sweep_kernel(s, quantity)(
-        xs, lambda x: _scalar_point(polys, x, quantity))
+        xs, lambda x: _scalar_point(_polynomials(s, False), x, quantity))
 
 
 def _require_elliptic(mat: PhaseMatrix) -> SpectralData:
