@@ -248,6 +248,10 @@ OMEGA_REL_TOL = {"SV": 5.4e-16, "LF1": 5.4e-16, "LF1T": 5.4e-16, "FR": 4.6e-15,
 BOUNDARY = 1e-12
 
 
+def _bits(v):
+    return None if v is None else float(v).hex()
+
+
 def _sweep_test_grid() -> list[float]:
     """x = 0.005k for k = 1..2000, SV's parabolic point x = 2, and each
     registry stability limit, 1 ulp either side of it and 1e-9 past it,
@@ -319,6 +323,84 @@ def _sweep_reference(name: str) -> list[tuple]:
         refs.append((allowed, half_trace, 32 * ulp * _abs_sum(half, y),
                      omega_a, root, root_tol))
     return refs
+
+
+@functools.lru_cache(maxsize=None)
+def _even_sums(name: str) -> tuple[list[float], ...]:
+    """Coefficients in y = x^2 of T = (g + h)/2, tau/x, nu/x and W = w/x^2,
+    each rounded once by float() from the exact build, trailing zeros
+    dropped: the sums the sweep kernel writes out."""
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name), True)
+    even_g, even_h = g.coeffs[::2], h.coeffs[::2]
+    sums = ([(a + b) / 2 for a, b in zip(even_g, even_h)], tau_x.coeffs[::2],
+            nu_x.coeffs[::2], [(a - b) / 2 for a, b in zip(even_g[1:], even_h[1:])])
+    out = []
+    for coeffs in sums:
+        cs = [float(c) for c in coeffs]
+        while cs and cs[-1] == 0.0:
+            cs.pop()
+        out.append(cs)
+    return tuple(out)
+
+
+def _horner(cs: list[float], y: float) -> float:
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * y + c
+    return acc
+
+
+def _scalar_row(s, x: float, quantity: str) -> tuple:
+    """One sweep row from scalar calls at a single point.
+
+    Where the even sums are finite and x != 0 it is the kernel's arithmetic
+    written out for one point; elsewhere `spectral(scheme_matrix(s, x, 1.0))`.
+    """
+    y = x * x
+    T, tx, nx, W = (_horner(cs, y) for cs in _even_sums(s.name))
+    if not (x and math.isfinite(T + tx + nx + W)):
+        m = scheme_matrix(s, x, 1.0)
+        d = spectral(m)
+        omega_a = d.omega_a
+        value = {
+            "omega_a": omega_a, "m_star": d.m_star, "k_star": d.k_star,
+            "phase_error": None if omega_a is None else 2.0 * math.pi * (omega_a - 1.0),
+            "det": m.det(), "trace": m.trace(),
+        }[quantity]
+        return x, value, d.regime
+    wx = x * W
+    if quantity == "trace":
+        value = 2.0 * T
+    elif quantity == "det":
+        value = (T + x * wx) * (T - x * wx) + y * tx * nx
+    else:
+        value = None
+    if abs(T) - 1.0 > phasemap.PARABOLIC_TOL / 2:
+        return x, value, Regime.HYPERBOLIC
+    d = tx * nx - wx * wx
+    if not d > 0.0:
+        return x, value, Regime.PARABOLIC
+    omega_a = math.atan2(abs(x) * math.sqrt(d), T) / abs(x)
+    root = math.sqrt(tx / nx)
+    value = {
+        "omega_a": omega_a, "phase_error": 2.0 * math.pi * (omega_a - 1.0),
+        "m_star": 1.0 / (omega_a * root), "k_star": omega_a / root,
+    }.get(quantity, value)
+    return x, value, Regime.ELLIPTIC
+
+
+@pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
+@pytest.mark.parametrize("s", registry(), ids=lambda s: s.name)
+def test_sweep_is_the_scalar_calls_bitwise(s, quantity):
+    # the generated loop is the per-point arithmetic of its docstring, and
+    # the scalar route of spectral at x = 0 and where the sums overflow
+    xs = (_sweep_test_grid() + [0.0, -0.75, 1e-170, 1e-300]
+          + [10.0 ** k for k in range(1, 309, 7)] + [sys.float_info.max])
+    rows = sweep(s, xs, quantity)
+    assert [x for x, _, _ in rows] == xs
+    for x, value, regime in rows:
+        _, expected, expected_regime = _scalar_row(s, x, quantity)
+        assert (_bits(value), regime) == (_bits(expected), expected_regime), x
 
 
 @pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
