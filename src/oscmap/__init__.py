@@ -11,26 +11,25 @@ timestep and frequency; the stability limit comes from the exact half trace.
 From that one map the package solves the N-step evolution in closed form,
 extracts the modified (shadow) Hamiltonian with its effective mass and
 spring constant, and benchmarks schemes through their phase-error
-coefficients and stability limits. Two independent routes check it: brute-force shear-by-shear
-iteration (`sim`) and a high-precision shear product behind the Richardson
-estimate (`analysis`).
+coefficients and stability limits. Two independent routes check it:
+brute-force shear-by-shear iteration (`sim`) and a high-precision shear
+product behind the Richardson estimate (`analysis`).
 """
 
 from .series import Series, asin
 from .schemes import (
     DRIFT, KICK, GKICK, Step, Scheme, SchemeError, SchemeFileError,
-    adjoint, get_scheme, has_exact_coefficients, is_symmetric, load_scheme,
+    get_scheme, has_exact_coefficients, is_symmetric, load_scheme,
     registry, registry_names, DATA_DIR_ENV,
 )
 from .phasemap import (
-    PhaseMatrix, Regime, RegimeError, SpectralData, invariant_quadratic_form,
-    modified_hamiltonian, propagate_closed_form, scheme_matrix,
-    scheme_series_matrix, spectral, sweep,
+    PhaseMatrix, Regime, RegimeError, SpectralData, propagate_closed_form,
+    scheme_matrix, scheme_series_matrix, spectral, sweep,
 )
 from .analysis import (
     AnalysisError, ConvergenceStudy, PhaseErrorReport, StabilityLimit,
-    analyze, convergence_study, effective_param_series, normalized_coefficient,
-    omega_a_series, order_coefficient, phase_error, stability_limit,
+    analyze, convergence_study, effective_param_series, omega_a_series,
+    order_coefficient, stability_limit,
 )
 from .sim import TrajectoryRecord, iterate
 
@@ -39,17 +38,15 @@ __version__ = "0.1.0"
 __all__ = [
     "Series", "asin",
     "DRIFT", "KICK", "GKICK", "Step", "Scheme", "SchemeError",
-    "SchemeFileError", "adjoint", "get_scheme", "has_exact_coefficients",
+    "SchemeFileError", "get_scheme", "has_exact_coefficients",
     "is_symmetric", "load_scheme", "registry", "registry_names",
     "DATA_DIR_ENV",
     "PhaseMatrix", "Regime", "RegimeError", "SpectralData",
-    "invariant_quadratic_form", "modified_hamiltonian",
     "propagate_closed_form", "scheme_matrix", "scheme_series_matrix",
     "spectral", "sweep",
     "AnalysisError", "ConvergenceStudy", "PhaseErrorReport", "StabilityLimit",
     "analyze", "convergence_study", "effective_param_series",
-    "normalized_coefficient", "omega_a_series", "order_coefficient",
-    "phase_error", "stability_limit",
+    "omega_a_series", "order_coefficient", "stability_limit",
     "TrajectoryRecord", "iterate",
     "__version__",
 ]

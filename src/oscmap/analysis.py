@@ -17,12 +17,12 @@ starting at x^1 for a first-order one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import series as series_mod
-from .phasemap import (Regime, RegimeError, _polynomials, scheme_matrix,
+from .phasemap import (Regime, _polynomials, scheme_matrix,
                        scheme_series_matrix, spectral)
 from .schemes import DRIFT, GKICK, Scheme, get_scheme
 from .series import Series, _is_zero
@@ -33,8 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "AnalysisError", "PhaseErrorReport", "StabilityLimit", "ConvergenceRow",
     "ConvergenceStudy", "omega_a_series", "effective_param_series",
-    "phase_error", "order_coefficient", "normalized_coefficient",
-    "stability_limit", "convergence_study", "analyze",
+    "order_coefficient", "stability_limit", "convergence_study", "analyze",
     "RICHARDSON_GRID", "RICHARDSON_RTOL",
 ]
 
@@ -56,13 +55,13 @@ class StabilityLimit(NamedTuple):
     bounded: bool
 
 
-def _frequency_parts(s: Scheme, order: int, exact: bool | None):
+def _frequency_parts(s: Scheme, order: int):
     """(tau/x, nu/x, w/x, sin(theta)/x, omega_a/omega) at truncation order + 1.
 
     w/x = (g - h)/(2x) is defined because g(0) = h(0) = 1, and is exactly
     zero for a palindromic scheme, whose products the ring then skips.
     """
-    m = scheme_series_matrix(s, order + 2, exact)
+    m = scheme_series_matrix(s, order + 2)
     t1 = m.tau.divided_by_x()
     n1 = m.nu.divided_by_x()
     w1 = ((m.g - m.h) / 2).divided_by_x()
@@ -70,8 +69,7 @@ def _frequency_parts(s: Scheme, order: int, exact: bool | None):
     return t1, n1, w1, s1, series_mod.asin(s1.times_x()).divided_by_x()
 
 
-def omega_a_series(s: Scheme, order: int = 10,
-                   exact: bool | None = None) -> Series:
+def omega_a_series(s: Scheme, order: int = 10) -> Series:
     """Series of omega_a/omega in x = eps*omega, for any scheme.
 
     tau and nu are odd with leading coefficient x and w = (g - h)/2 is even
@@ -80,40 +78,31 @@ def omega_a_series(s: Scheme, order: int = 10,
     remainder, and restoring the power; the result is asin(sin(theta))/x,
     truncated at `order`.
     """
-    return _frequency_parts(s, order, exact)[4].truncated(order)
+    return _frequency_parts(s, order)[4].truncated(order)
 
 
-def effective_param_series(s: Scheme, order: int = 10,
-                           exact: bool | None = None) -> tuple[Series, Series]:
+def effective_param_series(s: Scheme, order: int = 10) -> tuple[Series, Series]:
     """Series of (1/m*, k*/omega^2): the effective mass and spring constant.
 
     1/m* = (omega_a/omega) * sqrt(tau/nu) and k*/omega^2 =
     (omega_a/omega) * sqrt(nu/tau), with the product equal to
     (omega_a/omega)^2 term by term.
     """
-    return _frequency_series(s, order, exact)[1:3]
+    return _frequency_series(s, order)[1:3]
 
 
-def _frequency_series(s: Scheme, order: int, exact: bool | None = None
+def _frequency_series(s: Scheme, order: int
                       ) -> tuple[Series, Series, Series, Series]:
     """(omega_a/omega, 1/m*, k*/omega^2, sigma) from one build of the parts.
 
     sigma = w/sin(theta) is the tilt amplitude (g - h)/(2 sin(theta)) of the
     closed-form evolution.
     """
-    t1, n1, w1, s1, wa = _frequency_parts(s, order, exact)
+    t1, n1, w1, s1, wa = _frequency_parts(s, order)
     ratio = (t1 * n1.reciprocal()).sqrt()
     return (wa.truncated(order), (wa * ratio).truncated(order),
             (wa * ratio.reciprocal()).truncated(order),
             (w1 * s1.reciprocal()).truncated(order))
-
-
-def phase_error(s: Scheme, x: float) -> float:
-    """Per-period phase error 2*pi*(omega_a/omega - 1) at x = eps*omega."""
-    data = spectral(scheme_matrix(s, x, 1.0))
-    if data.regime is not Regime.ELLIPTIC:
-        raise RegimeError(f"{data.regime.value} map at x = {x}: {data.detail}")
-    return 2.0 * math.pi * (data.omega_a - 1.0)
 
 
 # ------------------------------------------------------- order coefficient
@@ -177,19 +166,18 @@ def _richardson_order_coefficient(s: Scheme, n: int) -> float:
         return float((16 * r1b - r1a) / 15)
 
 
-def order_coefficient(s: Scheme, max_order: int | None = None):
+def order_coefficient(s: Scheme):
     """Leading deviation order and coefficient: omega_a/omega = 1 + c_n x^n + ...
 
-    The series value is cross-checked against the independent numeric
-    Richardson estimate; disagreement beyond 1e-6 relative raises instead of
-    averaging.
+    The search runs to x^max(10, declared order + 4). The series value is
+    cross-checked against the independent numeric Richardson estimate;
+    disagreement beyond 1e-6 relative raises instead of averaging.
     """
-    order = max_order if max_order is not None else _lead_order(s)
-    return _leading_term(s, omega_a_series(s, order))
+    return _leading_term(s, omega_a_series(s, _lead_order(s)))
 
 
 def _lead_order(s: Scheme) -> int:
-    """Default truncation order of the leading-term search."""
+    """Truncation order of the leading-term search."""
     return max(10, s.order + 4)
 
 
@@ -211,39 +199,27 @@ def _leading_term(s: Scheme, wa: Series):
     return n, c_n
 
 
-def normalized_coefficient(s: Scheme, reference: Scheme | None = None) -> float:
-    """Cost-normalized coefficient c* = c4 * (force_evals/3)^4 / |c4(ref)|.
+def _normalized(s: Scheme, lead) -> float:
+    """Cost-normalized coefficient c* = c4 * (force_evals/3)^4 / |c4(FR)|.
 
-    Defined for the fourth-order benchmark table only; the reference defaults
-    to the Forest-Ruth scheme and one gradient evaluation counts as one force
-    evaluation through the declared force_evals metadata.
+    lead is s's (n, c_n). c* is defined for the fourth-order benchmark table
+    only, with the Forest-Ruth scheme as reference; one gradient evaluation
+    counts as one force evaluation through the declared force_evals
+    metadata. FR's order coefficient is computed only when s is not FR
+    itself; it costs a series build and a Richardson check.
     """
-    return _normalized(s, reference, None)
-
-
-def _normalized(s: Scheme, reference: Scheme | None, lead) -> float:
-    """normalized_coefficient, given s's (n, c_n) as `lead` or None.
-
-    The reference's order coefficient is computed only when the reference
-    is not s itself; each one costs a series build and a Richardson check.
-    """
-    ref = reference if reference is not None else get_scheme("FR")
-    for scheme in (s, ref):
-        if scheme.order != 4:
-            raise AnalysisError(
-                f"normalization is defined for 4th-order schemes; "
-                f"{scheme.name!r} declares order {scheme.order}"
-            )
-    n, c4 = lead if lead is not None else order_coefficient(s)
+    if s.order != 4:
+        raise AnalysisError(
+            f"normalization is defined for 4th-order schemes; "
+            f"{s.name!r} declares order {s.order}"
+        )
+    n, c4 = lead
     if n != 4:
         raise AnalysisError(
             f"{s.name!r} declares order 4 but its leading deviation is x^{n}"
         )
-    n_ref, c4_ref = (n, c4) if ref == s else order_coefficient(ref)
-    if n_ref != 4:
-        raise AnalysisError(
-            f"reference {ref.name!r} leading deviation is x^{n_ref}, not x^4"
-        )
+    ref = get_scheme("FR")
+    c4_ref = c4 if ref == s else order_coefficient(ref)[1]
     return float(c4) * (s.force_evals / 3.0) ** 4 / abs(float(c4_ref))
 
 
@@ -419,8 +395,7 @@ class ConvergenceStudy:
     radius_estimate: float | None
 
 
-def convergence_study(s: Scheme, x: float, order: int = 20,
-                      exact: bool | None = None) -> ConvergenceStudy:
+def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
     """Partial sums of the frequency series against the closed form.
 
     Rows k = 0..order hold the partial sum through x^k and, when the map is
@@ -428,7 +403,7 @@ def convergence_study(s: Scheme, x: float, order: int = 20,
     The radius estimate is a plain ratio test over the last four nonzero
     coefficients (diagnostic only).
     """
-    wa = omega_a_series(s, order, exact)
+    wa = omega_a_series(s, order)
     data = spectral(scheme_matrix(s, float(x), 1.0))
     closed = data.omega_a if data.regime is Regime.ELLIPTIC else None
     rows = []
@@ -472,8 +447,7 @@ class PhaseErrorReport:
     sigma: Series
 
 
-def analyze(s: Scheme, order: int = 10,
-            reference: Scheme | None = None) -> PhaseErrorReport:
+def analyze(s: Scheme, order: int = 10) -> PhaseErrorReport:
     """Full phase-error report of any scheme, reversible or not.
 
     The frequency series are built once, at the larger of `order` and the
@@ -484,7 +458,7 @@ def analyze(s: Scheme, order: int = 10,
     series = _frequency_series(s, max(order, lead))
     n, c_n = _leading_term(s, series[0].truncated(lead))
     try:
-        c_star = _normalized(s, reference, (n, c_n))
+        c_star = _normalized(s, (n, c_n))
     except AnalysisError:
         c_star = None
     wa, inv_mass, k_star, sigma = (f.truncated(order) for f in series)

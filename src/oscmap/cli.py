@@ -22,8 +22,8 @@ from collections.abc import Iterable, Sequence
 
 from . import analysis, sim
 from .phasemap import (
-    SWEEP_QUANTITIES, Regime, propagate_closed_form, scheme_matrix, spectral,
-    sweep,
+    SWEEP_QUANTITIES, Regime, _angle, propagate_closed_form, scheme_matrix,
+    spectral, sweep,
 )
 from .schemes import (
     SchemeError, SchemeFileError, get_scheme, is_symmetric, load_scheme,
@@ -217,7 +217,7 @@ def cmd_simulate(args) -> int:
             if rec.modified_energy is not None:
                 row.append(rec.modified_energy[i])
             else:
-                angle = d.theta * t / eps
+                angle = _angle(d.theta, t, eps)
                 row.append((m.g - m.h) / (2.0 * d.xi) * math.sin(angle))
             (a, b), (c, e) = propagate_closed_form(m, t)
             row.append(max(abs(q - (a * q0 + b * p0)),

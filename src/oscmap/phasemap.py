@@ -20,9 +20,7 @@ quantity instead: straight-line Python that evaluates, per grid point, the
 even polynomials T = (g + h)/2, tau/x, nu/x and W = w/x^2 with
 w = (g - h)/2 in y = x^2, each coefficient rounded once from the exact
 build, and reads the regime from T and the discriminant scaled by x^2. The
-two routes agree to round-off, not bit for bit. The scaled discriminant
-keeps sweep elliptic at the smallest steps, where `_rotation`'s unscaled
-nu*tau - w^2 underflows (below x ~ 1e-162).
+two routes agree to round-off, not bit for bit.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -39,13 +37,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .series import Series
-from .schemes import DRIFT, GKICK, Scheme, Step, has_exact_coefficients
+from .schemes import (DRIFT, GKICK, Scheme, SchemeError, Step,
+                      has_exact_coefficients)
 
 __all__ = [
     "PhaseMatrix", "SpectralData", "Regime", "RegimeError",
     "scheme_matrix", "scheme_series_matrix", "spectral", "sweep",
     "propagate_closed_form",
-    "modified_hamiltonian", "invariant_quadratic_form",
     "PARABOLIC_TOL", "REVERSIBLE_TOL", "SWEEP_QUANTITIES",
 ]
 
@@ -93,12 +91,6 @@ class PhaseMatrix:
             omega=self.omega,
         )
 
-    def det(self):
-        return self.g * self.h + self.tau * self.nu
-
-    def trace(self):
-        return self.g + self.h
-
     @property
     def is_series(self) -> bool:
         return isinstance(self.g, Series)
@@ -139,9 +131,11 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     coefficient taken as Fraction(v). That conversion is binary-exact for a
     float, so the build is the exact map of the scheme as stored, and float
     mode is the same build with each coefficient rounded by float(): correctly
-    rounded, and g = h bitwise whenever g = h exactly. Steps that compare
-    equal, such as Fraction(1, 2) and 0.5, have the same exact value, so
-    they share one build. Callers must not mutate the result.
+    rounded, and g = h bitwise whenever g = h exactly. A map coefficient
+    beyond float range, which steps within it can multiply to, raises
+    SchemeError. Steps that compare equal, such as Fraction(1, 2) and 0.5,
+    have the same exact value, so they share one build. Callers must not
+    mutate the result.
     """
     steps = s.active_steps()
     built = _POLYNOMIALS.get(steps)
@@ -158,8 +152,12 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
                 shear = PhaseMatrix(one, zero, Series(mu, degree), one)
             m = shear @ m
         polys = (m.g, m.tau.divided_by_x(), m.nu.divided_by_x(), m.h)
-        built = _POLYNOMIALS[steps] = (
-            polys, tuple(Series([float(c) for c in p.coeffs]) for p in polys))
+        try:
+            rounded = tuple(Series([float(c) for c in p.coeffs]) for p in polys)
+        except OverflowError:
+            raise SchemeError(f"scheme {s.name!r}: a coefficient of its one-step "
+                              "map is beyond float range") from None
+        built = _POLYNOMIALS[steps] = (polys, rounded)
     return built[0] if exact else built[1]
 
 
@@ -218,25 +216,33 @@ def _rotation(g: float, tau: float, nu: float, h: float, eps: float) -> tuple:
     else elliptic where disc > 0, else parabolic. det = 1 makes disc =
     nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
     keeps the classification sharp near theta -> 0, where the trace is
-    quadratically insensitive. A NaN entry raises ValueError: no regime can
-    be read from it.
+    quadratically insensitive. disc is formed from tau, nu and w scaled by
+    powers of two to near 1, so it does not underflow at the smallest steps;
+    the scaling is exact, so wherever the unscaled products are normal
+    numbers the result is bitwise theirs. A NaN entry raises ValueError: no
+    regime can be read from it.
     """
     if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
         raise ValueError(_NAN_ENTRY)
     reversible = abs(g - h) <= REVERSIBLE_TOL
     if abs(g + h) - 2.0 > PARABOLIC_TOL:
         return None, None, None, None, None, Regime.HYPERBOLIC, reversible
-    w = (g - h) / 2.0
-    disc = nu * tau - w * w
+    # tau*2^-kt and nu*2^(kt - 2e) lie in [1/2, 2): their product, and w*2^-e
+    # squared, are disc = nu*tau - w^2 scaled by 4^-e
+    kt = math.frexp(tau)[1]
+    e = (kt + math.frexp(nu)[1]) // 2
+    tau_s, nu_s = math.ldexp(tau, -kt), math.ldexp(nu, kt - 2 * e)
+    w_s = math.ldexp((g - h) / 2.0, -e)
+    disc = nu_s * tau_s - w_s * w_s
     if not disc > 0.0:
         return None, None, None, None, None, Regime.PARABOLIC, reversible
-    xi = math.sqrt(disc)
+    xi = math.ldexp(math.sqrt(disc), e)
     # atan2 form of arccos(half_trace): same principal branch (0, pi) since
     # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
     theta = math.atan2(xi, (g + h) / 2.0)
     omega_a = theta / abs(eps)
     m_star = k_star = None
-    if nu * tau > 0:
+    if nu_s * tau_s > 0:
         root = math.sqrt(tau / nu)
         m_star = 1.0 / (omega_a * root)
         k_star = omega_a / root
@@ -390,14 +396,12 @@ def sweep(s: Scheme, xs: list[float],
     """(x, value, regime) of one quantity at each timestep x, with omega = 1.
 
     value is None where the quantity is undefined in the map's regime; the
-    phase error is 2*pi*(omega_a - 1), as in `analysis.phase_error`. The
-    points run through the scheme's generated kernel (`_sweep_kernel`). It
-    agrees with `spectral(scheme_matrix(s, x, 1.0))` to round-off, not bit
-    for bit. The regimes can differ only within round-off of a regime
-    boundary, and below x ~ 1e-162, where the kernel reads elliptic with
-    omega_a = 1 and `spectral` reads parabolic. Points whose polynomial sums
-    overflow, and x = 0, take the scalar route of `spectral`, so a NaN x
-    raises ValueError as it does there.
+    phase error per period is 2*pi*(omega_a - 1). The points run through the
+    scheme's generated kernel (`_sweep_kernel`). It agrees with
+    `spectral(scheme_matrix(s, x, 1.0))` to round-off, not bit for bit, and
+    the regimes can differ only within round-off of a regime boundary.
+    Points whose polynomial sums overflow, and x = 0, take the scalar route
+    of `spectral`, so a NaN x raises ValueError as it does there.
     """
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"unknown sweep quantity {quantity!r}; "
@@ -406,11 +410,15 @@ def sweep(s: Scheme, xs: list[float],
         xs, lambda x: _scalar_point(_polynomials(s, False), x, quantity))
 
 
-def _require_elliptic(mat: PhaseMatrix) -> SpectralData:
-    data = spectral(mat)
-    if data.regime is not Regime.ELLIPTIC:
-        raise RegimeError(f"{data.regime.value} map: {data.detail}")
-    return data
+def _angle(theta: float, t: float, eps: float) -> float:
+    """theta*t/eps, the rotation angle of the closed form at time t.
+
+    theta and eps are first scaled by eps's power of two, so theta*t does
+    not underflow when eps and t are tiny; the scaling is exact, so the
+    result is bitwise theta*t/eps wherever theta*t is a normal number.
+    """
+    k = math.frexp(eps)[1]
+    return math.ldexp(theta, -k) * t / math.ldexp(eps, -k)
 
 
 def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
@@ -420,37 +428,14 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     rotation with angle theta*t/eps and Sigma = ((g-h)/(2 xi))
     sin(theta t/eps) diag(1, -1). Sigma vanishes exactly for time-reversible
     maps (h = g). t need not be a multiple of the timestep; at t = N*eps the
-    result equals the N-fold matrix power.
+    result equals the N-fold matrix power. A map that is not elliptic raises
+    RegimeError.
     """
-    data = _require_elliptic(mat)
-    angle = data.theta * t / mat.eps
+    data = spectral(mat)
+    if data.regime is not Regime.ELLIPTIC:
+        raise RegimeError(f"{data.regime.value} map: {data.detail}")
+    angle = _angle(data.theta, t, mat.eps)
     c, s = math.cos(angle), math.sin(angle)
     shift = ((mat.g - mat.h) / (2.0 * data.xi)) * s
     return ((c + shift, (mat.tau / data.xi) * s),
             (-(mat.nu / data.xi) * s, c - shift))
-
-
-def modified_hamiltonian(data: SpectralData, q: float, p: float) -> float:
-    """Shadow energy p^2/(2 m*) + k* q^2/2 conserved by a reversible map."""
-    if data.regime is not Regime.ELLIPTIC:
-        raise RegimeError(f"{data.regime.value} map: {data.detail}")
-    if not data.reversible:
-        raise ValueError(
-            "the modified Hamiltonian in this quadratic form is defined for "
-            "time-reversible maps only (equal diagonal entries)"
-        )
-    if data.m_star is None:
-        raise ValueError("m* and k* undefined: nu*tau is not positive")
-    return p * p / (2.0 * data.m_star) + 0.5 * data.k_star * q * q
-
-
-def invariant_quadratic_form(mat: PhaseMatrix) -> Rows:
-    """The rows of the symmetric matrix Q = [[nu, (g-h)/2], [(g-h)/2, tau]].
-
-    The quadratic form (q, p) Q (q, p)^T is exactly conserved by the map:
-    M^T Q M = Q whenever det M = 1, reversible or not. For non-reversible
-    maps the off-diagonal entry tilts the invariant ellipse.
-    """
-    _require_elliptic(mat)
-    w = (mat.g - mat.h) / 2.0
-    return ((mat.nu, w), (w, mat.tau))

@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 __all__ = [
     "DRIFT", "KICK", "GKICK", "Step", "Scheme",
     "SchemeError", "SchemeFileError",
-    "is_symmetric", "adjoint", "has_exact_coefficients",
+    "is_symmetric", "has_exact_coefficients",
     "registry", "registry_names", "get_scheme", "load_scheme", "DATA_DIR_ENV",
 ]
 
@@ -134,11 +134,6 @@ def _u_equal(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
     return a == b
-
-
-def adjoint(s: Scheme) -> Scheme:
-    """The scheme with its step list reversed."""
-    return replace(s, steps=tuple(reversed(s.steps)))
 
 
 def has_exact_coefficients(s: Scheme) -> bool:
@@ -304,21 +299,17 @@ def registry_names() -> tuple[str, ...]:
     return REGISTRY_ORDER
 
 
-def _data_dir(data_dir: str | None) -> str:
-    if data_dir is not None:
-        return data_dir
-    env = os.environ.get(DATA_DIR_ENV)
-    if env:
-        return env
-    return str(resources.files(__package__).joinpath("data"))
+def _data_dir() -> str:
+    return (os.environ.get(DATA_DIR_ENV)
+            or str(resources.files(__package__).joinpath("data")))
 
 
-def get_scheme(name: str, data_dir: str | None = None) -> Scheme:
+def get_scheme(name: str) -> Scheme:
     """Look up a registry scheme by name; data-backed entries load from disk."""
     if name in _BUILTINS:
         return _BUILTINS[name]()
     if name in _DATA_FILES:
-        path = os.path.join(_data_dir(data_dir), _DATA_FILES[name])
+        path = os.path.join(_data_dir(), _DATA_FILES[name])
         scheme = load_scheme(path)
         if scheme.name != name:
             raise SchemeFileError(
@@ -330,6 +321,6 @@ def get_scheme(name: str, data_dir: str | None = None) -> Scheme:
     )
 
 
-def registry(data_dir: str | None = None) -> list[Scheme]:
+def registry() -> list[Scheme]:
     """All registry schemes; raises SchemeFileError if M/BM files are bad."""
-    return [get_scheme(name, data_dir) for name in REGISTRY_ORDER]
+    return [get_scheme(name) for name in REGISTRY_ORDER]

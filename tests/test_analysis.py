@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from oscmap import analysis
 from oscmap.analysis import (
     AnalysisError, _mp_half_trace, _odd_part, _sturm_chain, _variations,
-    analyze, convergence_study, effective_param_series, normalized_coefficient,
-    omega_a_series, order_coefficient, phase_error, stability_limit,
+    analyze, convergence_study, effective_param_series, omega_a_series,
+    order_coefficient, stability_limit,
 )
-from oscmap.phasemap import RegimeError, scheme_matrix, spectral, sweep
+from oscmap.phasemap import Regime, scheme_matrix, spectral, sweep
 from oscmap.schemes import (
-    DRIFT, GKICK, KICK, Scheme, Step, adjoint, get_scheme, is_symmetric,
-    load_scheme, registry, registry_names,
+    DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
+    registry, registry_names,
 )
 
 F = Fraction
@@ -154,20 +154,27 @@ def test_lf1_inverse_mass_series_sums_to_the_sweep():
 
 # ----------------------------------------------------------------- phase error
 
+def _phase_error(s, x):
+    """sweep's per-period phase error 2*pi*(omega_a - 1) and regime at x."""
+    [(_, value, regime)] = sweep(s, [x], "phase_error")
+    return value, regime
+
+
 def test_phase_error_sv_small_step():
-    got = phase_error(get_scheme("SV"), 0.1)
+    got, regime = _phase_error(get_scheme("SV"), 0.1)
     ref = 2 * math.pi * (2 * math.asin(0.05) / 0.1 - 1)
+    assert regime is Regime.ELLIPTIC
     assert math.isclose(got, ref, rel_tol=1e-12)
     assert math.isclose(got, 2.621e-3, rel_tol=1e-3)
 
 
 def test_phase_error_vanishes_in_continuum():
-    assert abs(phase_error(get_scheme("SV"), 1e-6)) <= 1e-11
+    got, _ = _phase_error(get_scheme("SV"), 1e-6)
+    assert abs(got) <= 1e-11
 
 
 def test_phase_error_outside_window():
-    with pytest.raises(RegimeError, match="hyperbolic"):
-        phase_error(get_scheme("SV"), 2.5)
+    assert _phase_error(get_scheme("SV"), 2.5) == (None, Regime.HYPERBOLIC)
 
 
 # ----------------------------------------------------------- order coefficient
@@ -204,11 +211,13 @@ def test_order_coefficient_c_scheme():
 # ------------------------------------------------------ normalized coefficient
 
 def test_normalized_coefficients_table():
-    assert math.isclose(normalized_coefficient(get_scheme("FR")), -1.0,
-                        abs_tol=1e-12)
-    assert abs(normalized_coefficient(get_scheme("M")) - (-0.0043)) <= 1e-4
-    assert abs(normalized_coefficient(get_scheme("BM")) - (-0.0032)) <= 1e-4
-    assert abs(normalized_coefficient(get_scheme("C")) - 0.0062) <= 1e-4
+    def c_star(name):
+        return analyze(get_scheme(name)).c_star
+
+    assert math.isclose(c_star("FR"), -1.0, abs_tol=1e-12)
+    assert abs(c_star("M") - (-0.0043)) <= 1e-4
+    assert abs(c_star("BM") - (-0.0032)) <= 1e-4
+    assert abs(c_star("C") - 0.0062) <= 1e-4
 
 
 @pytest.mark.parametrize("name, checks",
@@ -232,14 +241,17 @@ def test_analyze_matches_the_public_functions():
     s = get_scheme("BM")
     rep = analyze(s, 8)
     assert (rep.n, rep.c_n) == (4, float(order_coefficient(s)[1]))
-    assert rep.c_star == normalized_coefficient(s)
+    c4_fr = float(order_coefficient(get_scheme("FR"))[1])
+    assert rep.c_star == rep.c_n * (s.force_evals / 3.0) ** 4 / abs(c4_fr)
     assert rep.omega_a == omega_a_series(s, 8)
     assert (rep.inv_mass, rep.k_star) == effective_param_series(s, 8)
 
 
 def test_normalized_coefficient_needs_order_four():
+    sv = get_scheme("SV")
     with pytest.raises(AnalysisError, match="order"):
-        normalized_coefficient(get_scheme("SV"))
+        analysis._normalized(sv, order_coefficient(sv))
+    assert analyze(sv).c_star is None
 
 
 # ------------------------------------------------------------------ stability
@@ -267,8 +279,9 @@ def test_stability_limit_fr():
 def test_stability_limit_invariant_under_adjoint():
     for name in ("SV", "FR", "LF1"):
         s = get_scheme(name)
+        adjoint = dataclasses.replace(s, steps=tuple(reversed(s.steps)))
         assert math.isclose(
-            stability_limit(s).x_max, stability_limit(adjoint(s)).x_max,
+            stability_limit(s).x_max, stability_limit(adjoint).x_max,
             rel_tol=0, abs_tol=1e-10,
         )
 

@@ -185,6 +185,32 @@ def test_scheme_file_coefficient_beyond_float_range(command, step, steps,
     assert "within float range" in proc.stderr
 
 
+#: Drifts and kicks 1e200, -1e200 and 1, interleaved: every step is within
+#: float range and each kind sums to 1, but products of the steps make
+#: coefficients of the one-step map beyond it.
+_HUGE_MAP_STEPS = [{"kind": kind, "c": c} for c in (1e200, -1e200, 1)
+                   for kind in ("drift", "kick")]
+
+
+@pytest.mark.parametrize("command", [
+    ["stability"],
+    ["analyze"],
+    ["sweep", "--min", "0.1", "--max", "1"],
+    ["simulate", "--x", "0.1", "--steps", "2"],
+    ["convergence", "--x", "0.1"],
+])
+def test_map_coefficient_beyond_float_range(command, tmp_path):
+    doc = {"name": "huge", "order": 1, "force_evals": 3,
+           "steps": _HUGE_MAP_STEPS}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _oscmap([command[0], "--file", str(path), *command[1:]])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("oscmap: error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "'huge'" in proc.stderr and "beyond float range" in proc.stderr
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--steps", ["simulate", "SV", "--x", "0.5", "--steps", "0"]),
     ("--stride", ["simulate", "SV", "--x", "0.5", "--steps", "10",
@@ -303,6 +329,20 @@ def test_simulate_accepts_negative_x(capsys):
     h_a = rows[0].index("H_A")
     assert [r[h_a] for r in rows[1:]] == [
         line.split(",")[h_a] for line in forward.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("name, tol", [("SV", 0.0), ("FR", 1e-184),
+                                       ("BM", 1e-184)])
+def test_simulate_keeps_its_shadow_columns_at_the_smallest_steps(name, tol,
+                                                                 capsys):
+    # nu*tau - w^2 ~ x^2 and theta*t ~ x^2 underflow below x ~ 1e-162; the
+    # closed form must still match p ~ 1e-170 to round-off
+    code, out, _ = _run(["simulate", name, "--x", "1e-170", "--steps", "2",
+                         "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["t"] for r in rows] == [0.0, 1e-170, 2e-170]
+    assert all(r["H_A"] == 0.5 and r["closed_form_error"] <= tol for r in rows)
 
 
 def _record() -> None:

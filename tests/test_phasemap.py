@@ -15,10 +15,10 @@ from oscmap.analysis import _mp_half_trace, stability_limit
 from oscmap.series import Series
 from oscmap.schemes import GKICK, Step, get_scheme, is_symmetric, registry
 from oscmap.phasemap import (
-    PhaseMatrix, Regime, RegimeError, invariant_quadratic_form,
-    SWEEP_QUANTITIES, modified_hamiltonian, propagate_closed_form,
+    PhaseMatrix, Regime, RegimeError, SWEEP_QUANTITIES, propagate_closed_form,
     scheme_matrix, scheme_series_matrix, spectral, sweep,
 )
+from oscmap.sim import iterate
 
 F = Fraction
 
@@ -26,6 +26,21 @@ F = Fraction
 def _array(m):
     """A numeric map as the 2x2 numpy array [[g, tau], [-nu, h]]."""
     return np.array([[m.g, m.tau], [-m.nu, m.h]])
+
+
+def _det(m):
+    return m.g * m.h + m.tau * m.nu
+
+
+def _invariant_form(m):
+    """Rows of Q = [[nu, w], [w, tau]], w = (g - h)/2, with M^T Q M = Q.
+
+    The quadratic form (q, p) Q (q, p)^T is conserved by any map with
+    det M = 1, reversible or not; for a non-reversible map the off-diagonal
+    entry tilts the invariant ellipse.
+    """
+    w = (m.g - m.h) / 2.0
+    return ((m.nu, w), (w, m.tau))
 
 
 # ------------------------------------------------------------ scheme matrices
@@ -81,7 +96,7 @@ def test_fr_series_matrix_against_surd_polynomials():
 def test_series_matrix_det_is_one():
     for name in ("SV", "FR", "C", "LF1"):
         m = scheme_series_matrix(get_scheme(name), 8)
-        det = m.det()
+        det = _det(m)
         assert all(abs(c) <= 1e-13 for c in det.coeffs[1:])
         assert det.coeffs[0] == 1
 
@@ -365,7 +380,7 @@ def _scalar_row(s, x: float, quantity: str) -> tuple:
         value = {
             "omega_a": omega_a, "m_star": d.m_star, "k_star": d.k_star,
             "phase_error": None if omega_a is None else 2.0 * math.pi * (omega_a - 1.0),
-            "det": m.det(), "trace": m.trace(),
+            "det": _det(m), "trace": m.g + m.h,
         }[quantity]
         return x, value, d.regime
     wx = x * W
@@ -437,10 +452,14 @@ def test_sweep_matches_the_exact_map(s, quantity):
 @pytest.mark.parametrize("x", [1e-170, 1e-300])
 @pytest.mark.parametrize("name", ["SV", "BM"])
 def test_sweep_stays_elliptic_where_the_discriminant_would_underflow(name, x):
-    # nu*tau - w^2 ~ x^2 underflows below x ~ 1e-162; its scaling by x^2 does not
+    # nu*tau - w^2 ~ x^2 underflows below x ~ 1e-162; sweep scales it by x^2
+    # and spectral by powers of two, and both keep the map elliptic
     s = get_scheme(name)
     assert sweep(s, [x], "omega_a") == [(x, 1.0, Regime.ELLIPTIC)]
     assert sweep(s, [x], "det") == [(x, 1.0, Regime.ELLIPTIC)]
+    d = spectral(scheme_matrix(s, x, 1.0))
+    assert (d.regime, d.omega_a, d.m_star, d.k_star) == (
+        Regime.ELLIPTIC, 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("s", registry(), ids=lambda s: s.name)
@@ -525,9 +544,14 @@ def test_sigma_amplitude_first_order():
 
 # ------------------------------------------------------ modified Hamiltonian
 
+def _h_a(s, x: float, q: float, p: float):
+    """The shadow energy H_A that `iterate` reports at the start (q, p)."""
+    energies = iterate(s, q, p, x, 1.0, 1).modified_energy
+    return None if energies is None else energies[0]
+
+
 def test_modified_hamiltonian_continuum_limit():
-    d = spectral(scheme_matrix(get_scheme("SV"), 1e-4, 1.0))
-    h_a = modified_hamiltonian(d, 1.0, 0.0)
+    h_a = _h_a(get_scheme("SV"), 1e-4, 1.0, 0.0)
     assert math.isclose(h_a, 0.5, abs_tol=1e-8)  # H = w^2 q^2 / 2 = 0.5
 
 
@@ -535,27 +559,26 @@ def test_modified_hamiltonian_sv_closed_form():
     x = 0.5
     d = spectral(scheme_matrix(get_scheme("SV"), x, 1.0))
     k_star = d.omega_a * math.sqrt(1 - x * x / 4)
-    assert math.isclose(modified_hamiltonian(d, 1.0, 0.0), k_star / 2,
+    assert math.isclose(_h_a(get_scheme("SV"), x, 1.0, 0.0), k_star / 2,
                         rel_tol=1e-13)
 
 
 def test_modified_hamiltonian_rejects_nonreversible():
-    d = spectral(scheme_matrix(get_scheme("LF1"), 0.3, 1.0))
-    with pytest.raises(ValueError, match="time-reversible"):
-        modified_hamiltonian(d, 1.0, 0.0)
+    # the quadratic form p^2/(2 m*) + k* q^2/2 holds for reversible maps only
+    assert _h_a(get_scheme("LF1"), 0.3, 1.0, 0.0) is None
 
 
 # ------------------------------------------------------------ invariant form
 
 def test_invariant_form_reversible_is_diagonal():
-    q = invariant_quadratic_form(scheme_matrix(get_scheme("SV"), 0.3, 1.0))
+    q = _invariant_form(scheme_matrix(get_scheme("SV"), 0.3, 1.0))
     assert q[0][1] == 0.0 and q[1][0] == 0.0
 
 
 def test_invariant_form_conserved_under_map():
     for name in ("SV", "LF1", "FR", "C", "M", "BM"):
         m = scheme_matrix(get_scheme(name), 0.2, 1.0)
-        q = np.array(invariant_quadratic_form(m))
+        q = np.array(_invariant_form(m))
         a = _array(m)
         assert np.max(np.abs(a.T @ q @ a - q)) <= 1e-12
 
@@ -564,13 +587,13 @@ def test_invariant_form_first_order_cross_term():
     # cross term magnitude relative to the p^2 entry is eps*w^2/2
     x = 0.2
     m = scheme_matrix(get_scheme("LF1"), x, 1.0)
-    (_, cross), (_, p2) = invariant_quadratic_form(m)
+    (_, cross), (_, p2) = _invariant_form(m)
     assert math.isclose(abs(cross) / p2, x / 2, rel_tol=1e-12)
 
 
 def test_invariant_form_tilt_approaches_45_degrees():
     for x in (0.05, 0.02):
-        q = invariant_quadratic_form(scheme_matrix(get_scheme("LF1"), x, 1.0))
+        q = _invariant_form(scheme_matrix(get_scheme("LF1"), x, 1.0))
         evals, evecs = np.linalg.eigh(np.array(q))
         major = evecs[:, 0]  # smaller eigenvalue = longer axis
         tilt = math.degrees(math.atan2(major[1], major[0]))
@@ -587,7 +610,7 @@ def test_det_one_across_sweep():
     for s in registry():
         for x in np.linspace(0.01, 1.99, 50):
             m = scheme_matrix(s, float(x), 1.0)
-            assert abs(m.det() - 1.0) <= 1e-12
+            assert abs(_det(m) - 1.0) <= 1e-12
 
 
 def test_time_reversibility_of_symmetric_schemes():

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscmap.analysis import phase_error, order_coefficient
+from oscmap.analysis import order_coefficient
 from oscmap.phasemap import (
-    Regime, RegimeError, invariant_quadratic_form, propagate_closed_form,
-    scheme_matrix, spectral,
+    Regime, RegimeError, propagate_closed_form, scheme_matrix, spectral, sweep,
 )
 from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
@@ -100,6 +99,12 @@ def portrait(s, q0, p0, eps, omega, n_steps):
         tilt += 180.0
     ratio = math.sqrt(evals[1] / evals[0])
     return PortraitFit(conic, tilt, ratio)
+
+
+def phase_error(s, x):
+    """Per-period phase error 2*pi*(omega_a - 1) at x, as `sweep` gives it."""
+    [(_, value, _)] = sweep(s, [x], "phase_error")
+    return value
 
 
 def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
@@ -388,7 +393,9 @@ def test_portrait_conic_matches_invariant_form():
     for name in ("SV", "LF1"):
         s = get_scheme(name)
         fit = portrait(s, 1.0, 0.0, 0.3, 1.0, 3000)
-        q_ref = np.array(invariant_quadratic_form(scheme_matrix(s, 0.3, 1.0)))
+        m = scheme_matrix(s, 0.3, 1.0)
+        w = (m.g - m.h) / 2.0
+        q_ref = np.array([[m.nu, w], [w, m.tau]])  # M^T Q M = Q
         got = fit.conic / np.linalg.norm(fit.conic)
         ref = q_ref / np.linalg.norm(q_ref)
         assert np.max(np.abs(got - ref)) <= 0.01 * np.max(np.abs(ref))
