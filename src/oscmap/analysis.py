@@ -17,7 +17,6 @@ starting at x^1 for a first-order one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -379,15 +378,13 @@ def _variations(chain: list[list[int]], y: float) -> int:
 
 # ----------------------------------------------------------- convergence
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     order: int
     partial_sum: float
     abs_error: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     scheme: str
     x: float
     closed_form: float | None
@@ -431,8 +428,7 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
 
 # -------------------------------------------------------------- report
 
-@dataclass(frozen=True)
-class PhaseErrorReport:
+class PhaseErrorReport(NamedTuple):
     """Everything cmd_analyze prints for one scheme except `reversible`."""
 
     scheme: str

@@ -181,9 +181,9 @@ def cmd_sweep(args) -> int:
     if args.points < 2:
         raise SchemeError("sweep needs at least 2 points")
     s = _resolve_scheme(args)
-    rows = sweep(s, _sweep_grid(args.min, args.max, args.points), args.quantity)
+    # Regime is a str subclass: csv and json write a member as its value
     _emit(args, ["x", "value", "regime"],
-          [(x, value, regime.value) for x, value, regime in rows])
+          sweep(s, _sweep_grid(args.min, args.max, args.points), args.quantity))
     return 0
 
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import Series
 from .schemes import (DRIFT, GKICK, Scheme, SchemeError, Step,
@@ -70,8 +70,7 @@ class RegimeError(ValueError):
     """Raised when a quantity is requested outside the elliptic regime."""
 
 
-@dataclass(frozen=True)
-class PhaseMatrix:
+class PhaseMatrix(NamedTuple):
     """One-timestep map [[g, tau], [-nu, h]] acting on the column (q, p)."""
 
     g: object
@@ -96,8 +95,7 @@ class PhaseMatrix:
         return isinstance(self.g, Series)
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Rotation data of one numeric map; fields undefined in its regime are None.
 
     theta, xi, omega_a, m_star and k_star are set in the elliptic regime

@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 __all__ = [
     "DRIFT", "KICK", "GKICK", "Step", "Scheme",
@@ -62,51 +62,64 @@ def _finite(v) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Step:
-    """One elementary factor: kind, timestep fraction c, gradient weight u."""
-
+# A NamedTuple body cannot define __new__, so each validated record keeps its
+# fields in a NamedTuple base and checks them in a subclass's __new__. The
+# records are tuples: immutable, and hashed and compared as their fields.
+# _make and _replace build through tuple.__new__ and skip the checks.
+class _StepFields(NamedTuple):
     kind: str
     c: float | Fraction
     u: float | Fraction | None = None
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise SchemeError(f"unknown step kind {self.kind!r}")
-        if not _finite(self.c):
+
+class Step(_StepFields):
+    """One elementary factor: kind, timestep fraction c, gradient weight u."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, c: float | Fraction,
+                u: float | Fraction | None = None):
+        if kind not in _KINDS:
+            raise SchemeError(f"unknown step kind {kind!r}")
+        if not _finite(c):
             raise SchemeError("coefficient c must be finite and within float range")
-        if self.kind == GKICK:
-            if self.u is None or not _finite(self.u):
+        if kind == GKICK:
+            if u is None or not _finite(u):
                 raise SchemeError("gkick step needs a gradient coefficient u "
                                   "that is finite and within float range")
-        elif self.u is not None:
-            raise SchemeError(f"{self.kind} step must not carry a gradient coefficient")
+        elif u is not None:
+            raise SchemeError(f"{kind} step must not carry a gradient coefficient")
+        return super().__new__(cls, kind, c, u)
 
     def is_zero(self) -> bool:
         """True for steps that are the identity map."""
         return self.c == 0 and (self.u is None or self.u == 0)
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """An ordered factorization with declared order and cost metadata."""
-
+class _SchemeFields(NamedTuple):
     name: str
     steps: tuple[Step, ...]
     order: int
     force_evals: int
     citation: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.steps:
+
+class Scheme(_SchemeFields):
+    """An ordered factorization with declared order and cost metadata."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, steps, order: int, force_evals: int,
+                citation: str = ""):
+        steps = tuple(steps)
+        if not steps:
             raise SchemeError("scheme needs at least one step")
-        if self.order < 1:
+        if order < 1:
             raise SchemeError("declared order must be positive")
-        if self.force_evals < 1:
+        if force_evals < 1:
             raise SchemeError("force_evals must be positive")
-        drift_sum = sum(s.c for s in self.steps if s.kind == DRIFT)
-        kick_sum = sum(s.c for s in self.steps if s.kind in (KICK, GKICK))
+        drift_sum = sum(s.c for s in steps if s.kind == DRIFT)
+        kick_sum = sum(s.c for s in steps if s.kind in (KICK, GKICK))
         if abs(drift_sum - 1) > CONSISTENCY_TOL:
             raise SchemeError(
                 f"drift coefficients sum to {float(drift_sum)!r}, expected 1"
@@ -115,6 +128,7 @@ class Scheme:
             raise SchemeError(
                 f"kick coefficients sum to {float(kick_sum)!r}, expected 1"
             )
+        return super().__new__(cls, name, steps, order, force_evals, citation)
 
     def active_steps(self) -> tuple[Step, ...]:
         """Steps with zero-coefficient (identity) entries dropped."""

@@ -14,7 +14,7 @@ Python floats.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .phasemap import Regime, scheme_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme
@@ -22,8 +22,7 @@ from .schemes import DRIFT, GKICK, Scheme
 __all__ = ["TrajectoryRecord", "iterate"]
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Sampled states of one discrete trajectory, one list entry per sample.
 
     `energy` is the true oscillator energy p^2/2 + omega^2 q^2 / 2;

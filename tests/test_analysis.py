@@ -1,6 +1,5 @@
 """Tests for the frequency-series and phase-error benchmark machinery."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -90,9 +89,9 @@ def test_fr_effective_parameters():
 
 def _binary_exact(s: Scheme) -> Scheme:
     """s with every float coefficient replaced by its exact binary value."""
-    return dataclasses.replace(s, steps=tuple(
-        dataclasses.replace(st, c=F(st.c), u=None if st.u is None else F(st.u))
-        for st in s.steps))
+    return Scheme(**{**s._asdict(), "steps": tuple(
+        Step(st.kind, F(st.c), None if st.u is None else F(st.u))
+        for st in s.steps)})
 
 
 @pytest.mark.parametrize("name", ["FR", "M"])
@@ -279,7 +278,7 @@ def test_stability_limit_fr():
 def test_stability_limit_invariant_under_adjoint():
     for name in ("SV", "FR", "LF1"):
         s = get_scheme(name)
-        adjoint = dataclasses.replace(s, steps=tuple(reversed(s.steps)))
+        adjoint = Scheme(**{**s._asdict(), "steps": tuple(reversed(s.steps))})
         assert math.isclose(
             stability_limit(s).x_max, stability_limit(adjoint).x_max,
             rel_tol=0, abs_tol=1e-10,

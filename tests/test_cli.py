@@ -284,7 +284,8 @@ def test_mpmath_not_imported_outside_richardson_check(args):
     assert "mpmath" not in _imported_packages(args)
 
 
-@pytest.mark.parametrize("args", [
+#: One run of every subcommand, and a bare import.
+_EVERY_SUBCOMMAND = [
     ["-c", "import oscmap"],
     ["-m", "oscmap", "schemes"],
     ["-m", "oscmap", "analyze", "SV"],
@@ -298,9 +299,18 @@ def test_mpmath_not_imported_outside_richardson_check(args):
     ["-m", "oscmap", "simulate", "LF1", "--x", "0.5", "--steps", "100"],
     ["-m", "oscmap", "simulate", "SV", "--x", "2.5", "--steps", "2000",
      "--stride", "100"],
-])
+]
+
+
+@pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
 def test_numpy_never_imported(args):
     assert "numpy" not in _imported_packages(args)
+
+
+@pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
+def test_dataclasses_never_imported(args):
+    # dataclasses pulls in inspect, ast, dis and tokenize: ~10 ms per start
+    assert "dataclasses" not in _imported_packages(args)
 
 
 # --------------------------------------------------------------- sweep grid

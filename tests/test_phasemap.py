@@ -3,7 +3,6 @@
 import functools
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +12,7 @@ import pytest
 from oscmap import phasemap
 from oscmap.analysis import _mp_half_trace, stability_limit
 from oscmap.series import Series
-from oscmap.schemes import GKICK, Step, get_scheme, is_symmetric, registry
+from oscmap.schemes import GKICK, Scheme, Step, get_scheme, is_symmetric, registry
 from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, SWEEP_QUANTITIES, propagate_closed_form,
     scheme_matrix, scheme_series_matrix, spectral, sweep,
@@ -122,10 +121,10 @@ def test_rational_mode_requires_exact_coefficients():
 
 
 def _with_float_coefficients(s):
-    return replace(s, steps=tuple(
+    return Scheme(**{**s._asdict(), "steps": tuple(
         Step(st.kind, float(st.c), None if st.u is None else float(st.u))
         for st in s.steps
-    ))
+    )})
 
 
 @pytest.mark.parametrize("float_first", [True, False])
@@ -154,10 +153,10 @@ def test_series_mode_follows_coefficient_type_whichever_is_built_first(
 
 
 def _binary_exact(s):
-    return replace(s, steps=tuple(
+    return Scheme(**{**s._asdict(), "steps": tuple(
         Step(st.kind, F(st.c), None if st.u is None else F(st.u))
         for st in s.steps
-    ))
+    )})
 
 
 @pytest.mark.parametrize("s", [pytest.param(s, id=s.name) for s in registry()] + [

@@ -1,12 +1,11 @@
 """Tests for scheme construction, registry, symmetry, and file I/O."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oscmap import phasemap
+from oscmap import analysis, phasemap, sim
 from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, SchemeError, SchemeFileError, Step,
     get_scheme, has_exact_coefficients, is_symmetric, load_scheme, registry,
@@ -78,6 +77,67 @@ def test_consistency_sums_enforced():
         Scheme("bad", (Step(DRIFT, 0.5), Step(KICK, 1)), 1, 1)
 
 
+_DK = (Step(DRIFT, 1), Step(KICK, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Step("drip", 1.0), "unknown step kind 'drip'"),
+    (lambda: Step(DRIFT, float("nan")),
+     "coefficient c must be finite and within float range"),
+    (lambda: Step(kind=KICK, c=10**400),
+     "coefficient c must be finite and within float range"),
+    (lambda: Step(GKICK, 0.5),
+     "gkick step needs a gradient coefficient u that is finite and within "
+     "float range"),
+    (lambda: Step(GKICK, 0.5, float("inf")),
+     "gkick step needs a gradient coefficient u that is finite and within "
+     "float range"),
+    (lambda: Step(KICK, 0.5, 0.1), "kick step must not carry a gradient coefficient"),
+    (lambda: Step(DRIFT, 1, u=0), "drift step must not carry a gradient coefficient"),
+    (lambda: Scheme("bad", [], 1, 1), "scheme needs at least one step"),
+    (lambda: Scheme("bad", _DK, 0, 1), "declared order must be positive"),
+    (lambda: Scheme("bad", _DK, order=1, force_evals=0),
+     "force_evals must be positive"),
+    (lambda: Scheme("bad", (Step(DRIFT, 1), Step(KICK, 0.9)), 1, 1),
+     "kick coefficients sum to 0.9, expected 1"),
+    (lambda: Scheme(name="bad", steps=[Step(DRIFT, 0.5), Step(GKICK, 1, 0.1)],
+                    order=1, force_evals=1),
+     "drift coefficients sum to 0.5, expected 1"),
+    # rebuilding a record through its class runs the checks again
+    (lambda: Scheme(**{**get_scheme("SV")._asdict(), "steps": _DK[:1]}),
+     "kick coefficients sum to 0.0, expected 1"),
+])
+def test_step_and_scheme_reject_bad_fields_with_their_messages(build, message):
+    with pytest.raises(SchemeError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_scheme_stores_its_steps_as_a_tuple():
+    s = Scheme("list", list(_DK), 1, 1)
+    assert s.steps == _DK and type(s.steps) is tuple
+    # equal steps hash alike whatever the coefficient type, as their fields do
+    assert Step(KICK, 0.5) == Step(KICK, Fraction(1, 2))
+    assert hash(Step(KICK, 0.5)) == hash((KICK, Fraction(1, 2), None))
+
+
+def test_records_are_immutable():
+    sv = get_scheme("SV")
+    m = phasemap.scheme_matrix(sv, 0.5, 1.0)
+    study = analysis.convergence_study(sv, 0.5, 4)
+    records = [sv.steps[0], sv, m, phasemap.spectral(m), study.rows[0], study,
+               analysis.analyze(sv, 4), sim.iterate(sv, 1.0, 0.0, 0.5, 1.0, 4)]
+    assert [type(r).__name__ for r in records] == [
+        "Step", "Scheme", "PhaseMatrix", "SpectralData", "ConvergenceRow",
+        "ConvergenceStudy", "PhaseErrorReport", "TrajectoryRecord"]
+    for r in records:
+        for field in r._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, field, None)
+        with pytest.raises(AttributeError):
+            r.extra = None
+
+
 # ------------------------------------------------------------- symmetry
 
 def test_is_symmetric_examples():
@@ -117,7 +177,7 @@ def test_adjoint_inverts_under_negative_timestep(seed):
     s = Scheme("random", tuple(steps), order=1, force_evals=3)
     eps = 0.37
     m_fwd = phasemap.scheme_matrix(s, eps, 1.0)
-    adjoint = replace(s, steps=tuple(reversed(s.steps)))
+    adjoint = Scheme(**{**s._asdict(), "steps": tuple(reversed(s.steps))})
     m_back = phasemap.scheme_matrix(adjoint, -eps, 1.0)
     prod = m_back @ m_fwd
     assert abs(prod.g - 1) <= 1e-12
