@@ -44,13 +44,11 @@ __all__ = [
     "PhaseMatrix", "SpectralData", "Regime", "RegimeError",
     "scheme_matrix", "scheme_series_matrix", "spectral", "sweep",
     "propagate_closed_form",
-    "PARABOLIC_TOL", "REVERSIBLE_TOL", "SWEEP_QUANTITIES",
+    "PARABOLIC_TOL", "SWEEP_QUANTITIES",
 ]
 
 #: |Tr M| within this of 2 is classified parabolic rather than elliptic.
 PARABOLIC_TOL = 1e-12
-#: |g - h| at or below this counts as time-reversible in numeric mode.
-REVERSIBLE_TOL = 1e-12
 
 #: What `sweep` can tabulate: a spectral field, the phase error per period,
 #: or the determinant or trace of the map.
@@ -100,7 +98,9 @@ class SpectralData(NamedTuple):
 
     theta, xi, omega_a, m_star and k_star are set in the elliptic regime
     only, m_star and k_star only where nu*tau > 0 as well; `detail` says why
-    a parabolic or hyperbolic map has none of them.
+    a parabolic or hyperbolic map has none of them. Whether the scheme is
+    time-reversible is not read from the map: `schemes.is_symmetric` decides
+    it, and with it whether m* and k* give a shadow energy H_A.
     """
 
     theta: float | None
@@ -109,7 +109,6 @@ class SpectralData(NamedTuple):
     m_star: float | None
     k_star: float | None
     regime: Regime
-    reversible: bool
     detail: str = ""
 
 
@@ -207,7 +206,7 @@ _NAN_ENTRY = ("the map has a NaN entry, so it has no regime; its polynomials "
 
 
 def _rotation(g: float, tau: float, nu: float, h: float, eps: float) -> tuple:
-    """(theta, xi, omega_a, m_star, k_star, regime, reversible) of one map.
+    """(theta, xi, omega_a, m_star, k_star, regime) of one map.
 
     The fields are those of SpectralData, in its order, None where undefined.
     A map is hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL,
@@ -222,9 +221,8 @@ def _rotation(g: float, tau: float, nu: float, h: float, eps: float) -> tuple:
     """
     if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
         raise ValueError(_NAN_ENTRY)
-    reversible = abs(g - h) <= REVERSIBLE_TOL
     if abs(g + h) - 2.0 > PARABOLIC_TOL:
-        return None, None, None, None, None, Regime.HYPERBOLIC, reversible
+        return None, None, None, None, None, Regime.HYPERBOLIC
     # tau*2^-kt and nu*2^(kt - 2e) lie in [1/2, 2): their product, and w*2^-e
     # squared, are disc = nu*tau - w^2 scaled by 4^-e
     kt = math.frexp(tau)[1]
@@ -233,7 +231,7 @@ def _rotation(g: float, tau: float, nu: float, h: float, eps: float) -> tuple:
     w_s = math.ldexp((g - h) / 2.0, -e)
     disc = nu_s * tau_s - w_s * w_s
     if not disc > 0.0:
-        return None, None, None, None, None, Regime.PARABOLIC, reversible
+        return None, None, None, None, None, Regime.PARABOLIC
     xi = math.ldexp(math.sqrt(disc), e)
     # atan2 form of arccos(half_trace): same principal branch (0, pi) since
     # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
@@ -244,7 +242,7 @@ def _rotation(g: float, tau: float, nu: float, h: float, eps: float) -> tuple:
         root = math.sqrt(tau / nu)
         m_star = 1.0 / (omega_a * root)
         k_star = omega_a / root
-    return theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC, reversible
+    return theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC
 
 
 def spectral(mat: PhaseMatrix) -> SpectralData:
@@ -263,7 +261,7 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     if mat.is_series:
         raise TypeError("spectral analysis needs a numeric-mode matrix")
     fields = _rotation(mat.g, mat.tau, mat.nu, mat.h, mat.eps)
-    regime = fields[-2]
+    regime = fields[-1]
     detail = ""
     if regime is Regime.HYPERBOLIC:
         detail = (f"|trace|/2 = {abs(mat.g + mat.h) / 2.0!r} exceeds 1; the map "
@@ -373,7 +371,7 @@ def _scalar_point(polys: tuple[Series, Series, Series, Series], x: float,
                   quantity: str) -> tuple[float, float | None, Regime]:
     """One sweep row from `_entries` and `_rotation`, the route of `spectral`."""
     g, tau, nu, h = _entries(polys, x, 1.0)
-    _, _, omega_a, m_star, k_star, regime, _ = _rotation(g, tau, nu, h, x)
+    _, _, omega_a, m_star, k_star, regime = _rotation(g, tau, nu, h, x)
     if quantity == "omega_a":
         value = omega_a
     elif quantity == "phase_error":

@@ -17,7 +17,6 @@ import json
 import math
 import os
 from fractions import Fraction
-from importlib import resources
 from typing import NamedTuple
 
 __all__ = [
@@ -50,10 +49,10 @@ class SchemeFileError(SchemeError):
 
 
 def _finite(v) -> bool:
-    """True for a finite float, or an int or Fraction that float() can round."""
+    """True for a finite float, or an int (not bool) or Fraction in float range."""
     if isinstance(v, float):
         return math.isfinite(v)
-    if not isinstance(v, (int, Fraction)):
+    if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
         return False
     try:
         float(v)
@@ -65,7 +64,8 @@ def _finite(v) -> bool:
 # A NamedTuple body cannot define __new__, so each validated record keeps its
 # fields in a NamedTuple base and checks them in a subclass's __new__. The
 # records are tuples: immutable, and hashed and compared as their fields.
-# _make and _replace build through tuple.__new__ and skip the checks.
+# _make builds through the class, and _replace through _make, so every way of
+# building a record runs the checks.
 class _StepFields(NamedTuple):
     kind: str
     c: float | Fraction
@@ -91,6 +91,10 @@ class Step(_StepFields):
             raise SchemeError(f"{kind} step must not carry a gradient coefficient")
         return super().__new__(cls, kind, c, u)
 
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
     def is_zero(self) -> bool:
         """True for steps that are the identity map."""
         return self.c == 0 and (self.u is None or self.u == 0)
@@ -112,6 +116,12 @@ class Scheme(_SchemeFields):
     def __new__(cls, name: str, steps, order: int, force_evals: int,
                 citation: str = ""):
         steps = tuple(steps)
+        for key, v in (("order", order), ("force_evals", force_evals)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise SchemeError(f"{key} must be an integer, got {v!r}")
+        for key, v in (("name", name), ("citation", citation)):
+            if not isinstance(v, str):
+                raise SchemeError(f"{key} must be a string, got {v!r}")
         if not steps:
             raise SchemeError("scheme needs at least one step")
         if order < 1:
@@ -130,6 +140,10 @@ class Scheme(_SchemeFields):
             )
         return super().__new__(cls, name, steps, order, force_evals, citation)
 
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
     def active_steps(self) -> tuple[Step, ...]:
         """Steps with zero-coefficient (identity) entries dropped."""
         return tuple(s for s in self.steps if not s.is_zero())
@@ -138,16 +152,7 @@ class Scheme(_SchemeFields):
 def is_symmetric(s: Scheme) -> bool:
     """True iff the step sequence is palindromic, ignoring identity steps."""
     active = s.active_steps()
-    return all(
-        a.kind == b.kind and a.c == b.c and _u_equal(a.u, b.u)
-        for a, b in zip(active, reversed(active))
-    )
-
-
-def _u_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return a == b
+    return active == active[::-1]
 
 
 def has_exact_coefficients(s: Scheme) -> bool:
@@ -161,34 +166,6 @@ def has_exact_coefficients(s: Scheme) -> bool:
 
 # ---------------------------------------------------------------------- I/O
 
-def _steps_from_list(raw, where: str) -> tuple[Step, ...]:
-    steps = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise SchemeFileError(f"{where}: step {i}: expected an object")
-        kind = item.get("kind")
-        if kind not in _KINDS:
-            raise SchemeFileError(f"{where}: step {i}: unknown step kind {kind!r}")
-        c = item.get("c")
-        if not isinstance(c, (int, float)) or isinstance(c, bool):
-            raise SchemeFileError(f"{where}: step {i}: coefficient c must be a number")
-        u = item.get("u")
-        if kind == GKICK:
-            if not isinstance(u, (int, float)) or isinstance(u, bool):
-                raise SchemeFileError(
-                    f"{where}: step {i}: gkick needs a numeric gradient coefficient u"
-                )
-        elif u is not None:
-            raise SchemeFileError(
-                f"{where}: step {i}: u is only valid for gkick steps"
-            )
-        try:
-            steps.append(Step(kind, c, u if kind == GKICK else None))
-        except SchemeError as exc:
-            raise SchemeFileError(f"{where}: step {i}: {exc}") from exc
-    return tuple(steps)
-
-
 def _scheme_from_dict(obj: dict, where: str) -> Scheme:
     if not isinstance(obj, dict):
         raise SchemeFileError(f"{where}: expected a JSON object")
@@ -197,23 +174,17 @@ def _scheme_from_dict(obj: dict, where: str) -> Scheme:
             raise SchemeFileError(f"{where}: missing required key {key!r}")
     if not isinstance(obj["steps"], list) or not obj["steps"]:
         raise SchemeFileError(f"{where}: steps must be a non-empty array")
-    steps = _steps_from_list(obj["steps"], where)
-    for key in ("order", "force_evals"):
-        v = obj[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemeFileError(f"{where}: {key} must be an integer, got {v!r}")
-    for key in ("name", "citation"):
-        v = obj.get(key, "")
-        if not isinstance(v, str):
-            raise SchemeFileError(f"{where}: {key} must be a string, got {v!r}")
+    steps = []
+    for i, item in enumerate(obj["steps"]):
+        if not isinstance(item, dict):
+            raise SchemeFileError(f"{where}: step {i}: expected an object")
+        try:
+            steps.append(Step(item.get("kind"), item.get("c"), item.get("u")))
+        except SchemeError as exc:
+            raise SchemeFileError(f"{where}: step {i}: {exc}") from exc
     try:
-        return Scheme(
-            name=obj["name"],
-            steps=steps,
-            order=obj["order"],
-            force_evals=obj["force_evals"],
-            citation=obj.get("citation", ""),
-        )
+        return Scheme(obj["name"], steps, obj["order"], obj["force_evals"],
+                      obj.get("citation", ""))
     except SchemeError as exc:
         raise SchemeFileError(f"{where}: {exc}") from exc
 
@@ -315,7 +286,7 @@ def registry_names() -> tuple[str, ...]:
 
 def _data_dir() -> str:
     return (os.environ.get(DATA_DIR_ENV)
-            or str(resources.files(__package__).joinpath("data")))
+            or os.path.join(os.path.dirname(__file__), "data"))
 
 
 def get_scheme(name: str) -> Scheme:

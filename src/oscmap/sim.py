@@ -17,7 +17,7 @@ import functools
 from typing import NamedTuple
 
 from .phasemap import Regime, scheme_matrix, spectral
-from .schemes import DRIFT, GKICK, Scheme
+from .schemes import DRIFT, GKICK, Scheme, is_symmetric
 
 __all__ = ["TrajectoryRecord", "iterate"]
 
@@ -26,8 +26,9 @@ class TrajectoryRecord(NamedTuple):
     """Sampled states of one discrete trajectory, one list entry per sample.
 
     `energy` is the true oscillator energy p^2/2 + omega^2 q^2 / 2;
-    `modified_energy` is the shadow energy p^2/(2 m*) + k* q^2/2 when the
-    scheme is reversible and elliptic at this step size (None otherwise).
+    `modified_energy` is the shadow energy H_A = p^2/(2 m*) + k* q^2/2 when
+    `is_symmetric` calls the scheme reversible and the map is elliptic at
+    this step size (None otherwise).
     A diverging run holds inf and NaN, as Python float arithmetic gives them.
     """
 
@@ -97,7 +98,9 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
     generates for the scheme's drift/kick pattern, with this call's
     coefficients passed as arguments. Samples are taken at step 0, at every
     multiple of the stride and at the final step, which is always included.
-    Divergence in the hyperbolic regime is legitimate output, not an error.
+    The shadow energy H_A follows `is_symmetric`, the test `analyze` prints
+    as `reversible`, at every step size. Divergence in the hyperbolic regime
+    is legitimate output, not an error.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -114,7 +117,7 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
     modified = None
     data = spectral(scheme_matrix(s, eps, omega))
     if (data.regime is Regime.ELLIPTIC and data.m_star is not None
-            and data.reversible):
+            and is_symmetric(s)):
         two_m, half_k = 2.0 * data.m_star, 0.5 * data.k_star
         modified = [p * p / two_m + half_k * (q * q) for q, p in zip(qs, ps)]
     return TrajectoryRecord(index, [i * eps for i in index], qs, ps, energy,

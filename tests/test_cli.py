@@ -313,6 +313,17 @@ def test_dataclasses_never_imported(args):
     assert "dataclasses" not in _imported_packages(args)
 
 
+def test_cli_imports_without_importlib_resources():
+    # without `site`, whose .pth files may load it anyway: the data files are
+    # found next to the package, so importlib.resources is never needed
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {str(SRC)!r}); import oscmap.cli; "
+         "sys.exit('importlib.resources' in sys.modules)"],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
 # --------------------------------------------------------------- sweep grid
 
 @settings(max_examples=200, deadline=None)
@@ -353,6 +364,16 @@ def test_simulate_keeps_its_shadow_columns_at_the_smallest_steps(name, tol,
     rows = json.loads(out)
     assert [r["t"] for r in rows] == [0.0, 1e-170, 2e-170]
     assert all(r["H_A"] == 0.5 and r["closed_form_error"] <= tol for r in rows)
+
+
+@pytest.mark.parametrize("name", ["LF1", "LF1T"])
+def test_simulate_prints_sigma_for_a_non_reversible_scheme_at_any_step(
+        name, capsys):
+    # g - h = x^2 is 1e-12 here: the scheme is still not reversible
+    code, out, _ = _run(["simulate", name, "--x", "1e-6", "--steps", "2"],
+                        capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "t,q,p,H,sigma,closed_form_error"
 
 
 def _record() -> None:

@@ -203,7 +203,6 @@ def test_spectral_sv_at_unit_step():
     assert d.regime is Regime.ELLIPTIC
     assert math.isclose(d.theta, math.pi / 3, rel_tol=1e-14)
     assert math.isclose(d.omega_a, 1.0471975511965976, rel_tol=1e-12)
-    assert d.reversible
 
 
 def test_spectral_hyperbolic_beyond_limit():

@@ -103,9 +103,21 @@ _DK = (Step(DRIFT, 1), Step(KICK, 1))
     (lambda: Scheme(name="bad", steps=[Step(DRIFT, 0.5), Step(GKICK, 1, 0.1)],
                     order=1, force_evals=1),
      "drift coefficients sum to 0.5, expected 1"),
-    # rebuilding a record through its class runs the checks again
+    (lambda: Scheme("bad", _DK, 2.0, 1), "order must be an integer, got 2.0"),
+    (lambda: Scheme("bad", _DK, 1, True),
+     "force_evals must be an integer, got True"),
+    (lambda: Scheme(None, _DK, 1, 1), "name must be a string, got None"),
+    (lambda: Step(DRIFT, True),
+     "coefficient c must be finite and within float range"),
+    # rebuilding a record through its class, _make or _replace runs the
+    # checks again
     (lambda: Scheme(**{**get_scheme("SV")._asdict(), "steps": _DK[:1]}),
      "kick coefficients sum to 0.0, expected 1"),
+    (lambda: get_scheme("SV")._replace(order=0, steps=()),
+     "scheme needs at least one step"),
+    (lambda: Step._make(("drip", 1.0)), "unknown step kind 'drip'"),
+    (lambda: get_scheme("SV").steps[0]._replace(u=0.1),
+     "kick step must not carry a gradient coefficient"),
 ])
 def test_step_and_scheme_reject_bad_fields_with_their_messages(build, message):
     with pytest.raises(SchemeError) as info:
@@ -222,6 +234,39 @@ def test_load_unknown_kind(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(SchemeFileError, match="step 1: unknown step kind"):
         load_scheme(str(path))
+
+
+_SV_STEPS = [{"kind": "kick", "c": 0.5}, {"kind": "drift", "c": 1},
+             {"kind": "kick", "c": 0.5}]
+
+
+@pytest.mark.parametrize("index, item, message", [
+    (0, 5, "expected an object"),
+    (1, {"c": 1}, "unknown step kind None"),
+    (1, {"kind": "drift", "c": "1"},
+     "coefficient c must be finite and within float range"),
+    (1, {"kind": "drift", "c": True},
+     "coefficient c must be finite and within float range"),
+    (1, {"kind": "drift", "c": None},
+     "coefficient c must be finite and within float range"),
+    (2, {"kind": "gkick", "c": 0.5},
+     "gkick step needs a gradient coefficient u that is finite and within "
+     "float range"),
+    (2, {"kind": "gkick", "c": 0.5, "u": True},
+     "gkick step needs a gradient coefficient u that is finite and within "
+     "float range"),
+    (0, {"kind": "kick", "c": 0.5, "u": 0.1},
+     "kick step must not carry a gradient coefficient"),
+])
+def test_load_bad_step_gives_the_step_message(index, item, message, tmp_path):
+    steps = list(_SV_STEPS)
+    steps[index] = item
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "order": 2, "force_evals": 1,
+                                "steps": steps}))
+    with pytest.raises(SchemeFileError) as info:
+        load_scheme(str(path))
+    assert str(info.value) == f"{path}: step {index}: {message}"
 
 
 def test_load_missing_file():
