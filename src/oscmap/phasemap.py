@@ -13,14 +13,14 @@ float series mode does the same with each coefficient correctly rounded, and
 numeric mode (explicit timestep eps and frequency omega) evaluates the
 rounded polynomials by Horner's rule. The stability limit in `analysis`
 reads the half trace from the exact build. Numeric work is in plain Python
-floats. `scheme_matrix` and `spectral` take one timestep at a time through
-two private helpers, `_entries` (four Horner sums in x) and `_rotation`
-(regime and rotation). `sweep` runs a kernel generated once per scheme and
-quantity instead: straight-line Python that evaluates, per grid point, the
-even polynomials T = (g + h)/2, tau/x, nu/x and W = w/x^2 with
-w = (g - h)/2 in y = x^2, each coefficient rounded once from the exact
-build, and reads the regime from T and the discriminant scaled by x^2. The
-two routes agree to round-off, not bit for bit.
+floats. `scheme_matrix` and `spectral` take one timestep at a time. `sweep`
+runs a kernel generated once per scheme and quantity instead: straight-line
+Python that evaluates, per grid point, the even polynomials T = (g + h)/2,
+tau/x, nu/x and W = w/x^2 with w = (g - h)/2 in y = x^2, each coefficient
+rounded once from the exact build, and reads the regime from T and the
+discriminant scaled by x^2. The kernel handles every point itself, x = 0 and
+overflowed sums included. The two routes agree to round-off, not bit for
+bit.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -49,10 +49,6 @@ __all__ = [
 
 #: |Tr M| within this of 2 is classified parabolic rather than elliptic.
 PARABOLIC_TOL = 1e-12
-
-#: What `sweep` can tabulate: a spectral field, the phase error per period,
-#: or the determinant or trace of the map.
-SWEEP_QUANTITIES = ("omega_a", "phase_error", "det", "trace", "m_star", "k_star")
 
 #: A numeric 2x2 matrix as its two rows.
 Rows = tuple[tuple[float, float], tuple[float, float]]
@@ -158,27 +154,18 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     return built[0] if exact else built[1]
 
 
-def _entries(polys: tuple[Series, Series, Series, Series], eps: float,
-             omega: float) -> tuple[float, float, float, float]:
-    """g, tau, nu and h of the map at one timestep, by Horner's rule.
-
-    polys is the float build `_polynomials(s, False)`. The entries are g(x),
-    eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x) at x = eps*omega, with no
-    division by omega, so omega = 0 and negative eps are fine. Entries that
-    overflow become inf or NaN silently, as Python floats do.
-    """
-    g, tau_x, nu_x, h = polys
-    x = eps * omega
-    return g(x), eps * tau_x(x), eps * omega * omega * nu_x(x), h(x)
-
-
 def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
     """Numeric one-timestep matrix: the polynomials evaluated at x = eps*omega.
 
-    eps and omega are Python floats; see `_entries` for how the four entries
-    are computed.
+    eps and omega are Python floats. The entries are g(x), eps*(tau/x)(x),
+    eps*omega^2*(nu/x)(x) and h(x) of the float build, by Horner's rule, with
+    no division by omega, so omega = 0 and negative eps are fine. Entries
+    that overflow become inf or NaN silently, as Python floats do.
     """
-    return PhaseMatrix(*_entries(_polynomials(s, False), eps, omega), eps, omega)
+    g, tau_x, nu_x, h = _polynomials(s, False)
+    x = eps * omega
+    return PhaseMatrix(g(x), eps * tau_x(x), eps * omega * omega * nu_x(x),
+                       h(x), eps, omega)
 
 
 def scheme_series_matrix(s: Scheme, order: int,
@@ -205,46 +192,6 @@ _NAN_ENTRY = ("the map has a NaN entry, so it has no regime; its polynomials "
               "overflowed or the timestep is NaN")
 
 
-def _rotation(g: float, tau: float, nu: float, h: float, eps: float) -> tuple:
-    """(theta, xi, omega_a, m_star, k_star, regime) of one map.
-
-    The fields are those of SpectralData, in its order, None where undefined.
-    A map is hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL,
-    else elliptic where disc > 0, else parabolic. det = 1 makes disc =
-    nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
-    keeps the classification sharp near theta -> 0, where the trace is
-    quadratically insensitive. disc is formed from tau, nu and w scaled by
-    powers of two to near 1, so it does not underflow at the smallest steps;
-    the scaling is exact, so wherever the unscaled products are normal
-    numbers the result is bitwise theirs. A NaN entry raises ValueError: no
-    regime can be read from it.
-    """
-    if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
-        raise ValueError(_NAN_ENTRY)
-    if abs(g + h) - 2.0 > PARABOLIC_TOL:
-        return None, None, None, None, None, Regime.HYPERBOLIC
-    # tau*2^-kt and nu*2^(kt - 2e) lie in [1/2, 2): their product, and w*2^-e
-    # squared, are disc = nu*tau - w^2 scaled by 4^-e
-    kt = math.frexp(tau)[1]
-    e = (kt + math.frexp(nu)[1]) // 2
-    tau_s, nu_s = math.ldexp(tau, -kt), math.ldexp(nu, kt - 2 * e)
-    w_s = math.ldexp((g - h) / 2.0, -e)
-    disc = nu_s * tau_s - w_s * w_s
-    if not disc > 0.0:
-        return None, None, None, None, None, Regime.PARABOLIC
-    xi = math.ldexp(math.sqrt(disc), e)
-    # atan2 form of arccos(half_trace): same principal branch (0, pi) since
-    # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
-    theta = math.atan2(xi, (g + h) / 2.0)
-    omega_a = theta / abs(eps)
-    m_star = k_star = None
-    if nu_s * tau_s > 0:
-        root = math.sqrt(tau / nu)
-        m_star = 1.0 / (omega_a * root)
-        k_star = omega_a / root
-    return theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC
-
-
 def spectral(mat: PhaseMatrix) -> SpectralData:
     """Classify the map and extract rotation angle and effective parameters.
 
@@ -255,21 +202,50 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     nu*tau > 0. A negative eps gives the inverse map, which conserves the
     same ellipse, so omega_a, m* and k* do not change sign with it.
     Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry only the
-    regime flag and a detail message. The classification is `_rotation`'s;
-    a NaN entry raises ValueError.
+    regime flag and a detail message.
+
+    A map is hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL,
+    else elliptic where disc > 0, else parabolic. det = 1 makes disc =
+    nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
+    keeps the classification sharp near theta -> 0, where the trace is
+    quadratically insensitive. disc is formed from tau, nu and w scaled by
+    powers of two to near 1, so it does not underflow at the smallest steps;
+    the scaling is exact, so wherever the unscaled products are normal
+    numbers the result is bitwise theirs. A NaN entry raises ValueError: no
+    regime can be read from it.
     """
     if mat.is_series:
         raise TypeError("spectral analysis needs a numeric-mode matrix")
-    fields = _rotation(mat.g, mat.tau, mat.nu, mat.h, mat.eps)
-    regime = fields[-1]
-    detail = ""
-    if regime is Regime.HYPERBOLIC:
-        detail = (f"|trace|/2 = {abs(mat.g + mat.h) / 2.0!r} exceeds 1; the map "
-                  "is unstable and has no real rotation angle")
-    elif regime is Regime.PARABOLIC:
-        detail = ("|trace| equals 2 within tolerance; the rotation angle is "
-                  "degenerate and no spectral quantities are defined")
-    return SpectralData(*fields, detail=detail)
+    g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
+    if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
+        raise ValueError(_NAN_ENTRY)
+    if abs(g + h) - 2.0 > PARABOLIC_TOL:
+        return SpectralData(None, None, None, None, None, Regime.HYPERBOLIC,
+                            f"|trace|/2 = {abs(g + h) / 2.0!r} exceeds 1; the "
+                            "map is unstable and has no real rotation angle")
+    # tau*2^-kt and nu*2^(kt - 2e) lie in [1/2, 2): their product, and w*2^-e
+    # squared, are disc = nu*tau - w^2 scaled by 4^-e
+    kt = math.frexp(tau)[1]
+    e = (kt + math.frexp(nu)[1]) // 2
+    tau_s, nu_s = math.ldexp(tau, -kt), math.ldexp(nu, kt - 2 * e)
+    w_s = math.ldexp((g - h) / 2.0, -e)
+    disc = nu_s * tau_s - w_s * w_s
+    if not disc > 0.0:
+        return SpectralData(None, None, None, None, None, Regime.PARABOLIC,
+                            "|trace| equals 2 within tolerance; the rotation "
+                            "angle is degenerate and no spectral quantities "
+                            "are defined")
+    xi = math.ldexp(math.sqrt(disc), e)
+    # atan2 form of arccos(half_trace): same principal branch (0, pi) since
+    # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
+    theta = math.atan2(xi, (g + h) / 2.0)
+    omega_a = theta / abs(mat.eps)
+    m_star = k_star = None
+    if nu_s * tau_s > 0:
+        root = math.sqrt(tau / nu)
+        m_star = 1.0 / (omega_a * root)
+        k_star = omega_a / root
+    return SpectralData(theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC)
 
 
 #: Per sweep quantity, its value in a hyperbolic or parabolic row and in an
@@ -282,6 +258,10 @@ _KERNEL_VALUES = {
     "m_star": ("None", "1.0 / (omega_a * sqrt(tx / nx))"),
     "k_star": ("None", "omega_a / sqrt(tx / nx)"),
 }
+
+#: What `sweep` can tabulate: a spectral field, the phase error per period,
+#: or the determinant or trace of the map.
+SWEEP_QUANTITIES = tuple(_KERNEL_VALUES)
 
 
 def _horner_y(coeffs: list[Fraction]) -> str:
@@ -302,17 +282,19 @@ def _horner_y(coeffs: list[Fraction]) -> str:
 def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
     """Compiled grid loop of one scheme and quantity, built once and cached.
 
-    The generated function takes (xs, scalar) and returns sweep's rows. Per
-    point it evaluates T = (g + h)/2, tau/x, nu/x and W = w/x^2, where
-    w = (g - h)/2, as polynomials in y = x^2 with coefficients rounded once
-    from the exact build; every entry is even in x, so each sum has half the
-    terms. A map is hyperbolic where |T| - 1 > PARABOLIC_TOL/2, else elliptic
-    where d = (tau/x)(nu/x) - (x*W)^2 > 0, else parabolic. d equals
+    The generated function takes xs and returns sweep's rows. Per point it
+    evaluates T = (g + h)/2, tau/x, nu/x and W = w/x^2, where w = (g - h)/2,
+    as polynomials in y = x^2 with coefficients rounded once from the exact
+    build; every entry is even in x, so each sum has half the terms. A map is
+    hyperbolic where |T| - 1 > PARABOLIC_TOL/2, else elliptic where x != 0
+    and d = (tau/x)(nu/x) - (x*W)^2 > 0, else parabolic. d equals
     sin^2(theta)/x^2 and is never folded into one polynomial, which would
     lose accuracy near the stability limit; theta = atan2(|x|*sqrt(d), T).
-    det is (T + w)(T - w) + y*(tau/x)(nu/x) and the trace 2T. A palindrome
-    has W = 0, and its kernel leaves W out. A point whose sums are not all
-    finite, and x = 0, go to scalar(x) instead.
+    det is (T + w)(T - w) + y*(tau/x)(nu/x) and the trace 2T. A map with g = h
+    has W = 0, and its kernel leaves W out. Every point takes this one route:
+    x = 0 is the identity map, parabolic; sums that overflow make T infinite,
+    hyperbolic; a NaN x lands in the parabolic branch, which raises the
+    ValueError of `spectral` for it.
     """
     key = (s.active_steps(), quantity)
     kernel = _KERNELS.get(key)
@@ -322,10 +304,10 @@ def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
     even_g, even_h = g.coeffs[::2], h.coeffs[::2]
     tilt = _horner_y([(a - b) / 2 for a, b in zip(even_g[1:], even_h[1:])])
     if tilt == "0.0":
-        lines, sums = [], "T + tx + nx"
+        lines = []
         det, disc = "T * T + y * tx * nx", "tx * nx"
     else:
-        lines, sums = [f"W = {tilt}", "wx = x * W"], "T + tx + nx + W"
+        lines = [f"W = {tilt}", "wx = x * W"]
         det, disc = "(T + x * wx) * (T - x * wx) + y * tx * nx", "tx * nx - wx * wx"
     off, on = _KERNEL_VALUES[quantity]
     elliptic = [f"append((x, {on}, ELLIPTIC))"]
@@ -337,22 +319,21 @@ def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
         f"tx = {_horner_y(tau_x.coeffs[::2])}",
         f"nx = {_horner_y(nu_x.coeffs[::2])}",
         *lines,
-        f"if not (x and isfinite({sums})):",
-        "    append(scalar(x))",
-        "    continue",
         *([f"det = {det}"] if quantity == "det" else []),
         f"if abs(T) - 1.0 > {PARABOLIC_TOL / 2!r}:",
         f"    append((x, {off}, HYPERBOLIC))",
         "    continue",
         f"d = {disc}",
-        "if d > 0.0:",
+        "if d > 0.0 and x:",
         *(f"    {line}" for line in elliptic),
         "else:",
+        "    if x != x:",
+        "        raise ValueError(NAN_ENTRY)",
         f"    append((x, {off}, PARABOLIC))",
     ]
     loop = "\n".join(f"        {line}" for line in body)
     source = f"""\
-def kernel(xs, scalar):
+def kernel(xs):
     rows = []
     append = rows.append
     for x in xs:
@@ -360,31 +341,11 @@ def kernel(xs, scalar):
     return rows
 """
     namespace = {"atan2": math.atan2, "sqrt": math.sqrt,
-                 "isfinite": math.isfinite, "ELLIPTIC": Regime.ELLIPTIC,
+                 "NAN_ENTRY": _NAN_ENTRY, "ELLIPTIC": Regime.ELLIPTIC,
                  "PARABOLIC": Regime.PARABOLIC, "HYPERBOLIC": Regime.HYPERBOLIC}
     exec(compile(source, f"<sweep kernel {quantity}>", "exec"), namespace)
     kernel = _KERNELS[key] = namespace["kernel"]
     return kernel
-
-
-def _scalar_point(polys: tuple[Series, Series, Series, Series], x: float,
-                  quantity: str) -> tuple[float, float | None, Regime]:
-    """One sweep row from `_entries` and `_rotation`, the route of `spectral`."""
-    g, tau, nu, h = _entries(polys, x, 1.0)
-    _, _, omega_a, m_star, k_star, regime = _rotation(g, tau, nu, h, x)
-    if quantity == "omega_a":
-        value = omega_a
-    elif quantity == "phase_error":
-        value = None if omega_a is None else 2.0 * math.pi * (omega_a - 1.0)
-    elif quantity == "det":
-        value = g * h + tau * nu
-    elif quantity == "trace":
-        value = g + h
-    elif quantity == "m_star":
-        value = m_star
-    else:
-        value = k_star
-    return x, value, regime
 
 
 def sweep(s: Scheme, xs: list[float],
@@ -393,17 +354,16 @@ def sweep(s: Scheme, xs: list[float],
 
     value is None where the quantity is undefined in the map's regime; the
     phase error per period is 2*pi*(omega_a - 1). The points run through the
-    scheme's generated kernel (`_sweep_kernel`). It agrees with
-    `spectral(scheme_matrix(s, x, 1.0))` to round-off, not bit for bit, and
-    the regimes can differ only within round-off of a regime boundary.
-    Points whose polynomial sums overflow, and x = 0, take the scalar route
-    of `spectral`, so a NaN x raises ValueError as it does there.
+    scheme's generated kernel (`_sweep_kernel`), every point alike. It agrees
+    with `spectral(scheme_matrix(s, x, 1.0))` to round-off, not bit for bit,
+    and the regimes can differ only within round-off of a regime boundary.
+    x = 0 is parabolic, points whose polynomial sums overflow are hyperbolic,
+    and a NaN x raises ValueError as it does in `spectral`.
     """
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"unknown sweep quantity {quantity!r}; "
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
-    return _sweep_kernel(s, quantity)(
-        xs, lambda x: _scalar_point(_polynomials(s, False), x, quantity))
+    return _sweep_kernel(s, quantity)(xs)
 
 
 def _angle(theta: float, t: float, eps: float) -> float:

@@ -150,9 +150,26 @@ class Scheme(_SchemeFields):
 
 
 def is_symmetric(s: Scheme) -> bool:
-    """True iff the step sequence is palindromic, ignoring identity steps."""
-    active = s.active_steps()
-    return active == active[::-1]
+    """True iff the scheme's runs of shears read the same both ways.
+
+    Adjacent drifts are one q-shear and adjacent kicks and gkicks one
+    p-shear, so each run is merged into [is drift, sum of c, sum of u] in
+    exact arithmetic. A run that sums to zero is the identity: it is dropped
+    and its neighbours merge. The scheme is time-reversible iff the merged
+    runs form a palindrome.
+    """
+    runs = []
+    for st in s.steps:
+        drift = st.kind == DRIFT
+        c, u = Fraction(st.c), Fraction(st.u or 0)
+        if runs and runs[-1][0] == drift:
+            runs[-1][1] += c
+            runs[-1][2] += u
+        else:
+            runs.append([drift, c, u])
+        if runs[-1][1] == 0 and runs[-1][2] == 0:
+            runs.pop()
+    return runs == runs[::-1]
 
 
 def has_exact_coefficients(s: Scheme) -> bool:

@@ -100,21 +100,12 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, k: int):
-        return self.coeffs[k]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
         return self.order == other.order and all(
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
 
     def __repr__(self) -> str:
         return f"Series({self.coeffs!r})"
@@ -183,13 +174,10 @@ class Series:
     def sqrt(self) -> "Series":
         """Principal square root: b with b*b = self up to truncation, b_0 > 0."""
         a = self.coeffs
-        if isinstance(a[0], float):
-            if a[0] <= 0.0:
-                raise ValueError("series square root needs a positive constant term")
-        elif a[0] <= 0:
+        if a[0] <= 0:
             raise ValueError("series square root needs a positive constant term")
         b0 = _sqrt_scalar(a[0])
-        inv2b0 = _exact_inverse(2 * b0) if not isinstance(b0, float) else 1.0 / (2.0 * b0)
+        inv2b0 = _exact_inverse(2 * b0)
         b = [b0]
         for n in range(1, len(a)):
             s = 0

@@ -376,6 +376,26 @@ def test_simulate_prints_sigma_for_a_non_reversible_scheme_at_any_step(
     assert out.splitlines()[0] == "t,q,p,H,sigma,closed_form_error"
 
 
+def test_split_drift_scheme_is_reversible(tmp_path, capsys):
+    # SV with its drift split in two uneven parts has SV's map exactly
+    steps = [{"kind": "kick", "c": 0.5}, {"kind": "drift", "c": 0.25},
+             {"kind": "drift", "c": 0.75}, {"kind": "kick", "c": 0.5}]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"name": "split-drift SV", "order": 2,
+                                "force_evals": 1, "steps": steps}),
+                    encoding="utf-8")
+    code, out, _ = _run(["analyze", "--file", str(path), "--format", "json"],
+                        capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reversible"] is True
+    assert set(doc["series"]["sigma"]) == {0}
+    code, out, _ = _run(["simulate", "--file", str(path), "--x", "0.5",
+                         "--steps", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "t,q,p,H,H_A,closed_form_error"
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.iterdir():

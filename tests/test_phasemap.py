@@ -462,7 +462,7 @@ def test_sweep_stays_elliptic_where_the_discriminant_would_underflow(name, x):
 
 @pytest.mark.parametrize("s", registry(), ids=lambda s: s.name)
 def test_sweep_at_zero_and_negative_steps(s):
-    # x = 0 takes the scalar route: the identity map, parabolic
+    # x = 0 is the identity map, parabolic
     for quantity in SWEEP_QUANTITIES:
         [(_, value, regime)] = sweep(s, [0.0], quantity)
         assert regime is Regime.PARABOLIC
@@ -471,8 +471,39 @@ def test_sweep_at_zero_and_negative_steps(s):
     xs = [0.01 * k for k in range(1, 300)]
     assert ([row[1:] for row in sweep(s, xs, "omega_a")]
             == [row[1:] for row in sweep(s, [-x for x in xs], "omega_a")])
-    with pytest.raises(ValueError, match="NaN"):
-        sweep(s, [0.5, math.nan], "omega_a")
+    # det is computed before the regime test, and must raise all the same
+    for quantity in SWEEP_QUANTITIES:
+        with pytest.raises(ValueError, match="NaN"):
+            sweep(s, [0.5, math.nan], quantity)
+
+
+def test_sweep_takes_no_scalar_route(monkeypatch):
+    # the generated kernel alone handles x = 0, -0.0, negative and tiny steps
+    # and sums that overflow: the float build, scheme_matrix and spectral
+    # are never called
+    polynomials = phasemap._polynomials
+
+    def exact_only(s, exact):
+        assert exact, "sweep evaluated the float build"
+        return polynomials(s, exact)
+
+    def unreachable(*args):
+        raise AssertionError("sweep called the scalar route")
+
+    monkeypatch.setattr(phasemap, "_polynomials", exact_only)
+    monkeypatch.setattr(phasemap, "scheme_matrix", unreachable)
+    monkeypatch.setattr(phasemap, "spectral", unreachable)
+    monkeypatch.setattr(phasemap, "_KERNELS", {})
+    xs = ([0.0, -0.0, -0.75, 1e-300] + [10.0 ** k for k in range(1, 309)]
+          + [sys.float_info.max])
+    for s in registry():
+        for quantity in SWEEP_QUANTITIES:
+            rows = sweep(s, xs, quantity)
+            assert [x for x, _, _ in rows] == xs
+            for _, value, regime in rows[:2]:
+                assert regime is Regime.PARABOLIC
+                assert value == {"det": 1.0, "trace": 2.0}.get(quantity)
+            assert rows[-1][2] is Regime.HYPERBOLIC
 
 
 @pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)

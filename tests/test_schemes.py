@@ -161,6 +161,40 @@ def test_is_symmetric_examples():
     assert is_symmetric(get_scheme("BM"))
 
 
+def _steps(*spec):
+    """Steps from (kind, c) and (GKICK, c, u) tuples, c and u as Fractions."""
+    return tuple(Step(k, *(Fraction(v) for v in rest)) for k, *rest in spec)
+
+
+#: Schemes whose merged runs decide reversibility where the raw step list
+#: does not, and one that is not reversible at all.
+_RUN_CASES = [
+    # SV with its drift split unevenly: the map is exactly SV's
+    Scheme("split-drift SV", _steps((KICK, "1/2"), (DRIFT, "1/4"),
+                                    (DRIFT, "3/4"), (KICK, "1/2")),
+           order=2, force_evals=1),
+    # a drift and its negative cancel, and the kicks around them merge
+    Scheme("cancelling drifts", _steps((KICK, "1/4"), (DRIFT, "1/3"),
+                                       (DRIFT, "-1/3"), (KICK, "1/4"),
+                                       (DRIFT, 1), (KICK, "1/2")),
+           order=2, force_evals=2),
+    # C with its middle gkick split into a kick and a gkick
+    Scheme("C split gkick", _steps((DRIFT, "1/6"), (KICK, "3/8"),
+                                   (DRIFT, "1/3"), (KICK, "1/8"),
+                                   (GKICK, "1/8", "-1/96"), (DRIFT, "1/3"),
+                                   (KICK, "3/8"), (DRIFT, "1/6")),
+           order=4, force_evals=5),
+    Scheme("D1/4 K D3/4", _steps((DRIFT, "1/4"), (KICK, 1), (DRIFT, "3/4")),
+           order=1, force_evals=1),
+]
+
+
+@pytest.mark.parametrize("s", registry() + _RUN_CASES, ids=lambda s: s.name)
+def test_is_symmetric_iff_the_exact_map_has_g_equal_h(s):
+    g, _, _, h = phasemap._polynomials(s, True)
+    assert is_symmetric(s) == (g.coeffs == h.coeffs)
+
+
 def test_is_symmetric_ignores_identity_steps():
     padded = Scheme(
         "padded-sv",
