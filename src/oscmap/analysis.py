@@ -24,7 +24,7 @@ from . import series as series_mod
 from .phasemap import (Regime, _polynomials, scheme_matrix,
                        scheme_series_matrix, spectral)
 from .schemes import DRIFT, GKICK, Scheme, get_scheme
-from .series import Series, _is_zero
+from .series import Series, _convolve, _is_zero
 
 if TYPE_CHECKING:
     import mpmath
@@ -272,14 +272,15 @@ def _stability_polynomial(s: Scheme) -> list[int]:
     touches -1 into two close roots, an unstable window that the scheme does
     not have. T is even in x, because every shear keeps the diagonal even and
     the off-diagonal odd, so 2T = sum e_j y^j; with L the lcm of the
-    denominators of the e_j, n_j = L*e_j are integers and n_0 = 2L.
+    denominators of the e_j, n_j = L*e_j are integers and n_0 = 2L. The
+    exact map holds g + h as integer numerators over that very L, so the
+    n_j are its even numerators.
     """
     g, _, _, h = _polynomials(s, True)
-    t = [Fraction(v) for v in (g + h).coeffs[::2]]
-    den = math.lcm(*(v.denominator for v in t))
-    n = [int(v * den) for v in t]
-    # (n^2 - n_0^2)/y is a positive multiple of (T^2 - 1)/x^2
-    return _primitive(_mul_add([-n[0] ** 2], n, n)[1:])
+    n = (g + h)._nums[::2]
+    # (n^2 - n_0^2)/y is a positive multiple of (T^2 - 1)/x^2: the square
+    # without its constant term, shifted down one power of y
+    return _primitive(_convolve(n, n, 2 * len(n) - 1)[1:])
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -341,22 +342,14 @@ def _odd_part(p: list[int]) -> list[int]:
     parts.append([1])
     odd = [1]
     for a, b in zip(parts[::2], parts[1::2]):
-        odd = _mul_add([], odd, _exact_div(a, b))
+        q = _exact_div(a, b)
+        odd = _convolve(odd, q, len(odd) + len(q) - 1)
     return odd
 
 
 def _exact_div(a: list[int], b: list[int]) -> list[int]:
     """Primitive part of a/b, for b dividing a."""
     return _primitive(_pseudo_divmod(a, b)[0])
-
-
-def _mul_add(p: list[int], a: list[int], b: list[int]) -> list[int]:
-    """p + a*b."""
-    out = p + [0] * (len(a) + len(b) - 1 - len(p))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _sign_at(p: list[int], y: float) -> int:
@@ -403,18 +396,19 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
     wa = omega_a_series(s, order)
     data = spectral(scheme_matrix(s, float(x), 1.0))
     closed = data.omega_a if data.regime is Regime.ELLIPTIC else None
+    coeffs = wa._floats()
     rows = []
     acc = 0.0
     power = 1.0
-    for k, c in enumerate(wa.coeffs):
-        acc += float(c) * power
+    for k, c in enumerate(coeffs):
+        # a zero term adds nothing, also where x^k has overflowed to inf
+        if c:
+            acc += c * power
         power *= x
         err = abs(acc - closed) if closed is not None else None
         rows.append(ConvergenceRow(k, acc, err))
-    nonzero = [
-        (k, abs(float(c))) for k, c in enumerate(wa.coeffs)
-        if k >= 1 and not _is_zero(float(c))
-    ]
+    nonzero = [(k, abs(c)) for k, c in enumerate(coeffs)
+               if k >= 1 and not _is_zero(c)]
     radius = None
     if len(nonzero) >= 2:
         tail = nonzero[-4:]

@@ -146,7 +146,7 @@ def cmd_analyze(args) -> int:
             "declared_order": rep.order_declared, "n": rep.n,
             "c_n": rep.c_n, "c_star": rep.c_star}
     lim = rep.stability._asdict()
-    series = {name: [float(c) for c in getattr(rep, name).coeffs]
+    series = {name: getattr(rep, name)._floats()
               for name in ("omega_a", "inv_mass", "k_star", "sigma")}
     rows = [[k, "", v] for k, v in head.items()]
     rows += [[f"stability_{k}", "", v] for k, v in lim.items()]

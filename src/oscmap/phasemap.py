@@ -5,22 +5,23 @@ the four entries [[g, tau], [-nu, h]]; symplecticity means
 det = g*h + tau*nu = 1. In x = eps*omega (and omega = 1) each entry is a
 finite polynomial: every drift or kick raises the degree by one and every
 force-gradient kick by three. The four polynomials are built once per scheme,
-in exact arithmetic, by multiplying its shears in the Series ring with every
-coefficient taken as a Fraction; for a float coefficient that conversion is
-binary-exact, so the build is exact for any scheme. Every other form is read
-from it: rational series mode pads or truncates it to a requested order,
-float series mode does the same with each coefficient correctly rounded, and
-numeric mode (explicit timestep eps and frequency omega) evaluates the
-rounded polynomials by Horner's rule. The stability limit in `analysis`
-reads the half trace from the exact build. Numeric work is in plain Python
-floats. `scheme_matrix` and `spectral` take one timestep at a time. `sweep`
-runs a kernel generated once per scheme and quantity instead: straight-line
-Python that evaluates, per grid point, the even polynomials T = (g + h)/2,
-tau/x, nu/x and W = w/x^2 with w = (g - h)/2 in y = x^2, each coefficient
-rounded once from the exact build, and reads the regime from T and the
-discriminant scaled by x^2. The kernel handles every point itself, x = 0 and
-overflowed sums included. The two routes agree to round-off, not bit for
-bit.
+in exact arithmetic, by multiplying its shears in the Series ring, where each
+polynomial is integer numerators over one shared denominator; a float step
+coefficient enters as its binary-exact rational, so the build is exact for
+any scheme. Every other form is read from it: rational series mode pads or
+truncates it to a requested order, float series mode does the same with each
+coefficient correctly rounded (an integer numerator over the denominator by
+true division), and numeric mode (explicit timestep eps and frequency omega)
+evaluates the rounded polynomials by Horner's rule. The stability limit in
+`analysis` reads the half trace's integer numerators from the exact build.
+Numeric work is in plain Python floats. `scheme_matrix` and `spectral` take
+one timestep at a time. `sweep` runs a kernel generated once per scheme and
+quantity instead: straight-line Python that evaluates, per grid point, the
+even polynomials T = (g + h)/2, tau/x, nu/x and W = w/x^2 with w = (g - h)/2
+in y = x^2, each coefficient rounded once from the exact build, and reads
+the regime from T and the discriminant scaled by x^2. The kernel handles
+every point itself, x = 0 and overflowed sums included. The two routes agree
+to round-off, not bit for bit.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -120,15 +121,16 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
 
     The shears are multiplied once per scheme, left to right in the Series
-    ring at truncation order = degree, so nothing is dropped, with every
-    coefficient taken as Fraction(v). That conversion is binary-exact for a
-    float, so the build is the exact map of the scheme as stored, and float
-    mode is the same build with each coefficient rounded by float(): correctly
-    rounded, and g = h bitwise whenever g = h exactly. A map coefficient
-    beyond float range, which steps within it can multiply to, raises
-    SchemeError. Steps that compare equal, such as Fraction(1, 2) and 0.5,
-    have the same exact value, so they share one build. Callers must not
-    mutate the result.
+    ring at truncation order = degree, so nothing is dropped, with every step
+    coefficient taken as Fraction(v), which is binary-exact for a float. The
+    build is the exact map of the scheme as stored, in integer numerators
+    over one denominator per polynomial, and float mode is the same build
+    with each numerator divided by the denominator in one true division:
+    correctly rounded, and g = h bitwise whenever g = h exactly. A map
+    coefficient beyond float range, which steps within it can multiply to,
+    raises SchemeError. Steps that compare equal, such as Fraction(1, 2) and
+    0.5, have the same exact value, so they share one build. Callers must
+    not mutate the result.
     """
     steps = s.active_steps()
     built = _POLYNOMIALS.get(steps)
@@ -146,7 +148,7 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
             m = shear @ m
         polys = (m.g, m.tau.divided_by_x(), m.nu.divided_by_x(), m.h)
         try:
-            rounded = tuple(Series([float(c) for c in p.coeffs]) for p in polys)
+            rounded = tuple(Series(p._floats()) for p in polys)
         except OverflowError:
             raise SchemeError(f"scheme {s.name!r}: a coefficient of its one-step "
                               "map is beyond float range") from None
@@ -180,10 +182,8 @@ def scheme_series_matrix(s: Scheme, order: int,
         raise TypeError(f"scheme {s.name!r} has coefficients that are not exact; "
                         "rational series mode needs int or Fraction ones")
     g, tau_x, nu_x, h = _polynomials(s, exact)
-    return PhaseMatrix(*(
-        Series(c[: order + 1], order)
-        for c in (g.coeffs, [0] + tau_x.coeffs, [0] + nu_x.coeffs, h.coeffs)
-    ))
+    return PhaseMatrix(*(p._resized(order)
+                         for p in (g, tau_x.times_x(), nu_x.times_x(), h)))
 
 
 # ------------------------------------------------------------------ spectral
@@ -264,13 +264,12 @@ _KERNEL_VALUES = {
 SWEEP_QUANTITIES = tuple(_KERNEL_VALUES)
 
 
-def _horner_y(coeffs: list[Fraction]) -> str:
-    """Source of sum_j coeffs[j]*y^j by Horner's rule.
+def _horner_y(cs: list[float]) -> str:
+    """Source of sum_j cs[j]*y^j by Horner's rule.
 
-    Each coefficient is rounded once by float() and written as its repr;
-    trailing zeros are dropped.
+    Each coefficient is written as its repr; trailing zeros are dropped.
     """
-    cs = [float(c) for c in coeffs]
+    cs = list(cs)
     while cs and cs[-1] == 0.0:
         cs.pop()
     src = repr(cs.pop()) if cs else "0.0"
@@ -301,8 +300,7 @@ def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
     if kernel is not None:
         return kernel
     g, tau_x, nu_x, h = _polynomials(s, True)
-    even_g, even_h = g.coeffs[::2], h.coeffs[::2]
-    tilt = _horner_y([(a - b) / 2 for a, b in zip(even_g[1:], even_h[1:])])
+    tilt = _horner_y(((g - h) / 2)._floats()[2::2])
     if tilt == "0.0":
         lines = []
         det, disc = "T * T + y * tx * nx", "tx * nx"
@@ -315,9 +313,9 @@ def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
         elliptic[:0] = ["ax = abs(x)", "omega_a = atan2(ax * sqrt(d), T) / ax"]
     body = [
         "y = x * x",
-        f"T = {_horner_y([(a + b) / 2 for a, b in zip(even_g, even_h)])}",
-        f"tx = {_horner_y(tau_x.coeffs[::2])}",
-        f"nx = {_horner_y(nu_x.coeffs[::2])}",
+        f"T = {_horner_y(((g + h) / 2)._floats()[::2])}",
+        f"tx = {_horner_y(tau_x._floats()[::2])}",
+        f"nx = {_horner_y(nu_x._floats()[::2])}",
         *lines,
         *([f"det = {det}"] if quantity == "det" else []),
         f"if abs(T) - 1.0 > {PARABOLIC_TOL / 2!r}:",

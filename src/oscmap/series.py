@@ -2,14 +2,23 @@
 
 Series live in the fixed-truncation ring R[x]/x^(K+1): every operation keeps
 exactly K+1 coefficients and never reads or writes beyond index K.
-Coefficients may be floats or exact values (int, fractions.Fraction);
-arithmetic preserves exactness whenever every input coefficient is exact, so
-the same code path serves both the floating-point and the rational mode.
+
+A series is stored as numerators over one shared denominator, a_k = n_k/d.
+Built from ints and Fractions it is exact: the n_k are ints and d is their
+least positive common denominator, so exact arithmetic runs on plain ints. A
+product is one integer convolution followed by one gcd; reciprocal, sqrt and
+asin accumulate each inner sum in integers and reduce once per output
+coefficient. Built with any float coefficient it is a float series: float
+numerators over d = 1. Both modes run the same code and part only in the
+scalar helpers `_divide`, `_exact_inverse` and `_sqrt_scalar`; a float
+result is exactly what float arithmetic on the coefficients gives. `coeffs`
+reads the coefficients back as ints, Fractions or floats.
+
 No operation costs more than O(K^2) coefficient operations: products,
 reciprocals and square roots by their convolution recurrences, and `asin`
 from the derivative identity d/dx asin(u) = u' (1 - u^2)^(-1/2), which needs
 one product and two more convolution passes, not a composition of the
-Maclaurin series; in rational mode its coefficients are exact.
+Maclaurin series.
 
 The variable is the dimensionless product x = (timestep) * (angular
 frequency); all frequency expansions in this package are series in x.
@@ -41,19 +50,90 @@ def _exact_inverse(c):
     return 1 / c
 
 
-def _sqrt_scalar(c):
-    """Principal square root of the constant term; exact when possible."""
-    if isinstance(c, float):
-        return math.sqrt(c)
-    frac = Fraction(c)
-    rp, rq = math.isqrt(frac.numerator), math.isqrt(frac.denominator)
-    if rp * rp != frac.numerator or rq * rq != frac.denominator:
+def _divide(n, d):
+    """n/d as a (numerator, denominator) pair.
+
+    Ints give the pair in lowest terms with a positive denominator. A float
+    n or d gives (n * (1/d), 1): the float times the rounded reciprocal, as
+    float arithmetic on the coefficients computes it.
+    """
+    if isinstance(n, float) or isinstance(d, float):
+        return n * (1 / d), 1
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _sqrt_scalar(n, d):
+    """Principal square root of the constant term n/d as a pair; exact for ints."""
+    if isinstance(n, float):
+        return math.sqrt(n), 1
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    rp, rq = math.isqrt(n), math.isqrt(d)
+    if rp * rp != n or rq * rq != d:
         raise ValueError(
-            f"constant term {c} has no exact rational square root; "
-            "convert the series to float coefficients first"
+            f"constant term {Fraction(n, d)} has no exact rational square "
+            "root; convert the series to float coefficients first"
         )
-    root = Fraction(rp, rq)
-    return root.numerator if root.denominator == 1 and isinstance(c, int) else root
+    return rp, rq
+
+
+def _convolve(a: list, b: list, size: int) -> list:
+    """The first `size` coefficients of the product of coefficient lists a, b.
+
+    Exact-zero factors are skipped, which keeps structural zeros exact, and
+    each coefficient adds its products in increasing power of a.
+    """
+    out = [0] * size
+    tail = [(j, y) for j, y in enumerate(b[:size]) if y]
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in tail:
+                if i + j >= size:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _append(nums: list, den, num, q):
+    """Append num/q to `nums`, numerators over den; return the new shared den.
+
+    The shared denominator becomes lcm(den, q), and the numerators already
+    in `nums` are rescaled to it in place.
+    """
+    if q == den:
+        nums.append(num)
+        return den
+    g = math.gcd(den, q)
+    if g != q:
+        up = q // g
+        nums[:] = [c * up for c in nums]
+        num *= den // g
+        den *= up
+    else:
+        num *= den // q
+    nums.append(num)
+    return den
+
+
+def _reduced(nums: list, den) -> "Series":
+    """The series nums/den, in lowest terms for int numerators.
+
+    Float numerators are divided out, as times the rounded 1/den, leaving
+    the denominator 1; zeros stay as they are.
+    """
+    if den != 1:
+        try:
+            g = math.gcd(den, *nums)
+        except TypeError:
+            inv = 1 / den
+            return Series._of([c * inv if c else c for c in nums], 1)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return Series._of(nums, den)
 
 
 class Series:
@@ -62,13 +142,14 @@ class Series:
     Parameters
     ----------
     coeffs : iterable of scalars
-        Coefficients in increasing power order.
+        Coefficients in increasing power order: ints, Fractions or floats.
+        Any float makes a float series, with each Fraction rounded to float.
     order : int, optional
         Truncation order K. When given, `coeffs` may be shorter than K+1 and
         is zero-padded; it must not be longer.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
@@ -82,7 +163,21 @@ class Series:
             coeffs.extend([0] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        self.coeffs = coeffs
+        if any(isinstance(c, float) for c in coeffs):
+            self._nums = [float(c) if isinstance(c, Fraction) else c
+                          for c in coeffs]
+            self._den = 1
+        else:
+            den = math.lcm(*(c.denominator for c in coeffs))
+            self._nums = [c.numerator * (den // c.denominator) for c in coeffs]
+            self._den = den
+
+    @classmethod
+    def _of(cls, nums: list, den) -> "Series":
+        """The series nums/den as given, with no conversion or reduction."""
+        s = object.__new__(cls)
+        s._nums, s._den = nums, den
+        return s
 
     # -- constructors -------------------------------------------------
 
@@ -98,13 +193,27 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
+
+    @property
+    def coeffs(self) -> list:
+        """The coefficients: ints where integral, Fractions, or floats."""
+        d = self._den
+        if d == 1:
+            return list(self._nums)
+        return [Fraction(n, d) if n % d else n // d for n in self._nums]
+
+    def _floats(self) -> list[float]:
+        """Each coefficient correctly rounded to float; OverflowError beyond range."""
+        d = self._den
+        return [n / d for n in self._nums]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
+        d, e = self._den, other._den
         return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
+            a * e == b * d for a, b in zip(self._nums, other._nums)
         )
 
     def __repr__(self) -> str:
@@ -118,103 +227,122 @@ class Series:
                 f"truncation order mismatch: {self.order} != {other.order}"
             )
 
+    def _common(self, other: "Series") -> tuple[list, list, object]:
+        """Both numerator lists over the least common denominator."""
+        self._check_order(other)
+        a, b, d, e = self._nums, other._nums, self._den, other._den
+        if d == e:
+            return a, b, d
+        g = math.gcd(d, e)
+        return [c * (e // g) for c in a], [c * (d // g) for c in b], d // g * e
+
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_order(other)
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b, den = self._common(other)
+        return _reduced([x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_order(other)
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b, den = self._common(other)
+        return _reduced([x - y for x, y in zip(a, b)], den)
 
     def __neg__(self):
-        return Series([-a for a in self.coeffs])
+        return Series._of([-a for a in self._nums], self._den)
 
     def __mul__(self, other):
+        a = self._nums
         if isinstance(other, Series):
             self._check_order(other)
-            a, b = self.coeffs, other.coeffs
-            out = []
-            for n in range(len(a)):
-                s = 0
-                for k in range(n + 1):
-                    # skipping exact-zero factors keeps structural zeros exact
-                    if a[k] and b[n - k]:
-                        s += a[k] * b[n - k]
-                out.append(s)
-            return Series(out)
-        return Series([other * a for a in self.coeffs])
+            return _reduced(_convolve(a, other._nums, len(a)),
+                            self._den * other._den)
+        p, q = ((other, 1) if isinstance(other, float)
+                else (other.numerator, other.denominator))
+        return _reduced([p * c for c in a], q * self._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * other.reciprocal()
-        inv = _exact_inverse(other)
-        return Series([a * inv for a in self.coeffs])
+        return self * _exact_inverse(other)
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse in the truncated ring; needs a_0 != 0."""
-        a = self.coeffs
+        """Multiplicative inverse in the truncated ring; needs a_0 != 0.
+
+        With a_k = A_k/D and b_j = B_j/E for j < n, the recurrence
+        b_n = -(1/a_0) sum_{k=1..n} a_k b_(n-k) is -S/(A_0 E), S the integer
+        sum of A_k B_(n-k).
+        """
+        a, d = self._nums, self._den
         if _is_zero(a[0]):
             raise ValueError("series with zero constant term has no reciprocal")
-        inv0 = _exact_inverse(a[0])
-        b = [inv0]
+        b0, e = _divide(d, a[0])
+        b = [b0]
         for n in range(1, len(a)):
             s = 0
             for k in range(1, n + 1):
                 if a[k] and b[n - k]:
                     s += a[k] * b[n - k]
-            b.append(-inv0 * s)
-        return Series(b)
+            num, q = _divide(s, a[0] * e)
+            e = _append(b, e, -num, q)
+        return Series._of(b, e)
 
     def sqrt(self) -> "Series":
-        """Principal square root: b with b*b = self up to truncation, b_0 > 0."""
-        a = self.coeffs
+        """Principal square root: b with b*b = self up to truncation, b_0 > 0.
+
+        With a_n = A_n/D, b_0 = P/Q and b_j = B_j/E for j < n, the recurrence
+        b_n = (a_n - sum_{k=1..n-1} b_k b_(n-k))/(2 b_0) is
+        Q (A_n E^2 - S D)/(2 P D E^2), S the integer sum of B_k B_(n-k).
+        """
+        a, d = self._nums, self._den
         if a[0] <= 0:
             raise ValueError("series square root needs a positive constant term")
-        b0 = _sqrt_scalar(a[0])
-        inv2b0 = _exact_inverse(2 * b0)
-        b = [b0]
+        p, q = _sqrt_scalar(a[0], d)
+        b, e = [p], q
         for n in range(1, len(a)):
             s = 0
             for k in range(1, n):
                 if b[k] and b[n - k]:
                     s += b[k] * b[n - k]
-            b.append((a[n] - s) * inv2b0)
-        return Series(b)
+            num, den = _divide(q * (a[n] * e * e - s * d), 2 * p * d * e * e)
+            e = _append(b, e, num, den)
+        return Series._of(b, e)
 
     # -- order-changing helpers ----------------------------------------
+
+    def _resized(self, order: int) -> "Series":
+        """Copy truncated or zero-padded to `order`."""
+        nums = self._nums[: order + 1]
+        return _reduced(nums + [0] * (order + 1 - len(nums)), self._den)
 
     def truncated(self, order: int) -> "Series":
         """Copy truncated to a lower (or equal) order."""
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1])
+        return self._resized(order)
 
     def times_x(self) -> "Series":
         """Multiply by x; the result's truncation order grows by one."""
-        return Series([0] + self.coeffs)
+        return Series._of([0] + self._nums, self._den)
 
     def divided_by_x(self) -> "Series":
         """Divide by x; needs a_0 = 0, the truncation order drops by one."""
-        if not _is_zero(self.coeffs[0]):
+        if not _is_zero(self._nums[0]):
             raise ValueError("cannot divide by x: nonzero constant term")
         if self.order == 0:
             raise ValueError("cannot divide an order-0 series by x")
-        return Series(self.coeffs[1:])
+        return Series._of(self._nums[1:], self._den)
 
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, x0):
         """Evaluate the truncated polynomial at x0 (Horner)."""
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._nums):
             acc = acc * x0 + c
-        return acc
+        return acc if self._den == 1 else acc * _exact_inverse(self._den)
 
 
 def asin(u: Series) -> Series:
@@ -225,29 +353,32 @@ def asin(u: Series) -> Series:
     w = f^(-1/2) from the power recurrence
     2n w_n = sum_{k=1..n} (k - 2n) f_k w_(n-k) with w_0 = 1, and the
     integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0; a float
-    u_0 within PARITY_TOL counts as 0. Every division is by an integer
-    through `_exact_inverse`, so rational input gives the exact coefficients
-    and float input stays float.
+    u_0 within PARITY_TOL counts as 0. Each sum runs over the numerators, so
+    exact input gives exact coefficients through `_divide` and float input
+    stays float.
     """
-    if not _is_zero(u.coeffs[0]):
+    a, d = u._nums, u._den
+    if not _is_zero(a[0]):
         raise ValueError("asin composition needs a zero constant term")
-    uu = (u * u).coeffs
-    f = [1] + [-c for c in uu[1:]]
-    w = [1]
+    uu = u * u
+    fd = uu._den
+    f = [fd] + [-c for c in uu._nums[1:]]
+    w, e = [1], 1
     for n in range(1, len(f)):
         s = 0
         for k in range(1, n + 1):
             # skipping exact-zero factors keeps structural zeros exact
             if f[k] and w[n - k]:
                 s += (k - 2 * n) * f[k] * w[n - k]
-        # a zero sum is kept as it is, so an int 0 stays an int
-        w.append(s * _exact_inverse(2 * n) if s else s)
-    ku = [k * c for k, c in enumerate(u.coeffs)]
-    y = [0]
+        num, q = _divide(s, 2 * n * fd * e)
+        e = _append(w, e, num, q)
+    ku = [k * c for k, c in enumerate(a)]
+    y, ey = [0], 1
     for n in range(1, len(ku)):
         s = 0
         for k in range(1, n + 1):
             if ku[k] and w[n - k]:
                 s += ku[k] * w[n - k]
-        y.append(s * _exact_inverse(n) if s else s)
-    return Series(y)
+        num, q = _divide(s, n * d * e)
+        ey = _append(y, ey, num, q)
+    return Series._of(y, ey)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscmap import analysis
+from oscmap import analysis, phasemap
 from oscmap.analysis import (
     AnalysisError, _mp_half_trace, _odd_part, _sturm_chain, _variations,
     analyze, convergence_study, effective_param_series, omega_a_series,
@@ -395,6 +395,46 @@ def test_stability_limit_steps_over_touch_points(n, exact, tmp_path):
     xs = np.arange(1, 10001) * 1e-3
     k = int(np.argmax(_shear_half_trace(s, xs) >= 1.0 + 1e-12))
     assert xs[k - 1] <= lim.x_max <= xs[k]
+
+def _stability_polynomial_by_fractions(s):
+    """(T^2 - 1)/x^2 by Fractions: 2T's even coefficients over their lcm L."""
+    g, _, _, h = phasemap._polynomials(s, True)
+    t = [F(a) + F(b) for a, b in zip(g.coeffs[::2], h.coeffs[::2])]
+    den = math.lcm(*(v.denominator for v in t))
+    n = [int(v * den) for v in t]
+    square = [sum(n[i] * n[k - i] for i in range(len(n)) if 0 <= k - i < len(n))
+              for k in range(2 * len(n) - 1)]
+    p = square[1:]
+    while p and not p[-1]:
+        p.pop()
+    content = math.gcd(*p)
+    return [c // content for c in p]
+
+
+def _sv3_float():
+    return Scheme("SV3 float", [Step(st.kind, float(st.c))
+                                for st in _repeated_sv(3).steps], 2, 3)
+
+
+# x_max.hex() of every registry scheme and of SV from three float steps of
+# 1/3, as the Fraction/lcm route to the stability polynomial gave them
+STABILITY_LIMITS = {
+    "SV": "0x1.0000000000000p+1", "LF1": "0x1.0000000000000p+1",
+    "LF1T": "0x1.0000000000000p+1", "FR": "0x1.92ca7853b1addp+0",
+    "C": "0x1.6a09e667f3bcdp+1", "M": "0x1.83d5efac1f119p+1",
+    "BM": "0x1.91005b6c1dbefp+1", "SV3 float": "0x1.8000000000001p+2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABILITY_LIMITS))
+def test_stability_polynomial_reads_the_exact_numerators(name):
+    s = _sv3_float() if name == "SV3 float" else get_scheme(name)
+    p = analysis._stability_polynomial(s)
+    assert p == _stability_polynomial_by_fractions(s)
+    assert all(type(c) is int for c in p)
+    lim = stability_limit(s)
+    assert lim.bounded and lim.x_max.hex() == STABILITY_LIMITS[name]
+
 
 # ---------------------------------------------------------------- convergence
 

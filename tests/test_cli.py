@@ -396,6 +396,20 @@ def test_split_drift_scheme_is_reversible(tmp_path, capsys):
     assert out.splitlines()[0] == "t,q,p,H,H_A,closed_form_error"
 
 
+@pytest.mark.parametrize("name, sums", [
+    ("C", ["1", "1", "1", "1"]),                 # 1 + c4 x^4 + ...
+    ("LF1", ["1", "1", "inf", "inf", "inf"]),
+])
+def test_convergence_zero_terms_leave_the_partial_sum_where_x_k_overflows(
+        name, sums, capsys):
+    # x^k is inf from k = 2 on; a zero coefficient adds nothing, not 0*inf
+    code, out, _ = _run(["convergence", name, "--x", "1e300",
+                         "-K", str(len(sums) - 1)], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert [r[1] for r in rows] == sums
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.iterdir():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscmap.analysis import _frequency_parts, effective_param_series
 from oscmap.phasemap import scheme_series_matrix
-from oscmap.schemes import get_scheme
+from oscmap.schemes import DRIFT, GKICK, get_scheme
 from oscmap.series import Series, asin
 
 F = Fraction
@@ -279,3 +280,141 @@ def test_sqrt_squares_back_float(tail):
     r = a.sqrt()
     for u, v in zip(r.coeffs, b.coeffs):
         assert close(u, v, 1e-9)
+
+
+# ------------------------------------------------------- Fraction oracle
+# The ring's recurrences with every coefficient a Fraction, term by term, on
+# plain lists: the integer numerators over one denominator must give the
+# same coefficients.
+
+def _o_mul(a, b):
+    out = []
+    for n in range(len(a)):
+        s = F(0)
+        for k in range(n + 1):
+            if a[k] and b[n - k]:
+                s += a[k] * b[n - k]
+        out.append(s)
+    return out
+
+
+def _o_reciprocal(a):
+    inv0 = 1 / F(a[0])
+    b = [inv0]
+    for n in range(1, len(a)):
+        s = F(0)
+        for k in range(1, n + 1):
+            if a[k] and b[n - k]:
+                s += a[k] * b[n - k]
+        b.append(-inv0 * s)
+    return b
+
+
+def _o_sqrt(a):
+    a0 = F(a[0])
+    b0 = F(math.isqrt(a0.numerator), math.isqrt(a0.denominator))
+    assert b0 * b0 == a0
+    b = [b0]
+    for n in range(1, len(a)):
+        s = F(0)
+        for k in range(1, n):
+            if b[k] and b[n - k]:
+                s += b[k] * b[n - k]
+        b.append((a[n] - s) / (2 * b0))
+    return b
+
+
+def _o_asin(u):
+    uu = _o_mul(u, u)
+    f = [F(1)] + [-c for c in uu[1:]]
+    w = [F(1)]
+    for n in range(1, len(f)):
+        s = F(0)
+        for k in range(1, n + 1):
+            if f[k] and w[n - k]:
+                s += (k - 2 * n) * f[k] * w[n - k]
+        w.append(s / (2 * n))
+    y = [F(0)]
+    for n in range(1, len(u)):
+        s = F(0)
+        for k in range(1, n + 1):
+            if u[k] and w[n - k]:
+                s += k * u[k] * w[n - k]
+        y.append(s / n)
+    return y
+
+
+def _o_map(s, order):
+    """g, tau, nu, h of the scheme by its shears, truncated at `order`."""
+    one, zero = [F(1)] + [F(0)] * order, [F(0)] * (order + 1)
+    g, tau, nu, h = one, zero, zero, one
+    for st in s.active_steps():
+        if st.kind == DRIFT:    # [[1, c x], [0, 1]] times the map
+            cx = [F(0), F(st.c)] + [F(0)] * (order - 1)
+            g = [p - q for p, q in zip(g, _o_mul(cx, nu))]
+            tau = [p + q for p, q in zip(tau, _o_mul(cx, h))]
+        else:                   # [[1, 0], [-mu, 1]] with mu = c x (+ u x^3)
+            mu = [F(0), F(st.c), F(0), F(st.u if st.kind == GKICK else 0)]
+            mu = (mu + [F(0)] * order)[: order + 1]
+            nu = [p + q for p, q in zip(nu, _o_mul(mu, g))]
+            h = [p - q for p, q in zip(h, _o_mul(mu, tau))]
+    return g, tau, nu, h
+
+
+def _lowest_terms(s: Series) -> bool:
+    return s._den > 0 and math.gcd(s._den, *s._nums) == 1
+
+
+square_led_pairs = st.integers(min_value=0, max_value=12).flatmap(
+    lambda order: st.tuples(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
+            lambda pq: F(*pq) ** 2),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=9),
+                 min_size=order, max_size=order),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=9),
+                 min_size=order + 1, max_size=order + 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_led_pairs)
+def test_exact_ring_equals_the_fraction_oracle(args):
+    a0, tail, b, c = args
+    a = [a0] + tail
+    A, B = Series(a), Series(b)
+    u = [F(0)] + b[1:]
+    results = {
+        "+": (A + B, [p + q for p, q in zip(a, b)]),
+        "-": (A - B, [p - q for p, q in zip(a, b)]),
+        "scalar *": (c * A, [c * p for p in a]),
+        "scalar /": (A / c, [p / c for p in a]),
+        "*": (A * B, _o_mul(a, b)),
+        "reciprocal": (A.reciprocal(), _o_reciprocal(a)),
+        "sqrt": (A.sqrt(), _o_sqrt(a)),
+        "asin": (asin(Series(u)), _o_asin(u)),
+    }
+    for op, (got, ref) in results.items():
+        assert got.coeffs == ref, op
+        assert _lowest_terms(got), op
+
+
+@pytest.mark.parametrize("name", ["SV", "C"])
+def test_exact_frequency_series_equal_the_fraction_oracle(name):
+    order = 120
+    s = get_scheme(name)
+    g, tau, nu, h = _o_map(s, order + 2)
+    t1, n1 = tau[1:], nu[1:]
+    w1 = [(p - q) / 2 for p, q in zip(g, h)][1:]
+    s1 = _o_sqrt([p - q for p, q in zip(_o_mul(t1, n1), _o_mul(w1, w1))])
+    wa = _o_asin([F(0)] + s1)[1:]
+    parts = _frequency_parts(s, order)
+    for got, ref in zip(parts, (t1, n1, w1, s1, wa)):
+        assert got.coeffs == ref
+        assert _lowest_terms(got)
+    ratio = _o_sqrt(_o_mul(t1, _o_reciprocal(n1)))
+    inv_mass, k_star = effective_param_series(s, order)
+    assert inv_mass.coeffs == _o_mul(wa, ratio)[: order + 1]
+    assert k_star.coeffs == _o_mul(wa, _o_reciprocal(ratio))[: order + 1]
+    # the shared denominators stay at the lcm: 403 bits for SV, 549 for C
+    assert parts[4]._den.bit_length() == {"SV": 403, "C": 549}[name]
