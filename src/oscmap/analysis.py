@@ -182,13 +182,14 @@ def _lead_order(s: Scheme) -> int:
 
 def _leading_term(s: Scheme, wa: Series):
     """(n, c_n) of order_coefficient, read from the omega_a series wa."""
-    n = next((k for k in range(1, wa.order + 1) if not _is_zero(wa.coeffs[k])),
+    coeffs = wa.coeffs
+    n = next((k for k in range(1, wa.order + 1) if not _is_zero(coeffs[k])),
              None)
     if n is None:
         raise AnalysisError(
             f"leading order of {s.name!r} exceeds truncation order {wa.order}"
         )
-    c_n = wa.coeffs[n]
+    c_n = coeffs[n]
     numeric = _richardson_order_coefficient(s, n)
     if abs(numeric - float(c_n)) > RICHARDSON_RTOL * abs(float(c_n)):
         raise AnalysisError(

@@ -283,14 +283,20 @@ def test_sqrt_squares_back_float(tail):
 
 
 # ------------------------------------------------------- Fraction oracle
-# The ring's recurrences with every coefficient a Fraction, term by term, on
-# plain lists: the integer numerators over one denominator must give the
-# same coefficients.
+# The ring's recurrences as they ran one scalar at a time, with exact input
+# held as Fractions: duck-typed, so the same code gives Fractions for exact
+# input and floats for float input. The ring's integer numerators over one
+# denominator must give the same exact coefficients, and its float series
+# the same bits.
+
+def _o_inverse(c):
+    return F(1, c) if isinstance(c, int) else 1 / c
+
 
 def _o_mul(a, b):
     out = []
     for n in range(len(a)):
-        s = F(0)
+        s = 0
         for k in range(n + 1):
             if a[k] and b[n - k]:
                 s += a[k] * b[n - k]
@@ -299,10 +305,10 @@ def _o_mul(a, b):
 
 
 def _o_reciprocal(a):
-    inv0 = 1 / F(a[0])
+    inv0 = _o_inverse(a[0])
     b = [inv0]
     for n in range(1, len(a)):
-        s = F(0)
+        s = 0
         for k in range(1, n + 1):
             if a[k] and b[n - k]:
                 s += a[k] * b[n - k]
@@ -311,36 +317,41 @@ def _o_reciprocal(a):
 
 
 def _o_sqrt(a):
-    a0 = F(a[0])
-    b0 = F(math.isqrt(a0.numerator), math.isqrt(a0.denominator))
-    assert b0 * b0 == a0
+    if isinstance(a[0], float):
+        b0 = math.sqrt(a[0])
+    else:
+        a0 = F(a[0])
+        b0 = F(math.isqrt(a0.numerator), math.isqrt(a0.denominator))
+        assert b0 * b0 == a0
+    inv2b0 = _o_inverse(2 * b0)
     b = [b0]
     for n in range(1, len(a)):
-        s = F(0)
+        s = 0
         for k in range(1, n):
             if b[k] and b[n - k]:
                 s += b[k] * b[n - k]
-        b.append((a[n] - s) / (2 * b0))
+        b.append((a[n] - s) * inv2b0)
     return b
 
 
 def _o_asin(u):
     uu = _o_mul(u, u)
-    f = [F(1)] + [-c for c in uu[1:]]
-    w = [F(1)]
+    f = [1] + [-c for c in uu[1:]]
+    w = [1]
     for n in range(1, len(f)):
-        s = F(0)
+        s = 0
         for k in range(1, n + 1):
             if f[k] and w[n - k]:
                 s += (k - 2 * n) * f[k] * w[n - k]
-        w.append(s / (2 * n))
-    y = [F(0)]
-    for n in range(1, len(u)):
-        s = F(0)
+        w.append(s * F(1, 2 * n) if s else s)
+    ku = [k * c for k, c in enumerate(u)]
+    y = [0]
+    for n in range(1, len(ku)):
+        s = 0
         for k in range(1, n + 1):
-            if u[k] and w[n - k]:
-                s += k * u[k] * w[n - k]
-        y.append(s / n)
+            if ku[k] and w[n - k]:
+                s += ku[k] * w[n - k]
+        y.append(s * F(1, n) if s else s)
     return y
 
 
@@ -388,7 +399,7 @@ def test_exact_ring_equals_the_fraction_oracle(args):
         "+": (A + B, [p + q for p, q in zip(a, b)]),
         "-": (A - B, [p - q for p, q in zip(a, b)]),
         "scalar *": (c * A, [c * p for p in a]),
-        "scalar /": (A / c, [p / c for p in a]),
+        "scalar /": (A / c, [p * _o_inverse(c) for p in a]),
         "*": (A * B, _o_mul(a, b)),
         "reciprocal": (A.reciprocal(), _o_reciprocal(a)),
         "sqrt": (A.sqrt(), _o_sqrt(a)),
@@ -418,3 +429,42 @@ def test_exact_frequency_series_equal_the_fraction_oracle(name):
     assert k_star.coeffs == _o_mul(wa, _o_reciprocal(ratio))[: order + 1]
     # the shared denominators stay at the lcm: 403 bits for SV, 549 for C
     assert parts[4]._den.bit_length() == {"SV": 403, "C": 549}[name]
+
+
+def _bits(cs):
+    """Floats by their bits, exact values (structural zeros) by value."""
+    return [c.hex() if isinstance(c, float) else ("exact", c) for c in cs]
+
+
+float_or_zero = st.one_of(
+    st.just(0), st.just(0.0),
+    st.floats(min_value=-4, max_value=4, allow_nan=False))
+float_pairs = st.integers(min_value=0, max_value=12).flatmap(
+    lambda order: st.tuples(
+        st.floats(min_value=0.25, max_value=4),
+        st.lists(float_or_zero, min_size=order, max_size=order),
+        st.lists(float_or_zero, min_size=order + 1, max_size=order + 1),
+        st.sampled_from([3, 7, 0.3]),
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(float_pairs)
+def test_float_ring_is_bitwise_the_scalar_recurrences(args):
+    a0, tail, b, c = args
+    a = [a0] + tail
+    A, B = Series(a), Series(b)
+    u = [0] + b[1:]
+    results = {
+        "+": (A + B, [p + q for p, q in zip(a, b)]),
+        "-": (A - B, [p - q for p, q in zip(a, b)]),
+        "scalar *": (c * A, [c * p for p in a]),
+        "scalar /": (A / c, [p * _o_inverse(c) for p in a]),
+        "*": (A * B, _o_mul(a, b)),
+        "/": (B / A, _o_mul(b, _o_reciprocal(a))),
+        "reciprocal": (A.reciprocal(), _o_reciprocal(a)),
+        "sqrt": (A.sqrt(), _o_sqrt(a)),
+        "asin": (asin(Series(u)), _o_asin(u)),
+    }
+    for op, (got, ref) in results.items():
+        assert _bits(got.coeffs) == _bits(ref), op
