@@ -9,10 +9,13 @@ least positive common denominator, so exact arithmetic runs on plain ints. A
 product is one integer convolution followed by one gcd; reciprocal, sqrt and
 asin accumulate each inner sum in integers and reduce once per output
 coefficient. Built with any float coefficient it is a float series: float
-numerators over d = 1. Both modes run the same code and part only in the
-scalar helpers `_divide`, `_exact_inverse` and `_sqrt_scalar`; a float
-result is exactly what float arithmetic on the coefficients gives. `coeffs`
-reads the coefficients back as ints, Fractions or floats.
+numerators over d = 1, with every nonzero coefficient a float and exact
+zeros kept as int 0. Both modes run the same code and part only in the
+scalar helpers `_divide`, `_exact_inverse` and `_sqrt_scalar`, and where a
+float meets an exact operand: the exact one is rounded to float coefficient
+by coefficient first (`_operands`, scalar `*`). A float result is exactly
+what float arithmetic on the coefficients gives. `coeffs` reads the
+coefficients back as ints, Fractions or floats.
 
 No operation costs more than O(K^2) coefficient operations: products,
 reciprocals and square roots by their convolution recurrences, and `asin`
@@ -35,6 +38,10 @@ __all__ = ["Series", "asin", "PARITY_TOL"]
 # zero-constant-term checks and leading-term searches. Exact coefficients
 # must be exactly 0.
 PARITY_TOL = 1e-14
+
+
+def _has_float(nums: list) -> bool:
+    return any(isinstance(c, float) for c in nums)
 
 
 def _is_zero(c) -> bool:
@@ -119,17 +126,9 @@ def _append(nums: list, den, num, q):
 
 
 def _reduced(nums: list, den) -> "Series":
-    """The series nums/den, in lowest terms for int numerators.
-
-    Float numerators are divided out, as times the rounded 1/den, leaving
-    the denominator 1; zeros stay as they are.
-    """
+    """The series nums/den in lowest terms; float numerators need den = 1."""
     if den != 1:
-        try:
-            g = math.gcd(den, *nums)
-        except TypeError:
-            inv = 1 / den
-            return Series._of([c * inv if c else c for c in nums], 1)
+        g = math.gcd(den, *nums)
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
@@ -143,7 +142,8 @@ class Series:
     ----------
     coeffs : iterable of scalars
         Coefficients in increasing power order: ints, Fractions or floats.
-        Any float makes a float series, with each Fraction rounded to float.
+        Any float makes a float series, with each nonzero int or Fraction
+        rounded to float.
     order : int, optional
         Truncation order K. When given, `coeffs` may be shorter than K+1 and
         is zero-padded; it must not be longer.
@@ -163,8 +163,8 @@ class Series:
             coeffs.extend([0] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        if any(isinstance(c, float) for c in coeffs):
-            self._nums = [float(c) if isinstance(c, Fraction) else c
+        if _has_float(coeffs):
+            self._nums = [float(c) if c or isinstance(c, float) else 0
                           for c in coeffs]
             self._den = 1
         else:
@@ -211,10 +211,11 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        d, e = self._den, other._den
-        return self.order == other.order and all(
-            a * e == b * d for a, b in zip(self._nums, other._nums)
-        )
+        if self.order != other.order:
+            return False
+        if self._den == other._den:
+            return self._nums == other._nums
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         return f"Series({self.coeffs!r})"
@@ -227,10 +228,28 @@ class Series:
                 f"truncation order mismatch: {self.order} != {other.order}"
             )
 
-    def _common(self, other: "Series") -> tuple[list, list, object]:
-        """Both numerator lists over the least common denominator."""
+    def _operands(self, other: "Series") -> tuple[list, list, object, object]:
+        """Both numerator lists and denominators, in one mode.
+
+        If only one of the two is a float series, the other's coefficients
+        are rounded to float, as float arithmetic on a Fraction rounds it;
+        its zeros stay exact.
+        """
         self._check_order(other)
         a, b, d, e = self._nums, other._nums, self._den, other._den
+        if d == 1 or e == 1:    # a float series has d = 1
+            fa, fb = _has_float(a), _has_float(b)
+            if fa != fb:
+                if fa:
+                    b = [c or 0 for c in other._floats()]
+                else:
+                    a = [c or 0 for c in self._floats()]
+                return a, b, 1, 1
+        return a, b, d, e
+
+    def _common(self, other: "Series") -> tuple[list, list, object]:
+        """Both numerator lists over the least common denominator."""
+        a, b, d, e = self._operands(other)
         if d == e:
             return a, b, d
         g = math.gcd(d, e)
@@ -252,14 +271,18 @@ class Series:
         return Series._of([-a for a in self._nums], self._den)
 
     def __mul__(self, other):
-        a = self._nums
         if isinstance(other, Series):
-            self._check_order(other)
-            return _reduced(_convolve(a, other._nums, len(a)),
-                            self._den * other._den)
-        p, q = ((other, 1) if isinstance(other, float)
-                else (other.numerator, other.denominator))
-        return _reduced([p * c for c in a], q * self._den)
+            a, b, d, e = self._operands(other)
+            return _reduced(_convolve(a, b, len(a)), d * e)
+        a = self._nums
+        if isinstance(other, float):
+            return Series._of([other * c for c in self._floats()], 1)
+        if self._den == 1 and _has_float(a):
+            r = float(other)    # as float arithmetic rounds an int or Fraction
+            return Series._of(
+                [r * c if isinstance(c, float) else c for c in a], 1)
+        return _reduced([other.numerator * c for c in a],
+                        other.denominator * self._den)
 
     __rmul__ = __mul__
 
@@ -314,6 +337,8 @@ class Series:
 
     def _resized(self, order: int) -> "Series":
         """Copy truncated or zero-padded to `order`."""
+        if order < 0:
+            raise ValueError("truncation order must be non-negative")
         nums = self._nums[: order + 1]
         return _reduced(nums + [0] * (order + 1 - len(nums)), self._den)
 
@@ -338,11 +363,17 @@ class Series:
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, x0):
-        """Evaluate the truncated polynomial at x0 (Horner)."""
+        """Evaluate the truncated polynomial at x0 (Horner).
+
+        An exact series at an int or Fraction x0 gives the exact value; at
+        any other x0 each coefficient is rounded to float first.
+        """
+        exact = self._den != 1 and isinstance(x0, (int, Fraction))
         acc = 0
-        for c in reversed(self._nums):
+        for c in reversed(self._nums if exact or self._den == 1
+                          else self._floats()):
             acc = acc * x0 + c
-        return acc if self._den == 1 else acc * _exact_inverse(self._den)
+        return acc * Fraction(1, self._den) if exact else acc
 
 
 def asin(u: Series) -> Series:

@@ -203,11 +203,23 @@ def test_truncated_and_shifts():
     assert Series([0, 5, 6]).divided_by_x().coeffs == [5, 6]
     with pytest.raises(ValueError, match="constant term"):
         a.divided_by_x()
+    with pytest.raises(ValueError, match="non-negative"):
+        Series([1, F(1, 3)]).truncated(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        scheme_series_matrix(get_scheme("SV"), -1)
 
 
 def test_evaluation():
     a = Series([1, 2, 3])
     assert a(2.0) == 1 + 4 + 12
+    b = Series([1, F(1, 3), F(-2, 7)])
+    assert b(F(3, 2)) == 1 + F(1, 2) - F(9, 14)
+    assert b(2) == 1 + F(2, 3) - F(8, 7)
+    assert b(0.5) == (F(-2, 7) * 0.5 + F(1, 3)) * 0.5 + 1
+    # the shared denominator exceeds float range; each coefficient does not
+    tiny = Series([1, F(1, 3), F(1, 2**1100)])
+    assert tiny._den > 2**1024
+    assert tiny(0.5) == 1 + 0.5 / 3
 
 
 # ---------------------------------------------------------------- properties
@@ -408,6 +420,8 @@ def test_exact_ring_equals_the_fraction_oracle(args):
     for op, (got, ref) in results.items():
         assert got.coeffs == ref, op
         assert _lowest_terms(got), op
+    assert (A == Series(A._floats())) == all(float(p) == p for p in a)
+    assert (Series(A._floats()) == A) == all(float(p) == p for p in a)
 
 
 @pytest.mark.parametrize("name", ["SV", "C"])
@@ -441,20 +455,33 @@ float_or_zero = st.one_of(
     st.floats(min_value=-4, max_value=4, allow_nan=False))
 float_pairs = st.integers(min_value=0, max_value=12).flatmap(
     lambda order: st.tuples(
-        st.floats(min_value=0.25, max_value=4),
+        st.one_of(st.integers(1, 4), st.floats(min_value=0.25, max_value=4)),
         st.lists(float_or_zero, min_size=order, max_size=order),
         st.lists(float_or_zero, min_size=order + 1, max_size=order + 1),
-        st.sampled_from([3, 7, 0.3]),
+        st.sampled_from([3, 7, 0.3, F(2, 3), F(-5, 7)]),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=9),
+                 min_size=order + 1, max_size=order + 1),
     ))
+
+
+def _rounded(cs):
+    """A float series' coefficients: nonzero values as floats, exact zeros as 0."""
+    if not any(isinstance(c, float) for c in cs):
+        return cs
+    return [float(c) if c or isinstance(c, float) else 0 for c in cs]
 
 
 @settings(max_examples=80, deadline=None)
 @given(float_pairs)
 def test_float_ring_is_bitwise_the_scalar_recurrences(args):
-    a0, tail, b, c = args
+    a0, tail, b, c, e = args
     a = [a0] + tail
-    A, B = Series(a), Series(b)
-    u = [0] + b[1:]
+    if not any(isinstance(x, float) for x in a):
+        a[-1] = float(a[-1])    # keep A a float series, with an int a0
+    A, B, E = Series(a), Series(b), Series(e)
+    a, b, u = _rounded(a), _rounded(b), _rounded([0] + b[1:])
+    # an exact operand meeting a float series is rounded first
+    ea = [float(x) if x else 0 for x in e]
     results = {
         "+": (A + B, [p + q for p, q in zip(a, b)]),
         "-": (A - B, [p - q for p, q in zip(a, b)]),
@@ -465,6 +492,13 @@ def test_float_ring_is_bitwise_the_scalar_recurrences(args):
         "reciprocal": (A.reciprocal(), _o_reciprocal(a)),
         "sqrt": (A.sqrt(), _o_sqrt(a)),
         "asin": (asin(Series(u)), _o_asin(u)),
+        "exact + float": (E + A, [p + q for p, q in zip(ea, a)]),
+        "float * exact": (A * E, _o_mul(a, ea)),
+        "float scalar * exact": (0.3 * E, [0.3 * x for x in e]),
     }
     for op, (got, ref) in results.items():
         assert _bits(got.coeffs) == _bits(ref), op
+        assert repr(got), op
+        if any(isinstance(x, float) for x in got.coeffs):
+            assert got._den == 1, op
+            assert all(isinstance(x, float) or x == 0 for x in got._nums), op

@@ -1,15 +1,15 @@
 """Record perfbench results of one or more checkouts in a BENCH_*.json file.
 
-Runs `perfbench/run.py --trace 0` once per workload and repeat in each
-checkout, from that checkout's root and with PYTHONDONTWRITEBYTECODE=1, and
-keeps the last two lines of each run: the run metadata and the gated
-metrics. Checkouts are visited in turn within each repeat, in an order that
-alternates from one repeat to the next, so a drift in host speed falls on
-all of them alike. Compare only checkouts that hold no `__pycache__`, such
-as fresh `git clone`s. For example, with the parent commit cloned to
-../parent:
+Runs `perfbench/run.py` once per workload and repeat in each checkout, for
+the run length that BENCHMARK.json sets and with a fixed seed, from that
+checkout's root and with PYTHONDONTWRITEBYTECODE=1, and keeps the last two
+lines of each run: the run metadata and the gated metrics. Checkouts are
+visited in turn within each repeat, in an order that alternates from one
+repeat to the next, so a drift in host speed falls on all of them alike.
+Compare only checkouts that hold no `__pycache__`, such as fresh `git
+clone`s. For example, with the parent commit cloned to ../parent:
 
-    python3 tools/record_bench.py --out BENCH_16.json --seed 16 \\
+    python3 tools/record_bench.py --out BENCH_16.json \\
         --checkout parent=../parent --checkout change=. --repeats 1
     python3 tools/record_bench.py --out series.json --workload series \\
         --checkout parent=../parent --checkout change=. --repeats 10
@@ -30,6 +30,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("analyze", "sweep", "simulate", "series")
+SEED = 16
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _revision(root: Path) -> str | None:
@@ -52,12 +54,12 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(root: Path, workload: str, seconds: float) -> dict:
     """One perfbench run: its metadata line and its last line."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     res = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(seconds)],
         cwd=root, env=env, capture_output=True, text=True, check=False)
     lines = res.stdout.strip().splitlines()
     if res.returncode != 0 or len(lines) < 2:
@@ -92,10 +94,9 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="LABEL=PATH", help="a checkout to run; repeatable")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run; repeatable (default: all)")
-    parser.add_argument("--seed", type=int, default=16)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
+    seconds = json.loads(BENCHMARK.read_text(encoding="utf-8"))["run_seconds"]
     checkouts = []
     for item in args.checkout:
         label, sep, path = item.partition("=")
@@ -108,14 +109,14 @@ def main(argv: list[str] | None = None) -> int:
         order = checkouts if repeat % 2 == 0 else checkouts[::-1]
         for workload in args.workload or WORKLOADS:
             for label, root in order:
-                run = _run(root, workload, args.seed, args.seconds)
+                run = _run(root, workload, seconds)
                 runs.append({"checkout": label, "workload": workload,
                              "repeat": repeat, **run})
                 value = run["result"]["metrics"]["cpu_round_ref"]["value"]
                 print(f"{repeat} {workload} {label}: cpu_round_ref {value:.4f}",
                       file=sys.stderr)
     doc = {
-        "seed": args.seed, "seconds": args.seconds, "repeats": args.repeats,
+        "seed": SEED, "seconds": seconds, "repeats": args.repeats,
         "host": {"node": platform.node(), "machine": platform.machine(),
                  "cpu": _cpu_model(), "nproc": os.cpu_count()},
         "python": platform.python_version(),
