@@ -12,8 +12,8 @@ From that one map the package solves the N-step evolution in closed form,
 extracts the modified (shadow) Hamiltonian with its effective mass and
 spring constant, and benchmarks schemes through their phase-error
 coefficients and stability limits. Two independent routes check it:
-brute-force shear-by-shear iteration (`sim`) and a high-precision shear
-product behind the Richardson estimate (`analysis`).
+brute-force shear-by-shear iteration (`sim`) and an exact shear product,
+with a fixed-point arccos, behind the Richardson estimate (`analysis`).
 """
 
 from .series import Series, asin

@@ -18,16 +18,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import series as series_mod
 from .phasemap import (Regime, _polynomials, scheme_matrix,
                        scheme_series_matrix, spectral)
 from .schemes import DRIFT, GKICK, Scheme, get_scheme
 from .series import Series, _convolve, _is_zero
-
-if TYPE_CHECKING:
-    import mpmath
 
 __all__ = [
     "AnalysisError", "PhaseErrorReport", "StabilityLimit", "ConvergenceRow",
@@ -36,9 +33,13 @@ __all__ = [
     "RICHARDSON_GRID", "RICHARDSON_RTOL",
 ]
 
-#: Grid for the numeric Richardson cross-check of the order coefficient.
+#: Grid for the numeric Richardson cross-check of an order coefficient c_n
+#: with n <= 4; `_richardson_grid` widens it for larger n.
 RICHARDSON_GRID = (1e-2, 5e-3, 2.5e-3)
 RICHARDSON_RTOL = 1e-6
+
+#: Fixed-point bits of the Richardson check's arccos.
+_ACOS_BITS = 256
 
 _STABILITY_BRACKET = 10.0
 
@@ -106,63 +107,99 @@ def _frequency_series(s: Scheme, order: int
 
 # ------------------------------------------------------- order coefficient
 
-def _mp_half_trace(s: Scheme, x: mpmath.mpf) -> mpmath.mpf:
-    """Half trace of the scheme matrix at working precision (direct shears)."""
-    import mpmath
+def _exact_half_trace(s: Scheme, x: Fraction) -> Fraction:
+    """Half trace of the scheme matrix at a rational x, shear by shear.
 
-    one, zero = mpmath.mpf(1), mpmath.mpf(0)
-    m = [[one, zero], [zero, one]]
+    Each active step is applied to the running 2x2 product as a numeric
+    shear at x, in exact arithmetic; a float coefficient counts at its
+    binary value. The entries are kept as integers over one denominator,
+    which every shear multiplies by its own. Nothing here goes through
+    `phasemap`'s polynomials or the series ring.
+    """
+    a, b, c, d, den = 1, 0, 0, 1, 1  # [[a, b], [c, d]] / den
     for st in s.active_steps():
-        c = _to_mpf(st.c)
+        k = Fraction(st.c) * x
+        if st.kind == GKICK:
+            k += Fraction(st.u) * x**3
+        kn, kd = k.numerator, k.denominator
         if st.kind == DRIFT:
-            f = [[one, c * x], [zero, one]]
+            a, b, c, d = a * kd + kn * c, b * kd + kn * d, c * kd, d * kd
         else:
-            mu = c * x
-            if st.kind == GKICK:
-                mu += _to_mpf(st.u) * x**3
-            f = [[one, zero], [-mu, one]]
-        m = [
-            [f[0][0] * m[0][0] + f[0][1] * m[1][0],
-             f[0][0] * m[0][1] + f[0][1] * m[1][1]],
-            [f[1][0] * m[0][0] + f[1][1] * m[1][0],
-             f[1][0] * m[0][1] + f[1][1] * m[1][1]],
-        ]
-    return (m[0][0] + m[1][1]) / 2
+            a, b, c, d = a * kd, b * kd, c * kd - kn * a, d * kd - kn * b
+        den *= kd
+    return Fraction(a + d, 2 * den)
 
 
-def _to_mpf(v):
-    import mpmath
+def _fixed_acos(t: Fraction) -> Fraction:
+    """arccos t for 0 <= t <= 1, as a multiple of 2^-_ACOS_BITS.
 
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)
+    arccos t = 2 asin(s) with s = sqrt((1 - t)/2) <= 1/sqrt(2). s is taken
+    with `math.isqrt` on 2^P fixed-point integers, P = _ACOS_BITS, and the
+    arcsine series sum(a_k s^(2k+1)) is added in the same integers until a
+    term is 0. Each step truncates by less than one unit 2^-P and none of
+    these errors grows, so the result is off by less than two units per
+    term: below 2^-248 for t in [cos 0.2, 1], where s <= sin 0.1 and about
+    40 terms are added, and below 2^-246 on all of [0, 1].
+    """
+    u = (1 - t) / 2
+    s = math.isqrt((u.numerator << 2 * _ACOS_BITS) // u.denominator)
+    s2 = s * s >> _ACOS_BITS
+    total, term, k = 0, s, 1
+    # term = s^k (k - 2)!!/(k - 1)!! for odd k; the series adds term/k
+    while term:
+        total += term // k
+        term = term * s2 * k // ((k + 1) << _ACOS_BITS)
+        k += 2
+    return Fraction(total, 1 << (_ACOS_BITS - 1))
+
+
+def _richardson_grid(n: int) -> tuple[float, float, float]:
+    """Grid (h, h/2, h/4) of the Richardson check for leading order n.
+
+    h = 1e-2 for n <= 4 (RICHARDSON_GRID) and is doubled until the smallest
+    point x_min = h/4 has x_min^(n - 2) >= 1e-7: h = 8e-2 for n = 6. A
+    float scheme's map has x^2 and x^4 terms at round-off size, ~1e-16;
+    divided by x^n, they reach c_n's estimate as 1e-16 x^(2 - n), which the
+    rule keeps below ~1e-9 at every grid point.
+    """
+    h = RICHARDSON_GRID[0]
+    while (h / 4) ** (n - 2) < 1e-7:
+        h *= 2
+    return h, h / 2, h / 4
 
 
 def _richardson_order_coefficient(s: Scheme, n: int) -> float:
     """Numeric c_n: Richardson extrapolation of (omega_a/omega - 1)/x^n.
 
-    Works at 50 digits because the deviation is as small as c4*x^4 ~ 1e-16
-    on the pinned grid; the route (shear product, trace, arccos, Richardson)
-    shares nothing with the series ring. The deviation is measured relative
-    to its x -> 0 floor: float rounding of the consistency sums (~1e-17)
-    shifts omega_a/omega by a constant, which the 1/x^n division would
-    otherwise amplify through the extrapolation. mpmath is imported here and
-    in the helpers, not at module level, because only this check needs it.
+    The route (shear product, trace, arccos, Richardson) shares nothing with
+    the series ring. The half trace T is exact at each point (a float grid
+    point counts at its binary value), arccos T is within 2^-248 of the
+    true angle, and the extrapolation runs in `Fraction`; the result is
+    rounded to float once, at the end. The deviation is measured relative
+    to its x -> 0 floor, taken at x = 1e-6: float rounding of the
+    consistency sums (~1e-17) shifts omega_a/omega by a constant, which the
+    1/x^n division would otherwise amplify through the extrapolation. After
+    the divisions by x and x^n, the arccos error reaches c_n as less than
+    1e-57 for n <= 8, mostly through the floor's 1/x = 1e6: far below the
+    rounding of any |c_n| > 1e-40 to float. The deviation itself is as
+    small as c4*x^4 ~ 1e-16 on the n <= 4 grid.
     """
-    import mpmath
+    def deviation(x: Fraction) -> Fraction:
+        t = _exact_half_trace(s, x)
+        if not 0 <= t <= 1:
+            raise AnalysisError(
+                f"Richardson check of {s.name!r} needs 0 <= Tr M/2 <= 1 at "
+                f"x = {float(x)!r}, where it is {float(t)!r}"
+            )
+        return _fixed_acos(t) / x - 1
 
-    with mpmath.workdps(50):
-        x_floor = mpmath.mpf("1e-6")
-        floor = mpmath.acos(_mp_half_trace(s, x_floor)) / x_floor - 1
-        r = []
-        for x in RICHARDSON_GRID:
-            xm = mpmath.mpf(x)
-            dev = mpmath.acos(_mp_half_trace(s, xm)) / xm - 1
-            r.append((dev - floor) / xm**n)
-        # eliminate the x^2 and x^4 corrections of the even remainder
-        r1a = (4 * r[1] - r[0]) / 3
-        r1b = (4 * r[2] - r[1]) / 3
-        return float((16 * r1b - r1a) / 15)
+    floor = deviation(Fraction(1, 10**6))
+    r = [(deviation(x) - floor) / x**n
+         for x in map(Fraction, _richardson_grid(n))]
+    # eliminate the x^2 and x^4 corrections of the even remainder
+    r1a = (4 * r[1] - r[0]) / 3
+    r1b = (4 * r[2] - r[1]) / 3
+    return float((16 * r1b - r1a) / 15)
 
 
 def order_coefficient(s: Scheme):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oscmap import analysis, phasemap
 from oscmap.analysis import (
-    AnalysisError, _mp_half_trace, _odd_part, _sturm_chain, _variations,
+    AnalysisError, _odd_part, _sturm_chain, _variations,
     analyze, convergence_study, effective_param_series, omega_a_series,
     order_coefficient, stability_limit,
 )
@@ -21,6 +21,9 @@ from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
     registry, registry_names,
 )
+
+from mpmath_oracle import (mp_half_trace, mp_richardson_order_coefficient,
+                           to_mpf)
 
 F = Fraction
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -207,6 +210,81 @@ def test_order_coefficient_c_scheme():
     assert n == 4 and c == F(1, 7680)
 
 
+def _triple_jump(base: Scheme, name: str) -> Scheme:
+    """Yoshida's symmetric triple jump of base, two orders higher.
+
+    w1 = 1/(2 - 2^(1/(p+1))) and w0 = 1 - 2 w1 for base of order p: 9 force
+    evaluations and order 6 from FR (Phys. Lett. A 150 (1990) 262).
+    """
+    w1 = 1 / (2 - 2 ** (1 / (base.order + 1)))
+    w0 = 1 - 2 * w1
+    steps = [Step(st.kind, w * st.c) for w in (w1, w0, w1) for st in base.steps]
+    return Scheme(name, steps, base.order + 2, 3 * base.force_evals)
+
+
+Y6 = _triple_jump(get_scheme("FR"), "Y6")
+
+
+def test_sixth_order_triple_jump_passes_the_richardson_check():
+    # on the n <= 4 grid, the round-off x^2 and x^4 terms of the float
+    # scheme, divided by x^6, gave 0.02168534879425749: 2.7e-4 off
+    assert analysis._richardson_grid(6) == (8e-2, 4e-2, 2e-2)
+    rep = analyze(Y6)
+    assert (rep.n, rep.order_declared) == (6, 6)
+    assert abs(rep.c_n - 0.0216911) <= 1e-7
+    numeric = analysis._richardson_order_coefficient(Y6, 6)
+    assert abs(numeric - rep.c_n) <= 1e-7 * rep.c_n
+    assert rep.c_star is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_richardson_grid_of_low_orders_is_the_fixed_grid(n):
+    assert analysis._richardson_grid(n) == analysis.RICHARDSON_GRID
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_exact_half_trace_against_mpmath_shear_product(name):
+    s = get_scheme(name)
+    n = order_coefficient(s)[0]
+    xs = [*analysis._richardson_grid(n), 1e-6, stability_limit(s).x_max]
+    with mpmath.workdps(60):
+        for x in xs:
+            exact = analysis._exact_half_trace(s, F(x))
+            ref = mp_half_trace(s, mpmath.mpf(x))
+            assert abs(to_mpf(exact) - ref) <= mpmath.mpf("1e-50") * abs(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=F(math.cos(0.2)), max_value=1))
+@example(F(1))
+@example(F(math.cos(0.2)))
+# the floor point x = 1e-6: T = 1 - 5e-13
+@example(1 - F(1, 2 * 10**12))
+def test_fixed_acos_against_mpmath(t):
+    # 300 bits, about 90 digits: mpmath's own error is far below 2^-240
+    with mpmath.workprec(300):
+        got = to_mpf(analysis._fixed_acos(t))
+        assert abs(got - mpmath.acos(to_mpf(t))) <= mpmath.mpf(2) ** -240
+
+
+@pytest.mark.parametrize("s", [*registry(), Y6], ids=lambda s: s.name)
+def test_richardson_estimate_is_the_mpmath_route_bit_for_bit(s):
+    n = order_coefficient(s)[0]
+    got = analysis._richardson_order_coefficient(s, n)
+    assert got.hex() == mp_richardson_order_coefficient(s, n).hex()
+
+
+def test_richardson_check_rejects_a_map_beyond_its_range():
+    # drifts of +-5e4 make |Tr M/2| > 1 at x = 0.01; the mpmath route took
+    # a complex arccos there and failed converting it to float
+    steps = [Step(KICK, 0.25), Step(DRIFT, 5e4), Step(KICK, 0.25),
+             Step(DRIFT, 1 - 1e5), Step(KICK, 0.25), Step(DRIFT, 5e4),
+             Step(KICK, 0.25)]
+    s = Scheme("wild", steps, 2, 4)
+    with pytest.raises(AnalysisError, match=r"needs 0 <= Tr M/2 <= 1 at x = 0.01"):
+        analyze(s)
+
+
 # ------------------------------------------------------ normalized coefficient
 
 def test_normalized_coefficients_table():
@@ -298,8 +376,8 @@ def test_stability_limit_against_mpmath_shear_product(name):
     x_max = stability_limit(s).x_max
     with mpmath.workdps(50):
         x = mpmath.mpf(x_max)
-        assert abs(abs(_mp_half_trace(s, x)) - 1) <= 1e-12
-        assert abs(_mp_half_trace(s, x * (1 - mpmath.mpf("1e-9")))) < 1
+        assert abs(abs(mp_half_trace(s, x)) - 1) <= 1e-12
+        assert abs(mp_half_trace(s, x * (1 - mpmath.mpf("1e-9")))) < 1
 
 
 def _times(p, q):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oscmap import phasemap
-from oscmap.analysis import _mp_half_trace, stability_limit
+from oscmap.analysis import stability_limit
 from oscmap.series import Series
 from oscmap.schemes import GKICK, Scheme, Step, get_scheme, is_symmetric, registry
 from oscmap.phasemap import (
@@ -18,6 +18,8 @@ from oscmap.phasemap import (
     scheme_matrix, scheme_series_matrix, spectral, sweep,
 )
 from oscmap.sim import iterate
+
+from mpmath_oracle import mp_half_trace
 
 F = Fraction
 
@@ -329,7 +331,7 @@ def _sweep_reference(name: str) -> list[tuple]:
         if allowed == {Regime.ELLIPTIC}:
             with mpmath.workdps(40):
                 xm = mpmath.mpf(x)
-                omega_a = float(mpmath.acos(_mp_half_trace(s, xm)) / xm)
+                omega_a = float(mpmath.acos(mp_half_trace(s, xm)) / xm)
             root = math.sqrt(tv / nv)
             root_tol = 16 * ulp * (_abs_sum(tau_x, y) / abs(float(tv))
                                    + _abs_sum(nu_x, y) / abs(float(nv)))
