@@ -172,17 +172,16 @@ def _richardson_order_coefficient(s: Scheme, n: int) -> float:
     """Numeric c_n: Richardson extrapolation of (omega_a/omega - 1)/x^n.
 
     The route (shear product, trace, arccos, Richardson) shares nothing with
-    the series ring. The half trace T is exact at each point (a float grid
-    point counts at its binary value), arccos T is within 2^-248 of the
-    true angle, and the extrapolation runs in `Fraction`; the result is
-    rounded to float once, at the end. The deviation is measured relative
-    to its x -> 0 floor, taken at x = 1e-6: float rounding of the
-    consistency sums (~1e-17) shifts omega_a/omega by a constant, which the
-    1/x^n division would otherwise amplify through the extrapolation. After
-    the divisions by x and x^n, the arccos error reaches c_n as less than
-    1e-57 for n <= 8, mostly through the floor's 1/x = 1e6: far below the
-    rounding of any |c_n| > 1e-40 to float. The deviation itself is as
-    small as c4*x^4 ~ 1e-16 on the n <= 4 grid.
+    the series ring. T is exact at each point (a float grid point counts at
+    its binary value), arccos T is within 2^-248, and the extrapolation runs
+    in `Fraction`, rounded to float once at the end. After the divisions by
+    x and x^n, the arccos error reaches c_n as less than 1e-57 for n <= 8
+    (n is even, as T is), mostly through the floor's 1/x = 1e6: far below
+    the float rounding of any |c_n| > 1e-40. The deviation is as small as
+    c4*x^4 ~ 1e-16 on the n <= 4 grid, and it is measured relative to its
+    x -> 0 floor, taken at x = 1e-6: float rounding of the consistency sums
+    (~1e-17) shifts omega_a/omega by a constant, which the 1/x^n division
+    would otherwise amplify through the extrapolation.
     """
     def deviation(x: Fraction) -> Fraction:
         t = _exact_half_trace(s, x)

@@ -2,9 +2,9 @@
 
 `mp_half_trace` multiplies a scheme's shears in mpmath at the working
 precision. `mp_richardson_order_coefficient` is the Richardson estimate of
-c_n computed from it at 50 digits, with mpmath's arccos: the route that
-`analysis` ran before it moved to exact integer arithmetic. Tests use both
-as independent references; the package itself never imports mpmath.
+c_n from it at 50 digits, with mpmath's arccos in place of the package's
+fixed-point one. Tests use both as independent references; the package
+itself never imports mpmath.
 """
 
 from fractions import Fraction
