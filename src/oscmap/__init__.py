@@ -4,7 +4,7 @@ Any composition of drifts, kicks, and force-gradient kicks acts on the
 oscillator as one 2x2 symplectic matrix whose entries g, tau, nu and h are
 finite polynomials in x = eps*omega. `phasemap` builds those four
 polynomials once per scheme, in exact rational arithmetic (binary-exact for
-float coefficients). Series-mode matrices are the polynomials themselves,
+float coefficients). The frequency series are read off those polynomials,
 rational when the scheme's coefficients are and correctly rounded to floats
 otherwise; numeric matrices are the rounded polynomials evaluated at a given
 timestep and frequency; the stability limit comes from the exact half trace.
@@ -24,7 +24,7 @@ from .schemes import (
 )
 from .phasemap import (
     PhaseMatrix, Regime, RegimeError, SpectralData, propagate_closed_form,
-    scheme_matrix, scheme_series_matrix, spectral, sweep,
+    scheme_matrix, spectral, sweep,
 )
 from .analysis import (
     AnalysisError, ConvergenceStudy, PhaseErrorReport, StabilityLimit,
@@ -42,8 +42,7 @@ __all__ = [
     "is_symmetric", "load_scheme", "registry", "registry_names",
     "DATA_DIR_ENV",
     "PhaseMatrix", "Regime", "RegimeError", "SpectralData",
-    "propagate_closed_form", "scheme_matrix", "scheme_series_matrix",
-    "spectral", "sweep",
+    "propagate_closed_form", "scheme_matrix", "spectral", "sweep",
     "AnalysisError", "ConvergenceStudy", "PhaseErrorReport", "StabilityLimit",
     "analyze", "convergence_study", "effective_param_series",
     "omega_a_series", "order_coefficient", "stability_limit",

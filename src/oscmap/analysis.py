@@ -21,9 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import series as series_mod
-from .phasemap import (Regime, _polynomials, scheme_matrix,
-                       scheme_series_matrix, spectral)
-from .schemes import DRIFT, GKICK, Scheme, get_scheme
+from .phasemap import Regime, _polynomials, scheme_matrix, spectral
+from .schemes import DRIFT, GKICK, Scheme, get_scheme, has_exact_coefficients
 from .series import Series, _convolve, _is_zero
 
 __all__ = [
@@ -58,13 +57,14 @@ class StabilityLimit(NamedTuple):
 def _frequency_parts(s: Scheme, order: int):
     """(tau/x, nu/x, w/x, sin(theta)/x, omega_a/omega) at truncation order + 1.
 
-    w/x = (g - h)/(2x) is defined because g(0) = h(0) = 1, and is exactly
-    zero for a palindromic scheme, whose products the ring then skips.
+    The first three are read off the scheme's map, exact for int and
+    Fraction coefficients. w/x = (g - h)/(2x) is defined because g(0) =
+    h(0) = 1, and is exactly zero for a palindromic scheme, whose products
+    the ring then skips.
     """
-    m = scheme_series_matrix(s, order + 2)
-    t1 = m.tau.divided_by_x()
-    n1 = m.nu.divided_by_x()
-    w1 = ((m.g - m.h) / 2).divided_by_x()
+    g, tau_x, nu_x, h = _polynomials(s, has_exact_coefficients(s))
+    t1, n1, w1 = (p._resized(order + 1)
+                  for p in (tau_x, nu_x, ((g - h) / 2).divided_by_x()))
     s1 = (t1 * n1 - w1 * w1).sqrt()
     return t1, n1, w1, s1, series_mod.asin(s1.times_x()).divided_by_x()
 
@@ -242,7 +242,8 @@ def _normalized(s: Scheme, lead) -> float:
     only, with the Forest-Ruth scheme as reference; one gradient evaluation
     counts as one force evaluation through the declared force_evals
     metadata. FR's order coefficient is computed only when s is not FR
-    itself; it costs a series build and a Richardson check.
+    itself; it costs a series build and a Richardson check. A c* beyond
+    float range, as a huge force_evals gives, is undefined too.
     """
     if s.order != 4:
         raise AnalysisError(
@@ -256,7 +257,13 @@ def _normalized(s: Scheme, lead) -> float:
         )
     ref = get_scheme("FR")
     c4_ref = c4 if ref == s else order_coefficient(ref)[1]
-    return float(c4) * (s.force_evals / 3.0) ** 4 / abs(float(c4_ref))
+    try:
+        c_star = float(c4) * (s.force_evals / 3.0) ** 4 / abs(float(c4_ref))
+    except OverflowError:  # a float power raises where a product gives inf
+        c_star = math.inf
+    if not math.isfinite(c_star):
+        raise AnalysisError(f"c* of {s.name!r} is beyond float range")
+    return c_star
 
 
 # ------------------------------------------------------------ stability

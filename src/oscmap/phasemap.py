@@ -5,13 +5,14 @@ the four entries [[g, tau], [-nu, h]]; symplecticity means
 det = g*h + tau*nu = 1. In x = eps*omega (and omega = 1) each entry is a
 finite polynomial: every drift or kick raises the degree by one and every
 force-gradient kick by three. The four polynomials are built once per scheme,
-in exact arithmetic, by multiplying its shears in the Series ring, where each
-polynomial is integer numerators over one shared denominator; a float step
-coefficient enters as its binary-exact rational, so the build is exact for
-any scheme. Every other form is read from it: rational series mode pads or
-truncates it to a requested order, float series mode does the same with each
+in exact arithmetic, by applying its shears one by one in the Series ring,
+where each polynomial is integer numerators over one shared denominator; a
+float step coefficient enters as its binary-exact rational, so the build is
+exact for any scheme. Every other form is read from it: the frequency series
+in `analysis` read the polynomials themselves, exact ones for a scheme with
+int or Fraction coefficients and, otherwise, the float build, with each
 coefficient correctly rounded (an integer numerator over the denominator by
-true division), and numeric mode (explicit timestep eps and frequency omega)
+true division); numeric mode (explicit timestep eps and frequency omega)
 evaluates the rounded polynomials by Horner's rule. The stability limit in
 `analysis` reads the half trace's integer numerators from the exact build.
 Numeric work is in plain Python floats. `scheme_matrix` and `spectral` take
@@ -66,28 +67,14 @@ class RegimeError(ValueError):
 
 
 class PhaseMatrix(NamedTuple):
-    """One-timestep map [[g, tau], [-nu, h]] acting on the column (q, p)."""
+    """One-timestep map [[g, tau], [-nu, h]] on (q, p) at eps and omega."""
 
-    g: object
-    tau: object
-    nu: object
-    h: object
-    eps: float | None = None     # numeric mode only
-    omega: float | None = None   # numeric mode only
-
-    def __matmul__(self, other: "PhaseMatrix") -> "PhaseMatrix":
-        return PhaseMatrix(
-            g=self.g * other.g - self.tau * other.nu,
-            tau=self.g * other.tau + self.tau * other.h,
-            nu=self.nu * other.g + self.h * other.nu,
-            h=self.h * other.h - self.nu * other.tau,
-            eps=self.eps,
-            omega=self.omega,
-        )
-
-    @property
-    def is_series(self) -> bool:
-        return isinstance(self.g, Series)
+    g: float
+    tau: float
+    nu: float
+    h: float
+    eps: float
+    omega: float
 
 
 class SpectralData(NamedTuple):
@@ -120,9 +107,11 @@ _KERNELS: dict[tuple[tuple[Step, ...], str], Callable] = {}
 def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series]:
     """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
 
-    The shears are multiplied once per scheme, left to right in the Series
-    ring at truncation order = degree, so nothing is dropped, with every step
-    coefficient taken as Fraction(v), which is binary-exact for a float. The
+    The shears are applied once per scheme, in step order, in the Series ring
+    at truncation order = degree, so nothing is dropped, with every step
+    coefficient taken as Fraction(v), which is binary-exact for a float. A
+    drift c*x changes only the top row and a kick mu(x) = c*x (+ u*x^3 for a
+    gkick) only the bottom one, so each step is two ring products. The
     build is the exact map of the scheme as stored, in integer numerators
     over one denominator per polynomial, and float mode is the same build
     with each numerator divided by the denominator in one true division:
@@ -136,17 +125,18 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
     built = _POLYNOMIALS.get(steps)
     if built is None:
         degree = sum(3 if st.kind == GKICK else 1 for st in steps)
-        one, zero = Series.one(degree), Series.zero(degree)
-        m = PhaseMatrix(one, zero, zero, one)
+        g = h = Series.one(degree)
+        tau = nu = Series.zero(degree)
         for st in steps:
             c = Fraction(st.c)
             if st.kind == DRIFT:
-                shear = PhaseMatrix(one, Series([0, c], degree), zero, one)
+                cx = Series([0, c], degree)
+                g, tau = g - cx * nu, tau + cx * h
             else:
-                mu = [0, c, 0, Fraction(st.u)] if st.kind == GKICK else [0, c]
-                shear = PhaseMatrix(one, zero, Series(mu, degree), one)
-            m = shear @ m
-        polys = (m.g, m.tau.divided_by_x(), m.nu.divided_by_x(), m.h)
+                mu = Series([0, c, 0, Fraction(st.u)] if st.kind == GKICK
+                            else [0, c], degree)
+                nu, h = nu + mu * g, h - mu * tau
+        polys = (g, tau.divided_by_x(), nu.divided_by_x(), h)
         try:
             rounded = tuple(Series(p._floats()) for p in polys)
         except OverflowError:
@@ -170,20 +160,14 @@ def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
                        h(x), eps, omega)
 
 
-def scheme_series_matrix(s: Scheme, order: int,
-                         exact: bool | None = None) -> PhaseMatrix:
-    """Series-mode matrix: the polynomials padded or truncated to `order`.
+def scheme_series_matrix(s: Scheme, order: int) -> tuple[Series, ...]:
+    """(g, tau, nu, h) at truncation `order`; no caller in the package.
 
-    exact defaults to whether every coefficient is an int or Fraction.
+    Kept because the benchmark's span list (`perfbench/tracing.py`) names it.
     """
-    if exact is None:
-        exact = has_exact_coefficients(s)
-    elif exact and not has_exact_coefficients(s):
-        raise TypeError(f"scheme {s.name!r} has coefficients that are not exact; "
-                        "rational series mode needs int or Fraction ones")
-    g, tau_x, nu_x, h = _polynomials(s, exact)
-    return PhaseMatrix(*(p._resized(order)
-                         for p in (g, tau_x.times_x(), nu_x.times_x(), h)))
+    g, tau_x, nu_x, h = _polynomials(s, has_exact_coefficients(s))
+    return tuple(p._resized(order)
+                 for p in (g, tau_x.times_x(), nu_x.times_x(), h))
 
 
 # ------------------------------------------------------------------ spectral
@@ -214,8 +198,6 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     numbers the result is bitwise theirs. A NaN entry raises ValueError: no
     regime can be read from it.
     """
-    if mat.is_series:
-        raise TypeError("spectral analysis needs a numeric-mode matrix")
     g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
     if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
         raise ValueError(_NAN_ENTRY)

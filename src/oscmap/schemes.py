@@ -138,6 +138,12 @@ class Scheme(_SchemeFields):
             raise SchemeError(
                 f"kick coefficients sum to {float(kick_sum)!r}, expected 1"
             )
+        # Tr M/2 has this degree, and no even Taylor coefficient of cos x is
+        # 0, so Tr M/2 cannot match cos x through x^(order + 1) beyond it
+        degree = sum(3 if s.kind == GKICK else 1 for s in steps)
+        if order > degree:
+            raise SchemeError(f"declared order {order} exceeds {degree}, the "
+                              "degree of the one-step map in x")
         return super().__new__(cls, name, steps, order, force_evals, citation)
 
     @classmethod

@@ -14,6 +14,7 @@ Python floats.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 from .phasemap import Regime, scheme_matrix, spectral
@@ -43,6 +44,10 @@ class TrajectoryRecord(NamedTuple):
 def _kick_drift_program(s: Scheme, eps: float, omega: float):
     """Per-step shear pattern and coefficients: 'd' for c*eps, 'k' for mu."""
     w2 = omega * omega
+    try:
+        cube = eps**3
+    except OverflowError:  # a float power raises where eps*eps*eps gives inf
+        cube = math.copysign(math.inf, eps)
     pattern = []
     coeffs = []
     for st in s.active_steps():
@@ -52,7 +57,7 @@ def _kick_drift_program(s: Scheme, eps: float, omega: float):
         else:
             mu = float(st.c) * eps * w2
             if st.kind == GKICK:
-                mu += float(st.u) * eps**3 * w2 * w2
+                mu += float(st.u) * cube * w2 * w2
             pattern.append("k")
             coeffs.append(mu)
     return "".join(pattern), coeffs

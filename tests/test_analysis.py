@@ -325,6 +325,15 @@ def test_analyze_matches_the_public_functions():
     assert (rep.inv_mass, rep.k_star) == effective_param_series(s, 8)
 
 
+@pytest.mark.parametrize("force_evals", [10**100, 10**400])
+def test_normalized_coefficient_beyond_float_range_is_undefined(force_evals):
+    # (force_evals/3)^4 overflows a float, or force_evals does not fit one
+    s = get_scheme("FR")._replace(name="FR-costly", force_evals=force_evals)
+    with pytest.raises(AnalysisError, match="beyond float range"):
+        analysis._normalized(s, order_coefficient(s))
+    assert analyze(s).c_star is None
+
+
 def test_normalized_coefficient_needs_order_four():
     sv = get_scheme("SV")
     with pytest.raises(AnalysisError, match="order"):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oscmap.cli import _sweep_grid, main
-from oscmap.schemes import registry_names
+from oscmap.schemes import get_scheme, registry_names
 
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -209,6 +209,41 @@ def test_map_coefficient_beyond_float_range(command, tmp_path):
     assert proc.stderr.startswith("oscmap: error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "'huge'" in proc.stderr and "beyond float range" in proc.stderr
+
+
+def _fr_file(tmp_path, **fields) -> str:
+    """Path of a scheme file with FR's steps as floats and these fields."""
+    doc = {"name": "FR-file", "order": 4, "force_evals": 3,
+           "steps": [{"kind": st.kind, "c": st.c}
+                     for st in get_scheme("FR").steps], **fields}
+    path = tmp_path / "fr.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("force_evals", [10**100, 10**400])
+def test_c_star_beyond_float_range_is_null(force_evals, tmp_path):
+    path = _fr_file(tmp_path, force_evals=force_evals)
+    proc = _oscmap(["analyze", "--file", path, "--format", "json"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["n"] == 4 and doc["c_star"] is None
+
+
+def test_declared_order_beyond_the_map_degree_is_an_error_line(tmp_path):
+    path = _fr_file(tmp_path, order=10**9)
+    proc = _oscmap(["analyze", "--file", path])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"oscmap: error: {path}: declared order {10**9} "
+                           "exceeds 7, the degree of the one-step map in x\n")
+
+
+def test_simulate_gkick_overflow_prints_nan_rows():
+    # eps**3 of C's gkick overflows at x = 1e150
+    proc = _oscmap(["simulate", "C", "--x", "1e150", "--steps", "1"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == ["t,q,p,H", "0,1,0,0.5",
+                                        "1e+150,nan,nan,nan"]
 
 
 @pytest.mark.parametrize("flag, argv", [

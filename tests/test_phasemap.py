@@ -1,6 +1,7 @@
 """Tests for the 2x2 map construction, spectral data, and closed-form power."""
 
 import functools
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 from oscmap import phasemap
-from oscmap.analysis import stability_limit
+from oscmap.analysis import _frequency_parts, omega_a_series, stability_limit
 from oscmap.series import Series
-from oscmap.schemes import GKICK, Scheme, Step, get_scheme, is_symmetric, registry
+from oscmap.schemes import (DRIFT, GKICK, Scheme, Step, get_scheme, is_symmetric,
+                            registry)
 from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, SWEEP_QUANTITIES, propagate_closed_form,
     scheme_matrix, scheme_series_matrix, spectral, sweep,
@@ -72,54 +74,52 @@ def test_any_scheme_identity_at_zero_step():
 
 
 def test_sv_series_matrix_exact():
-    m = scheme_series_matrix(get_scheme("SV"), 6)
-    assert m.g.coeffs == [1, 0, F(-1, 2), 0, 0, 0, 0]
-    assert m.tau.coeffs == [0, 1, 0, 0, 0, 0, 0]
-    assert m.nu.coeffs == [0, 1, 0, F(-1, 4), 0, 0, 0]
-    assert m.h == m.g
+    # g, tau/x, nu/x and h of the exact build
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("SV"), True)
+    assert g.coeffs == [1, 0, F(-1, 2), 0]
+    assert tau_x.coeffs == [1, 0, 0]
+    assert nu_x.coeffs == [1, 0, F(-1, 4)]
+    assert h == g
 
 
 def test_fr_series_matrix_against_surd_polynomials():
     cbrt2 = 2.0 ** (1.0 / 3.0)
     cbrt4 = 2.0 ** (2.0 / 3.0)
-    m = scheme_series_matrix(get_scheme("FR"), 8)
-    g_ref = [1, 0, -0.5, 0, 1 / 24, 0, (6 + 5 * cbrt2 + 4 * cbrt4) / 288, 0, 0]
-    tau_ref = [0, 1, 0, -1 / 6, 0, -(1 + cbrt2) / (72 * cbrt4), 0,
-               (25 + 20 * cbrt2 + 16 * cbrt4) / 1728, 0]
-    nu_ref = [0, 1, 0, -1 / 6, 0, -(4 + 4 * cbrt2 + 3 * cbrt4) / 144, 0, 0, 0]
-    for got, ref in ((m.g.coeffs, g_ref), (m.tau.coeffs, tau_ref),
-                     (m.nu.coeffs, nu_ref)):
-        for a, b in zip(got, ref):
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("FR"), False)
+    g_ref = [1, 0, -0.5, 0, 1 / 24, 0, (6 + 5 * cbrt2 + 4 * cbrt4) / 288, 0]
+    tau_x_ref = [1, 0, -1 / 6, 0, -(1 + cbrt2) / (72 * cbrt4), 0,
+                 (25 + 20 * cbrt2 + 16 * cbrt4) / 1728]
+    nu_x_ref = [1, 0, -1 / 6, 0, -(4 + 4 * cbrt2 + 3 * cbrt4) / 144, 0, 0]
+    for got, ref in ((g, g_ref), (tau_x, tau_x_ref), (nu_x, nu_x_ref)):
+        assert len(got.coeffs) == len(ref)
+        for a, b in zip(got.coeffs, ref):
             assert abs(a - b) <= 1e-12
-    assert m.g.coeffs == m.h.coeffs
+    assert g.coeffs == h.coeffs
 
 
 def test_series_matrix_det_is_one():
-    for name in ("SV", "FR", "C", "LF1"):
-        m = scheme_series_matrix(get_scheme(name), 8)
-        det = _det(m)
+    for name, exact in itertools.product(("SV", "FR", "C", "LF1"),
+                                         (True, False)):
+        g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name), exact)
+        # det = g*h + x^2 (tau/x)(nu/x), truncated at the map's degree
+        det = g * h + (tau_x * nu_x).times_x().times_x().truncated(g.order)
         assert all(abs(c) <= 1e-13 for c in det.coeffs[1:])
         assert det.coeffs[0] == 1
 
 
 def test_symmetric_series_parity():
-    for name in ("SV", "FR", "C", "M", "BM"):
-        m = scheme_series_matrix(get_scheme(name), 9)
-        assert m.g.coeffs == m.h.coeffs        # exact, including float mode
-        assert not any(m.g.coeffs[1::2])       # structural zeros are exact
-        assert not any(m.tau.coeffs[0::2])
-        assert not any(m.nu.coeffs[0::2])
+    for name, exact in itertools.product(("SV", "FR", "C", "M", "BM"),
+                                         (True, False)):
+        g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name), exact)
+        assert g.coeffs == h.coeffs        # exact, including float mode
+        assert not any(g.coeffs[1::2])     # structural zeros are exact
+        assert not any(tau_x.coeffs[1::2])
+        assert not any(nu_x.coeffs[1::2])
 
 
 def test_lf1_series_diagonal_gap():
-    m = scheme_series_matrix(get_scheme("LF1"), 4)
-    gap = m.g - m.h
-    assert gap.coeffs == [0, 0, 1, 0, 0]  # g - h = +x^2
-
-
-def test_rational_mode_requires_exact_coefficients():
-    with pytest.raises(TypeError, match="not exact"):
-        scheme_series_matrix(get_scheme("FR"), 6, exact=True)
+    g, _, _, h = phasemap._polynomials(get_scheme("LF1"), True)
+    assert (g - h).coeffs == [0, 0, 1]  # g - h = +x^2
 
 
 def _with_float_coefficients(s):
@@ -139,18 +139,15 @@ def test_series_mode_follows_coefficient_type_whichever_is_built_first(
     exact = get_scheme(name)
     approx = _with_float_coefficients(exact)
     for s in ((approx, exact) if float_first else (exact, approx)):
-        scheme_series_matrix(s, 8)
-    floats = scheme_series_matrix(approx, 8)
-    fracs = scheme_series_matrix(exact, 8)
-    assert any(isinstance(c, Fraction) for c in fracs.g.coeffs)
-    for a, b in ((floats.g, fracs.g), (floats.tau, fracs.tau),
-                 (floats.nu, fracs.nu), (floats.h, fracs.h)):
+        _frequency_parts(s, 8)
+    floats = _frequency_parts(approx, 8)
+    fracs = _frequency_parts(exact, 8)
+    assert any(isinstance(c, Fraction) for c in fracs[1].coeffs)
+    for a, b in zip(floats, fracs):
         assert any(isinstance(c, float) for c in a.coeffs)
         assert not any(isinstance(c, Fraction) for c in a.coeffs)
         assert not any(isinstance(c, float) for c in b.coeffs)
         assert all(abs(u - v) <= 1e-15 for u, v in zip(a.coeffs, b.coeffs))
-    with pytest.raises(TypeError, match="not exact"):
-        scheme_series_matrix(approx, 8, exact=True)
     assert scheme_matrix(approx, 0.3, 1.0) == scheme_matrix(exact, 0.3, 1.0)
 
 
@@ -166,13 +163,11 @@ def _binary_exact(s):
     for name in ("SV", "C")
 ])
 def test_float_mode_is_the_correctly_rounded_exact_map(s, monkeypatch):
-    degree = sum(3 if st.kind == GKICK else 1 for st in s.active_steps())
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
-    exact = scheme_series_matrix(_binary_exact(s), degree, exact=True)
+    exact = phasemap._polynomials(_binary_exact(s), True)
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
-    floats = scheme_series_matrix(s, degree, exact=False)
-    for a, b in ((floats.g, exact.g), (floats.tau, exact.tau),
-                 (floats.nu, exact.nu), (floats.h, exact.h)):
+    floats = phasemap._polynomials(s, False)
+    for a, b in zip(floats, exact):
         assert ([float(c).hex() for c in a.coeffs]
                 == [float(c).hex() for c in b.coeffs])
 
@@ -181,21 +176,52 @@ def test_one_build_serves_numeric_series_and_stability(monkeypatch):
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
     c = get_scheme("C")
     scheme_matrix(c, 0.3, 1.0)
-    scheme_series_matrix(c, 8)
+    omega_a_series(c, 8)
     stability_limit(c)
     assert len(phasemap._POLYNOMIALS) == 1
+
+
+def _fraction_map(s, x):
+    """Rows [[g, tau], [-nu, h]] at a rational x, omega = 1, by 2x2 products."""
+    m = [[F(1), F(0)], [F(0), F(1)]]
+    for st in s.active_steps():
+        c = F(st.c)
+        if st.kind == DRIFT:
+            shear = [[F(1), c * x], [F(0), F(1)]]
+        else:
+            mu = c * x + (F(st.u) * x**3 if st.kind == GKICK else 0)
+            shear = [[F(1), F(0)], [-mu, F(1)]]
+        m = [[sum(shear[i][k] * m[k][j] for k in range(2)) for j in range(2)]
+             for i in range(2)]
+    return m
+
+
+def _yoshida_six():
+    """The triple jump of FR: w1 = 1/(2 - 2^(1/5)), w0 = 1 - 2 w1, order 6."""
+    fr = get_scheme("FR")
+    w1 = 1 / (2 - 2 ** (1 / 5))
+    return Scheme("Y6", [Step(st.kind, w * st.c) for w in (w1, 1 - 2 * w1, w1)
+                         for st in fr.steps], 6, 9)
+
+
+@pytest.mark.parametrize("s", [*registry(), _yoshida_six()], ids=lambda s: s.name)
+def test_exact_polynomials_equal_the_fraction_shear_product(s):
+    g, tau_x, nu_x, h = phasemap._polynomials(s, True)
+    for x in (F(1, 3), F(7, 5)):
+        (a, b), (c, d) = _fraction_map(s, x)
+        assert (g(x), x * tau_x(x), -x * nu_x(x), h(x)) == (a, b, c, d)
 
 
 @pytest.mark.parametrize("order", [0, 1, 5, 7, 30])
 def test_series_matrix_pads_or_truncates_the_exact_map(order):
     # FR's map has degree 7: lower orders truncate it, higher ones pad zeros.
-    full = scheme_series_matrix(get_scheme("FR"), 40)
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("FR"), False)
+    full = [p.coeffs + [0] * 40
+            for p in (g, tau_x.times_x(), nu_x.times_x(), h)]
     m = scheme_series_matrix(get_scheme("FR"), order)
-    for got, ref in ((m.g, full.g), (m.tau, full.tau), (m.nu, full.nu),
-                     (m.h, full.h)):
+    for got, ref in zip(m, full):
         assert got.order == order
-        assert got.coeffs == ref.coeffs[: order + 1]
-    assert all(c == 0 for c in full.g.coeffs[8:] + full.tau.coeffs[8:])
+        assert got.coeffs == ref[: order + 1]
 
 
 # ------------------------------------------------------------------ spectral
@@ -652,5 +678,5 @@ def test_time_reversibility_of_symmetric_schemes():
         for x in (0.1, 0.7, 1.4):
             fwd = scheme_matrix(s, x, 1.0)
             back = scheme_matrix(s, -x, 1.0)
-            prod = _array(back @ fwd)
+            prod = _array(back) @ _array(fwd)
             assert np.max(np.abs(prod - np.eye(2))) <= 1e-12

@@ -78,6 +78,7 @@ def test_consistency_sums_enforced():
 
 
 _DK = (Step(DRIFT, 1), Step(KICK, 1))
+_DG = (Step(DRIFT, 1), Step(GKICK, 1, 0.1))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -107,6 +108,16 @@ _DK = (Step(DRIFT, 1), Step(KICK, 1))
     (lambda: Scheme("bad", _DK, 1, True),
      "force_evals must be an integer, got True"),
     (lambda: Scheme(None, _DK, 1, 1), "name must be a string, got None"),
+    # Tr M/2 of degree d cannot match cos x beyond x^d: drifts and kicks add
+    # one to d, a gkick three; the consistency sums are checked first
+    (lambda: Scheme("bad", _DK, 3, 1),
+     "declared order 3 exceeds 2, the degree of the one-step map in x"),
+    (lambda: Scheme("bad", _DG, 5, 2),
+     "declared order 5 exceeds 4, the degree of the one-step map in x"),
+    (lambda: get_scheme("FR")._replace(order=10**9),
+     "declared order 1000000000 exceeds 7, the degree of the one-step map in x"),
+    (lambda: Scheme("bad", (Step(DRIFT, 1), Step(KICK, 0.9)), 10**9, 1),
+     "kick coefficients sum to 0.9, expected 1"),
     (lambda: Step(DRIFT, True),
      "coefficient c must be finite and within float range"),
     # rebuilding a record through its class, _make or _replace runs the
@@ -123,6 +134,11 @@ def test_step_and_scheme_reject_bad_fields_with_their_messages(build, message):
     with pytest.raises(SchemeError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_declared_order_may_reach_the_degree_of_the_map():
+    assert Scheme("dk", _DK, 2, 1).order == 2
+    assert Scheme("dg", _DG, 4, 2).order == 4
 
 
 def test_scheme_stores_its_steps_as_a_tuple():
@@ -225,11 +241,13 @@ def test_adjoint_inverts_under_negative_timestep(seed):
     m_fwd = phasemap.scheme_matrix(s, eps, 1.0)
     adjoint = Scheme(**{**s._asdict(), "steps": tuple(reversed(s.steps))})
     m_back = phasemap.scheme_matrix(adjoint, -eps, 1.0)
-    prod = m_back @ m_fwd
-    assert abs(prod.g - 1) <= 1e-12
-    assert abs(prod.h - 1) <= 1e-12
-    assert abs(prod.tau) <= 1e-12
-    assert abs(prod.nu) <= 1e-12
+    # rows of m_back times m_fwd, each as [[g, tau], [-nu, h]]
+    (a, b), (c, d) = ((m_back.g, m_back.tau), (-m_back.nu, m_back.h))
+    (e, f), (g, h) = ((m_fwd.g, m_fwd.tau), (-m_fwd.nu, m_fwd.h))
+    assert abs(a * e + b * g - 1) <= 1e-12
+    assert abs(c * f + d * h - 1) <= 1e-12
+    assert abs(a * f + b * h) <= 1e-12
+    assert abs(c * e + d * g) <= 1e-12
 
 
 # ------------------------------------------------------------- file I/O

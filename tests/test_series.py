@@ -157,9 +157,8 @@ def _asin_horner(u: Series) -> Series:
 
 
 def _xi(name: str, order: int) -> Series:
-    """sqrt(nu*tau) of a registry scheme, the argument analysis passes to asin."""
-    m = scheme_series_matrix(get_scheme(name), order)
-    return (m.tau.divided_by_x() * m.nu.divided_by_x()).sqrt().times_x()
+    """sin(theta) of a registry scheme, the argument analysis passes to asin."""
+    return _frequency_parts(get_scheme(name), order - 1)[3].times_x()
 
 
 odd_exact_series = st.integers(min_value=1, max_value=15).flatmap(

@@ -20,7 +20,7 @@ from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
     registry,
 )
-from oscmap.sim import iterate
+from oscmap.sim import _kick_drift_program, iterate
 
 
 def _phase(s, rec, eps, omega):
@@ -231,6 +231,26 @@ def test_energies_of_the_diverging_run_overflow_to_inf_and_nan():
     # p * p overflows to inf here, where a float p ** 2 would raise
     rec = iterate(get_scheme("SV"), 1.0, 0.0, 2.5, 1.0, 600)
     assert any(map(math.isinf, rec.energy)) and math.isnan(rec.energy[-1])
+
+
+@pytest.mark.parametrize("eps, sign", [(1e150, -1.0), (-1e150, 1.0)])
+def test_gkick_coefficient_overflows_to_a_signed_inf(eps, sign):
+    # eps**3 raises OverflowError as a float power; C's u = -1/96 flips its sign
+    c = get_scheme("C")
+    _, coeffs = _kick_drift_program(c, eps, 1.0)
+    assert coeffs[3] == sign * math.inf
+    rec = iterate(c, 1.0, 0.0, eps, 1.0, 2)
+    assert all(map(math.isnan, rec.q[1:] + rec.p[1:] + rec.energy[1:]))
+    assert rec.modified_energy is None
+
+
+def test_gkick_coefficient_is_the_float_power_where_finite():
+    c = get_scheme("C")
+    for eps in (0.3, -1.7, 1e100):
+        _, coeffs = _kick_drift_program(c, eps, 1.5)
+        w2 = 1.5 * 1.5
+        mu = 0.25 * eps * w2 + (-1 / 96) * eps**3 * w2 * w2
+        assert coeffs[3].hex() == mu.hex()
 
 
 def test_schemes_sharing_a_pattern_keep_their_coefficients():
