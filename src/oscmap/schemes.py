@@ -138,8 +138,8 @@ class Scheme(_SchemeFields):
             raise SchemeError(
                 f"kick coefficients sum to {float(kick_sum)!r}, expected 1"
             )
-        # Tr M/2 has this degree, and no even Taylor coefficient of cos x is
-        # 0, so Tr M/2 cannot match cos x through x^(order + 1) beyond it
+        # Tr M/2 is a polynomial of at most this degree and no even Taylor
+        # coefficient of cos x is 0, so no larger order can be reached
         degree = sum(3 if s.kind == GKICK else 1 for s in steps)
         if order > degree:
             raise SchemeError(f"declared order {order} exceeds {degree}, the "
