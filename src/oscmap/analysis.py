@@ -29,13 +29,13 @@ __all__ = [
     "AnalysisError", "PhaseErrorReport", "StabilityLimit", "ConvergenceRow",
     "ConvergenceStudy", "omega_a_series", "effective_param_series",
     "order_coefficient", "stability_limit", "convergence_study", "analyze",
-    "RICHARDSON_GRID", "RICHARDSON_RTOL",
+    "RICHARDSON_RTOL",
 ]
 
-#: Grid for the numeric Richardson cross-check of an order coefficient c_n
-#: with n <= 4; `_richardson_grid` widens it for larger n.
-RICHARDSON_GRID = (1e-2, 5e-3, 2.5e-3)
 RICHARDSON_RTOL = 1e-6
+
+#: Largest point of the Richardson check; each further point halves it.
+_RICHARDSON_H = Fraction(1, 100)
 
 #: Fixed-point bits of the Richardson check's arccos.
 _ACOS_BITS = 256
@@ -153,52 +153,39 @@ def _fixed_acos(t: Fraction) -> Fraction:
     return Fraction(total, 1 << (_ACOS_BITS - 1))
 
 
-def _richardson_grid(n: int) -> tuple[float, float, float]:
-    """Grid (h, h/2, h/4) of the Richardson check for leading order n.
-
-    h = 1e-2 for n <= 4 (RICHARDSON_GRID) and is doubled until the smallest
-    point x_min = h/4 has x_min^(n - 2) >= 1e-7: h = 8e-2 for n = 6. A
-    float scheme's map has x^2 and x^4 terms at round-off size, ~1e-16;
-    divided by x^n, they reach c_n's estimate as 1e-16 x^(2 - n), which the
-    rule keeps below ~1e-9 at every grid point.
-    """
-    h = RICHARDSON_GRID[0]
-    while (h / 4) ** (n - 2) < 1e-7:
-        h *= 2
-    return h, h / 2, h / 4
-
-
 def _richardson_order_coefficient(s: Scheme, n: int) -> float:
     """Numeric c_n: Richardson extrapolation of (omega_a/omega - 1)/x^n.
 
     The route (shear product, trace, arccos, Richardson) shares nothing with
-    the series ring. T is exact at each point (a float grid point counts at
-    its binary value), arccos T is within 2^-248, and the extrapolation runs
-    in `Fraction`, rounded to float once at the end. After the divisions by
-    x and x^n, the arccos error reaches c_n as less than 1e-57 for n <= 8
-    (n is even, as T is), mostly through the floor's 1/x = 1e6: far below
-    the float rounding of any |c_n| > 1e-40. The deviation is as small as
-    c4*x^4 ~ 1e-16 on the n <= 4 grid, and it is measured relative to its
-    x -> 0 floor, taken at x = 1e-6: float rounding of the consistency sums
-    (~1e-17) shifts omega_a/omega by a constant, which the 1/x^n division
-    would otherwise amplify through the extrapolation.
+    the series ring. T is even in x, so r(x) = (arccos T/x - 1)/x^n holds
+    only the even powers x^(2j - n): x^-n from a float scheme's offset of
+    omega_a(0), x^(2 - n) .. x^-2 from its round-off terms below order n,
+    c_n itself, and the remainder x^2, x^4, ... r is taken at x_j = h/2^j,
+    j = 0 .. n/2 + 2, with h = 1/100, and each power p of -n, .., -2, 2, 4
+    in turn is eliminated from neighbouring values as (2^p r_(j+1) -
+    r_j)/(2^p - 1), all in `Fraction`; the one value left is rounded to
+    float once. T is exact at each point, and arccos T is within 2^-248
+    there: every point is at most h, so T >= cos 0.2 while omega_a/omega
+    <= 20. Divided by x and x^n, that error is below 2^-248/x^(n + 1) at the
+    smallest point h/2^(n/2 + 2): below 1e-40 for n = 8, x = 1/6400. Each
+    elimination step amplifies an error by at most 5/3, so the n/2 + 2 steps
+    leave it below 3e-39 for n = 8: far below the float rounding of any
+    |c_n| > 1e-20.
     """
-    def deviation(x: Fraction) -> Fraction:
+    def ratio(x: Fraction) -> Fraction:
         t = _exact_half_trace(s, x)
         if not 0 <= t <= 1:
             raise AnalysisError(
                 f"Richardson check of {s.name!r} needs 0 <= Tr M/2 <= 1 at "
                 f"x = {float(x)!r}, where it is {float(t)!r}"
             )
-        return _fixed_acos(t) / x - 1
+        return (_fixed_acos(t) / x - 1) / x**n
 
-    floor = deviation(Fraction(1, 10**6))
-    r = [(deviation(x) - floor) / x**n
-         for x in map(Fraction, _richardson_grid(n))]
-    # eliminate the x^2 and x^4 corrections of the even remainder
-    r1a = (4 * r[1] - r[0]) / 3
-    r1b = (4 * r[2] - r[1]) / 3
-    return float((16 * r1b - r1a) / 15)
+    r = [ratio(_RICHARDSON_H / 2**j) for j in range(n // 2 + 3)]
+    for p in (*range(-n, 0, 2), 2, 4):
+        f = Fraction(2) ** p
+        r = [(f * b - a) / (f - 1) for a, b in zip(r, r[1:])]
+    return float(r[0])
 
 
 def order_coefficient(s: Scheme):

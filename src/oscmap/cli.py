@@ -323,9 +323,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--flag <negative number>` joined as `--flag=<number>`.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like -1 or -.5, so `--x -1e-3` and `--x -inf` would leave --x without a
+    value.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token.startswith("-") and _is_number(token)
+                and prev.startswith("--") and prev != "--" and "=" not in prev):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (SchemeError, analysis.AnalysisError, ValueError) as exc:

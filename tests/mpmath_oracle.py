@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 
-from oscmap.analysis import _richardson_grid
+from oscmap.analysis import _RICHARDSON_H
 from oscmap.schemes import DRIFT, GKICK, Scheme
 
 
@@ -44,17 +44,19 @@ def to_mpf(v) -> mpmath.mpf:
     return mpmath.mpf(v)
 
 
+def richardson_points(n: int) -> list[Fraction]:
+    """The points h/2^j, j = 0 .. n/2 + 2, of the Richardson check for n."""
+    return [_RICHARDSON_H / 2**j for j in range(n // 2 + 3)]
+
+
 def mp_richardson_order_coefficient(s: Scheme, n: int) -> float:
     """c_n by Richardson extrapolation of (omega_a/omega - 1)/x^n at 50 digits,
-    on the grid `analysis` uses for n, relative to the floor at x = 1e-6."""
+    at the points `analysis` uses for n, eliminating x^-n .. x^-2, x^2, x^4."""
     with mpmath.workdps(50):
-        x_floor = mpmath.mpf("1e-6")
-        floor = mpmath.acos(mp_half_trace(s, x_floor)) / x_floor - 1
         r = []
-        for x in _richardson_grid(n):
-            xm = mpmath.mpf(x)
-            dev = mpmath.acos(mp_half_trace(s, xm)) / xm - 1
-            r.append((dev - floor) / xm**n)
-        r1a = (4 * r[1] - r[0]) / 3
-        r1b = (4 * r[2] - r[1]) / 3
-        return float((16 * r1b - r1a) / 15)
+        for x in map(to_mpf, richardson_points(n)):
+            r.append((mpmath.acos(mp_half_trace(s, x)) / x - 1) / x**n)
+        for p in (*range(-n, 0, 2), 2, 4):
+            f = mpmath.mpf(2) ** p
+            r = [(f * b - a) / (f - 1) for a, b in zip(r, r[1:])]
+        return float(r[0])

@@ -23,7 +23,7 @@ from oscmap.schemes import (
 )
 
 from mpmath_oracle import (mp_half_trace, mp_richardson_order_coefficient,
-                           to_mpf)
+                           richardson_points, to_mpf)
 
 F = Fraction
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -214,7 +214,8 @@ def _triple_jump(base: Scheme, name: str) -> Scheme:
     """Yoshida's symmetric triple jump of base, two orders higher.
 
     w1 = 1/(2 - 2^(1/(p+1))) and w0 = 1 - 2 w1 for base of order p: 9 force
-    evaluations and order 6 from FR (Phys. Lett. A 150 (1990) 262).
+    evaluations and order 6 from FR, 27 and order 8 from that (Phys. Lett.
+    A 150 (1990) 262).
     """
     w1 = 1 / (2 - 2 ** (1 / (base.order + 1)))
     w0 = 1 - 2 * w1
@@ -223,35 +224,39 @@ def _triple_jump(base: Scheme, name: str) -> Scheme:
 
 
 Y6 = _triple_jump(get_scheme("FR"), "Y6")
+# analyze and stability_limit on Y8 take tens of seconds (its Sturm chain)
+Y8 = _triple_jump(Y6, "Y8")
 
 
 def test_sixth_order_triple_jump_passes_the_richardson_check():
-    # on the n <= 4 grid, the round-off x^2 and x^4 terms of the float
-    # scheme, divided by x^6, gave 0.02168534879425749: 2.7e-4 off
-    assert analysis._richardson_grid(6) == (8e-2, 4e-2, 2e-2)
     rep = analyze(Y6)
     assert (rep.n, rep.order_declared) == (6, 6)
     assert abs(rep.c_n - 0.0216911) <= 1e-7
-    numeric = analysis._richardson_order_coefficient(Y6, 6)
-    assert abs(numeric - rep.c_n) <= 1e-7 * rep.c_n
     assert rep.c_star is None
 
 
-def test_richardson_grid_of_low_orders_is_the_fixed_grid():
-    assert analysis.RICHARDSON_GRID == (1e-2, 5e-3, 2.5e-3)
-    for n in (2, 4):
-        assert analysis._richardson_grid(n) == analysis.RICHARDSON_GRID
+def test_eighth_order_triple_jump_passes_the_richardson_check():
+    # a three-point grid gave -0.02041856347419054 here, 3.0e-6 off
+    assert (Y8.order, Y8.force_evals) == (8, 27)
+    assert order_coefficient(Y8) == (8, -0.020418624469887185)
+
+
+@pytest.mark.parametrize("s", [*registry(), Y6, Y8], ids=lambda s: s.name)
+def test_richardson_estimate_agrees_with_the_series(s):
+    n, c_n = order_coefficient(s)
+    numeric = analysis._richardson_order_coefficient(s, n)
+    assert abs(numeric - float(c_n)) <= 1e-12 * abs(float(c_n))
 
 
 @pytest.mark.parametrize("name", registry_names())
 def test_exact_half_trace_against_mpmath_shear_product(name):
     s = get_scheme(name)
     n = order_coefficient(s)[0]
-    xs = [*analysis._richardson_grid(n), 1e-6, stability_limit(s).x_max]
+    xs = [*richardson_points(n), F(stability_limit(s).x_max)]
     with mpmath.workdps(60):
         for x in xs:
-            exact = analysis._exact_half_trace(s, F(x))
-            ref = mp_half_trace(s, mpmath.mpf(x))
+            exact = analysis._exact_half_trace(s, x)
+            ref = mp_half_trace(s, to_mpf(x))
             assert abs(to_mpf(exact) - ref) <= mpmath.mpf("1e-50") * abs(ref)
 
 
@@ -259,8 +264,8 @@ def test_exact_half_trace_against_mpmath_shear_product(name):
 @given(st.fractions(min_value=F(math.cos(0.2)), max_value=1))
 @example(F(1))
 @example(F(math.cos(0.2)))
-# the floor point x = 1e-6: T = 1 - 5e-13
-@example(1 - F(1, 2 * 10**12))
+# the smallest point for n = 8, x = 1/6400, where T is about 1 - x^2/2
+@example(1 - F(1, 2 * 6400**2))
 def test_fixed_acos_against_mpmath(t):
     # 300 bits, about 90 digits: mpmath's own error is far below 2^-240
     with mpmath.workprec(300):
@@ -268,7 +273,7 @@ def test_fixed_acos_against_mpmath(t):
         assert abs(got - mpmath.acos(to_mpf(t))) <= mpmath.mpf(2) ** -240
 
 
-@pytest.mark.parametrize("s", [*registry(), Y6], ids=lambda s: s.name)
+@pytest.mark.parametrize("s", [*registry(), Y6, Y8], ids=lambda s: s.name)
 def test_richardson_estimate_is_the_mpmath_route_bit_for_bit(s):
     n = order_coefficient(s)[0]
     got = analysis._richardson_order_coefficient(s, n)

@@ -119,6 +119,13 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["convergence", "SV", "--x", "0.5", "-K", "-1"],
     ["simulate", "SV", "--x", "0.5", "--steps", "3", "--q0", "nan"],
     ["simulate", "SV", "--x", "0.5", "--steps", "3", "--p0", "inf"],
+    # negative values that argparse alone would take for options
+    ["simulate", "SV", "--x", "-inf", "--steps", "10"],
+    ["convergence", "SV", "--x", "-inf"],
+    ["sweep", "SV", "--min", "-1e-3", "--max", "1", "--points", "3"],
+    ["sweep", "SV", "--min", "0.1", "--max", "-1e-3", "--points", "3"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "3", "--q0", "-inf"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "3", "--p0", "-1e400"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
@@ -383,6 +390,19 @@ def test_simulate_accepts_negative_x(capsys):
     h_a = rows[0].index("H_A")
     assert [r[h_a] for r in rows[1:]] == [
         line.split(",")[h_a] for line in forward.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("flag, value", [("--x", "-1e-3"), ("--q0", "-2E+1"),
+                                         ("--p0", "-1.5e-2")])
+def test_negative_value_in_exponent_form_is_read_as_a_value(flag, value,
+                                                           capsys):
+    values = {"--x": "0.5", "--q0": "1", "--p0": "0", flag: value}
+    argv = ["simulate", "SV", "--steps", "1"]
+    split = [token for item in values.items() for token in item]
+    joined = [f"{k}={v}" for k, v in values.items()]
+    code, out, err = _run([*argv, *split], capsys)
+    assert (code, err) == (0, "")
+    assert out == _run([*argv, *joined], capsys)[1]
 
 
 @pytest.mark.parametrize("name, tol", [("SV", 0.0), ("FR", 1e-184),

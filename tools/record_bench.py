@@ -6,8 +6,9 @@ checkout's root and with PYTHONDONTWRITEBYTECODE=1, and keeps the last two
 lines of each run: the run metadata and the gated metrics. Checkouts are
 visited in turn within each repeat, in an order that alternates from one
 repeat to the next, so a drift in host speed falls on all of them alike.
-Compare only checkouts that hold no `__pycache__`, such as fresh `git
-clone`s. For example, with the parent commit cloned to ../parent:
+Compare only checkouts whose `src/` holds no `__pycache__`, such as fresh
+`git clone`s; any other is refused. For example, with the parent commit
+cloned to ../parent:
 
     python3 tools/record_bench.py --out BENCH_16.json \\
         --checkout parent=../parent --checkout change=. --repeats 1
@@ -103,6 +104,10 @@ def main(argv: list[str] | None = None) -> int:
         root = Path(path).resolve()
         if not sep or not (root / "perfbench" / "run.py").is_file():
             parser.error(f"--checkout {item!r}: expected LABEL=PATH of a checkout")
+        # cached bytecode skips the compile that a fresh checkout pays
+        if any((root / "src").rglob("__pycache__")):
+            parser.error(f"--checkout {item!r}: src/ holds a __pycache__; "
+                         "use a fresh clone")
         checkouts.append((label, root))
     runs = []
     for repeat in range(args.repeats):
