@@ -258,25 +258,24 @@ def _normalized(s: Scheme, lead) -> float:
 def stability_limit(s: Scheme) -> StabilityLimit:
     """First x in (0, 10] past which |Tr M(x)/2| exceeds 1, from the exact roots.
 
-    With T = Tr M/2, the map is unstable where T^2 > 1, and T(0) = 1, so x^2
-    divides T^2 - 1. P = (T^2 - 1)/x^2 is a polynomial in y = x^2 with exact
-    rational coefficients (binary-exact ones for a float scheme). A stable
-    window ends where P changes sign, at a root of odd multiplicity. At a
-    root of even multiplicity T only touches +-1 and the map stays stable on
-    both sides; an n-fold repeat of a scheme has n - 1 such touch points.
-    A Sturm chain of the odd-multiplicity part of P counts the window edges
-    exactly, so none is missed however narrow the window. The first one in
-    (0, 100] is bisected on Sturm counts down to adjacent floats; x_max =
-    sqrt of the upper one, which is the edge itself when it is a float (y = 4
-    for SV, so x_max = 2.0). Returns (10.0, False) when P changes sign
-    nowhere in (0, 100].
+    With T = Tr M/2 and y = x^2, a stable window ends where T^2 - 1 =
+    (T - 1)(T + 1) changes sign, at a root of odd multiplicity. At a root of
+    even multiplicity T only touches +-1 and the map stays stable on both
+    sides; an n-fold repeat of a scheme has n - 1 such touch points. The two
+    factors differ by 2, so each edge is an odd-multiplicity root of exactly
+    one of them. A Sturm chain of the odd-multiplicity part of each factor
+    counts its edges exactly, so none is missed however narrow the window.
+    The first edge in (0, 100] is bisected on the sum of the two counts down
+    to adjacent floats; x_max = sqrt of the upper one, which is the edge
+    itself when it is a float (y = 4 for SV, so x_max = 2.0). Returns (10.0,
+    False) when neither factor changes sign in (0, 100].
     """
-    p = _stability_polynomial(s)
-    chain = _sturm_chain(p)
-    if len(chain[-1]) > 1:  # repeated roots: keep the odd-multiplicity ones
-        chain = _sturm_chain(_odd_part(p))
+    chains = [_sturm_chain(p) for p in _stability_factors(s)]
+    # repeated roots: keep the odd-multiplicity ones
+    chains = [_sturm_chain(_odd_part(c[0])) if len(c[-1]) > 1 else c
+              for c in chains]
     lo, hi = 0.0, _STABILITY_BRACKET ** 2
-    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    v_lo, v_hi = (sum(_variations(c, y) for c in chains) for y in (lo, hi))
     if v_lo == v_hi:
         return StabilityLimit(_STABILITY_BRACKET, False)
     # no edge in (0, lo], at least one in (lo, hi]
@@ -284,7 +283,7 @@ def stability_limit(s: Scheme) -> StabilityLimit:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return StabilityLimit(math.sqrt(hi), True)
-        v_mid = _variations(chain, mid)
+        v_mid = sum(_variations(c, mid) for c in chains)
         if v_mid < v_lo:
             hi = mid
         else:
@@ -294,24 +293,23 @@ def stability_limit(s: Scheme) -> StabilityLimit:
 # Integer polynomials below are coefficient lists, lowest power first, with
 # no trailing zeros; [] is the zero polynomial.
 
-def _stability_polynomial(s: Scheme) -> list[int]:
-    """A positive multiple of (T^2 - 1)/x^2 as an integer polynomial in y = x^2.
+def _stability_factors(s: Scheme) -> tuple[list[int], list[int]]:
+    """Positive multiples of (T - 1)/y and T + 1 as integer polynomials in y.
 
     T = (g + h)/2 is read from the scheme's exact map (`phasemap`), whose
     coefficients are exact rationals, binary-exact ones for a float scheme.
     A rounded map would not do: rounding can split a point where T only
     touches -1 into two close roots, an unstable window that the scheme does
     not have. T is even in x, because every shear keeps the diagonal even and
-    the off-diagonal odd, so 2T = sum e_j y^j; with L the lcm of the
-    denominators of the e_j, n_j = L*e_j are integers and n_0 = 2L. The
-    exact map holds g + h as integer numerators over that very L, so the
-    n_j are its even numerators.
+    the off-diagonal odd, so 2T = sum e_j y^j with y = x^2; with L the lcm
+    of the denominators of the e_j, n_j = L*e_j are integers and n_0 = 2L.
+    The exact map holds g + h as integer numerators over that very L, so the
+    n_j are its even numerators. Then 2L(T - 1) = sum_(j>=1) n_j y^j, which
+    y divides, and 2L(T + 1) = 2n_0 + sum_(j>=1) n_j y^j.
     """
     g, _, _, h = _polynomials(s, True)
     n = (g + h)._nums[::2]
-    # (n^2 - n_0^2)/y is a positive multiple of (T^2 - 1)/x^2: the square
-    # without its constant term, shifted down one power of y
-    return _primitive(_convolve(n, n, 2 * len(n) - 1)[1:])
+    return _primitive(n[1:]), _primitive([2 * n[0], *n[1:]])
 
 
 def _trim(p: list[int]) -> list[int]:

@@ -26,7 +26,7 @@ from .phasemap import (
     spectral, sweep,
 )
 from .schemes import (
-    SchemeError, SchemeFileError, get_scheme, is_symmetric, load_scheme,
+    SchemeError, get_scheme, is_symmetric, load_scheme,
     registry_names,
 )
 
@@ -123,7 +123,7 @@ def cmd_schemes(args) -> int:
             s = get_scheme(name)
             rows.append([s.name, s.order, s.force_evals, len(s.steps),
                          is_symmetric(s), "ok"])
-        except SchemeFileError as exc:
+        except SchemeError as exc:  # a bad data file, or its map overflows
             rows.append([name, None, None, None, None,
                          f"coefficients unavailable: {exc}"])
     _emit(args, ["name", "order", "force_evals", "steps", "symmetric",

@@ -14,7 +14,8 @@ int or Fraction coefficients and, otherwise, the float build, with each
 coefficient correctly rounded (an integer numerator over the denominator by
 true division); numeric mode (explicit timestep eps and frequency omega)
 evaluates the rounded polynomials by Horner's rule. The stability limit in
-`analysis` reads the half trace's integer numerators from the exact build.
+`analysis` reads the half trace's integer numerators from the exact build,
+and `schemes.is_symmetric` compares its diagonal entries g and h.
 Numeric work is in plain Python floats. `scheme_matrix` and `spectral` take
 one timestep at a time. `sweep` runs a kernel generated once per scheme and
 quantity instead: straight-line Python that evaluates, per grid point, the
@@ -83,8 +84,9 @@ class SpectralData(NamedTuple):
     theta, xi, omega_a, m_star and k_star are set in the elliptic regime
     only, m_star and k_star only where nu*tau > 0 as well; `detail` says why
     a parabolic or hyperbolic map has none of them. Whether the scheme is
-    time-reversible is not read from the map: `schemes.is_symmetric` decides
-    it, and with it whether m* and k* give a shadow energy H_A.
+    time-reversible is not read from one numeric map, where rounding can
+    hide g - h: `schemes.is_symmetric` reads g = h off the exact map, and
+    with it whether m* and k* give a shadow energy H_A.
     """
 
     theta: float | None

@@ -156,26 +156,24 @@ class Scheme(_SchemeFields):
 
 
 def is_symmetric(s: Scheme) -> bool:
-    """True iff the scheme's runs of shears read the same both ways.
+    """True iff the scheme is time-reversible: its exact map has g = h.
 
-    Adjacent drifts are one q-shear and adjacent kicks and gkicks one
-    p-shear, so each run is merged into [is drift, sum of c, sum of u] in
-    exact arithmetic. A run that sums to zero is the identity: it is dropped
-    and its neighbours merge. The scheme is time-reversible iff the merged
-    runs form a palindrome.
+    Write A* for A with its diagonal swapped. Then (AB)* = B*A*, and each
+    shear is its own *, so the reversed step list has the map M*: M with g
+    and h swapped. Merged into runs, with adjacent drifts one q-shear,
+    adjacent kicks and gkicks one p-shear and runs that sum to zero dropped,
+    a step list alternates q- and p-shears whose coefficients are nonzero
+    polynomials in x with no constant term. The entries of such a product
+    have degree equal to the sum of the shears' degrees, so two different
+    merged words never give the same map. Hence g = h exactly iff the merged
+    runs read the same both ways. A map beyond float range raises
+    SchemeError, as every reader of the map does.
     """
-    runs = []
-    for st in s.steps:
-        drift = st.kind == DRIFT
-        c, u = Fraction(st.c), Fraction(st.u or 0)
-        if runs and runs[-1][0] == drift:
-            runs[-1][1] += c
-            runs[-1][2] += u
-        else:
-            runs.append([drift, c, u])
-        if runs[-1][1] == 0 and runs[-1][2] == 0:
-            runs.pop()
-    return runs == runs[::-1]
+    # phasemap imports this module, so the map is imported at call time
+    from .phasemap import _polynomials
+
+    g, _, _, h = _polynomials(s, True)
+    return g == h
 
 
 def has_exact_coefficients(s: Scheme) -> bool:

@@ -28,8 +28,8 @@ class TrajectoryRecord(NamedTuple):
 
     `energy` is the true oscillator energy p^2/2 + omega^2 q^2 / 2;
     `modified_energy` is the shadow energy H_A = p^2/(2 m*) + k* q^2/2 when
-    `is_symmetric` calls the scheme reversible and the map is elliptic at
-    this step size (None otherwise).
+    the scheme is reversible, g = h in its exact map as `is_symmetric`
+    reads it, and the map is elliptic at this step size (None otherwise).
     A diverging run holds inf and NaN, as Python float arithmetic gives them.
     """
 
@@ -104,8 +104,9 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
     coefficients passed as arguments. Samples are taken at step 0, at every
     multiple of the stride and at the final step, which is always included.
     The shadow energy H_A follows `is_symmetric`, the test `analyze` prints
-    as `reversible`, at every step size. Divergence in the hyperbolic regime
-    is legitimate output, not an error.
+    as `reversible`: g = h in the exact map, not in the rounded map at this
+    step, so it holds at every step size. Divergence in the hyperbolic
+    regime is legitimate output, not an error.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")

@@ -224,7 +224,6 @@ def _triple_jump(base: Scheme, name: str) -> Scheme:
 
 
 Y6 = _triple_jump(get_scheme("FR"), "Y6")
-# analyze and stability_limit on Y8 take tens of seconds (its Sturm chain)
 Y8 = _triple_jump(Y6, "Y8")
 
 
@@ -233,12 +232,21 @@ def test_sixth_order_triple_jump_passes_the_richardson_check():
     assert (rep.n, rep.order_declared) == (6, 6)
     assert abs(rep.c_n - 0.0216911) <= 1e-7
     assert rep.c_star is None
+    assert rep.stability.x_max.hex() == "0x1.986a5f90c062cp+0"
 
 
 def test_eighth_order_triple_jump_passes_the_richardson_check():
     # a three-point grid gave -0.02041856347419054 here, 3.0e-6 off
     assert (Y8.order, Y8.force_evals) == (8, 27)
     assert order_coefficient(Y8) == (8, -0.020418624469887185)
+
+
+def test_analyze_eighth_order_triple_jump():
+    # x_max as the Sturm chain of (T^2 - 1)/x^2 gave it too
+    rep = analyze(Y8)
+    assert (rep.n, rep.c_n) == (8, -0.020418624469887185)
+    assert rep.stability.bounded
+    assert rep.stability.x_max.hex() == "0x1.89a56a82792fcp+0"
 
 
 @pytest.mark.parametrize("s", [*registry(), Y6, Y8], ids=lambda s: s.name)
@@ -504,13 +512,29 @@ def _stability_polynomial_by_fractions(s):
     return [c // content for c in p]
 
 
+def _gcd_by_fractions(a, b):
+    """gcd of two integer polynomials by Euclid's algorithm in Fractions."""
+    a, b = [F(c) for c in a], [F(c) for c in b]
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= q * c
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return a
+
+
 def _sv3_float():
     return Scheme("SV3 float", [Step(st.kind, float(st.c))
                                 for st in _repeated_sv(3).steps], 2, 3)
 
 
 # x_max.hex() of every registry scheme and of SV from three float steps of
-# 1/3, as the Fraction/lcm route to the stability polynomial gave them
+# 1/3, as the Fraction/lcm route to (T^2 - 1)/x^2 gave them
 STABILITY_LIMITS = {
     "SV": "0x1.0000000000000p+1", "LF1": "0x1.0000000000000p+1",
     "LF1T": "0x1.0000000000000p+1", "FR": "0x1.92ca7853b1addp+0",
@@ -521,10 +545,15 @@ STABILITY_LIMITS = {
 
 @pytest.mark.parametrize("name", sorted(STABILITY_LIMITS))
 def test_stability_polynomial_reads_the_exact_numerators(name):
+    # the two factors multiply to a positive multiple of (T^2 - 1)/x^2 and
+    # share no root
     s = _sv3_float() if name == "SV3 float" else get_scheme(name)
-    p = analysis._stability_polynomial(s)
-    assert p == _stability_polynomial_by_fractions(s)
-    assert all(type(c) is int for c in p)
+    a, b = analysis._stability_factors(s)
+    assert all(type(c) is int for c in a + b)
+    p, product = _stability_polynomial_by_fractions(s), _times(a, b)
+    scale = F(product[-1], p[-1])
+    assert scale > 0 and [scale * c for c in p] == product
+    assert len(_gcd_by_fractions(a, b)) == 1
     lim = stability_limit(s)
     assert lim.bounded and lim.x_max.hex() == STABILITY_LIMITS[name]
 

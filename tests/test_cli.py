@@ -218,6 +218,25 @@ def test_map_coefficient_beyond_float_range(command, tmp_path):
     assert "'huge'" in proc.stderr and "beyond float range" in proc.stderr
 
 
+def test_schemes_lists_a_data_file_whose_map_overflows(tmp_path, monkeypatch,
+                                                      capsys):
+    # is_symmetric reads the map, so the row reports it instead of a verdict
+    data = Path(__file__).resolve().parents[1] / "src" / "oscmap" / "data"
+    (tmp_path / "blanes_moan6.json").write_bytes(
+        (data / "blanes_moan6.json").read_bytes())
+    (tmp_path / "mclachlan4.json").write_text(json.dumps(
+        {"name": "M", "order": 1, "force_evals": 3, "steps": _HUGE_MAP_STEPS}))
+    monkeypatch.setenv("OSCMAP_DATA_DIR", str(tmp_path))
+    code, out, err = _run(["schemes", "--format", "json"], capsys)
+    rows = {row["name"]: row for row in json.loads(out)}
+    assert code == 0 and err == "" and list(rows) == list(registry_names())
+    assert rows["M"]["symmetric"] is None
+    assert rows["M"]["status"] == ("coefficients unavailable: scheme 'M': a "
+                                   "coefficient of its one-step map is beyond "
+                                   "float range")
+    assert all(rows[n]["status"] == "ok" for n in rows if n != "M")
+
+
 def _fr_file(tmp_path, **fields) -> str:
     """Path of a scheme file with FR's steps as floats and these fields."""
     doc = {"name": "FR-file", "order": 4, "force_evals": 3,

@@ -168,13 +168,14 @@ def test_records_are_immutable():
 
 # ------------------------------------------------------------- symmetry
 
+#: Reversibility of each registry scheme, by its step list: every one but
+#: the two first-order maps is a palindrome.
+_REVERSIBLE = {"SV": True, "LF1": False, "LF1T": False, "FR": True,
+               "C": True, "M": True, "BM": True}
+
+
 def test_is_symmetric_examples():
-    assert is_symmetric(get_scheme("SV"))
-    assert not is_symmetric(get_scheme("LF1"))
-    assert is_symmetric(get_scheme("FR"))
-    assert is_symmetric(get_scheme("C"))
-    assert is_symmetric(get_scheme("M"))
-    assert is_symmetric(get_scheme("BM"))
+    assert {s.name: is_symmetric(s) for s in registry()} == _REVERSIBLE
 
 
 def _steps(*spec):
@@ -183,32 +184,108 @@ def _steps(*spec):
 
 
 #: Schemes whose merged runs decide reversibility where the raw step list
-#: does not, and one that is not reversible at all.
+#: does not, and one that is not reversible at all, each with its verdict.
 _RUN_CASES = [
     # SV with its drift split unevenly: the map is exactly SV's
-    Scheme("split-drift SV", _steps((KICK, "1/2"), (DRIFT, "1/4"),
+    (Scheme("split-drift SV", _steps((KICK, "1/2"), (DRIFT, "1/4"),
                                     (DRIFT, "3/4"), (KICK, "1/2")),
-           order=2, force_evals=1),
+            order=2, force_evals=1), True),
     # a drift and its negative cancel, and the kicks around them merge
-    Scheme("cancelling drifts", _steps((KICK, "1/4"), (DRIFT, "1/3"),
-                                       (DRIFT, "-1/3"), (KICK, "1/4"),
-                                       (DRIFT, 1), (KICK, "1/2")),
-           order=2, force_evals=2),
+    (Scheme("cancelling drifts", _steps((KICK, "1/4"), (DRIFT, "1/3"),
+                                        (DRIFT, "-1/3"), (KICK, "1/4"),
+                                        (DRIFT, 1), (KICK, "1/2")),
+            order=2, force_evals=2), True),
     # C with its middle gkick split into a kick and a gkick
-    Scheme("C split gkick", _steps((DRIFT, "1/6"), (KICK, "3/8"),
-                                   (DRIFT, "1/3"), (KICK, "1/8"),
-                                   (GKICK, "1/8", "-1/96"), (DRIFT, "1/3"),
-                                   (KICK, "3/8"), (DRIFT, "1/6")),
-           order=4, force_evals=5),
-    Scheme("D1/4 K D3/4", _steps((DRIFT, "1/4"), (KICK, 1), (DRIFT, "3/4")),
-           order=1, force_evals=1),
+    (Scheme("C split gkick", _steps((DRIFT, "1/6"), (KICK, "3/8"),
+                                    (DRIFT, "1/3"), (KICK, "1/8"),
+                                    (GKICK, "1/8", "-1/96"), (DRIFT, "1/3"),
+                                    (KICK, "3/8"), (DRIFT, "1/6")),
+            order=4, force_evals=5), True),
+    (Scheme("D1/4 K D3/4", _steps((DRIFT, "1/4"), (KICK, 1), (DRIFT, "3/4")),
+            order=1, force_evals=1), False),
 ]
 
 
-@pytest.mark.parametrize("s", registry() + _RUN_CASES, ids=lambda s: s.name)
-def test_is_symmetric_iff_the_exact_map_has_g_equal_h(s):
+@pytest.mark.parametrize("s, reversible", [
+    pytest.param(s, v, id=s.name)
+    for s, v in [*((s, _REVERSIBLE[s.name]) for s in registry()), *_RUN_CASES]
+])
+def test_is_symmetric_iff_the_exact_map_has_g_equal_h(s, reversible):
+    # the verdicts are read off the merged runs by hand, not off the map
     g, _, _, h = phasemap._polynomials(s, True)
-    assert is_symmetric(s) == (g.coeffs == h.coeffs)
+    assert is_symmetric(s) == (g.coeffs == h.coeffs) == reversible
+
+
+def _random_run_scheme(rng, palindrome):
+    """A scheme from random canonical runs and its expected reversibility.
+
+    Canonical runs alternate q- and p-shears, (c,) and (c, u), with nonzero
+    coefficients. Each run is then written as one step or split in two of
+    its kind, a float piece and a Fraction rest, with gkicks among the
+    p-shears, and identity steps go in anywhere. The expectation is read off
+    the canonical runs alone.
+    """
+    def coeff():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                        rng.randint(1, 7))
+
+    kinds = [DRIFT, KICK] if rng.random() < 0.5 else [KICK, DRIFT]
+    half = rng.randint(1, 4)
+    runs = [(kind, coeff(),
+             coeff() if kind == KICK and rng.random() < 0.3 else 0)
+            for kind in (kinds[i % 2] for i in range(2 * half + 1))]
+    if palindrome:  # an odd number of runs, mirrored about the middle one
+        runs = runs[:half + 1] + runs[:half][::-1]
+    elif rng.random() < 0.5:
+        runs.pop()
+        if rng.random() < 0.3:  # one run off by a little: not a palindrome
+            k = rng.randrange(len(runs))
+            kind, c, u = runs[k]
+            runs[k] = (kind, c + Fraction(1, 64), u)
+    # scale each kind to sum to 1: a bijection that keeps palindromes
+    total = {kind: sum(c for k, c, _ in runs if k == kind)
+             for kind in (DRIFT, KICK)}
+    if not all(total.values()):
+        return None
+    runs = [(k, c / total[k], u) for k, c, u in runs]
+    expected = runs == runs[::-1]
+    steps = []
+    for kind, c, u in runs:
+        pieces = [(c, u)]
+        if rng.random() < 0.5:
+            a = rng.randint(-8, 8) / 8
+            b = rng.choice([0, u])
+            pieces = [(a, b), (c - Fraction(a), u - b)]
+        for pc, pu in pieces:
+            gk = kind == KICK and (pu or rng.random() < 0.3)
+            steps.append(Step(GKICK, pc, pu) if gk else Step(kind, pc))
+            if rng.random() < 0.3:
+                steps.append(rng.choice([Step(DRIFT, 0), Step(KICK, 0.0),
+                                         Step(GKICK, 0, Fraction(0))]))
+    return Scheme("random runs", steps, order=1, force_evals=1), expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_is_symmetric_reads_random_merged_runs(seed):
+    import random
+
+    rng = random.Random(seed)
+    verdicts = []
+    for i in range(150):
+        built = _random_run_scheme(rng, palindrome=i % 2 == 0)
+        if built is not None:
+            s, expected = built
+            assert is_symmetric(s) is expected, s.steps
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
+def test_is_symmetric_of_a_map_beyond_float_range_raises():
+    # every reader of the exact map raises here, the CLI before it asks
+    steps = [Step(k, c) for c in (1e200, -1e200, 1) for k in (DRIFT, KICK)]
+    huge = Scheme("huge", steps, order=1, force_evals=3)
+    with pytest.raises(SchemeError, match="'huge'.*beyond float range"):
+        is_symmetric(huge)
 
 
 def test_is_symmetric_ignores_identity_steps():

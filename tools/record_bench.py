@@ -16,7 +16,10 @@ cloned to ../parent:
         --checkout parent=../parent --checkout change=. --repeats 10
 
 The summary holds, per workload, checkout and gated metric, the median and
-quartiles over the repeats.
+quartiles over the repeats. The host block also holds the median CPU time
+of five bare interpreter starts, `python -c pass`, with and without `-S`:
+the gap is what `site` and the `.pth` files of installed packages add to
+every child that perfbench starts.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,6 +57,18 @@ def _cpu_model() -> str:
     except OSError:
         pass
     return platform.processor()
+
+
+def _startup_cpu_ms(*flags: str) -> float:
+    """Median CPU time, in ms, of five runs of `python <flags> -c pass`."""
+    times = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run([sys.executable, *flags, "-c", "pass"], check=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        times.append(1e3 * (after.ru_utime - before.ru_utime
+                            + after.ru_stime - before.ru_stime))
+    return round(statistics.median(times), 3)
 
 
 def _run(root: Path, workload: str, seconds: float) -> dict:
@@ -123,7 +139,9 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "seed": SEED, "seconds": seconds, "repeats": args.repeats,
         "host": {"node": platform.node(), "machine": platform.machine(),
-                 "cpu": _cpu_model(), "nproc": os.cpu_count()},
+                 "cpu": _cpu_model(), "nproc": os.cpu_count(),
+                 "startup_cpu_ms": _startup_cpu_ms(),
+                 "startup_no_site_cpu_ms": _startup_cpu_ms("-S")},
         "python": platform.python_version(),
         "checkouts": {label: {"revision": _revision(root)}
                       for label, root in checkouts},
