@@ -219,11 +219,11 @@ def test_is_symmetric_iff_the_exact_map_has_g_equal_h(s, reversible):
 def _random_run_scheme(rng, palindrome):
     """A scheme from random canonical runs and its expected reversibility.
 
-    Canonical runs alternate q- and p-shears, (c,) and (c, u), with nonzero
-    coefficients. Each run is then written as one step or split in two of
-    its kind, a float piece and a Fraction rest, with gkicks among the
-    p-shears, and identity steps go in anywhere. The expectation is read off
-    the canonical runs alone.
+    Canonical runs alternate q-shears c*x and p-shears c*x + u*x^3, c
+    nonzero. Each run is then written as one step or split in two of its
+    kind, a float piece and a Fraction rest, with gkicks among the p-shears,
+    and identity steps go in anywhere. The expectation is read off the
+    canonical runs alone.
     """
     def coeff():
         return Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
@@ -236,12 +236,12 @@ def _random_run_scheme(rng, palindrome):
             for kind in (kinds[i % 2] for i in range(2 * half + 1))]
     if palindrome:  # an odd number of runs, mirrored about the middle one
         runs = runs[:half + 1] + runs[:half][::-1]
-    elif rng.random() < 0.5:
-        runs.pop()
-        if rng.random() < 0.3:  # one run off by a little: not a palindrome
+        if rng.random() < 0.3:  # one run off by a little
             k = rng.randrange(len(runs))
             kind, c, u = runs[k]
             runs[k] = (kind, c + Fraction(1, 64), u)
+    elif rng.random() < 0.5:  # an even number of runs
+        runs.pop()
     # scale each kind to sum to 1: a bijection that keeps palindromes
     total = {kind: sum(c for k, c, _ in runs if k == kind)
              for kind in (DRIFT, KICK)}
