@@ -8,19 +8,21 @@ as records, with every number rounded to the same digits and NaN and
 infinities as null. Outputs are deterministic (no timestamps), so byte-stable
 and suitable for golden-file comparisons. Errors go to stderr and flip the
 exit code; data never does.
+
+CSV cells are quoted by one fixed rule, csv.QUOTE_MINIMAL as Python 3.13
+applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
+double quotes with its quotes doubled, so the bytes do not depend on the
+Python version. A command imports only the modules it runs: `analysis`,
+`sim` and `json` load inside the commands and the writer that need them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 from collections.abc import Iterable, Sequence
 
-from . import analysis, sim
 from .phasemap import (
     SWEEP_QUANTITIES, Regime, _angle, propagate_closed_form, scheme_matrix,
     spectral, sweep,
@@ -32,7 +34,7 @@ from .schemes import (
 
 __all__ = ["main"]
 
-#: Cell types of a column that `_csv_column` writes with one format spec.
+#: Cell types of a column that the writers render with one format spec.
 _FLOAT_COLUMN = {float, type(None)}
 
 
@@ -47,15 +49,41 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
+def _quote(cell: str) -> str:
+    """One CSV cell as csv.QUOTE_MINIMAL writes it on Python 3.13."""
+    if _needs_quotes(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv_column(cells: tuple) -> list[str]:
-    """The CSV cells of one column: strings as they are, numbers by `_fmt`.
+    """The CSV cells of one column: strings quoted, numbers by `_fmt`.
 
     A column of floats and gaps (None) takes one format spec for all its
-    numbers, which gives `_fmt`'s bytes without its per-cell type tests.
+    numbers, which gives `_fmt`'s bytes without its per-cell type tests;
+    no number needs quotes, so a column is searched for them once.
     """
     if set(map(type, cells)) <= _FLOAT_COLUMN:
         return ["" if v is None else format(v, ".12g") for v in cells]
-    return [v if isinstance(v, str) else _fmt(v) for v in cells]
+    out = [v if isinstance(v, str) else _fmt(v) for v in cells]
+    return list(map(_quote, out)) if _needs_quotes("".join(out)) else out
+
+
+def _csv(header: list[str], rows: Iterable[Sequence]) -> str:
+    """The table as CSV lines, each ended by LF.
+
+    A line of one empty cell is written `""`, as csv.writer does, so that it
+    is not read as a blank line.
+    """
+    lines = [",".join(map(_quote, header)), *map(",".join, zip(
+        *map(_csv_column, zip(*rows, strict=True))))]
+    if len(header) == 1:
+        lines = [line or '""' for line in lines]
+    return "\n".join(lines) + "\n"
 
 
 def _jnum(v):
@@ -78,18 +106,58 @@ def _jsonable(obj):
     return _jnum(obj)
 
 
+def _json_column(cells: tuple, encode_str) -> list[str]:
+    """The JSON values of one column as json.dumps writes `_jnum(v)`.
+
+    A float's 12-digit text ends in a digit unless it is nan or inf, which
+    become null like None.
+    """
+    if set(map(type, cells)) <= _FLOAT_COLUMN:
+        texts = ["nan" if v is None else format(v, ".12g") for v in cells]
+        return [repr(float(c)) if c[-1].isdigit() else "null" for c in texts]
+    out = []
+    for v in map(_jnum, cells):
+        if v is None:
+            out.append("null")
+        elif v is True or v is False:
+            out.append("true" if v else "false")
+        elif isinstance(v, str):
+            out.append(encode_str(v))
+        elif isinstance(v, int):
+            out.append(int.__repr__(v))
+        else:
+            out.append(float.__repr__(v))
+    return out
+
+
+def _json_records(header: list[str], rows: Iterable[Sequence]) -> str:
+    """The rows as a JSON array of records, in the bytes that json.dumps
+    writes for `_jsonable([dict(zip(header, row)) for row in rows])` with
+    indent=2.
+
+    One %-template per table holds the escaped keys (header names are
+    distinct), and each column is rendered in one pass.
+    """
+    from json.encoder import encode_basestring_ascii as encode_str
+    cols = [_json_column(c, encode_str) for c in zip(*rows, strict=True)]
+    if not cols:
+        return "[]\n"
+    fields = ",\n".join(f"    {encode_str(k).replace('%', '%%')}: %s"
+                         for k in header)
+    template = "  {\n" + fields + "\n  }"
+    body = ",\n".join([template % row for row in zip(*cols)])
+    return "[\n" + body + "\n]\n"
+
+
 def _emit(args, header: list[str], rows: Iterable[Sequence], doc=None) -> None:
     """Render one table in args.format to args.output or stdout."""
-    if args.format == "json":
-        if doc is None:
-            doc = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
+    if args.format == "csv":
+        text = _csv(header, rows)
+    elif doc is None:
+        text = _json_records(header, rows)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_csv_column, zip(*rows, strict=True))))
-        text = buf.getvalue()
+        import json
+        text = json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -139,6 +207,7 @@ def _check_order(args) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
     _check_order(args)
     s = _resolve_scheme(args)
     rep = analysis.analyze(s, args.order)
@@ -181,7 +250,7 @@ def cmd_sweep(args) -> int:
     if args.points < 2:
         raise SchemeError("sweep needs at least 2 points")
     s = _resolve_scheme(args)
-    # Regime is a str subclass: csv and json write a member as its value
+    # Regime is a str subclass: both writers write a member as its value
     _emit(args, ["x", "value", "regime"],
           sweep(s, _sweep_grid(args.min, args.max, args.points), args.quantity))
     return 0
@@ -190,6 +259,7 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
+    from . import sim
     _check_x(args)
     for flag, value in (("--q0", args.q0), ("--p0", args.p0)):
         if not math.isfinite(value):
@@ -230,6 +300,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- stability
 
 def cmd_stability(args) -> int:
+    from . import analysis
     s = _resolve_scheme(args)
     lim = analysis.stability_limit(s)
     header = ["scheme", "x_max", "bounded"]
@@ -241,6 +312,7 @@ def cmd_stability(args) -> int:
 # -------------------------------------------------------------- convergence
 
 def cmd_convergence(args) -> int:
+    from . import analysis
     _check_x(args)
     _check_order(args)
     s = _resolve_scheme(args)
@@ -355,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (SchemeError, analysis.AnalysisError, ValueError) as exc:
+    except (SchemeError, ValueError) as exc:  # AnalysisError is a ValueError
         print(f"oscmap: error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ coefficients each to sum to 1.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from fractions import Fraction
@@ -217,6 +216,7 @@ def load_scheme(path: str) -> Scheme:
     [{"kind": "drift"|"kick"|"gkick", "c": number, "u": number (gkick only)}]}``
     with plain decimal numbers (no expression evaluation).
     """
+    import json  # only file and data-backed schemes need it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

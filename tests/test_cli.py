@@ -13,6 +13,7 @@ and list the changed files with `git status tests/golden`.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -24,7 +25,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oscmap.cli import _sweep_grid, main
+from oscmap import analysis
+from oscmap.analysis import AnalysisError
+from oscmap.cli import _csv, _fmt, _json_records, _jsonable, _sweep_grid, main
+from oscmap.phasemap import Regime
 from oscmap.schemes import get_scheme, registry_names
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -326,15 +330,20 @@ def test_output_file_gets_the_stdout_bytes(stem, fmt, tmp_path, capsys):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-def _imported_packages(args: list[str]) -> set[str]:
-    """Top-level packages `-X importtime` lists for a successful run."""
+def _imported_modules(args: list[str]) -> set[str]:
+    """Modules `-X importtime` lists for a successful run."""
     proc = _python(["-X", "importtime", *args])
     assert proc.returncode == 0
     imported = {line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "oscmap" in imported
-    return {name.split(".")[0] for name in imported}
+    return imported
+
+
+def _imported_packages(args: list[str]) -> set[str]:
+    """Top-level packages `-X importtime` lists for a successful run."""
+    return {name.split(".")[0] for name in _imported_modules(args)}
 
 
 #: One run of every subcommand, and a bare import.
@@ -372,6 +381,42 @@ def test_dataclasses_never_imported(args):
     assert "dataclasses" not in _imported_packages(args)
 
 
+#: The oscmap modules each subcommand never runs.
+_UNUSED = {
+    "schemes": {"oscmap.analysis", "oscmap.sim"},
+    "sweep": {"oscmap.analysis", "oscmap.sim"},
+    "simulate": {"oscmap.analysis"},
+    "analyze": {"oscmap.sim"},
+    "stability": {"oscmap.sim"},
+    "convergence": {"oscmap.sim"},
+}
+
+
+@pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
+def test_subcommand_loads_only_the_modules_it_uses(args):
+    imported = _imported_modules(args)
+    if args[0] == "-m":
+        assert not imported & _UNUSED[args[2]]
+    else:  # import oscmap
+        assert not [m for m in imported if m.startswith("oscmap.")]
+    assert "csv" not in imported  # the CSV writer quotes cells itself
+
+
+def test_csv_sweep_does_not_import_json():
+    imported = _imported_modules(["-m", "oscmap", "sweep", "SV", "--min", "0.1",
+                                  "--max", "1", "--points", "5"])
+    assert "oscmap.phasemap" in imported and "json" not in imported
+
+
+def test_analysis_error_in_a_command_is_one_error_line(monkeypatch, capsys):
+    def fail(s):
+        raise AnalysisError(f"no limit for {s.name}")
+
+    monkeypatch.setattr(analysis, "stability_limit", fail)
+    assert _run(["stability", "SV"], capsys) == (
+        1, "", "oscmap: error: no limit for SV\n")
+
+
 def test_cli_imports_without_importlib_resources():
     # without `site`, whose .pth files may load it anyway: the data files are
     # found next to the package, so importlib.resources is never needed
@@ -381,6 +426,74 @@ def test_cli_imports_without_importlib_resources():
          "sys.exit('importlib.resources' in sys.modules)"],
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------------------------------------ writers
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e16,
+     123456789012.5, 1e-5])
+#: Text that csv.writer quotes alike on every Python from 3.10: no CR (3.13
+#: quotes it, 3.10 to 3.12 do not) and no NUL (3.10 cannot write it).
+_TEXT = st.text(st.sampled_from(',"\n ') | st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\r\x00"), max_size=6)
+_CELLS = st.one_of(_FLOATS, st.none(), st.integers(), st.booleans(),
+                   st.sampled_from(list(Regime)), _TEXT)
+
+
+@st.composite
+def _tables(draw, text=_TEXT):
+    """(header, rows): distinct names, and columns of floats and None or of
+    any cell, so both paths of each writer run."""
+    width = draw(st.integers(2, 4))
+    header = draw(st.lists(text, min_size=width, max_size=width, unique=True))
+    kinds = [draw(st.sampled_from([_FLOATS | st.none(), _CELLS]))
+             for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=5))
+    return header, rows
+
+
+def _csv_writer_oracle(header, rows) -> str:
+    """The CSV that csv.writer makes of the header and the `_fmt` cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[v if isinstance(v, str) else _fmt(v) for v in row]
+                      for row in rows])
+    return buf.getvalue()
+
+
+def _json_dumps_oracle(header, rows) -> str:
+    records = [dict(zip(header, row)) for row in rows]
+    return json.dumps(_jsonable(records), indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_csv_writer_matches_csv_module(table):
+    assert _csv(*table) == _csv_writer_oracle(*table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(text=_TEXT | st.text(st.sampled_from('\r%"\\é\x00'))))
+def test_json_records_match_json_dumps(table):
+    assert _json_records(*table) == _json_dumps_oracle(*table)
+
+
+def test_csv_quotes_a_carriage_return_on_every_python():
+    assert _csv(["a\rb", "c"], [["x\r", 1.5], ["y", None]]) == (
+        '"a\rb",c\n"x\r",1.5\ny,\n')
+
+
+@pytest.mark.parametrize("rows", [[[""]], [[None], ["x"], [""]]])
+def test_csv_writes_a_lone_empty_cell_as_two_quotes(rows):
+    text = _csv(["a"], rows)
+    assert text == _csv_writer_oracle(["a"], rows)
+    assert '""\n' in text and "\n\n" not in text
+
+
+def test_json_records_of_no_rows_are_an_empty_array():
+    assert _json_records(["a", "b"], []) == "[]\n" == _json_dumps_oracle(["a", "b"], [])
 
 
 # --------------------------------------------------------------- sweep grid
