@@ -470,12 +470,14 @@ def _json_dumps_oracle(header, rows) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
+@example(table=(["a", "b"], []))
 def test_csv_writer_matches_csv_module(table):
     assert _csv(*table) == _csv_writer_oracle(*table)
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables(text=_TEXT | st.text(st.sampled_from('\r%"\\é\x00'))))
+@example(table=(["a", "b"], []))
 def test_json_records_match_json_dumps(table):
     assert _json_records(*table) == _json_dumps_oracle(*table)
 
@@ -490,10 +492,6 @@ def test_csv_writes_a_lone_empty_cell_as_two_quotes(rows):
     text = _csv(["a"], rows)
     assert text == _csv_writer_oracle(["a"], rows)
     assert '""\n' in text and "\n\n" not in text
-
-
-def test_json_records_of_no_rows_are_an_empty_array():
-    assert _json_records(["a", "b"], []) == "[]\n" == _json_dumps_oracle(["a", "b"], [])
 
 
 # --------------------------------------------------------------- sweep grid
