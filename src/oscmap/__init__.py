@@ -5,8 +5,9 @@ oscillator as one 2x2 symplectic matrix whose entries g, tau, nu and h are
 finite polynomials in x = eps*omega. `phasemap` builds those four
 polynomials once per scheme, in exact rational arithmetic (binary-exact for
 float coefficients). The frequency series are read off those polynomials,
-rational when the scheme's coefficients are and correctly rounded to floats
-otherwise; numeric matrices are the rounded polynomials evaluated at a given
+rational when the scheme's coefficients are and, otherwise, built on
+fixed-point integers rounded once from them and read as correctly rounded
+floats; numeric matrices are the rounded polynomials evaluated at a given
 timestep and frequency; the stability limit comes from the exact half trace.
 From that one map the package solves the N-step evolution in closed form,
 extracts the modified (shadow) Hamiltonian with its effective mass and

@@ -6,8 +6,10 @@ scheme, reversible or not. The modified-frequency expansion
 
     omega_a / omega = asin(sqrt(nu*tau - w^2)) / x,    x = eps * omega,
 
-is computed here entirely inside the truncated series ring, which makes the
-coefficients exact in rational mode. The leading coefficient beyond 1 is the
+is computed here entirely inside the truncated series ring: exactly for a
+scheme with int and Fraction coefficients, and for a scheme with a float
+coefficient on fixed-point integers rounded once from its exact map, read as
+correctly rounded floats. The leading coefficient beyond 1 is the
 order coefficient c_n, the per-period phase error being 2*pi*c_n*x^n to
 leading order. The tilt amplitude w/sin(theta) of the invariant ellipse is
 a series too: identically zero for a palindromic scheme, where g = h, and
@@ -23,7 +25,7 @@ from typing import NamedTuple
 from . import series as series_mod
 from .phasemap import Regime, _polynomials, scheme_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme, get_scheme, has_exact_coefficients
-from .series import Series, _convolve, _is_zero
+from .series import Series, _convolve
 
 __all__ = [
     "AnalysisError", "PhaseErrorReport", "StabilityLimit", "ConvergenceRow",
@@ -34,6 +36,12 @@ __all__ = [
 
 RICHARDSON_RTOL = 1e-6
 
+#: A float scheme's series coefficient at or below this in magnitude is a
+#: round-off term, not a leading term: its coefficients miss the order
+#: conditions by round-off, so the exact series of the map as stored has real
+#: terms of that size (BM's x^2 term is 3.6e-18).
+_PARITY_TOL = 1e-14
+
 #: Largest point of the Richardson check; each further point halves it.
 _RICHARDSON_H = Fraction(1, 100)
 
@@ -41,6 +49,9 @@ _RICHARDSON_H = Fraction(1, 100)
 _ACOS_BITS = 256
 
 _STABILITY_BRACKET = 10.0
+
+#: Guard bits of a float scheme's fixed-point frequency series.
+_GUARD_BITS = 144
 
 
 class AnalysisError(ValueError):
@@ -57,14 +68,23 @@ class StabilityLimit(NamedTuple):
 def _frequency_parts(s: Scheme, order: int):
     """(tau/x, nu/x, w/x, sin(theta)/x, omega_a/omega) at truncation order + 1.
 
-    The first three are read off the scheme's map, exact for int and
-    Fraction coefficients. w/x = (g - h)/(2x) is defined because g(0) =
-    h(0) = 1, and is exactly zero for a palindromic scheme, whose products
-    the ring then skips.
+    The first three are read off the scheme's exact map. w/x = (g - h)/(2x)
+    is defined because g(0) = h(0) = 1, and is exactly zero for a
+    palindromic scheme, whose products the ring then skips. For a scheme
+    with a float coefficient the three are rounded once to fixed point with
+    P = 4(order + 1) + 144 bits, and the rest is built there. The series of
+    the registry's float schemes shrink by about 2 bits per order at most
+    (BM's x^120 coefficient is 3.5e-65, near 2^-214), so 4 bits per order
+    leave 2 per order and the 144 guard bits for a float's 53 and the error
+    growth of the recurrences: with 64 more bits, no coefficient of the
+    registry, Y6 or Y8 rounds to another float.
     """
-    g, tau_x, nu_x, h = _polynomials(s, has_exact_coefficients(s))
-    t1, n1, w1 = (p._resized(order + 1)
-                  for p in (tau_x, nu_x, ((g - h) / 2).divided_by_x()))
+    g, tau_x, nu_x, h = _polynomials(s, True)
+    parts = [p._resized(order + 1)
+             for p in (tau_x, nu_x, ((g - h) / 2).divided_by_x())]
+    if not has_exact_coefficients(s):
+        parts = [p._fixed(4 * (order + 1) + _GUARD_BITS) for p in parts]
+    t1, n1, w1 = parts
     s1 = (t1 * n1 - w1 * w1).sqrt()
     return t1, n1, w1, s1, series_mod.asin(s1.times_x()).divided_by_x()
 
@@ -204,10 +224,13 @@ def _lead_order(s: Scheme) -> int:
 
 
 def _leading_term(s: Scheme, wa: Series):
-    """(n, c_n) of order_coefficient, read from the omega_a series wa."""
+    """(n, c_n) of order_coefficient, read from the omega_a series wa.
+
+    For a float scheme a term within _PARITY_TOL of 0 does not lead.
+    """
     coeffs = wa.coeffs
-    n = next((k for k in range(1, wa.order + 1) if not _is_zero(coeffs[k])),
-             None)
+    tol = 0 if has_exact_coefficients(s) else _PARITY_TOL
+    n = next((k for k in range(1, wa.order + 1) if abs(coeffs[k]) > tol), None)
     if n is None:
         raise AnalysisError(
             f"leading order of {s.name!r} exceeds truncation order {wa.order}"
@@ -420,7 +443,8 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
     Rows k = 0..order hold the partial sum through x^k and, when the map is
     elliptic at this x, the absolute error against the arccos closed form.
     The radius estimate is a plain ratio test over the last four nonzero
-    coefficients (diagnostic only).
+    coefficients (diagnostic only), where a float scheme's coefficients
+    within _PARITY_TOL of 0 count as zero.
     """
     wa = omega_a_series(s, order)
     data = spectral(scheme_matrix(s, float(x), 1.0))
@@ -436,8 +460,8 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
         power *= x
         err = abs(acc - closed) if closed is not None else None
         rows.append(ConvergenceRow(k, acc, err))
-    nonzero = [(k, abs(c)) for k, c in enumerate(coeffs)
-               if k >= 1 and not _is_zero(c)]
+    tol = 0 if has_exact_coefficients(s) else _PARITY_TOL
+    nonzero = [(k, abs(c)) for k, c in enumerate(coeffs) if k >= 1 and abs(c) > tol]
     radius = None
     if len(nonzero) >= 2:
         tail = nonzero[-4:]

@@ -9,13 +9,14 @@ in exact arithmetic, by applying its shears one by one in the Series ring,
 where each polynomial is integer numerators over one shared denominator; a
 float step coefficient enters as its binary-exact rational, so the build is
 exact for any scheme. Every other form is read from it: the frequency series
-in `analysis` read the polynomials themselves, exact ones for a scheme with
-int or Fraction coefficients and, otherwise, the float build, with each
-coefficient correctly rounded (an integer numerator over the denominator by
-true division); numeric mode (explicit timestep eps and frequency omega)
-evaluates the rounded polynomials by Horner's rule. The stability limit in
-`analysis` reads the half trace's integer numerators from the exact build,
-and `schemes.is_symmetric` compares its diagonal entries g and h.
+in `analysis` read the polynomials themselves, exact for a scheme with int
+or Fraction coefficients and, otherwise, rounded once to fixed-point
+integers and read as correctly rounded floats; numeric mode (explicit
+timestep eps and frequency omega) evaluates the map's coefficients, each
+correctly rounded to float (an integer numerator over the denominator by
+true division), by Horner's rule. The stability limit in `analysis` reads
+the half trace's integer numerators from the exact build, and
+`schemes.is_symmetric` compares its diagonal entries g and h.
 Numeric work is in plain Python floats. `scheme_matrix` and `spectral` take
 one timestep at a time. `sweep` runs a kernel generated once per scheme and
 quantity instead: straight-line Python that evaluates, per grid point, the
@@ -36,12 +37,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .series import Series
-from .schemes import (DRIFT, GKICK, Scheme, SchemeError, Step,
-                      has_exact_coefficients)
+from .schemes import DRIFT, GKICK, Scheme, SchemeError, Step
 
 __all__ = [
     "PhaseMatrix", "SpectralData", "Regime", "RegimeError",
@@ -100,28 +99,28 @@ class SpectralData(NamedTuple):
 
 # ------------------------------------------------------------ polynomial map
 
-#: Built maps, keyed by active steps: (exact polynomials, float polynomials).
+#: Built maps, keyed by active steps: (exact polynomials, their floats).
 _POLYNOMIALS: dict[tuple[Step, ...], tuple[tuple, tuple]] = {}
 #: Generated sweep kernels, keyed by (active steps, quantity).
 _KERNELS: dict[tuple[tuple[Step, ...], str], Callable] = {}
 
 
-def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series]:
+def _polynomials(s: Scheme, exact: bool) -> tuple:
     """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
 
     The shears are applied once per scheme, in step order, in the Series ring
     at truncation order = degree, so nothing is dropped, with every step
-    coefficient taken as Fraction(v), which is binary-exact for a float. A
+    coefficient taken at its exact value, binary-exact for a float. A
     drift c*x changes only the top row and a kick mu(x) = c*x (+ u*x^3 for a
     gkick) only the bottom one, so each step is two ring products. The
     build is the exact map of the scheme as stored, in integer numerators
-    over one denominator per polynomial, and float mode is the same build
-    with each numerator divided by the denominator in one true division:
-    correctly rounded, and g = h bitwise whenever g = h exactly. A map
-    coefficient beyond float range, which steps within it can multiply to,
-    raises SchemeError. Steps that compare equal, such as Fraction(1, 2) and
-    0.5, have the same exact value, so they share one build. Callers must
-    not mutate the result.
+    over one denominator per polynomial. With `exact` false the result is
+    its coefficients as lists of floats, each numerator divided by the
+    denominator in one true division: correctly rounded, and g = h bitwise
+    whenever g = h exactly. A map coefficient beyond float range, which
+    steps within it can multiply to, raises SchemeError. Steps that compare
+    equal, such as Fraction(1, 2) and 0.5, have the same exact value, so they
+    share one build. Callers must not mutate the result.
     """
     steps = s.active_steps()
     built = _POLYNOMIALS.get(steps)
@@ -130,17 +129,16 @@ def _polynomials(s: Scheme, exact: bool) -> tuple[Series, Series, Series, Series
         g = h = Series.one(degree)
         tau = nu = Series.zero(degree)
         for st in steps:
-            c = Fraction(st.c)
             if st.kind == DRIFT:
-                cx = Series([0, c], degree)
+                cx = Series([0, st.c], degree)
                 g, tau = g - cx * nu, tau + cx * h
             else:
-                mu = Series([0, c, 0, Fraction(st.u)] if st.kind == GKICK
-                            else [0, c], degree)
+                mu = Series([0, st.c, 0, st.u] if st.kind == GKICK
+                            else [0, st.c], degree)
                 nu, h = nu + mu * g, h - mu * tau
         polys = (g, tau.divided_by_x(), nu.divided_by_x(), h)
         try:
-            rounded = tuple(Series(p._floats()) for p in polys)
+            rounded = tuple(p._floats() for p in polys)
         except OverflowError:
             raise SchemeError(f"scheme {s.name!r}: a coefficient of its one-step "
                               "map is beyond float range") from None
@@ -152,22 +150,30 @@ def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
     """Numeric one-timestep matrix: the polynomials evaluated at x = eps*omega.
 
     eps and omega are Python floats. The entries are g(x), eps*(tau/x)(x),
-    eps*omega^2*(nu/x)(x) and h(x) of the float build, by Horner's rule, with
+    eps*omega^2*(nu/x)(x) and h(x) of the rounded map, by Horner's rule, with
     no division by omega, so omega = 0 and negative eps are fine. Entries
     that overflow become inf or NaN silently, as Python floats do.
     """
-    g, tau_x, nu_x, h = _polynomials(s, False)
     x = eps * omega
-    return PhaseMatrix(g(x), eps * tau_x(x), eps * omega * omega * nu_x(x),
-                       h(x), eps, omega)
+    g, tau_x, nu_x, h = (_horner(p, x) for p in _polynomials(s, False))
+    return PhaseMatrix(g, eps * tau_x, eps * omega * omega * nu_x, h, eps, omega)
+
+
+def _horner(cs: list[float], x: float) -> float:
+    """sum_k cs[k]*x^k by Horner's rule."""
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def scheme_series_matrix(s: Scheme, order: int) -> tuple[Series, ...]:
-    """(g, tau, nu, h) at truncation `order`; no caller in the package.
+    """(g, tau, nu, h) of the exact map at truncation `order`.
 
-    Kept because the benchmark's span list (`perfbench/tracing.py`) names it.
+    It has no caller in the package; it is kept because the benchmark's span
+    list (`perfbench/tracing.py`) names it.
     """
-    g, tau_x, nu_x, h = _polynomials(s, has_exact_coefficients(s))
+    g, tau_x, nu_x, h = _polynomials(s, True)
     return tuple(p._resized(order)
                  for p in (g, tau_x.times_x(), nu_x.times_x(), h))
 

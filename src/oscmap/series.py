@@ -3,19 +3,21 @@
 Series live in the fixed-truncation ring R[x]/x^(K+1): every operation keeps
 exactly K+1 coefficients and never reads or writes beyond index K.
 
-A series is stored as numerators over one shared denominator, a_k = n_k/d.
-Built from ints and Fractions it is exact: the n_k are ints and d is their
-least positive common denominator, so exact arithmetic runs on plain ints. A
-product is one integer convolution followed by one gcd; reciprocal, sqrt and
-asin accumulate each inner sum in integers and reduce once per output
-coefficient. Built with any float coefficient it is a float series: float
-numerators over d = 1, with every nonzero coefficient a float and exact
-zeros kept as int 0. Both modes run the same code and part only in the
-scalar helpers `_divide`, `_exact_inverse` and `_sqrt_scalar`, and where a
-float meets an exact operand: the exact one is rounded to float coefficient
-by coefficient first (`_operands`, scalar `*`). A float result is exactly
-what float arithmetic on the coefficients gives. `coeffs` reads the
-coefficients back as ints, Fractions or floats.
+A series is stored as integer numerators over one shared denominator,
+a_k = n_k/d, in one of two modes. An exact series is built from ints,
+Fractions or floats, a float entering as its binary-exact Fraction; d is the
+least positive common denominator of its coefficients, and every operation
+on it is exact. A fixed-point series has d = 2^P, with the precision P kept
+beside it: each coefficient an operation computes is rounded to a multiple
+of 2^-P, off by less than one unit 2^-P. `_fixed` rounds an exact series to
+fixed point; an exact series meeting a fixed-point one, or fixed-point
+series of different P, raise ValueError. Both modes run the same code: a
+product is one integer convolution followed by one gcd (exact) or one shift
+(fixed point); reciprocal, sqrt and asin accumulate each inner sum in
+integers and divide once per output coefficient. The modes part only in the
+scalar helpers `_divide`, `_sqrt_scalar` and `_reduced`. `coeffs` reads an
+exact series back as ints and Fractions, and a fixed-point one as correctly
+rounded floats.
 
 No operation costs more than O(K^2) coefficient operations: products,
 reciprocals and square roots by their convolution recurrences, and `asin`
@@ -32,57 +34,41 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["Series", "asin", "PARITY_TOL"]
-
-# Float coefficients with magnitude at or below this count as zero in
-# zero-constant-term checks and leading-term searches. Exact coefficients
-# must be exactly 0.
-PARITY_TOL = 1e-14
+__all__ = ["Series", "asin"]
 
 
-def _has_float(nums: list) -> bool:
-    return any(isinstance(c, float) for c in nums)
+def _divide(n, d, bits):
+    """n/d as a (numerator, denominator) pair; `bits` is None or the precision P.
 
-
-def _is_zero(c) -> bool:
-    if isinstance(c, float):
-        return abs(c) <= PARITY_TOL
-    return c == 0
-
-
-def _exact_inverse(c):
-    """1/c, staying exact for int and Fraction scalars."""
-    if isinstance(c, int):
-        return Fraction(1, c)
-    return 1 / c
-
-
-def _divide(n, d):
-    """n/d as a (numerator, denominator) pair.
-
-    Ints give the pair in lowest terms with a positive denominator. A float
-    n or d gives (n * (1/d), 1): the float times the rounded reciprocal, as
-    float arithmetic on the coefficients computes it.
+    Exact: the pair in lowest terms with a positive denominator. Fixed point:
+    (n 2^P/d rounded down, 2^P). The powers of two of d are stripped first,
+    by shifts, so the one division runs on small operands; the result is off
+    by less than one unit.
     """
-    if isinstance(n, float) or isinstance(d, float):
-        return n * (1 / d), 1
-    g = math.gcd(n, d)
-    if d < 0:
-        g = -g
-    return n // g, d // g
+    if bits is None:
+        g = math.gcd(n, d)
+        if d < 0:
+            g = -g
+        return n // g, d // g
+    t = (d & -d).bit_length() - 1   # d = odd * 2^t
+    n = n << (bits - t) if t <= bits else n >> (t - bits)
+    return n // (d >> t), 1 << bits
 
 
-def _sqrt_scalar(n, d):
-    """Principal square root of the constant term n/d as a pair; exact for ints."""
-    if isinstance(n, float):
-        return math.sqrt(n), 1
+def _sqrt_scalar(n, d, bits):
+    """Principal square root of the constant term n/d as a pair.
+
+    Exact, it must have a rational root; in fixed point it is rounded down.
+    """
+    if bits is not None:
+        return math.isqrt((n << 2 * bits) // d), 1 << bits
     g = math.gcd(n, d)
     n, d = n // g, d // g
     rp, rq = math.isqrt(n), math.isqrt(d)
     if rp * rp != n or rq * rq != d:
         raise ValueError(
             f"constant term {Fraction(n, d)} has no exact rational square "
-            "root; convert the series to float coefficients first"
+            "root; round the series to fixed point first"
         )
     return rp, rq
 
@@ -125,8 +111,12 @@ def _append(nums: list, den, num, q):
     return den
 
 
-def _reduced(nums: list, den) -> "Series":
-    """The series nums/den in lowest terms; float numerators need den = 1."""
+def _reduced(nums: list, den, bits) -> "Series":
+    """The series nums/den: in lowest terms if exact, over 2^bits in fixed point."""
+    if bits is not None:
+        if den != 1 << bits:
+            nums = [_divide(c, den, bits)[0] for c in nums]
+        return Series._of(nums, 1 << bits, bits)
     if den != 1:
         g = math.gcd(den, *nums)
         if g != 1:
@@ -141,15 +131,14 @@ class Series:
     Parameters
     ----------
     coeffs : iterable of scalars
-        Coefficients in increasing power order: ints, Fractions or floats.
-        Any float makes a float series, with each nonzero int or Fraction
-        rounded to float.
+        Coefficients in increasing power order: ints, Fractions or floats,
+        each taken at its exact value. The series is exact.
     order : int, optional
         Truncation order K. When given, `coeffs` may be shorter than K+1 and
         is zero-padded; it must not be longer.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_bits")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
@@ -163,21 +152,22 @@ class Series:
             coeffs.extend([0] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        if _has_float(coeffs):
-            self._nums = [float(c) if c or isinstance(c, float) else 0
-                          for c in coeffs]
-            self._den = 1
-        else:
-            den = math.lcm(*(c.denominator for c in coeffs))
-            self._nums = [c.numerator * (den // c.denominator) for c in coeffs]
-            self._den = den
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = math.lcm(*(q for _, q in ratios))
+        self._nums = [p * (den // q) for p, q in ratios]
+        self._den = den
+        self._bits = None
 
     @classmethod
-    def _of(cls, nums: list, den) -> "Series":
+    def _of(cls, nums: list, den, bits=None) -> "Series":
         """The series nums/den as given, with no conversion or reduction."""
         s = object.__new__(cls)
-        s._nums, s._den = nums, den
+        s._nums, s._den, s._bits = nums, den, bits
         return s
+
+    def _fixed(self, bits: int) -> "Series":
+        """This exact series rounded to fixed point with precision `bits`."""
+        return _reduced(self._nums, self._den, bits)
 
     # -- constructors -------------------------------------------------
 
@@ -197,8 +187,10 @@ class Series:
 
     @property
     def coeffs(self) -> list:
-        """The coefficients: ints where integral, Fractions, or floats."""
+        """The coefficients: ints where integral, Fractions, or fixed-point floats."""
         d = self._den
+        if self._bits is not None:
+            return self._floats()
         if d == 1:
             return list(self._nums)
         return [Fraction(n, d) if n % d else n // d for n in self._nums]
@@ -229,23 +221,12 @@ class Series:
             )
 
     def _operands(self, other: "Series") -> tuple[list, list, object, object]:
-        """Both numerator lists and denominators, in one mode.
-
-        If only one of the two is a float series, the other's coefficients
-        are rounded to float, as float arithmetic on a Fraction rounds it;
-        its zeros stay exact.
-        """
+        """Both numerator lists and denominators, of one mode and precision."""
         self._check_order(other)
-        a, b, d, e = self._nums, other._nums, self._den, other._den
-        if d == 1 or e == 1:    # a float series has d = 1
-            fa, fb = _has_float(a), _has_float(b)
-            if fa != fb:
-                if fa:
-                    b = [c or 0 for c in other._floats()]
-                else:
-                    a = [c or 0 for c in self._floats()]
-                return a, b, 1, 1
-        return a, b, d, e
+        if self._bits != other._bits:
+            raise ValueError("an exact series cannot meet a fixed-point one, "
+                             "nor fixed-point series of different precision")
+        return self._nums, other._nums, self._den, other._den
 
     def _common(self, other: "Series") -> tuple[list, list, object]:
         """Both numerator lists over the least common denominator."""
@@ -259,37 +240,30 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         a, b, den = self._common(other)
-        return _reduced([x + y for x, y in zip(a, b)], den)
+        return _reduced([x + y for x, y in zip(a, b)], den, self._bits)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         a, b, den = self._common(other)
-        return _reduced([x - y for x, y in zip(a, b)], den)
+        return _reduced([x - y for x, y in zip(a, b)], den, self._bits)
 
     def __neg__(self):
-        return Series._of([-a for a in self._nums], self._den)
+        return Series._of([-a for a in self._nums], self._den, self._bits)
 
     def __mul__(self, other):
         if isinstance(other, Series):
             a, b, d, e = self._operands(other)
-            return _reduced(_convolve(a, b, len(a)), d * e)
-        a = self._nums
-        if isinstance(other, float):
-            return Series._of([other * c for c in self._floats()], 1)
-        if self._den == 1 and _has_float(a):
-            r = float(other)    # as float arithmetic rounds an int or Fraction
-            return Series._of(
-                [r * c if isinstance(c, float) else c for c in a], 1)
-        return _reduced([other.numerator * c for c in a],
-                        other.denominator * self._den)
+            return _reduced(_convolve(a, b, len(a)), d * e, self._bits)
+        p, q = other.as_integer_ratio()
+        return _reduced([p * c for c in self._nums], q * self._den, self._bits)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * other.reciprocal()
-        return self * _exact_inverse(other)
+        return self * (1 / Fraction(other))
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse in the truncated ring; needs a_0 != 0.
@@ -298,40 +272,44 @@ class Series:
         b_n = -(1/a_0) sum_{k=1..n} a_k b_(n-k) is -S/(A_0 E), S the integer
         sum of A_k B_(n-k).
         """
-        a, d = self._nums, self._den
-        if _is_zero(a[0]):
+        a, d, bits = self._nums, self._den, self._bits
+        if not a[0]:
             raise ValueError("series with zero constant term has no reciprocal")
-        b0, e = _divide(d, a[0])
+        b0, e = _divide(d, a[0], bits)
         b = [b0]
         for n in range(1, len(a)):
             s = 0
             for k in range(1, n + 1):
                 if a[k] and b[n - k]:
                     s += a[k] * b[n - k]
-            num, q = _divide(s, a[0] * e)
+            num, q = _divide(s, a[0] * e, bits)
             e = _append(b, e, -num, q)
-        return Series._of(b, e)
+        return Series._of(b, e, bits)
 
     def sqrt(self) -> "Series":
         """Principal square root: b with b*b = self up to truncation, b_0 > 0.
 
         With a_n = A_n/D, b_0 = P/Q and b_j = B_j/E for j < n, the recurrence
         b_n = (a_n - sum_{k=1..n-1} b_k b_(n-k))/(2 b_0) is
-        Q (A_n E^2 - S D)/(2 P D E^2), S the integer sum of B_k B_(n-k).
+        (A_n E^2 - S D) r/(E^2 t), S the integer sum of B_k B_(n-k) and r/t
+        the constant Q/(2 P D) in lowest terms, which keeps the operands small.
         """
-        a, d = self._nums, self._den
+        a, d, bits = self._nums, self._den, self._bits
         if a[0] <= 0:
             raise ValueError("series square root needs a positive constant term")
-        p, q = _sqrt_scalar(a[0], d)
+        p, q = _sqrt_scalar(a[0], d, bits)
+        g = math.gcd(q, 2 * p * d)
+        r, t = q // g, 2 * p * d // g
         b, e = [p], q
         for n in range(1, len(a)):
             s = 0
             for k in range(1, n):
                 if b[k] and b[n - k]:
                     s += b[k] * b[n - k]
-            num, den = _divide(q * (a[n] * e * e - s * d), 2 * p * d * e * e)
+            ee = e * e
+            num, den = _divide((a[n] * ee - s * d) * r, ee * t, bits)
             e = _append(b, e, num, den)
-        return Series._of(b, e)
+        return Series._of(b, e, bits)
 
     # -- order-changing helpers ----------------------------------------
 
@@ -340,7 +318,8 @@ class Series:
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         nums = self._nums[: order + 1]
-        return _reduced(nums + [0] * (order + 1 - len(nums)), self._den)
+        return _reduced(nums + [0] * (order + 1 - len(nums)), self._den,
+                        self._bits)
 
     def truncated(self, order: int) -> "Series":
         """Copy truncated to a lower (or equal) order."""
@@ -350,28 +329,27 @@ class Series:
 
     def times_x(self) -> "Series":
         """Multiply by x; the result's truncation order grows by one."""
-        return Series._of([0] + self._nums, self._den)
+        return Series._of([0] + self._nums, self._den, self._bits)
 
     def divided_by_x(self) -> "Series":
         """Divide by x; needs a_0 = 0, the truncation order drops by one."""
-        if not _is_zero(self._nums[0]):
+        if self._nums[0]:
             raise ValueError("cannot divide by x: nonzero constant term")
         if self.order == 0:
             raise ValueError("cannot divide an order-0 series by x")
-        return Series._of(self._nums[1:], self._den)
+        return Series._of(self._nums[1:], self._den, self._bits)
 
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, x0):
         """Evaluate the truncated polynomial at x0 (Horner).
 
-        An exact series at an int or Fraction x0 gives the exact value; at
-        any other x0 each coefficient is rounded to float first.
+        At an int or Fraction x0 the value is exact; at any other x0 each
+        coefficient is rounded to float first.
         """
-        exact = self._den != 1 and isinstance(x0, (int, Fraction))
+        exact = isinstance(x0, (int, Fraction))
         acc = 0
-        for c in reversed(self._nums if exact or self._den == 1
-                          else self._floats()):
+        for c in reversed(self._nums if exact else self._floats()):
             acc = acc * x0 + c
         return acc * Fraction(1, self._den) if exact else acc
 
@@ -383,13 +361,12 @@ def asin(u: Series) -> Series:
     in three O(K^2) passes: f = 1 - u*u (the only ring multiplication),
     w = f^(-1/2) from the power recurrence
     2n w_n = sum_{k=1..n} (k - 2n) f_k w_(n-k) with w_0 = 1, and the
-    integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0; a float
-    u_0 within PARITY_TOL counts as 0. Each sum runs over the numerators, so
-    exact input gives exact coefficients through `_divide` and float input
-    stays float.
+    integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0. Each sum
+    runs over the numerators and is divided once by `_divide`, so exact input
+    gives exact coefficients and fixed-point input fixed-point ones.
     """
-    a, d = u._nums, u._den
-    if not _is_zero(a[0]):
+    a, d, bits = u._nums, u._den, u._bits
+    if a[0]:
         raise ValueError("asin composition needs a zero constant term")
     uu = u * u
     fd = uu._den
@@ -401,7 +378,7 @@ def asin(u: Series) -> Series:
             # skipping exact-zero factors keeps structural zeros exact
             if f[k] and w[n - k]:
                 s += (k - 2 * n) * f[k] * w[n - k]
-        num, q = _divide(s, 2 * n * fd * e)
+        num, q = _divide(s, 2 * n * fd * e, bits)
         e = _append(w, e, num, q)
     ku = [k * c for k, c in enumerate(a)]
     y, ey = [0], 1
@@ -410,6 +387,6 @@ def asin(u: Series) -> Series:
         for k in range(1, n + 1):
             if ku[k] and w[n - k]:
                 s += ku[k] * w[n - k]
-        num, q = _divide(s, n * d * e)
+        num, q = _divide(s, n * d * e, bits)
         ey = _append(y, ey, num, q)
-    return Series._of(y, ey)
+    return _reduced(y, ey, bits)

@@ -18,8 +18,8 @@ from oscmap.analysis import (
 )
 from oscmap.phasemap import Regime, scheme_matrix, spectral, sweep
 from oscmap.schemes import (
-    DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
-    registry, registry_names,
+    DRIFT, GKICK, KICK, Scheme, Step, get_scheme, has_exact_coefficients,
+    is_symmetric, load_scheme, registry, registry_names,
 )
 
 from mpmath_oracle import (mp_half_trace, mp_richardson_order_coefficient,
@@ -236,17 +236,49 @@ def test_sixth_order_triple_jump_passes_the_richardson_check():
 
 
 def test_eighth_order_triple_jump_passes_the_richardson_check():
-    # a three-point grid gave -0.02041856347419054 here, 3.0e-6 off
+    # a three-point grid gave -0.02041856347419054 here, 3.0e-6 off. The
+    # fixed-point series gives this c_8 at every P from 4K + 144 to 3000
+    # bits; float series arithmetic gave -0.020418624469887185, a few ulps off.
     assert (Y8.order, Y8.force_evals) == (8, 27)
-    assert order_coefficient(Y8) == (8, -0.020418624469887185)
+    assert order_coefficient(Y8) == (8, -0.02041862446988717)
 
 
 def test_analyze_eighth_order_triple_jump():
     # x_max as the Sturm chain of (T^2 - 1)/x^2 gave it too
     rep = analyze(Y8)
-    assert (rep.n, rep.c_n) == (8, -0.020418624469887185)
+    assert (rep.n, rep.c_n) == (8, -0.02041862446988717)
     assert rep.stability.bounded
     assert rep.stability.x_max.hex() == "0x1.89a56a82792fcp+0"
+
+
+@pytest.mark.parametrize("name", ["FR", "M", "BM"])
+def test_float_order_coefficient_is_the_richardson_value_bitwise(name):
+    # float series arithmetic missed M's and BM's c_4 by 1.8e-14 and 1.9e-13
+    # relative; the fixed-point series is the binary-exact value
+    s = get_scheme(name)
+    n, c_n = order_coefficient(s)
+    assert n == 4
+    assert c_n.hex() == analysis._richardson_order_coefficient(s, 4).hex()
+
+
+def test_analyze_bm_eighth_frequency_coefficient():
+    # float series arithmetic printed 5.61997569563e-10
+    assert format(analyze(get_scheme("BM")).omega_a.coeffs[8], ".12g") == \
+        "5.6199756889e-10"
+
+
+@pytest.mark.parametrize("s", [get_scheme(name) for name in ("FR", "M", "BM")]
+                         + [Y6, Y8], ids=lambda s: s.name)
+@pytest.mark.parametrize("order", [14, 120])
+def test_fixed_point_series_have_64_bits_to_spare(s, order, monkeypatch):
+    # P = 4(K + 1) + 144 bits; 64 more change no coefficient's float
+    def floats():
+        return [f._floats() for f in analysis._frequency_series(s, order)]
+
+    assert not has_exact_coefficients(s)
+    default = floats()
+    monkeypatch.setattr(analysis, "_GUARD_BITS", analysis._GUARD_BITS + 64)
+    assert floats() == default
 
 
 @pytest.mark.parametrize("s", [*registry(), Y6, Y8], ids=lambda s: s.name)
@@ -586,6 +618,15 @@ def test_divergence_outside_window():
         for k in range(36, 61, 2)
     ]
     assert all(b > a for a, b in zip(terms, terms[1:]))
+
+
+@pytest.mark.parametrize("name", ["M", "BM"])
+def test_float_scheme_series_converge_to_the_closed_form(name):
+    # float series arithmetic ended 4.8e7 (M) and 1.1e8 (BM) away: each
+    # coefficient's round-off, times 2.5^k
+    study = convergence_study(get_scheme(name), 2.5, 120)
+    assert study.closed_form is not None
+    assert study.rows[-1].abs_error <= 1e-12
 
 
 def test_radius_estimate_sv():

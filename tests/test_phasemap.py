@@ -91,16 +91,18 @@ def test_fr_series_matrix_against_surd_polynomials():
                  (25 + 20 * cbrt2 + 16 * cbrt4) / 1728]
     nu_x_ref = [1, 0, -1 / 6, 0, -(4 + 4 * cbrt2 + 3 * cbrt4) / 144, 0, 0]
     for got, ref in ((g, g_ref), (tau_x, tau_x_ref), (nu_x, nu_x_ref)):
-        assert len(got.coeffs) == len(ref)
-        for a, b in zip(got.coeffs, ref):
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-12
-    assert g.coeffs == h.coeffs
+    assert g == h
 
 
 def test_series_matrix_det_is_one():
     for name, exact in itertools.product(("SV", "FR", "C", "LF1"),
                                          (True, False)):
-        g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name), exact)
+        polys = phasemap._polynomials(get_scheme(name), exact)
+        # the floats enter a Series at their exact values
+        g, tau_x, nu_x, h = polys if exact else map(Series, polys)
         # det = g*h + x^2 (tau/x)(nu/x), truncated at the map's degree
         det = g * h + (tau_x * nu_x).times_x().times_x().truncated(g.order)
         assert all(abs(c) <= 1e-13 for c in det.coeffs[1:])
@@ -110,11 +112,12 @@ def test_series_matrix_det_is_one():
 def test_symmetric_series_parity():
     for name, exact in itertools.product(("SV", "FR", "C", "M", "BM"),
                                          (True, False)):
-        g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name), exact)
-        assert g.coeffs == h.coeffs        # exact, including float mode
-        assert not any(g.coeffs[1::2])     # structural zeros are exact
-        assert not any(tau_x.coeffs[1::2])
-        assert not any(nu_x.coeffs[1::2])
+        polys = phasemap._polynomials(get_scheme(name), exact)
+        g, tau_x, nu_x, h = (p.coeffs for p in polys) if exact else polys
+        assert g == h                      # exact, also once rounded
+        assert not any(g[1::2])            # structural zeros are exact
+        assert not any(tau_x[1::2])
+        assert not any(nu_x[1::2])
 
 
 def test_lf1_series_diagonal_gap():
@@ -168,8 +171,8 @@ def test_float_mode_is_the_correctly_rounded_exact_map(s, monkeypatch):
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
     floats = phasemap._polynomials(s, False)
     for a, b in zip(floats, exact):
-        assert ([float(c).hex() for c in a.coeffs]
-                == [float(c).hex() for c in b.coeffs])
+        assert all(type(c) is float for c in a)
+        assert [c.hex() for c in a] == [float(c).hex() for c in b.coeffs]
 
 
 def test_one_build_serves_numeric_series_and_stability(monkeypatch):
@@ -215,7 +218,7 @@ def test_exact_polynomials_equal_the_fraction_shear_product(s):
 @pytest.mark.parametrize("order", [0, 1, 5, 7, 30])
 def test_series_matrix_pads_or_truncates_the_exact_map(order):
     # FR's map has degree 7: lower orders truncate it, higher ones pad zeros.
-    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("FR"), False)
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("FR"), True)
     full = [p.coeffs + [0] * 40
             for p in (g, tau_x.times_x(), nu_x.times_x(), h)]
     m = scheme_series_matrix(get_scheme("FR"), order)

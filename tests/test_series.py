@@ -1,6 +1,7 @@
 """Unit and property tests for the truncated power-series ring."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,21 @@ from oscmap.series import Series, asin
 F = Fraction
 
 
-def close(a, b, tol=1e-12):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+#: Precision P of the fixed-point tests: numerators over 2^128.
+BITS = 128
+
+
+def _values(s: Series) -> list:
+    """The exact values of a series' coefficients, as Fractions."""
+    return [F(n, s._den) for n in s._nums]
+
+
+def _assert_within_bound(got: Series, ref: list, units: int = 2**16):
+    """got is a fixed-point series within `units` units 2^-P of ref."""
+    assert got._bits is not None and got._den == 1 << got._bits
+    assert len(got._nums) == len(ref)
+    for n, r in zip(got._nums, ref):
+        assert abs(n - r * got._den) < units
 
 
 # ---------------------------------------------------------------- add
@@ -186,11 +200,13 @@ def test_asin_equals_maclaurin_composition_on_scheme_xi(name):
 
 @pytest.mark.parametrize("name", ["FR", "M", "BM"])
 def test_asin_agrees_with_maclaurin_composition_float(name):
-    xi = _xi(name, 60)
-    got, ref = asin(xi), _asin_horner(xi)
-    assert all(isinstance(c, (int, float)) for c in got.coeffs)
-    for u, v in zip(got.coeffs, ref.coeffs):
-        assert close(u, v)
+    # a float scheme's sin(theta) is fixed point, at P = 240 bits here; its
+    # coefficients are below 1, and the arcsine stays within 1.1 units of the
+    # oracle (measured), inside the bound of 4
+    xi = _xi(name, 24)
+    assert xi._bits == 240
+    assert all(isinstance(c, float) for c in asin(xi).coeffs)
+    _assert_within_bound(asin(xi), _o_asin(_values(xi)), units=4)
 
 
 # ---------------------------------------------------------------- helpers
@@ -227,11 +243,6 @@ exact_coeffs = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=8),
     min_size=5, max_size=5,
 )
-float_coeffs = st.lists(
-    st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False),
-    min_size=5, max_size=5,
-)
-
 
 @settings(max_examples=60, deadline=None)
 @given(exact_coeffs, exact_coeffs, exact_coeffs)
@@ -244,15 +255,16 @@ def test_ring_axioms_exact(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(float_coeffs, float_coeffs, float_coeffs)
-def test_ring_axioms_float(a, b, c):
-    A, B, C = Series(a), Series(b), Series(c)
-    lhs, rhs = (A * B) * C, A * (B * C)
-    for u, v in zip(lhs.coeffs, rhs.coeffs):
-        assert close(u, v)
-    lhs, rhs = A * (B + C), A * B + A * C
-    for u, v in zip(lhs.coeffs, rhs.coeffs):
-        assert close(u, v)
+@given(exact_coeffs, exact_coeffs, exact_coeffs)
+def test_ring_axioms_fixed_point(a, b, c):
+    # a product rounds once, by less than one unit; each side of an axiom
+    # takes at most two roundings, and A's coefficients are at most 4, so the
+    # two sides differ by less than 2 + 5*4 = 22 units
+    A, B, C = (Series(v)._fixed(BITS) for v in (a, b, c))
+    for lhs, rhs in (((A * B) * C, A * (B * C)), (A * (B + C), A * B + A * C)):
+        assert all(abs(u - v) < 22 for u, v in zip(lhs._nums, rhs._nums))
+    assert A * B == B * A
+    assert A + B == B + A
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,24 +296,23 @@ def test_sqrt_squares_back(tail):
 
 
 @settings(max_examples=40, deadline=None)
-@given(float_coeffs)
-def test_sqrt_squares_back_float(tail):
-    b = Series([1.0] + tail)
-    a = b * b
-    r = a.sqrt()
-    for u, v in zip(r.coeffs, b.coeffs):
-        assert close(u, v, 1e-9)
+@given(exact_coeffs)
+def test_sqrt_squares_back_fixed_point(tail):
+    # b*b rounds once; the square root passes each error on weighted by
+    # |b_k| <= 4 over 2 b_0 = 2, so the error of order k is below 5^(k + 1)
+    # units: 4 orders stay below 2^10 (23 at most, measured)
+    b = Series([F(1)] + tail)._fixed(BITS)
+    _assert_within_bound((b * b).sqrt(), _values(b), units=2**10)
 
 
 # ------------------------------------------------------- Fraction oracle
-# The ring's recurrences as they ran one scalar at a time, with exact input
-# held as Fractions: duck-typed, so the same code gives Fractions for exact
-# input and floats for float input. The ring's integer numerators over one
-# denominator must give the same exact coefficients, and its float series
-# the same bits.
+# The ring's recurrences as they run one scalar at a time, on Fractions. The
+# ring's integer numerators over one denominator must give the same exact
+# coefficients, and a fixed-point series stays within its stated bound of
+# them, evaluated on the exact values of its fixed-point input.
 
 def _o_inverse(c):
-    return F(1, c) if isinstance(c, int) else 1 / c
+    return 1 / F(c)
 
 
 def _o_mul(a, b):
@@ -328,12 +339,9 @@ def _o_reciprocal(a):
 
 
 def _o_sqrt(a):
-    if isinstance(a[0], float):
-        b0 = math.sqrt(a[0])
-    else:
-        a0 = F(a[0])
-        b0 = F(math.isqrt(a0.numerator), math.isqrt(a0.denominator))
-        assert b0 * b0 == a0
+    a0 = F(a[0])
+    b0 = F(math.isqrt(a0.numerator), math.isqrt(a0.denominator))
+    assert b0 * b0 == a0
     inv2b0 = _o_inverse(2 * b0)
     b = [b0]
     for n in range(1, len(a)):
@@ -444,60 +452,65 @@ def test_exact_frequency_series_equal_the_fraction_oracle(name):
     assert parts[4]._den.bit_length() == {"SV": 403, "C": 549}[name]
 
 
-def _bits(cs):
-    """Floats by their bits, exact values (structural zeros) by value."""
-    return [c.hex() if isinstance(c, float) else ("exact", c) for c in cs]
+# ------------------------------------------------------------ fixed point
 
-
-float_or_zero = st.one_of(
-    st.just(0), st.just(0.0),
-    st.floats(min_value=-4, max_value=4, allow_nan=False))
-float_pairs = st.integers(min_value=0, max_value=12).flatmap(
+small_fractions = st.fractions(min_value=F(-1, 2), max_value=F(1, 2),
+                               max_denominator=18)
+fixed_point_args = st.integers(min_value=0, max_value=12).flatmap(
     lambda order: st.tuples(
-        st.one_of(st.integers(1, 4), st.floats(min_value=0.25, max_value=4)),
-        st.lists(float_or_zero, min_size=order, max_size=order),
-        st.lists(float_or_zero, min_size=order + 1, max_size=order + 1),
-        st.sampled_from([3, 7, 0.3, F(2, 3), F(-5, 7)]),
-        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=9),
-                 min_size=order + 1, max_size=order + 1),
+        st.integers(2, 4).map(lambda p: F(p, 2) ** 2),
+        st.lists(small_fractions, min_size=order, max_size=order),
+        st.lists(small_fractions, min_size=order + 1, max_size=order + 1),
+        st.sampled_from([3, 0.3, F(2, 3), F(-5, 7)]),
     ))
 
 
-def _rounded(cs):
-    """A float series' coefficients: nonzero values as floats, exact zeros as 0."""
-    if not any(isinstance(c, float) for c in cs):
-        return cs
-    return [float(c) if c or isinstance(c, float) else 0 for c in cs]
-
-
 @settings(max_examples=80, deadline=None)
-@given(float_pairs)
-def test_float_ring_is_bitwise_the_scalar_recurrences(args):
-    a0, tail, b, c, e = args
-    a = [a0] + tail
-    if not any(isinstance(x, float) for x in a):
-        a[-1] = float(a[-1])    # keep A a float series, with an int a0
-    A, B, E = Series(a), Series(b), Series(e)
-    a, b, u = _rounded(a), _rounded(b), _rounded([0] + b[1:])
-    # an exact operand meeting a float series is rounded first
-    ea = [float(x) if x else 0 for x in e]
+@given(fixed_point_args)
+def test_fixed_point_ring_is_the_fraction_oracle_within_its_bound(args):
+    # Each result coefficient is rounded once, by less than one unit 2^-P.
+    # A recurrence passes the errors of earlier coefficients on, weighted by
+    # coefficients of at most 1/2 over a constant term of at least 1, so the
+    # error of order k is below 2^k units: 2^13 at most over 12 orders, and
+    # the bound allows 2^16.
+    a0, tail, b, c = args
+    A, B = Series([a0] + tail)._fixed(BITS), Series(b)._fixed(BITS)
+    U = Series([0] + b[1:])._fixed(BITS)
+    a, b, u = _values(A), _values(B), _values(U)
     results = {
         "+": (A + B, [p + q for p, q in zip(a, b)]),
         "-": (A - B, [p - q for p, q in zip(a, b)]),
-        "scalar *": (c * A, [c * p for p in a]),
+        "scalar *": (c * A, [F(c) * p for p in a]),
         "scalar /": (A / c, [p * _o_inverse(c) for p in a]),
         "*": (A * B, _o_mul(a, b)),
         "/": (B / A, _o_mul(b, _o_reciprocal(a))),
         "reciprocal": (A.reciprocal(), _o_reciprocal(a)),
         "sqrt": (A.sqrt(), _o_sqrt(a)),
-        "asin": (asin(Series(u)), _o_asin(u)),
-        "exact + float": (E + A, [p + q for p, q in zip(ea, a)]),
-        "float * exact": (A * E, _o_mul(a, ea)),
-        "float scalar * exact": (0.3 * E, [0.3 * x for x in e]),
+        "asin": (asin(U), _o_asin(u)),
     }
     for op, (got, ref) in results.items():
-        assert _bits(got.coeffs) == _bits(ref), op
-        assert repr(got), op
-        if any(isinstance(x, float) for x in got.coeffs):
-            assert got._den == 1, op
-            assert all(isinstance(x, float) or x == 0 for x in got._nums), op
+        assert got._bits == BITS, op
+        _assert_within_bound(got, ref)
+        assert got.coeffs == [float(x) for x in _values(got)], op
+    # sums and differences need no rounding
+    assert (A + B).coeffs == [float(p + q) for p, q in zip(a, b)]
+
+
+def test_float_coefficient_enters_binary_exact():
+    a = Series([0.1, 1e-300, 3])
+    assert a._bits is None
+    assert a.coeffs == [F(0.1), F(1e-300), 3]
+    assert (a * 0.1).coeffs == [F(0.1) ** 2, F(1e-300) * F(0.1), 3 * F(0.1)]
+    assert (a / 0.1).coeffs == [1, F(1e-300) / F(0.1), 3 / F(0.1)]
+
+
+def test_exact_series_meeting_a_fixed_point_one_raises():
+    exact = Series([1, F(1, 3)])
+    fixed = exact._fixed(BITS)
+    assert fixed.coeffs == [1.0, 1 / 3]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for lhs, rhs in ((exact, fixed), (fixed, exact)):
+            with pytest.raises(ValueError, match="fixed-point"):
+                op(lhs, rhs)
+    with pytest.raises(ValueError, match="different precision"):
+        fixed + exact._fixed(BITS + 1)
