@@ -85,8 +85,13 @@ def _frequency_parts(s: Scheme, order: int):
     if not has_exact_coefficients(s):
         parts = [p._fixed(4 * (order + 1) + _GUARD_BITS) for p in parts]
     t1, n1, w1 = parts
-    s1 = (t1 * n1 - w1 * w1).sqrt()
-    return t1, n1, w1, s1, series_mod.asin(s1.times_x()).divided_by_x()
+    a = t1 * n1 - w1 * w1
+    s1 = a.sqrt()
+    # u = x s1 squares to x^2 a, a polynomial of the map's degree; s1*s1
+    # would be a full series, its tail round-off in fixed point
+    u = s1.times_x()
+    wa = series_mod._asin(u, a.times_x().times_x().truncated(u.order))
+    return t1, n1, w1, s1, wa.divided_by_x()
 
 
 def omega_a_series(s: Scheme, order: int = 10) -> Series:

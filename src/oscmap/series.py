@@ -41,9 +41,8 @@ def _divide(n, d, bits):
     """n/d as a (numerator, denominator) pair; `bits` is None or the precision P.
 
     Exact: the pair in lowest terms with a positive denominator. Fixed point:
-    (n 2^P/d rounded down, 2^P). The powers of two of d are stripped first,
-    by shifts, so the one division runs on small operands; the result is off
-    by less than one unit.
+    (N, 2^P) with N within one unit of n 2^P/d; the powers of two of d are
+    stripped first, by shifts, so the one division runs on small operands.
     """
     if bits is None:
         g = math.gcd(n, d)
@@ -365,10 +364,18 @@ def asin(u: Series) -> Series:
     runs over the numerators and is divided once by `_divide`, so exact input
     gives exact coefficients and fixed-point input fixed-point ones.
     """
+    return _asin(u, u * u)
+
+
+def _asin(u: Series, uu: Series) -> Series:
+    """asin(u) from uu = u*u, for a caller that has u*u as a shorter series.
+
+    The inner sums of f = 1 - uu skip its zero coefficients, so a uu of low
+    degree makes the first pass O(K) per coefficient.
+    """
     a, d, bits = u._nums, u._den, u._bits
     if a[0]:
         raise ValueError("asin composition needs a zero constant term")
-    uu = u * u
     fd = uu._den
     f = [fd] + [-c for c in uu._nums[1:]]
     w, e = [1], 1
