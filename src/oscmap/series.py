@@ -19,11 +19,12 @@ scalar helpers `_divide`, `_sqrt_scalar` and `_reduced`. `coeffs` reads an
 exact series back as ints and Fractions, and a fixed-point one as correctly
 rounded floats.
 
-No operation costs more than O(K^2) coefficient operations: products,
-reciprocals and square roots by their convolution recurrences, and `asin`
-from the derivative identity d/dx asin(u) = u' (1 - u^2)^(-1/2), which needs
-one product and two more convolution passes, not a composition of the
-Maclaurin series.
+No operation costs more than O(K^2) coefficient operations: products by
+convolution; reciprocals, square roots and the inverse square root inside
+`asin` by one power recurrence (`_power`), which costs O(K m) for an input
+of degree m; and `asin` from the derivative identity d/dx asin(u) =
+u' (1 - u^2)^(-1/2), which needs one product, that power recurrence and one
+more convolution, not a composition of the Maclaurin series.
 
 The variable is the dimensionless product x = (timestep) * (angular
 frequency); all frequency expansions in this package are series in x.
@@ -108,6 +109,32 @@ def _append(nums: list, den, num, q):
         num *= den // q
     nums.append(num)
     return den
+
+
+def _power(a: list, c: int, b0, e, bits) -> tuple[list, object]:
+    """Numerators and shared denominator of a^(c/2 - 1) from b_0 = b0/e.
+
+    b = a^(c/2 - 1) satisfies a b' = (c/2 - 1) a' b, whose x^(n-1)
+    coefficient is the recurrence 2n a_0 b_n = sum_{k=1..n} (c k - 2n) a_k
+    b_(n-k): the reciprocal for c = 0, the inverse square root for c = 1 and
+    the square root for c = 3. With a_k = A_k/D and b_j = B_j/E for j < n,
+    b_n is S/(2n A_0 E), S the integer sum of (c k - 2n) A_k B_(n-k). The
+    sum runs over the nonzero a_k only, so an a of degree m costs O(m)
+    products per coefficient, and zero products are skipped, which keeps
+    structural zeros exact.
+    """
+    nonzero = [k for k in range(1, len(a)) if a[k]]
+    b = [b0]
+    for n in range(1, len(a)):
+        s = 0
+        for k in nonzero:
+            if k > n:
+                break
+            if b[n - k]:
+                s += (c * k - 2 * n) * a[k] * b[n - k]
+        num, q = _divide(s, 2 * n * a[0] * e, bits)
+        e = _append(b, e, num, q)
+    return b, e
 
 
 def _reduced(nums: list, den, bits) -> "Series":
@@ -265,50 +292,18 @@ class Series:
         return self * (1 / Fraction(other))
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse in the truncated ring; needs a_0 != 0.
-
-        With a_k = A_k/D and b_j = B_j/E for j < n, the recurrence
-        b_n = -(1/a_0) sum_{k=1..n} a_k b_(n-k) is -S/(A_0 E), S the integer
-        sum of A_k B_(n-k).
-        """
+        """Multiplicative inverse in the truncated ring; needs a_0 != 0."""
         a, d, bits = self._nums, self._den, self._bits
         if not a[0]:
             raise ValueError("series with zero constant term has no reciprocal")
-        b0, e = _divide(d, a[0], bits)
-        b = [b0]
-        for n in range(1, len(a)):
-            s = 0
-            for k in range(1, n + 1):
-                if a[k] and b[n - k]:
-                    s += a[k] * b[n - k]
-            num, q = _divide(s, a[0] * e, bits)
-            e = _append(b, e, -num, q)
-        return Series._of(b, e, bits)
+        return Series._of(*_power(a, 0, *_divide(d, a[0], bits), bits), bits)
 
     def sqrt(self) -> "Series":
-        """Principal square root: b with b*b = self up to truncation, b_0 > 0.
-
-        With a_n = A_n/D, b_0 = P/Q and b_j = B_j/E for j < n, the recurrence
-        b_n = (a_n - sum_{k=1..n-1} b_k b_(n-k))/(2 b_0) is
-        (A_n E^2 - S D) r/(E^2 t), S the integer sum of B_k B_(n-k) and r/t
-        the constant Q/(2 P D) in lowest terms, which keeps the operands small.
-        """
+        """Principal square root: b with b*b = self up to truncation, b_0 > 0."""
         a, d, bits = self._nums, self._den, self._bits
         if a[0] <= 0:
             raise ValueError("series square root needs a positive constant term")
-        p, q = _sqrt_scalar(a[0], d, bits)
-        g = math.gcd(q, 2 * p * d)
-        r, t = q // g, 2 * p * d // g
-        b, e = [p], q
-        for n in range(1, len(a)):
-            s = 0
-            for k in range(1, n):
-                if b[k] and b[n - k]:
-                    s += b[k] * b[n - k]
-            ee = e * e
-            num, den = _divide((a[n] * ee - s * d) * r, ee * t, bits)
-            e = _append(b, e, num, den)
-        return Series._of(b, e, bits)
+        return Series._of(*_power(a, 3, *_sqrt_scalar(a[0], d, bits), bits), bits)
 
     # -- order-changing helpers ----------------------------------------
 
@@ -359,10 +354,11 @@ def asin(u: Series) -> Series:
     Built from the derivative identity d/dx asin(u) = u' * (1 - u^2)^(-1/2)
     in three O(K^2) passes: f = 1 - u*u (the only ring multiplication),
     w = f^(-1/2) from the power recurrence
-    2n w_n = sum_{k=1..n} (k - 2n) f_k w_(n-k) with w_0 = 1, and the
-    integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0. Each sum
-    runs over the numerators and is divided once by `_divide`, so exact input
-    gives exact coefficients and fixed-point input fixed-point ones.
+    2n w_n = sum_{k=1..n} (k - 2n) f_k w_(n-k) with w_0 = 1 (`_power`), and
+    the integral y_n = (1/n) sum_{k=1..n} k u_k w_(n-k) with y_0 = 0, one
+    convolution. Each sum runs over the numerators and is divided once by
+    `_divide`, so exact input gives exact coefficients and fixed-point input
+    fixed-point ones.
     """
     return _asin(u, u * u)
 
@@ -370,30 +366,17 @@ def asin(u: Series) -> Series:
 def _asin(u: Series, uu: Series) -> Series:
     """asin(u) from uu = u*u, for a caller that has u*u as a shorter series.
 
-    The inner sums of f = 1 - uu skip its zero coefficients, so a uu of low
-    degree makes the first pass O(K) per coefficient.
+    The power recurrence skips the zero coefficients of f = 1 - uu, so a uu
+    of degree m makes the pass for w O(K m).
     """
     a, d, bits = u._nums, u._den, u._bits
     if a[0]:
         raise ValueError("asin composition needs a zero constant term")
-    fd = uu._den
-    f = [fd] + [-c for c in uu._nums[1:]]
-    w, e = [1], 1
-    for n in range(1, len(f)):
-        s = 0
-        for k in range(1, n + 1):
-            # skipping exact-zero factors keeps structural zeros exact
-            if f[k] and w[n - k]:
-                s += (k - 2 * n) * f[k] * w[n - k]
-        num, q = _divide(s, 2 * n * fd * e, bits)
-        e = _append(w, e, num, q)
-    ku = [k * c for k, c in enumerate(a)]
+    f = [uu._den] + [-c for c in uu._nums[1:]]
+    w, e = _power(f, 1, 1, 1, bits)
     y, ey = [0], 1
-    for n in range(1, len(ku)):
-        s = 0
-        for k in range(1, n + 1):
-            if ku[k] and w[n - k]:
-                s += ku[k] * w[n - k]
+    ku = [k * c for k, c in enumerate(a)]
+    for n, s in enumerate(_convolve(ku, w, len(ku))[1:], 1):
         num, q = _divide(s, n * d * e, bits)
         ey = _append(y, ey, num, q)
     return _reduced(y, ey, bits)
