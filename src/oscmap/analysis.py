@@ -7,13 +7,14 @@ scheme, reversible or not. The modified-frequency expansion
     omega_a / omega = asin(sqrt(nu*tau - w^2)) / x,    x = eps * omega,
 
 is computed here entirely inside the truncated series ring: exactly for a
-scheme with int and Fraction coefficients, and for a scheme with a float
-coefficient on fixed-point integers rounded once from its exact map, read as
-correctly rounded floats. The leading coefficient beyond 1 is the
-order coefficient c_n, the per-period phase error being 2*pi*c_n*x^n to
-leading order. The tilt amplitude w/sin(theta) of the invariant ellipse is
-a series too: identically zero for a palindromic scheme, where g = h, and
-starting at x^1 for a first-order one.
+scheme with int and Fraction coefficients whose drift and kick sums multiply
+to a rational square, and for any other scheme on fixed-point integers
+rounded once from its exact map, read as correctly rounded floats. The
+leading coefficient beyond 1 is the order coefficient c_n, the per-period
+phase error being 2*pi*c_n*x^n to leading order. The tilt amplitude
+w/sin(theta) of the invariant ellipse is a series too: identically zero for
+a palindromic scheme, where g = h, and starting at x^1 for a first-order
+one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from . import series as series_mod
 from .phasemap import Regime, _polynomials, scheme_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme, get_scheme, has_exact_coefficients
-from .series import Series, _convolve
+from .series import Series
 
 __all__ = [
     "AnalysisError", "PhaseErrorReport", "StabilityLimit", "ConvergenceRow",
@@ -36,10 +37,10 @@ __all__ = [
 
 RICHARDSON_RTOL = 1e-6
 
-#: A float scheme's series coefficient at or below this in magnitude is a
-#: round-off term, not a leading term: its coefficients miss the order
-#: conditions by round-off, so the exact series of the map as stored has real
-#: terms of that size (BM's x^2 term is 3.6e-18).
+#: A fixed-point series coefficient at or below this in magnitude is a
+#: round-off term, not a leading term: a float scheme's coefficients miss the
+#: order conditions by round-off, so the exact series of the map as stored has
+#: real terms of that size (BM's x^2 term is 3.6e-18).
 _PARITY_TOL = 1e-14
 
 #: Largest point of the Richardson check; each further point halves it.
@@ -50,7 +51,7 @@ _ACOS_BITS = 256
 
 _STABILITY_BRACKET = 10.0
 
-#: Guard bits of a float scheme's fixed-point frequency series.
+#: Guard bits of a fixed-point frequency series.
 _GUARD_BITS = 144
 
 
@@ -77,14 +78,21 @@ def _frequency_parts(s: Scheme, order: int):
     (BM's x^120 coefficient is 3.5e-65, near 2^-214), so 4 bits per order
     leave 2 per order and the 144 guard bits for a float's 53 and the error
     growth of the recurrences: with 64 more bits, no coefficient of the
-    registry, Y6 or Y8 rounds to another float.
+    registry, Y6 or Y8 rounds to another float. An int and Fraction scheme
+    runs exact unless the constant term of a = (tau/x)(nu/x) - (w/x)^2, the
+    product of its drift and kick sums, has no rational square root, as
+    when a sum passes the consistency check without being exactly 1; the
+    exact square root then has no exact value, and the scheme runs in fixed
+    point too.
     """
     g, tau_x, nu_x, h = _polynomials(s, True)
     parts = [p._resized(order + 1)
              for p in (tau_x, nu_x, ((g - h) / 2).divided_by_x())]
-    if not has_exact_coefficients(s):
-        parts = [p._fixed(4 * (order + 1) + _GUARD_BITS) for p in parts]
     t1, n1, w1 = parts
+    a0 = t1(0) * n1(0) - w1(0) ** 2
+    if not (has_exact_coefficients(s)
+            and all(math.isqrt(v) ** 2 == v for v in a0.as_integer_ratio())):
+        t1, n1, w1 = (p._fixed(4 * (order + 1) + _GUARD_BITS) for p in parts)
     a = t1 * n1 - w1 * w1
     s1 = a.sqrt()
     # u = x s1 squares to x^2 a, a polynomial of the map's degree; s1*s1
@@ -231,10 +239,10 @@ def _lead_order(s: Scheme) -> int:
 def _leading_term(s: Scheme, wa: Series):
     """(n, c_n) of order_coefficient, read from the omega_a series wa.
 
-    For a float scheme a term within _PARITY_TOL of 0 does not lead.
+    In a fixed-point series a term within _PARITY_TOL of 0 does not lead.
     """
     coeffs = wa.coeffs
-    tol = 0 if has_exact_coefficients(s) else _PARITY_TOL
+    tol = 0 if wa._bits is None else _PARITY_TOL
     n = next((k for k in range(1, wa.order + 1) if abs(coeffs[k]) > tol), None)
     if n is None:
         raise AnalysisError(
@@ -284,38 +292,32 @@ def _normalized(s: Scheme, lead) -> float:
 # ------------------------------------------------------------ stability
 
 def stability_limit(s: Scheme) -> StabilityLimit:
-    """First x in (0, 10] past which |Tr M(x)/2| exceeds 1, from the exact roots.
+    """First x in (0, 10] past which |Tr M(x)/2| exceeds 1, from the exact map.
 
     With T = Tr M/2 and y = x^2, a stable window ends where T^2 - 1 =
     (T - 1)(T + 1) changes sign, at a root of odd multiplicity. At a root of
     even multiplicity T only touches +-1 and the map stays stable on both
-    sides; an n-fold repeat of a scheme has n - 1 such touch points. The two
-    factors differ by 2, so each edge is an odd-multiplicity root of exactly
-    one of them. A Sturm chain of the odd-multiplicity part of each factor
-    counts its edges exactly, so none is missed however narrow the window.
-    The first edge in (0, 100] is bisected on the sum of the two counts down
-    to adjacent floats; x_max = sqrt of the upper one, which is the edge
-    itself when it is a float (y = 4 for SV, so x_max = 2.0). Returns (10.0,
-    False) when neither factor changes sign in (0, 100].
+    sides; an n-fold repeat of a scheme has n - 1 such touch points.
+    `_first_sign_change` bisects y in (0, 100] at float midpoints, left half
+    first, down to adjacent floats. The edge is the first such pair (lo, hi]
+    where the sign of the two factors' product just right of hi differs
+    from its sign just right of 0, and x_max = sqrt(hi), which is the edge
+    itself when it is a float (y = 4 for SV, so x_max = 2.0). A touch point
+    changes no sign and is stepped over. A piece is skipped when an exact
+    Taylor bound about its midpoint shows that neither factor has a root on
+    it; that midpoint is taken in integers, because a float lo + hi can
+    round, and a bound about a point off the midpoint can clear a piece with
+    a root at its end. An unstable excursion narrower than the float
+    spacing at y, two odd-multiplicity roots between adjacent floats,
+    contains no float: the sign at every float is the same, so it is not an
+    edge, where the count-based bisection of Sturm chains reported one.
+    Returns (10.0, False) when the sign does not change in (0, 100].
     """
-    chains = [_sturm_chain(p) for p in _stability_factors(s)]
-    # repeated roots: keep the odd-multiplicity ones
-    chains = [_sturm_chain(_odd_part(c[0])) if len(c[-1]) > 1 else c
-              for c in chains]
-    lo, hi = 0.0, _STABILITY_BRACKET ** 2
-    v_lo, v_hi = (sum(_variations(c, y) for c in chains) for y in (lo, hi))
-    if v_lo == v_hi:
+    hi = _first_sign_change(_stability_factors(s), 0.0,
+                            _STABILITY_BRACKET ** 2)
+    if hi is None:
         return StabilityLimit(_STABILITY_BRACKET, False)
-    # no edge in (0, lo], at least one in (lo, hi]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return StabilityLimit(math.sqrt(hi), True)
-        v_mid = sum(_variations(c, mid) for c in chains)
-        if v_mid < v_lo:
-            hi = mid
-        else:
-            lo, v_lo = mid, v_mid
+    return StabilityLimit(math.sqrt(hi), True)
 
 
 # Integer polynomials below are coefficient lists, lowest power first, with
@@ -340,90 +342,79 @@ def _stability_factors(s: Scheme) -> tuple[list[int], list[int]]:
     return _primitive(n[1:]), _primitive([2 * n[0], *n[1:]])
 
 
-def _trim(p: list[int]) -> list[int]:
+def _primitive(p: list[int]) -> list[int]:
+    """p without trailing zeros, divided by the positive gcd of its terms."""
+    p = list(p)
     while p and not p[-1]:
         p.pop()
-    return p
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """p divided by the positive gcd of its coefficients."""
-    p = _trim(list(p))
     content = math.gcd(*p)
     return [c // content for c in p] if content > 1 else p
 
 
-def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with lc(b)^(deg a - deg b + 1) * a = q*b + r and deg r < deg b."""
-    lead, db = b[-1], len(b) - 1
-    q, r = [0] * (len(a) - db), list(a)
-    for k in range(len(q) - 1, -1, -1):
-        top = r.pop()
-        q = [lead * c for c in q]
-        q[k] += top
-        r = [lead * c for c in r]
-        for i in range(db):
-            r[k + i] -= top * b[i]
-    return q, _trim(r)
+def _first_sign_change(factors: list[list[int]], lo: float, hi: float
+                       ) -> float | None:
+    """First float b in (lo, hi] where the factors' product changes sign.
 
-
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p', then each term a positive multiple of -rem(two before, one before).
-
-    The last term is gcd(p, p') up to a constant factor.
+    (lo, hi] is bisected at the float midpoints 0.5*(lo + hi), left half
+    first, down to pairs of adjacent floats (a, b]. A piece that
+    `_root_free` clears for every factor is skipped. At each pair reached,
+    the sign of the product just right of b, read from each factor's first
+    nonzero Taylor coefficient at b, is compared with its sign just right of
+    lo; the first b where they differ is returned, and None if there is
+    none. Every float in (lo, hi] ends one pair and the float grid is
+    finite, so the bisection ends, and the factors need not be square-free.
+    b is the smallest odd-multiplicity root r of the product in (lo, hi]
+    when r is a float, else the next float above r, unless a second such
+    root lies between r and that float.
     """
-    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        _, r = _pseudo_divmod(a, b)
-        if not r:
-            break
-        # the pseudo-remainder is lc(b)^(deg a - deg b + 1) times rem(a, b)
-        flip = b[-1] > 0 or (len(a) - len(b)) % 2 == 1
-        chain.append(_primitive([-c if flip else c for c in r]))
-    return chain
+    def sign_after(y: float) -> int:
+        n, d = y.as_integer_ratio()
+        return sum(next(c for c in _taylor(q, n, d.bit_length() - 1) if c) < 0
+                   for q in factors) % 2
+
+    start = sign_after(lo)
+    pieces = [(lo, hi)]
+    while pieces:
+        lo, hi = pieces.pop()
+        mid = 0.5 * (lo + hi)
+        if lo < mid < hi:
+            if not all(_root_free(q, lo, hi) for q in factors):
+                pieces += [(mid, hi), (lo, mid)]
+        elif sign_after(hi) != start:
+            return hi
+    return None
 
 
-def _odd_part(p: list[int]) -> list[int]:
-    """Product of the factors of p whose roots have odd multiplicity, each once.
+def _root_free(q: list[int], lo: float, hi: float) -> bool:
+    """True when an exact Taylor bound shows q has no root in [lo, hi].
 
-    With g_0 = p and g_j = gcd(g_(j-1), g_(j-1)'), s_j = g_(j-1)/g_j has each
-    root of multiplicity >= j once, so s_j/s_(j+1) has those of multiplicity
-    exactly j; their product over odd j is the result.
+    About the midpoint m, with half-width r, q(m + t) = sum q_k t^k has no
+    root for |t| <= r when |q_0| > sum_(k>=1) |q_k| r^k. m is taken exactly,
+    in integers: a float lo + hi can round, and a bound about a point that
+    is not the midpoint can miss a root at an end of the piece.
     """
-    parts = []
-    while len(p) > 1:
-        g = _sturm_chain(p)[-1]
-        parts.append(_exact_div(p, g))
-        p = g
-    parts.append([1])
-    odd = [1]
-    for a, b in zip(parts[::2], parts[1::2]):
-        q = _exact_div(a, b)
-        odd = _convolve(odd, q, len(odd) + len(q) - 1)
-    return odd
+    (a, d), (b, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    den = max(d, e)  # d and e are powers of two
+    a, b = a * (den // d), b * (den // e)
+    # m = (a + b)/(2 den) and r = (b - a)/(2 den), with 2 den = 2^bit_length
+    c0, *rest = _taylor(q, a + b, den.bit_length())
+    bound = 0
+    for c in reversed(rest):
+        bound = (bound + abs(c)) * (b - a)
+    return abs(c0) > bound
 
 
-def _exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a/b, for b dividing a."""
-    return _primitive(_pseudo_divmod(a, b)[0])
+def _taylor(q: list[int], n: int, bits: int) -> list[int]:
+    """Coefficients in t of d^deg q((n + t)/d), d = 2^bits.
 
-
-def _sign_at(p: list[int], y: float) -> int:
-    """Exact sign of p(y) at a float y."""
-    n, d = y.as_integer_ratio()
-    acc, scale = 0, 1
-    # Horner on the numerator of p(n/d) * d^deg, all in integers
-    for c in reversed(p):
-        acc = acc * n + c * scale
-        scale *= d
-    return (acc > 0) - (acc < 0)
-
-
-def _variations(chain: list[list[int]], y: float) -> int:
-    """Sign changes along the chain at y, zeros skipped (Sturm's V(y))."""
-    signs = [v for v in (_sign_at(p, y) for p in chain) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    They are q's Taylor coefficients at n/d, q^(k)(n/d)/k!, times d^(deg - k).
+    """
+    deg = len(q) - 1
+    p = [c << bits * (deg - k) for k, c in enumerate(q)]
+    for i in range(deg):
+        for k in range(deg - 1, i - 1, -1):
+            p[k] += n * p[k + 1]
+    return p
 
 
 # ----------------------------------------------------------- convergence
@@ -448,8 +439,8 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
     Rows k = 0..order hold the partial sum through x^k and, when the map is
     elliptic at this x, the absolute error against the arccos closed form.
     The radius estimate is a plain ratio test over the last four nonzero
-    coefficients (diagnostic only), where a float scheme's coefficients
-    within _PARITY_TOL of 0 count as zero.
+    coefficients (diagnostic only), where a fixed-point series'
+    coefficients within _PARITY_TOL of 0 count as zero.
     """
     wa = omega_a_series(s, order)
     data = spectral(scheme_matrix(s, float(x), 1.0))
@@ -465,7 +456,7 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
         power *= x
         err = abs(acc - closed) if closed is not None else None
         rows.append(ConvergenceRow(k, acc, err))
-    tol = 0 if has_exact_coefficients(s) else _PARITY_TOL
+    tol = 0 if wa._bits is None else _PARITY_TOL
     nonzero = [(k, abs(c)) for k, c in enumerate(coeffs) if k >= 1 and abs(c) > tol]
     radius = None
     if len(nonzero) >= 2:

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from oscmap import analysis, phasemap
 from oscmap.analysis import (
-    AnalysisError, _odd_part, _sturm_chain, _variations,
-    analyze, convergence_study, effective_param_series, omega_a_series,
-    order_coefficient, stability_limit,
+    AnalysisError, analyze, convergence_study, effective_param_series,
+    omega_a_series, order_coefficient, stability_limit,
 )
 from oscmap.phasemap import Regime, scheme_matrix, spectral, sweep
 from oscmap.schemes import (
@@ -66,6 +65,27 @@ def test_symmetric_series_have_no_odd_terms():
             (c == 0 if not isinstance(c, float) else abs(c) <= 1e-14)
             for c in wa.coeffs[1::2]
         )
+
+
+def test_nearly_consistent_fraction_scheme_runs_in_fixed_point():
+    # the drift sum 1 - 2^-60 passes the consistency check; the constant
+    # term of sin(theta)^2/x^2 is that sum, which has no rational square root
+    s = Scheme("SV near", [Step(KICK, F(1, 2)), Step(DRIFT, 1 - F(1, 2**60)),
+                           Step(KICK, F(1, 2))], 2, 1)
+    rep = analyze(s)
+    assert (rep.n, rep.c_n) == (2, 0.041666666666666664)
+    assert rep.stability == (2.0, True)
+    assert omega_a_series(s, 10) == rep.omega_a
+
+
+def test_fraction_steps_of_a_float_scheme_give_its_report():
+    # BM's binary-exact Fractions build BM's exact map, whose drift and kick
+    # sums multiply to no rational square, so the series run in fixed point
+    bm = get_scheme("BM")
+    exact = bm._replace(steps=[Step(st.kind, F(st.c)) for st in bm.steps])
+    assert has_exact_coefficients(exact)
+    assert analyze(exact) == analyze(bm)
+    assert convergence_study(exact, 2.5, 40) == convergence_study(bm, 2.5, 40)
 
 
 # ------------------------------------------------------- effective parameters
@@ -244,7 +264,8 @@ def test_eighth_order_triple_jump_passes_the_richardson_check():
 
 
 def test_analyze_eighth_order_triple_jump():
-    # x_max as the Sturm chain of (T^2 - 1)/x^2 gave it too
+    # x_max as the Sturm chain of (T^2 - 1)/x^2 and the Sturm bisection of its
+    # two factors gave it too
     rep = analyze(Y8)
     assert (rep.n, rep.c_n) == (8, -0.02041862446988717)
     assert rep.stability.bounded
@@ -443,29 +464,65 @@ def _times(p, q):
     return out
 
 
+def _with_roots(roots, lead=1):
+    """lead times the product of (d y - n) over the roots n/d."""
+    p = [lead]
+    for r in roots:
+        n, d = r.as_integer_ratio()
+        p = _times(p, [-n, d])
+    return p
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
        st.lists(st.integers(1, 4), max_size=2), st.sampled_from([-3, -1, 1, 2]))
-# the chain's sign rule matters here: each one miscounts if the remainder is
-# always negated, negated by lc(b) alone or by deg a - deg b alone
 @example([1, 3], [3], -1)
 @example([1, 3], [3], 1)
 @example([-5], [1, 2], -1)
 # a triple root beside a double one
 @example([2, 2, 2, 1, 1, 3], [], 1)
-def test_sturm_count_of_odd_part_is_odd_multiplicity_roots(roots, quads,
-                                                           lead):
+def test_first_sign_change_is_the_first_odd_multiplicity_root(roots, quads,
+                                                              lead):
     # integer roots, repeated at will, times factors y^2 + k with no real root
-    p = [lead]
-    for r in roots:
-        p = _times(p, [-r, 1])
+    p = _with_roots(roots, lead)
     for k in quads:
         p = _times(p, [k, 0, 1])
-    chain = _sturm_chain(_odd_part(p))
     odd = {r for r in roots if roots.count(r) % 2}
     for lo, hi in ((0.0, 100.0), (-5.5, 2.0), (1.0, 3.5)):
-        assert (_variations(chain, lo) - _variations(chain, hi)
-                == len({r for r in odd if lo < r <= hi}))
+        inside = [r for r in odd if lo < r <= hi]
+        assert (analysis._first_sign_change([p], lo, hi)
+                == (min(inside) if inside else None))
+
+
+@pytest.mark.parametrize("roots, lo, first", [
+    # an even root at a float, an odd one at the next float
+    ((1.0, 1.0, 1.0000000000000002), 0.5, 1.0000000000000002),
+    # an odd root exactly at lo is not in (lo, hi]
+    ((0.75, 1.5), 0.75, 1.5),
+    ((0.75, 1.5), 0.5, 0.75),
+    # two odd roots between the adjacent floats 1 and 1 + 2^-52: no float
+    # lies between them, so the sign is the same at every float
+    ((1 + F(1, 2**54), 1 + F(1, 2**53)), 0.5, None),
+])
+def test_first_sign_change_on_the_float_grid(roots, lo, first):
+    assert analysis._first_sign_change([_with_roots(roots)], lo, 2.0) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-100, 100), st.integers(1, 3),
+       st.lists(st.floats(-100, 100), max_size=3),
+       st.one_of(st.just(0.0), st.floats(0, 10)),
+       st.one_of(st.just(0.0), st.floats(0, 10)))
+# an even root at hi, an odd one at the next float
+@example(1.0, 2, [1.0000000000000002], 0.5, 0.0)
+# an even root at lo, an odd one at hi
+@example(1.0, 2, [1.0000000000000002], 0.0, 2.0 ** -52)
+# an odd root exactly at lo
+@example(0.75, 1, [], 0.0, 1.25)
+def test_root_free_never_clears_a_root(root, multiplicity, others, below,
+                                       above):
+    p = _with_roots([root] * multiplicity + others)
+    assert not analysis._root_free(p, root - below, root + above)
 
 
 def _shear_half_trace(s, xs):
@@ -528,6 +585,14 @@ def test_stability_limit_steps_over_touch_points(n, exact, tmp_path):
     xs = np.arange(1, 10001) * 1e-3
     k = int(np.argmax(_shear_half_trace(s, xs) >= 1.0 + 1e-12))
     assert xs[k - 1] <= lim.x_max <= xs[k]
+
+@pytest.mark.parametrize("n, bounded", [(5, True), (6, False)])
+def test_stability_limit_at_the_end_of_the_bracket(n, bounded):
+    # SV5's edge is x = 10, y = 100 itself; SV6 touches T = +-1 at x = 12
+    # sin(k pi/12) for k = 1, 2, 3 in the bracket, and its edge, x = 12, is
+    # past it
+    assert stability_limit(_repeated_sv(n)) == (10.0, bounded)
+
 
 def _stability_polynomial_by_fractions(s):
     """(T^2 - 1)/x^2 by Fractions: 2T's even coefficients over their lcm L."""
