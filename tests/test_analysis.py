@@ -78,16 +78,6 @@ def test_nearly_consistent_fraction_scheme_runs_in_fixed_point():
     assert omega_a_series(s, 10) == rep.omega_a
 
 
-def test_fraction_steps_of_a_float_scheme_give_its_report():
-    # BM's binary-exact Fractions build BM's exact map, whose drift and kick
-    # sums multiply to no rational square, so the series run in fixed point
-    bm = get_scheme("BM")
-    exact = bm._replace(steps=[Step(st.kind, F(st.c)) for st in bm.steps])
-    assert has_exact_coefficients(exact)
-    assert analyze(exact) == analyze(bm)
-    assert convergence_study(exact, 2.5, 40) == convergence_study(bm, 2.5, 40)
-
-
 # ------------------------------------------------------- effective parameters
 
 def test_sv_effective_parameters_exact():
@@ -127,6 +117,17 @@ def test_float_frequency_series_at_round_off_floor(name):
     got = omega_a_series(s, 60)
     for a, b in zip(got.coeffs, exact.coeffs):
         assert abs(a - float(b)) <= 1e-16
+
+
+def test_binary_exact_bm_gives_the_report_of_bm():
+    # unlike FR's and M's, BM's drift and kick sums miss 1 in binary, and
+    # their product has no rational square root: its Fractions run in fixed
+    # point too
+    bm = get_scheme("BM")
+    exact = _binary_exact(bm)
+    assert has_exact_coefficients(exact)
+    assert analyze(exact) == analyze(bm)
+    assert convergence_study(exact, 2.5, 40) == convergence_study(bm, 2.5, 40)
 
 
 @pytest.mark.parametrize("name", ["SV", "FR", "C", "M", "BM"])
@@ -585,6 +586,7 @@ def test_stability_limit_steps_over_touch_points(n, exact, tmp_path):
     xs = np.arange(1, 10001) * 1e-3
     k = int(np.argmax(_shear_half_trace(s, xs) >= 1.0 + 1e-12))
     assert xs[k - 1] <= lim.x_max <= xs[k]
+
 
 @pytest.mark.parametrize("n, bounded", [(5, True), (6, False)])
 def test_stability_limit_at_the_end_of_the_bracket(n, bounded):
