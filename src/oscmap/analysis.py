@@ -365,13 +365,17 @@ def _first_sign_change(factors: list[list[int]], lo: float, hi: float
     finite, so the bisection ends, and the factors need not be square-free.
     b is the smallest odd-multiplicity root r of the product in (lo, hi]
     when r is a float, else the next float above r, unless a second such
-    root lies between r and that float.
+    root lies between r and that float. A root at lo is divided out first,
+    which changes no sign on (lo, hi], where y - lo > 0: the pieces are
+    half-open but `_root_free` tests them closed, so a root at lo would keep
+    every left-most piece from being cleared, down to the float grid.
     """
     def sign_after(y: float) -> int:
         n, d = y.as_integer_ratio()
         return sum(next(c for c in _taylor(q, n, d.bit_length() - 1) if c) < 0
                    for q in factors) % 2
 
+    factors = [_without_root(q, lo) for q in factors]
     start = sign_after(lo)
     pieces = [(lo, hi)]
     while pieces:
@@ -383,6 +387,23 @@ def _first_sign_change(factors: list[list[int]], lo: float, hi: float
         elif sign_after(hi) != start:
             return hi
     return None
+
+
+def _without_root(q: list[int], y: float) -> list[int]:
+    """q(t)/(d t - n)^k, where y = n/d in lowest terms and k is the
+    multiplicity of y as a root of q.
+
+    By Gauss's lemma each quotient has integer coefficients; synthetic
+    division finds them from the top coefficient down.
+    """
+    n, d = y.as_integer_ratio()
+    while len(q) > 1 and not _taylor(q, n, d.bit_length() - 1)[0]:
+        quotient, carry = [], 0
+        for c in reversed(q[1:]):
+            carry = (c + n * carry) // d
+            quotient.append(carry)
+        q = quotient[::-1]
+    return q
 
 
 def _root_free(q: list[int], lo: float, hi: float) -> bool:

@@ -14,14 +14,22 @@ applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
 double quotes with its quotes doubled, so the bytes do not depend on the
 Python version. A command imports only the modules it runs: `analysis`,
 `sim` and `json` load inside the commands and the writer that need them.
+
+The command line is `oscmap COMMAND [SCHEME] [options]`, read from one table,
+`_COMMANDS`, that also prints the help (`-h` or `--help`). A flag takes its
+value as `--flag value` or `--flag=value`, and the token after a flag is
+always its value, so `--x -1e-3` and `--p0 -inf` need no `=`. Flags are
+spelled out in full (`--form` is not `--format`), and a repeated flag keeps
+its last value. The first bare token is the scheme. Any error on the command
+line, as in a value, prints one `oscmap: error:` line and exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from collections.abc import Iterable, Sequence
+from types import SimpleNamespace
 
 from .phasemap import (
     SWEEP_QUANTITIES, Regime, _angle, propagate_closed_form, scheme_matrix,
@@ -170,9 +178,12 @@ def _emit(args, header: list[str], rows: Iterable[Sequence], doc=None) -> None:
 
 
 def _resolve_scheme(args):
-    if getattr(args, "file", None):
+    if args.file and args.scheme:
+        raise SchemeError("give a registry scheme name or --file "
+                          "<scheme.json>, not both")
+    if args.file:
         return load_scheme(args.file)
-    if getattr(args, "scheme", None):
+    if args.scheme:
         return get_scheme(args.scheme)
     raise SchemeError("give a registry scheme name or --file <scheme.json>")
 
@@ -185,6 +196,7 @@ def _check_x(args) -> None:
 # ------------------------------------------------------------------ schemes
 
 def cmd_schemes(args) -> int:
+    """List the scheme registry."""
     rows = []
     for name in registry_names():
         try:
@@ -207,6 +219,7 @@ def _check_order(args) -> None:
 
 
 def cmd_analyze(args) -> int:
+    """Phase-error report: c_n, c*, stability limit, series to order -K."""
     from . import analysis
     _check_order(args)
     s = _resolve_scheme(args)
@@ -244,6 +257,7 @@ def _sweep_grid(lo: float, hi: float, n: int) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    """Tabulate a quantity over x = eps*omega from --min to --max."""
     if not 0.0 < args.min < args.max < math.inf:
         raise SchemeError("sweep needs finite --min and --max with "
                           "0 < --min < --max")
@@ -259,6 +273,7 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
+    """Iterate a trajectory at x = eps (omega = 1) against the closed form."""
     from . import sim
     _check_x(args)
     for flag, value in (("--q0", args.q0), ("--p0", args.p0)):
@@ -300,6 +315,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- stability
 
 def cmd_stability(args) -> int:
+    """Largest stable x = eps*omega."""
     from . import analysis
     s = _resolve_scheme(args)
     lim = analysis.stability_limit(s)
@@ -312,6 +328,7 @@ def cmd_stability(args) -> int:
 # -------------------------------------------------------------- convergence
 
 def cmd_convergence(args) -> int:
+    """Partial sums of the frequency series against the closed form."""
     from . import analysis
     _check_x(args)
     _check_order(args)
@@ -330,103 +347,97 @@ def cmd_convergence(args) -> int:
 
 # --------------------------------------------------------------------- main
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oscmap",
-        description="Exact phase-space analysis of splitting integrators "
-                    "on the harmonic oscillator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: An option is flag -> (attribute, type or tuple of choices, default),
+#: where the default _REQUIRED makes it mandatory.
+_REQUIRED = ...
+_OUTPUT = {"--format": ("format", ("csv", "json"), "csv"),
+           "-o": ("output", str, None), "--output": ("output", str, None)}
+_SCHEME = {"--file": ("file", str, None), **_OUTPUT}
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    common.add_argument("-o", "--output", metavar="PATH",
-                        help="write output to PATH instead of stdout")
+#: command -> (function, takes a scheme, options).
+_COMMANDS = {
+    "schemes": (cmd_schemes, False, _OUTPUT),
+    "analyze": (cmd_analyze, True, {"-K": ("order", int, 10), **_SCHEME}),
+    "sweep": (cmd_sweep, True, {
+        "--min": ("min", float, _REQUIRED), "--max": ("max", float, _REQUIRED),
+        "--points": ("points", int, 100),
+        "--quantity": ("quantity", SWEEP_QUANTITIES, "omega_a"), **_SCHEME}),
+    "simulate": (cmd_simulate, True, {
+        "--q0": ("q0", float, 1.0), "--p0": ("p0", float, 0.0),
+        "--x": ("x", float, _REQUIRED), "--steps": ("steps", int, _REQUIRED),
+        "--stride": ("stride", int, 1), **_SCHEME}),
+    "stability": (cmd_stability, True, _SCHEME),
+    "convergence": (cmd_convergence, True, {
+        "--x": ("x", float, _REQUIRED), "-K": ("order", int, 20), **_SCHEME}),
+}
 
-    withscheme = argparse.ArgumentParser(add_help=False)
-    withscheme.add_argument("scheme", nargs="?",
-                            help="registry scheme name (see 'oscmap schemes')")
-    withscheme.add_argument("--file", metavar="PATH",
-                            help="load the scheme from a JSON coefficient file")
-
-    p = sub.add_parser("schemes", parents=[common],
-                       help="list the scheme registry")
-    p.set_defaults(func=cmd_schemes)
-
-    p = sub.add_parser("analyze", parents=[common, withscheme],
-                       help="phase-error report: order coefficient, cost-"
-                            "normalized coefficient, stability, series")
-    p.add_argument("-K", dest="order", type=int, default=10,
-                   help="series truncation order (default 10)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("sweep", parents=[common, withscheme],
-                       help="tabulate a quantity over a grid of x = eps*omega")
-    p.add_argument("--min", type=float, required=True)
-    p.add_argument("--max", type=float, required=True)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--quantity", choices=SWEEP_QUANTITIES, default="omega_a")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", parents=[common, withscheme],
-                       help="iterate a trajectory and compare with the "
-                            "closed-form evolution")
-    p.add_argument("--q0", type=float, default=1.0)
-    p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--x", type=float, required=True,
-                   help="step size eps (omega = 1, so x = eps*omega)")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--stride", type=int, default=1,
-                   help="sampling stride (default 1)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("stability", parents=[common, withscheme],
-                       help="largest stable x = eps*omega")
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("convergence", parents=[common, withscheme],
-                       help="partial sums of the frequency series against "
-                            "the closed form")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("-K", dest="order", type=int, default=20,
-                   help="series truncation order (default 20)")
-    p.set_defaults(func=cmd_convergence)
-    return parser
+_HELP = ("usage: oscmap COMMAND [SCHEME] [--flag VALUE | --flag=VALUE ...]\n"
+         "SCHEME is a registry name (see 'oscmap schemes') or --file PATH.\n")
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+def _metavar(kind) -> str:
+    return ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+            else "PATH" if kind is str else kind.__name__.upper())
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """argv with each `--flag <negative number>` joined as `--flag=<number>`.
+def _usage(command: str) -> str:
+    """What a command does and its options, read from its table entry."""
+    func, takes_scheme, options = _COMMANDS[command]
+    lines = [f"oscmap {command}{' [SCHEME]' if takes_scheme else ''}",
+             f"  {func.__doc__ or ''}"]
+    for flag, (_, kind, default) in options.items():
+        note = ("required" if default is _REQUIRED else
+                "" if default is None else f"default {default}")
+        lines.append(f"    {flag} {_metavar(kind)}  {note}".rstrip())
+    return "\n".join(lines)
 
-    argparse reads a token that starts with '-' as an option unless it looks
-    like -1 or -.5, so `--x -1e-3` and `--x -inf` would leave --x without a
-    value.
-    """
-    out: list[str] = []
-    for token in argv:
-        prev = out[-1] if out else ""
-        if (token.startswith("-") and _is_number(token)
-                and prev.startswith("--") and prev != "--" and "=" not in prev):
-            out[-1] = f"{prev}={token}"
-        else:
-            out.append(token)
-    return out
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The parsed command line, or None once help is printed."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_HELP + "".join(f"\n{_usage(c)}\n" for c in _COMMANDS), end="")
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise SchemeError(f"{what}; choose from {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    func, takes_scheme, options = _COMMANDS[command]
+    values = {dest: default for dest, _, default in options.values()}
+    bare: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print("usage: " + _usage(command))
+            return None
+        if not token.startswith("-"):
+            bare.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in options:
+            raise SchemeError(f"{command} has no option {flag}")
+        text = text if eq else next(tokens, None)
+        if text is None:
+            raise SchemeError(f"{flag} needs a value")
+        dest, kind, _ = options[flag]
+        try:  # tuple.index raises ValueError for a value not among choices
+            values[dest] = (kind[kind.index(text)] if isinstance(kind, tuple)
+                            else kind(text))
+        except ValueError:
+            raise SchemeError(
+                f"{flag}: {text!r} is not {_metavar(kind)}") from None
+    if len(bare) > takes_scheme:
+        raise SchemeError(f"unexpected argument {bare[takes_scheme]!r}")
+    for flag, (dest, _, _) in options.items():
+        if values[dest] is _REQUIRED:
+            raise SchemeError(f"{command} needs {flag}")
+    return SimpleNamespace(command=command, func=func,
+                           scheme=bare[0] if bare else None, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(
-        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return 0 if args is None else args.func(args)
     except (SchemeError, ValueError) as exc:  # AnalysisError is a ValueError
         print(f"oscmap: error: {exc}", file=sys.stderr)
         return 1

@@ -509,6 +509,25 @@ def test_first_sign_change_on_the_float_grid(roots, lo, first):
     assert analysis._first_sign_change([_with_roots(roots)], lo, 2.0) == first
 
 
+@pytest.mark.parametrize("factors, lo, first", [
+    ([[0, 1]], 0.0, None),
+    # a triple root at lo, then an odd one
+    ([_with_roots((0.75, 0.75, 0.75, 1.5))], 0.75, 1.5),
+    ([_with_roots((0.75, 0.75)), _with_roots((0.75, 1.25))], 0.75, 1.25),
+])
+def test_a_root_at_lo_does_not_send_the_bisection_to_the_float_grid(
+        factors, lo, first, monkeypatch):
+    # a closed piece (lo, lo + w] holds the root at lo, so unless it is
+    # divided out no left-most piece is cleared: the three took 2160, 284
+    # and 308 calls, where the descent to a root in (lo, hi] takes ~86
+    calls = []
+    root_free = analysis._root_free
+    monkeypatch.setattr(analysis, "_root_free",
+                        lambda *a: calls.append(a) or root_free(*a))
+    assert analysis._first_sign_change(factors, lo, 100.0) == first
+    assert len(calls) < 100 * len(factors)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-100, 100), st.integers(1, 3),
        st.lists(st.floats(-100, 100), max_size=3),

@@ -27,7 +27,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oscmap import analysis
 from oscmap.analysis import AnalysisError
-from oscmap.cli import _csv, _fmt, _json_records, _jsonable, _sweep_grid, main
+from oscmap.cli import (
+    _csv, _fmt, _json_records, _jsonable, _parse, _sweep_grid, main,
+)
 from oscmap.phasemap import Regime
 from oscmap.schemes import get_scheme, registry_names
 
@@ -123,13 +125,25 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["convergence", "SV", "--x", "0.5", "-K", "-1"],
     ["simulate", "SV", "--x", "0.5", "--steps", "3", "--q0", "nan"],
     ["simulate", "SV", "--x", "0.5", "--steps", "3", "--p0", "inf"],
-    # negative values that argparse alone would take for options
+    # negative values: the token after a flag is always that flag's value
     ["simulate", "SV", "--x", "-inf", "--steps", "10"],
     ["convergence", "SV", "--x", "-inf"],
     ["sweep", "SV", "--min", "-1e-3", "--max", "1", "--points", "3"],
     ["sweep", "SV", "--min", "0.1", "--max", "-1e-3", "--points", "3"],
     ["simulate", "SV", "--x", "0.5", "--steps", "3", "--q0", "-inf"],
     ["simulate", "SV", "--x", "0.5", "--steps", "3", "--p0", "-1e400"],
+    ["analyze", "SV", "--file", "{tmp}"],
+    # the command line itself: one error line, never a usage block
+    [],
+    ["frobnicate", "SV"],
+    ["analyze", "SV", "--bogus", "1"],
+    ["analyze", "SV", "--form", "json"],
+    ["convergence", "SV", "--x"],
+    ["analyze", "SV", "-K", "abc"],
+    ["analyze", "SV", "--format", "xml"],
+    ["sweep", "SV", "--min", "0.1", "--max", "1", "--points", "2.5"],
+    ["sweep", "SV", "--min", "0.1"],
+    ["analyze", "SV", "BM"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
@@ -137,6 +151,47 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("oscmap: error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "usage" not in proc.stderr
+
+
+def test_scheme_name_with_file_is_an_error(capsys):
+    # the name was silently ignored: `stability SV --file <BM>` reported BM
+    path = SRC / "oscmap" / "data" / "blanes_moan6.json"
+    assert _run(["stability", "--file", str(path)], capsys)[0] == 0
+    code, out, err = _run(["stability", "SV", "--file", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("oscmap: error: ") and "not both" in err
+
+
+@pytest.mark.parametrize("joined, split", [
+    (["-K=5"], ["-K", "5"]),
+    (["--x=-1e-3"], ["--x", "-1e-3"]),
+    (["--format=json"], ["--format", "json"]),
+    # a repeated flag keeps its last value
+    (["-K", "3", "-K=5", "--format", "csv", "--format", "json"],
+     ["-K", "5", "--format", "json"]),
+])
+def test_flag_equals_value_parses_like_two_tokens(joined, split, capsys):
+    argv = ["convergence", "SV", "--x", "0.5"]
+    assert vars(_parse([*argv, *joined])) == vars(_parse([*argv, *split]))
+    code, out, err = _run([*argv, *joined], capsys)
+    assert (code, err) == (0, "")
+    assert out == _run([*argv, *split], capsys)[1]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], ["schemes", "analyze", "sweep", "simulate", "stability",
+                  "convergence"]),
+    (["analyze", "--help"], ["[SCHEME]", "-K", "--file", "--format", "-o",
+                             "--output"]),
+    (["sweep", "SV", "-h"], ["--min", "--max", "--points", "--quantity",
+                             "omega_a", "phase_error", "k_star"]),
+])
+def test_help_exits_0_and_names_every_command_or_flag(argv, names):
+    proc = _oscmap(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: oscmap ")
+    assert all(name in proc.stdout for name in names)
 
 
 @pytest.mark.parametrize("key", ["order", "force_evals"])
@@ -373,6 +428,12 @@ def test_numpy_never_imported(args):
 def test_mpmath_never_imported(args):
     # the Richardson check of analyze runs in integers; mpmath is a test oracle
     assert "mpmath" not in _imported_packages(args)
+
+
+@pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
+def test_argument_parsing_loads_neither_argparse_nor_gettext(args):
+    # argparse with gettext and locale cost ~5 ms per start
+    assert not {"argparse", "gettext", "locale"} & _imported_packages(args)
 
 
 @pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
