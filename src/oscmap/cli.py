@@ -1,13 +1,14 @@
 """Command-line frontend: benchmark tables and trajectories as CSV or JSON.
 
-Each subcommand builds its table once from raw values: a header, rows and,
-where the JSON shape is not one record per row, a document made from the
-same report objects. `_emit` renders it. CSV writes the header and rows with
-every number at 12 significant digits; JSON writes the document, or the rows
-as records, with every number rounded to the same digits and NaN and
-infinities as null. Outputs are deterministic (no timestamps), so byte-stable
-and suitable for golden-file comparisons. Errors go to stderr and flip the
-exit code; data never does.
+Each subcommand builds its table once from raw values and returns it: a
+header, rows and, where the JSON shape is not one record per row, a
+document made from the same report objects. `main` renders it with
+`_emit`, the one writer of every command. CSV writes the header and rows
+with every number at 12 significant digits; JSON writes the document, or
+the rows as records, with every number rounded to the same digits and NaN
+and infinities as null. Outputs are deterministic (no timestamps), so
+byte-stable and suitable for golden-file comparisons. Errors go to stderr
+and flip the exit code; data never does.
 
 CSV cells are quoted by one fixed rule, csv.QUOTE_MINIMAL as Python 3.13
 applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
@@ -16,12 +17,16 @@ Python version. A command imports only the modules it runs: `analysis`,
 `sim` and `json` load inside the commands and the writer that need them.
 
 The command line is `oscmap COMMAND [SCHEME] [options]`, read from one table,
-`_COMMANDS`, that also prints the help (`-h` or `--help`). A flag takes its
-value as `--flag value` or `--flag=value`, and the token after a flag is
-always its value, so `--x -1e-3` and `--p0 -inf` need no `=`. Flags are
-spelled out in full (`--form` is not `--format`), and a repeated flag keeps
-its last value. The first bare token is the scheme. Any error on the command
-line, as in a value, prints one `oscmap: error:` line and exits 1.
+`_COMMANDS`, that holds each option's type, admissible range and default
+and also prints them as the help (`-h` or `--help`). A value is refused
+where it does not parse or lies out of range, before any command runs; a
+command checks only what ties two options together (`--min < --max`). A
+flag takes its value as `--flag value` or `--flag=value`, and the token
+after a flag is always its value, so `--x -1e-3` and `--p0 -inf` need no
+`=`. Flags are spelled out in full (`--form` is not `--format`), and a
+repeated flag keeps its last value. The first bare token is the scheme,
+resolved once, with `--file`, while parsing. Any error on the command line,
+as in a value, prints one `oscmap: error:` line and exits 1.
 """
 
 from __future__ import annotations
@@ -177,25 +182,20 @@ def _emit(args, header: list[str], rows: Iterable[Sequence], doc=None) -> None:
             f"cannot write output file {args.output}: {exc}") from exc
 
 
-def _resolve_scheme(args):
-    if args.file and args.scheme:
+def _resolve_scheme(name: str | None, path: str | None):
+    if path and name:
         raise SchemeError("give a registry scheme name or --file "
                           "<scheme.json>, not both")
-    if args.file:
-        return load_scheme(args.file)
-    if args.scheme:
-        return get_scheme(args.scheme)
+    if path:
+        return load_scheme(path)
+    if name:
+        return get_scheme(name)
     raise SchemeError("give a registry scheme name or --file <scheme.json>")
-
-
-def _check_x(args) -> None:
-    if args.x == 0.0 or not math.isfinite(args.x):
-        raise SchemeError(f"{args.command} needs a finite, nonzero --x")
 
 
 # ------------------------------------------------------------------ schemes
 
-def cmd_schemes(args) -> int:
+def cmd_schemes(args):
     """List the scheme registry."""
     rows = []
     for name in registry_names():
@@ -206,23 +206,16 @@ def cmd_schemes(args) -> int:
         except SchemeError as exc:  # a bad data file, or its map overflows
             rows.append([name, None, None, None, None,
                          f"coefficients unavailable: {exc}"])
-    _emit(args, ["name", "order", "force_evals", "steps", "symmetric",
-                 "status"], rows)
-    return 0
+    return ["name", "order", "force_evals", "steps", "symmetric",
+            "status"], rows
 
 
 # ------------------------------------------------------------------ analyze
 
-def _check_order(args) -> None:
-    if args.order < 0:
-        raise SchemeError(f"{args.command} needs -K of at least 0")
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     """Phase-error report: c_n, c*, stability limit, series to order -K."""
     from . import analysis
-    _check_order(args)
-    s = _resolve_scheme(args)
+    s = args.scheme
     rep = analysis.analyze(s, args.order)
     head = {"scheme": rep.scheme, "reversible": is_symmetric(s),
             "declared_order": rep.order_declared, "n": rep.n,
@@ -233,9 +226,8 @@ def cmd_analyze(args) -> int:
     rows = [[k, "", v] for k, v in head.items()]
     rows += [[f"stability_{k}", "", v] for k, v in lim.items()]
     rows += [[name, k, c] for name, cs in series.items() for k, c in enumerate(cs)]
-    _emit(args, ["field", "key", "value"], rows,
-          {**head, "stability": lim, "series": series})
-    return 0
+    doc = {**head, "stability": lim, "series": series}
+    return ["field", "key", "value"], rows, doc
 
 
 # -------------------------------------------------------------------- sweep
@@ -256,33 +248,21 @@ def _sweep_grid(lo: float, hi: float, n: int) -> list[float]:
     return xs
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     """Tabulate a quantity over x = eps*omega from --min to --max."""
-    if not 0.0 < args.min < args.max < math.inf:
-        raise SchemeError("sweep needs finite --min and --max with "
-                          "0 < --min < --max")
-    if args.points < 2:
-        raise SchemeError("sweep needs at least 2 points")
-    s = _resolve_scheme(args)
+    if not args.min < args.max:
+        raise SchemeError("sweep needs --min < --max")
+    grid = _sweep_grid(args.min, args.max, args.points)
     # Regime is a str subclass: both writers write a member as its value
-    _emit(args, ["x", "value", "regime"],
-          sweep(s, _sweep_grid(args.min, args.max, args.points), args.quantity))
-    return 0
+    return ["x", "value", "regime"], sweep(args.scheme, grid, args.quantity)
 
 
 # ----------------------------------------------------------------- simulate
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     """Iterate a trajectory at x = eps (omega = 1) against the closed form."""
     from . import sim
-    _check_x(args)
-    for flag, value in (("--q0", args.q0), ("--p0", args.p0)):
-        if not math.isfinite(value):
-            raise SchemeError(f"simulate needs a finite {flag}")
-    for flag, value in (("--steps", args.steps), ("--stride", args.stride)):
-        if value < 1:
-            raise SchemeError(f"simulate needs {flag} of at least 1")
-    s = _resolve_scheme(args)
+    s = args.scheme
     eps, omega, q0, p0 = args.x, 1.0, args.q0, args.p0
     # a hyperbolic map diverges to inf and NaN: legitimate output
     rec = sim.iterate(s, q0, p0, eps, omega, args.steps, args.stride)
@@ -308,76 +288,88 @@ def cmd_simulate(args) -> int:
             row.append(max(abs(q - (a * q0 + b * p0)),
                            abs(p - (c * q0 + e * p0))))
         rows.append(row)
-    _emit(args, header, rows)
-    return 0
+    return header, rows
 
 
 # ---------------------------------------------------------------- stability
 
-def cmd_stability(args) -> int:
+def cmd_stability(args):
     """Largest stable x = eps*omega."""
     from . import analysis
-    s = _resolve_scheme(args)
-    lim = analysis.stability_limit(s)
+    lim = analysis.stability_limit(args.scheme)
     header = ["scheme", "x_max", "bounded"]
-    row = [s.name, lim.x_max, lim.bounded]
-    _emit(args, header, [row], dict(zip(header, row)))
-    return 0
+    row = [args.scheme.name, lim.x_max, lim.bounded]
+    return header, [row], dict(zip(header, row))
 
 
 # -------------------------------------------------------------- convergence
 
-def cmd_convergence(args) -> int:
+def cmd_convergence(args):
     """Partial sums of the frequency series against the closed form."""
     from . import analysis
-    _check_x(args)
-    _check_order(args)
-    s = _resolve_scheme(args)
-    study = analysis.convergence_study(s, args.x, args.order)
+    study = analysis.convergence_study(args.scheme, args.x, args.order)
     header = ["k", "partial_sum", "abs_error"]
     rows = [[r.order, r.partial_sum, r.abs_error] for r in study.rows]
     doc = {"scheme": study.scheme, "x": study.x,
            "closed_form": study.closed_form,
            "radius_estimate": study.radius_estimate,
            "rows": [dict(zip(header, row)) for row in rows]}
-    _emit(args, header, [*rows, ["radius_estimate", study.radius_estimate, ""]],
-          doc)
-    return 0
+    return header, [*rows, ["radius_estimate", study.radius_estimate, ""]], doc
 
 
 # --------------------------------------------------------------------- main
 
-#: An option is flag -> (attribute, type or tuple of choices, default),
-#: where the default _REQUIRED makes it mandatory.
-_REQUIRED = ...
-_OUTPUT = {"--format": ("format", ("csv", "json"), "csv"),
-           "-o": ("output", str, None), "--output": ("output", str, None)}
-_SCHEME = {"--file": ("file", str, None), **_OUTPUT}
+#: What an option admits, its kind: (its name in the help and in errors,
+#: the parser of its text, the test of the parsed value).
+_PATH = ("PATH", str, bool)
+_FINITE = ("FLOAT (finite)", float, math.isfinite)
+_NONZERO = ("FLOAT (finite, nonzero)", float,
+            lambda v: v != 0.0 and math.isfinite(v))
+_POSITIVE = ("FLOAT (finite, > 0)", float, lambda v: 0.0 < v < math.inf)
+_COUNT = ("INT (>= 1)", int, lambda v: v >= 1)
+#: The cost of a series grows as K^2 (`convergence BM --x 0.5 -K 1000` takes
+#: ~2 s), and a series cannot be sized past an index-sized int at all.
+_ORDER = ("INT (0 to 10000)", int, range(10_001).__contains__)
+#: The benchmark sweeps 10^4 points; a grid of 10^22 would never be built.
+_POINTS = ("INT (2 to 1000000)", int, range(2, 10**6 + 1).__contains__)
 
-#: command -> (function, takes a scheme, options).
+
+def _choices(names: tuple[str, ...]) -> tuple:
+    return "{" + ",".join(names) + "}", str, names.__contains__
+
+
+#: An option is flag -> (attribute, kind, default), where the default
+#: _REQUIRED makes it mandatory.
+_REQUIRED = ...
+_OUTPUT = {"--format": ("format", _choices(("csv", "json")), "csv"),
+           "-o": ("output", _PATH, None), "--output": ("output", _PATH, None)}
+_SCHEME = {"--file": ("file", _PATH, None), **_OUTPUT}
+
+#: command -> (function, takes a scheme, options). A function takes the
+#: parsed namespace, with the scheme resolved, and returns its table as
+#: (header, rows) or (header, rows, JSON document) for `main` to render.
 _COMMANDS = {
     "schemes": (cmd_schemes, False, _OUTPUT),
-    "analyze": (cmd_analyze, True, {"-K": ("order", int, 10), **_SCHEME}),
+    "analyze": (cmd_analyze, True, {"-K": ("order", _ORDER, 10), **_SCHEME}),
     "sweep": (cmd_sweep, True, {
-        "--min": ("min", float, _REQUIRED), "--max": ("max", float, _REQUIRED),
-        "--points": ("points", int, 100),
-        "--quantity": ("quantity", SWEEP_QUANTITIES, "omega_a"), **_SCHEME}),
+        "--min": ("min", _POSITIVE, _REQUIRED),
+        "--max": ("max", _POSITIVE, _REQUIRED),
+        "--points": ("points", _POINTS, 100),
+        "--quantity": ("quantity", _choices(SWEEP_QUANTITIES), "omega_a"),
+        **_SCHEME}),
     "simulate": (cmd_simulate, True, {
-        "--q0": ("q0", float, 1.0), "--p0": ("p0", float, 0.0),
-        "--x": ("x", float, _REQUIRED), "--steps": ("steps", int, _REQUIRED),
-        "--stride": ("stride", int, 1), **_SCHEME}),
+        "--q0": ("q0", _FINITE, 1.0), "--p0": ("p0", _FINITE, 0.0),
+        "--x": ("x", _NONZERO, _REQUIRED),
+        "--steps": ("steps", _COUNT, _REQUIRED),
+        "--stride": ("stride", _COUNT, 1), **_SCHEME}),
     "stability": (cmd_stability, True, _SCHEME),
     "convergence": (cmd_convergence, True, {
-        "--x": ("x", float, _REQUIRED), "-K": ("order", int, 20), **_SCHEME}),
+        "--x": ("x", _NONZERO, _REQUIRED), "-K": ("order", _ORDER, 20),
+        **_SCHEME}),
 }
 
 _HELP = ("usage: oscmap COMMAND [SCHEME] [--flag VALUE | --flag=VALUE ...]\n"
          "SCHEME is a registry name (see 'oscmap schemes') or --file PATH.\n")
-
-
-def _metavar(kind) -> str:
-    return ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
-            else "PATH" if kind is str else kind.__name__.upper())
 
 
 def _usage(command: str) -> str:
@@ -385,10 +377,10 @@ def _usage(command: str) -> str:
     func, takes_scheme, options = _COMMANDS[command]
     lines = [f"oscmap {command}{' [SCHEME]' if takes_scheme else ''}",
              f"  {func.__doc__ or ''}"]
-    for flag, (_, kind, default) in options.items():
+    for flag, (_, (name, _, _), default) in options.items():
         note = ("required" if default is _REQUIRED else
                 "" if default is None else f"default {default}")
-        lines.append(f"    {flag} {_metavar(kind)}  {note}".rstrip())
+        lines.append(f"    {flag} {name}  {note}".rstrip())
     return "\n".join(lines)
 
 
@@ -418,26 +410,30 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         text = text if eq else next(tokens, None)
         if text is None:
             raise SchemeError(f"{flag} needs a value")
-        dest, kind, _ = options[flag]
-        try:  # tuple.index raises ValueError for a value not among choices
-            values[dest] = (kind[kind.index(text)] if isinstance(kind, tuple)
-                            else kind(text))
+        dest, (name, parse, admits), _ = options[flag]
+        try:  # a value out of range is refused like one that does not parse
+            value = parse(text)
+            if not admits(value):
+                raise ValueError
         except ValueError:
-            raise SchemeError(
-                f"{flag}: {text!r} is not {_metavar(kind)}") from None
+            raise SchemeError(f"{flag}: {text!r} is not {name}") from None
+        values[dest] = value
     if len(bare) > takes_scheme:
         raise SchemeError(f"unexpected argument {bare[takes_scheme]!r}")
     for flag, (dest, _, _) in options.items():
         if values[dest] is _REQUIRED:
             raise SchemeError(f"{command} needs {flag}")
-    return SimpleNamespace(command=command, func=func,
-                           scheme=bare[0] if bare else None, **values)
+    scheme = (_resolve_scheme(bare[0] if bare else None, values["file"])
+              if takes_scheme else None)
+    return SimpleNamespace(command=command, func=func, scheme=scheme, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return 0 if args is None else args.func(args)
+        if args is not None:
+            _emit(args, *args.func(args))
+        return 0
     except (SchemeError, ValueError) as exc:  # AnalysisError is a ValueError
         print(f"oscmap: error: {exc}", file=sys.stderr)
         return 1

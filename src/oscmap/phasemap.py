@@ -81,11 +81,11 @@ class SpectralData(NamedTuple):
     """Rotation data of one numeric map; fields undefined in its regime are None.
 
     theta, xi, omega_a, m_star and k_star are set in the elliptic regime
-    only, m_star and k_star only where nu*tau > 0 as well; `detail` says why
-    a parabolic or hyperbolic map has none of them. Whether the scheme is
-    time-reversible is not read from one numeric map, where rounding can
-    hide g - h: `schemes.is_symmetric` reads g = h off the exact map, and
-    with it whether m* and k* give a shadow energy H_A.
+    only; `detail` says why a parabolic or hyperbolic map has none of them.
+    m_star or k_star beyond the float range is inf or 0.0. Whether the
+    scheme is time-reversible is not read from one numeric map, where
+    rounding can hide g - h: `schemes.is_symmetric` reads g = h off the
+    exact map, and with it whether m* and k* give a shadow energy H_A.
     """
 
     theta: float | None
@@ -190,9 +190,10 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     In the elliptic regime (|Tr M| < 2) the eigenvalues are exp(+-i*theta)
     with theta on (0, pi); the map rotates an invariant ellipse at the
     modified frequency omega_a = theta/|eps|, with effective mass and spring
-    constant 1/m* = omega_a*sqrt(tau/nu), k* = omega_a*sqrt(nu/tau) when
-    nu*tau > 0. A negative eps gives the inverse map, which conserves the
-    same ellipse, so omega_a, m* and k* do not change sign with it.
+    constant 1/m* = omega_a*sqrt(tau/nu), k* = omega_a*sqrt(nu/tau); disc > 0
+    below implies nu*tau > 0. A negative eps gives the inverse map, which
+    conserves the same ellipse, so omega_a, m* and k* do not change sign
+    with it.
     Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry only the
     regime flag and a detail message.
 
@@ -203,8 +204,12 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     quadratically insensitive. disc is formed from tau, nu and w scaled by
     powers of two to near 1, so it does not underflow at the smallest steps;
     the scaling is exact, so wherever the unscaled products are normal
-    numbers the result is bitwise theirs. A NaN entry raises ValueError: no
-    regime can be read from it.
+    numbers the result is bitwise theirs. m* and k* are formed from the same
+    scaled entries and a scaled omega_a, with the power of two applied
+    last, so tau/nu never overflows or underflows on the way: scaling eps
+    by 2^-k and omega by 2^k keeps m* bit for bit and multiplies k* by 4^k,
+    which gives inf or 0.0 only beyond the float range. A NaN entry raises
+    ValueError: no regime can be read from it.
     """
     g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
     if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
@@ -230,12 +235,22 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
     theta = math.atan2(xi, (g + h) / 2.0)
     omega_a = theta / abs(mat.eps)
-    m_star = k_star = None
-    if nu_s * tau_s > 0:
-        root = math.sqrt(tau / nu)
-        m_star = 1.0 / (omega_a * root)
-        k_star = omega_a / root
+    # sqrt(tau/nu) = sqrt(tau_s/nu_s)*2^(kt - e) and omega_a = a*2^ka: the
+    # products below lie near 1 and round as the unscaled ones do
+    a, ka = math.frexp(omega_a)
+    root_s = math.sqrt(tau_s / nu_s)
+    m_star = _times_pow2(1.0 / (a * root_s), e - kt - ka)
+    k_star = _times_pow2(a / root_s, e - kt + ka)
     return SpectralData(theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC)
+
+
+def _times_pow2(v: float, n: int) -> float:
+    """v*2^n rounded once: inf past the float range, as a product gives it,
+    where math.ldexp raises OverflowError."""
+    try:
+        return math.ldexp(v, n)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 #: Per sweep quantity, its value in a hyperbolic or parabolic row and in an

@@ -122,8 +122,7 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
               for q, p in zip(qs, ps)]
     modified = None
     data = spectral(scheme_matrix(s, eps, omega))
-    if (data.regime is Regime.ELLIPTIC and data.m_star is not None
-            and is_symmetric(s)):
+    if data.regime is Regime.ELLIPTIC and is_symmetric(s):
         two_m, half_k = 2.0 * data.m_star, 0.5 * data.k_star
         modified = [p * p / two_m + half_k * (q * q) for q, p in zip(qs, ps)]
     return TrajectoryRecord(index, [i * eps for i in index], qs, ps, energy,

@@ -31,7 +31,7 @@ from oscmap.cli import (
     _csv, _fmt, _json_records, _jsonable, _parse, _sweep_grid, main,
 )
 from oscmap.phasemap import Regime
-from oscmap.schemes import get_scheme, registry_names
+from oscmap.schemes import SchemeError, get_scheme, registry_names
 
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -144,6 +144,12 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["sweep", "SV", "--min", "0.1", "--max", "1", "--points", "2.5"],
     ["sweep", "SV", "--min", "0.1"],
     ["analyze", "SV", "BM"],
+    # values the option table puts out of range
+    ["sweep", "SV", "--min", "0.1", "--max", "1", "--points", "1"],
+    ["sweep", "SV", "--min", "0", "--max", "1", "--points", "3"],
+    ["sweep", "SV", "--min", "1", "--max", "0.5", "--points", "3"],
+    ["analyze", "SV", "-K", "100000000000000000000"],
+    ["convergence", "SV", "--x", "0.5", "-K", "100000000000000000000"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
@@ -152,6 +158,19 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     assert proc.stderr.startswith("oscmap: error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "usage" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag, dest, argv, largest", [
+    ("-K", "order", ["analyze", "SV"], 10_000),
+    ("-K", "order", ["convergence", "SV", "--x", "0.5"], 10_000),
+    ("--points", "points", ["sweep", "SV", "--min", "0.1", "--max", "1"], 10**6),
+])
+def test_order_and_points_have_an_upper_bound(flag, dest, argv, largest):
+    # parsed only: a series or a grid of the largest size is not built
+    assert getattr(_parse([*argv, flag, str(largest)]), dest) == largest
+    for value in (largest + 1, 10**22):
+        with pytest.raises(SchemeError, match=f"^{flag}: '{value}' is not INT"):
+            _parse([*argv, flag, str(value)])
 
 
 def test_scheme_name_with_file_is_an_error(capsys):
@@ -186,6 +205,9 @@ def test_flag_equals_value_parses_like_two_tokens(joined, split, capsys):
                              "--output"]),
     (["sweep", "SV", "-h"], ["--min", "--max", "--points", "--quantity",
                              "omega_a", "phase_error", "k_star"]),
+    # each option with its range
+    (["simulate", "--help"], ["--steps INT (>= 1)",
+                              "--x FLOAT (finite, nonzero)"]),
 ])
 def test_help_exits_0_and_names_every_command_or_flag(argv, names):
     proc = _oscmap(argv)
@@ -341,6 +363,12 @@ def test_simulate_gkick_overflow_prints_nan_rows():
     ("-K", ["convergence", "SV", "--x", "0.5", "-K", "-1"]),
     ("--q0", ["simulate", "SV", "--x", "0.5", "--steps", "3", "--q0", "nan"]),
     ("--p0", ["simulate", "SV", "--x", "0.5", "--steps", "3", "--p0=-inf"]),
+    ("--points", ["sweep", "SV", "--min", "0.1", "--max", "1", "--points", "1"]),
+    ("--min", ["sweep", "SV", "--min", "0", "--max", "1"]),
+    ("--max", ["sweep", "SV", "--min", "0.1", "--max", "inf"]),
+    ("--min", ["sweep", "SV", "--min", "1", "--max", "0.5"]),
+    ("-K", ["analyze", "SV", "-K", "100000000000000000000"]),
+    ("-K", ["convergence", "SV", "--x", "0.5", "-K", "100000000000000000000"]),
 ])
 def test_bad_value_error_names_its_flag(flag, argv, capsys):
     code, out, err = _run(argv, capsys)

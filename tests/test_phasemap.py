@@ -279,6 +279,20 @@ def test_spectral_negative_step_keeps_shadow_parameters():
         assert fwd.omega_a > 0 and fwd.m_star > 0 and fwd.k_star > 0
 
 
+@pytest.mark.parametrize("name", ["SV", "FR", "LF1"])
+@pytest.mark.parametrize("k", [0, 300, -300, 600, -600])
+def test_spectral_shadow_parameters_at_extreme_eps_and_omega(name, k):
+    # x = eps*omega = 1 throughout, while tau/nu = 4^-k*tau/nu(1, 1) leaves
+    # the float range from |k| = 512 on: m* depends on x alone, and k* is
+    # omega^2 times its unit value, inf or 0.0 where that product is
+    s = get_scheme(name)
+    unit = spectral(scheme_matrix(s, 1.0, 1.0))
+    d = spectral(scheme_matrix(s, 2.0**-k, 2.0**k))
+    assert d.regime is Regime.ELLIPTIC
+    assert d.m_star == unit.m_star
+    assert d.k_star == unit.k_star * 2.0**k * 2.0**k
+
+
 # -------------------------------------------------------------------- sweep
 
 #: Twice the largest relative error of sweep's omega_a against 40-digit
