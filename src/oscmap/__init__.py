@@ -7,8 +7,8 @@ polynomials once per scheme, in exact rational arithmetic (binary-exact for
 float coefficients). The frequency series are read off those polynomials,
 rational when the scheme's coefficients are and, otherwise, built on
 fixed-point integers rounded once from them and read as correctly rounded
-floats; numeric matrices are the rounded polynomials evaluated at a given
-timestep and frequency; the stability limit comes from the exact half trace.
+floats; numeric matrices evaluate them exactly and round each entry once;
+the stability limit comes from the exact half trace.
 From that one map the package solves the N-step evolution in closed form,
 extracts the modified (shadow) Hamiltonian with its effective mass and
 spring constant, and benchmarks schemes through their phase-error

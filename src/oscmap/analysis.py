@@ -85,7 +85,7 @@ def _frequency_parts(s: Scheme, order: int):
     exact square root then has no exact value, and the scheme runs in fixed
     point too.
     """
-    g, tau_x, nu_x, h = _polynomials(s, True)
+    g, tau_x, nu_x, h = _polynomials(s)
     parts = [p._resized(order + 1)
              for p in (tau_x, nu_x, ((g - h) / 2).divided_by_x())]
     t1, n1, w1 = parts
@@ -337,7 +337,7 @@ def _stability_factors(s: Scheme) -> tuple[list[int], list[int]]:
     n_j are its even numerators. Then 2L(T - 1) = sum_(j>=1) n_j y^j, which
     y divides, and 2L(T + 1) = 2n_0 + sum_(j>=1) n_j y^j.
     """
-    g, _, _, h = _polynomials(s, True)
+    g, _, _, h = _polynomials(s)
     n = (g + h)._nums[::2]
     return _primitive(n[1:]), _primitive([2 * n[0], *n[1:]])
 

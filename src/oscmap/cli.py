@@ -264,6 +264,11 @@ def cmd_simulate(args):
     from . import sim
     s = args.scheme
     eps, omega, q0, p0 = args.x, 1.0, args.q0, args.p0
+    # iterate keeps each sample in six lists: step 0, each stride, the last
+    samples = len(range(0, args.steps, args.stride)) + 1
+    if samples > _MAX_ROWS:
+        raise SchemeError(f"--steps {args.steps} at --stride {args.stride} "
+                          f"samples {samples} rows, more than {_MAX_ROWS}")
     # a hyperbolic map diverges to inf and NaN: legitimate output
     rec = sim.iterate(s, q0, p0, eps, omega, args.steps, args.stride)
     m = scheme_matrix(s, eps, omega)
@@ -330,8 +335,11 @@ _COUNT = ("INT (>= 1)", int, lambda v: v >= 1)
 #: The cost of a series grows as K^2 (`convergence BM --x 0.5 -K 1000` takes
 #: ~2 s), and a series cannot be sized past an index-sized int at all.
 _ORDER = ("INT (0 to 10000)", int, range(10_001).__contains__)
-#: The benchmark sweeps 10^4 points; a grid of 10^22 would never be built.
-_POINTS = ("INT (2 to 1000000)", int, range(2, 10**6 + 1).__contains__)
+#: The most rows of a sweep or a simulation; a grid of 10^22 is never built.
+_MAX_ROWS = 10**6
+_POINTS = ("INT (2 to 1000000)", int, range(2, _MAX_ROWS + 1).__contains__)
+#: 10^6 BM steps take about 0.4 s, so 10^9 take 7 minutes; 10^20 never end.
+_STEPS = ("INT (1 to 1000000000)", int, range(1, 10**9 + 1).__contains__)
 
 
 def _choices(names: tuple[str, ...]) -> tuple:
@@ -360,7 +368,7 @@ _COMMANDS = {
     "simulate": (cmd_simulate, True, {
         "--q0": ("q0", _FINITE, 1.0), "--p0": ("p0", _FINITE, 0.0),
         "--x": ("x", _NONZERO, _REQUIRED),
-        "--steps": ("steps", _COUNT, _REQUIRED),
+        "--steps": ("steps", _STEPS, _REQUIRED),
         "--stride": ("stride", _COUNT, 1), **_SCHEME}),
     "stability": (cmd_stability, True, _SCHEME),
     "convergence": (cmd_convergence, True, {

@@ -11,20 +11,17 @@ float step coefficient enters as its binary-exact rational, so the build is
 exact for any scheme. Every other form is read from it: the frequency series
 in `analysis` read the polynomials themselves, exact for a scheme with int
 or Fraction coefficients and, otherwise, rounded once to fixed-point
-integers and read as correctly rounded floats; numeric mode (explicit
-timestep eps and frequency omega) evaluates the map's coefficients, each
-correctly rounded to float (an integer numerator over the denominator by
-true division), by Horner's rule. The stability limit in `analysis` reads
-the half trace's integer numerators from the exact build, and
-`schemes.is_symmetric` compares its diagonal entries g and h.
-Numeric work is in plain Python floats. `scheme_matrix` and `spectral` take
-one timestep at a time. `sweep` runs a kernel generated once per scheme and
-quantity instead: straight-line Python that evaluates, per grid point, the
-even polynomials T = (g + h)/2, tau/x, nu/x and W = w/x^2 with w = (g - h)/2
-in y = x^2, each coefficient rounded once from the exact build, and reads
-the regime from T and the discriminant scaled by x^2. The kernel handles
-every point itself, x = 0 and overflowed sums included. The two routes agree
-to round-off, not bit for bit.
+integers and read as correctly rounded floats; `scheme_matrix` evaluates
+them exactly at one timestep eps and frequency omega and rounds each entry
+once to float. The stability limit in `analysis` reads the half trace's
+integer numerators from the exact build, and `schemes.is_symmetric`
+compares its diagonal entries g and h. `sweep` runs a kernel generated once
+per scheme and quantity, in plain Python floats: per grid point it
+evaluates the even polynomials T = (g + h)/2, tau/x, nu/x and W = w/x^2,
+w = (g - h)/2, in y = x^2, each coefficient rounded once from the exact
+build, and reads the regime from T and the discriminant scaled by x^2,
+x = 0 and overflowed sums included. It agrees with `spectral` of
+`scheme_matrix` to round-off, not bit for bit.
 
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
@@ -37,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 from .series import Series
@@ -99,13 +97,13 @@ class SpectralData(NamedTuple):
 
 # ------------------------------------------------------------ polynomial map
 
-#: Built maps, keyed by active steps: (exact polynomials, their floats).
-_POLYNOMIALS: dict[tuple[Step, ...], tuple[tuple, tuple]] = {}
+#: Built maps, keyed by active steps.
+_POLYNOMIALS: dict[tuple[Step, ...], tuple[Series, ...]] = {}
 #: Generated sweep kernels, keyed by (active steps, quantity).
 _KERNELS: dict[tuple[tuple[Step, ...], str], Callable] = {}
 
 
-def _polynomials(s: Scheme, exact: bool) -> tuple:
+def _polynomials(s: Scheme) -> tuple[Series, ...]:
     """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
 
     The shears are applied once per scheme, in step order, in the Series ring
@@ -114,17 +112,14 @@ def _polynomials(s: Scheme, exact: bool) -> tuple:
     drift c*x changes only the top row and a kick mu(x) = c*x (+ u*x^3 for a
     gkick) only the bottom one, so each step is two ring products. The
     build is the exact map of the scheme as stored, in integer numerators
-    over one denominator per polynomial. With `exact` false the result is
-    its coefficients as lists of floats, each numerator divided by the
-    denominator in one true division: correctly rounded, and g = h bitwise
-    whenever g = h exactly. A map coefficient beyond float range, which
-    steps within it can multiply to, raises SchemeError. Steps that compare
-    equal, such as Fraction(1, 2) and 0.5, have the same exact value, so they
-    share one build. Callers must not mutate the result.
+    over one denominator per polynomial. A map coefficient beyond float
+    range, which steps within it can multiply to, raises SchemeError. Steps
+    that compare equal, such as Fraction(1, 2) and 0.5, have the same exact
+    value, so they share one build. Callers must not mutate the result.
     """
     steps = s.active_steps()
-    built = _POLYNOMIALS.get(steps)
-    if built is None:
+    polys = _POLYNOMIALS.get(steps)
+    if polys is None:
         degree = sum(3 if st.kind == GKICK else 1 for st in steps)
         g = h = Series.one(degree)
         tau = nu = Series.zero(degree)
@@ -137,34 +132,31 @@ def _polynomials(s: Scheme, exact: bool) -> tuple:
                             else [0, st.c], degree)
                 nu, h = nu + mu * g, h - mu * tau
         polys = (g, tau.divided_by_x(), nu.divided_by_x(), h)
-        try:
-            rounded = tuple(p._floats() for p in polys)
+        try:  # the largest coefficient is the largest numerator over d
+            max(max(map(abs, p._nums)) / p._den for p in polys)
         except OverflowError:
             raise SchemeError(f"scheme {s.name!r}: a coefficient of its one-step "
                               "map is beyond float range") from None
-        built = _POLYNOMIALS[steps] = (polys, rounded)
-    return built[0] if exact else built[1]
+        _POLYNOMIALS[steps] = polys
+    return polys
 
 
 def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
-    """Numeric one-timestep matrix: the polynomials evaluated at x = eps*omega.
+    """Numeric one-timestep matrix: the exact map at x = eps*omega, rounded once.
 
-    eps and omega are Python floats. The entries are g(x), eps*(tau/x)(x),
-    eps*omega^2*(nu/x)(x) and h(x) of the rounded map, by Horner's rule, with
-    no division by omega, so omega = 0 and negative eps are fine. Entries
-    that overflow become inf or NaN silently, as Python floats do.
+    g(x), eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x) are evaluated exactly
+    at x = Fraction(eps)*Fraction(omega) and each rounded once, to +-inf past
+    the float range: no entry is NaN, and g = h bitwise for a reversible
+    scheme. omega = 0 and negative eps are fine; a NaN or infinite eps or
+    omega raises ValueError.
     """
-    x = eps * omega
-    g, tau_x, nu_x, h = (_horner(p, x) for p in _polynomials(s, False))
-    return PhaseMatrix(g, eps * tau_x, eps * omega * omega * nu_x, h, eps, omega)
-
-
-def _horner(cs: list[float], x: float) -> float:
-    """sum_k cs[k]*x^k by Horner's rule."""
-    acc = 0.0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+    if not (math.isfinite(eps) and math.isfinite(omega)):
+        raise ValueError(f"eps = {eps!r}, omega = {omega!r}: NaN or infinite")
+    e, w = Fraction(eps), Fraction(omega)
+    x = e * w
+    g, tau_x, nu_x, h = _polynomials(s)
+    return PhaseMatrix(_rounded(g(x)), _rounded(e * tau_x(x)),
+                       _rounded(x * w * nu_x(x)), _rounded(h(x)), eps, omega)
 
 
 def scheme_series_matrix(s: Scheme, order: int) -> tuple[Series, ...]:
@@ -173,15 +165,14 @@ def scheme_series_matrix(s: Scheme, order: int) -> tuple[Series, ...]:
     It has no caller in the package; it is kept because the benchmark's span
     list (`perfbench/tracing.py`) names it.
     """
-    g, tau_x, nu_x, h = _polynomials(s, True)
+    g, tau_x, nu_x, h = _polynomials(s)
     return tuple(p._resized(order)
                  for p in (g, tau_x.times_x(), nu_x.times_x(), h))
 
 
 # ------------------------------------------------------------------ spectral
 
-_NAN_ENTRY = ("the map has a NaN entry, so it has no regime; its polynomials "
-              "overflowed or the timestep is NaN")
+_NAN_ENTRY = "the map has a NaN entry or timestep, so it has no regime"
 
 
 def spectral(mat: PhaseMatrix) -> SpectralData:
@@ -239,18 +230,18 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     # products below lie near 1 and round as the unscaled ones do
     a, ka = math.frexp(omega_a)
     root_s = math.sqrt(tau_s / nu_s)
-    m_star = _times_pow2(1.0 / (a * root_s), e - kt - ka)
-    k_star = _times_pow2(a / root_s, e - kt + ka)
+    m_star = _rounded(1.0 / (a * root_s), e - kt - ka)
+    k_star = _rounded(a / root_s, e - kt + ka)
     return SpectralData(theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC)
 
 
-def _times_pow2(v: float, n: int) -> float:
-    """v*2^n rounded once: inf past the float range, as a product gives it,
-    where math.ldexp raises OverflowError."""
+def _rounded(v: float | Fraction, n: int = 0) -> float:
+    """v*2^n rounded once to float, +-inf past the float range (n = 0 for
+    a Fraction v)."""
     try:
         return math.ldexp(v, n)
     except OverflowError:
-        return math.copysign(math.inf, v)
+        return math.inf if v > 0 else -math.inf
 
 
 #: Per sweep quantity, its value in a hyperbolic or parabolic row and in an
@@ -304,7 +295,7 @@ def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
     kernel = _KERNELS.get(key)
     if kernel is not None:
         return kernel
-    g, tau_x, nu_x, h = _polynomials(s, True)
+    g, tau_x, nu_x, h = _polynomials(s)
     tilt = _horner_y(((g - h) / 2)._floats()[2::2])
     if tilt == "0.0":
         lines = []

@@ -171,7 +171,7 @@ def is_symmetric(s: Scheme) -> bool:
     # phasemap imports this module, so the map is imported at call time
     from .phasemap import _polynomials
 
-    g, _, _, h = _polynomials(s, True)
+    g, _, _, h = _polynomials(s)
     return g == h
 
 

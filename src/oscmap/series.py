@@ -336,16 +336,17 @@ class Series:
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, x0):
-        """Evaluate the truncated polynomial at x0 (Horner).
+        """The exact value of the truncated polynomial at x0, as a Fraction.
 
-        At an int or Fraction x0 the value is exact; at any other x0 each
-        coefficient is rounded to float first.
+        x0 is an int, a Fraction or a float, taken at its binary value. With
+        x0 = p/q, Horner's rule runs in integers on q^K times the
+        polynomial, and the one division is the Fraction's.
         """
-        exact = isinstance(x0, (int, Fraction))
+        p, q = x0.as_integer_ratio()
         acc = 0
-        for c in reversed(self._nums if exact else self._floats()):
-            acc = acc * x0 + c
-        return acc * Fraction(1, self._den) if exact else acc
+        for j, c in enumerate(reversed(self._nums)):
+            acc = acc * p + c * q**j
+        return Fraction(acc, self._den * q**self.order)
 
 
 def asin(u: Series) -> Series:

@@ -617,7 +617,7 @@ def test_stability_limit_at_the_end_of_the_bracket(n, bounded):
 
 def _stability_polynomial_by_fractions(s):
     """(T^2 - 1)/x^2 by Fractions: 2T's even coefficients over their lcm L."""
-    g, _, _, h = phasemap._polynomials(s, True)
+    g, _, _, h = phasemap._polynomials(s)
     t = [F(a) + F(b) for a, b in zip(g.coeffs[::2], h.coeffs[::2])]
     den = math.lcm(*(v.denominator for v in t))
     n = [int(v * den) for v in t]

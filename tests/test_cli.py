@@ -150,6 +150,10 @@ def test_output_matches_golden(stem, fmt, capsys):
     ["sweep", "SV", "--min", "1", "--max", "0.5", "--points", "3"],
     ["analyze", "SV", "-K", "100000000000000000000"],
     ["convergence", "SV", "--x", "0.5", "-K", "100000000000000000000"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "100000000000000000000"],
+    # more rows than a run may sample: refused before iterating
+    ["simulate", "SV", "--x", "0.5", "--steps", "1000000"],
+    ["simulate", "SV", "--x", "0.5", "--steps", "1000000000", "--stride", "999"],
 ])
 def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     proc = _oscmap([a.format(tmp=tmp_path) for a in argv])
@@ -164,6 +168,7 @@ def test_bad_input_exits_1_with_error_line(argv, tmp_path):
     ("-K", "order", ["analyze", "SV"], 10_000),
     ("-K", "order", ["convergence", "SV", "--x", "0.5"], 10_000),
     ("--points", "points", ["sweep", "SV", "--min", "0.1", "--max", "1"], 10**6),
+    ("--steps", "steps", ["simulate", "SV", "--x", "0.5"], 10**9),
 ])
 def test_order_and_points_have_an_upper_bound(flag, dest, argv, largest):
     # parsed only: a series or a grid of the largest size is not built
@@ -206,7 +211,8 @@ def test_flag_equals_value_parses_like_two_tokens(joined, split, capsys):
     (["sweep", "SV", "-h"], ["--min", "--max", "--points", "--quantity",
                              "omega_a", "phase_error", "k_star"]),
     # each option with its range
-    (["simulate", "--help"], ["--steps INT (>= 1)",
+    (["simulate", "--help"], ["--steps INT (1 to 1000000000)",
+                              "--stride INT (>= 1)",
                               "--x FLOAT (finite, nonzero)"]),
 ])
 def test_help_exits_0_and_names_every_command_or_flag(argv, names):
@@ -351,6 +357,17 @@ def test_simulate_gkick_overflow_prints_nan_rows():
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines() == ["t,q,p,H", "0,1,0,0.5",
                                         "1e+150,nan,nan,nan"]
+
+
+@pytest.mark.parametrize("name", ["LF1", "LF1T"])
+def test_simulate_where_one_map_entry_leaves_the_float_range(name):
+    # at x = 1e200 the diagonal entry 1 - x^2 of LF1 and LF1T is -inf, while
+    # the other is 1: T +- x^2 W, the form of the sweep kernel, would give
+    # inf - inf = NaN there, and the scalar map must read a regime instead
+    proc = _oscmap(["simulate", name, "--x", "1e200", "--steps", "2"])
+    assert proc.returncode == 0 and "oscmap: error:" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["t,q,p,H", "0,1,0,0.5"] and len(lines) == 4
 
 
 @pytest.mark.parametrize("flag, argv", [

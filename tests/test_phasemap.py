@@ -1,8 +1,8 @@
 """Tests for the 2x2 map construction, spectral data, and closed-form power."""
 
 import functools
-import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -46,6 +46,29 @@ def _invariant_form(m):
     return ((m.nu, w), (w, m.tau))
 
 
+def _fraction_map(s, x):
+    """Rows [[g, tau], [-nu, h]] at a rational x, omega = 1, by 2x2 products."""
+    m = [[F(1), F(0)], [F(0), F(1)]]
+    for st in s.active_steps():
+        c = F(st.c)
+        if st.kind == DRIFT:
+            shear = [[F(1), c * x], [F(0), F(1)]]
+        else:
+            mu = c * x + (F(st.u) * x**3 if st.kind == GKICK else 0)
+            shear = [[F(1), F(0)], [-mu, F(1)]]
+        m = [[sum(shear[i][k] * m[k][j] for k in range(2)) for j in range(2)]
+             for i in range(2)]
+    return m
+
+
+def _yoshida_six():
+    """The triple jump of FR: w1 = 1/(2 - 2^(1/5)), w0 = 1 - 2 w1, order 6."""
+    fr = get_scheme("FR")
+    w1 = 1 / (2 - 2 ** (1 / 5))
+    return Scheme("Y6", [Step(st.kind, w * st.c) for w in (w1, 1 - 2 * w1, w1)
+                         for st in fr.steps], 6, 9)
+
+
 # ------------------------------------------------------------ scheme matrices
 
 def test_sv_anchor_matrix():
@@ -75,7 +98,7 @@ def test_any_scheme_identity_at_zero_step():
 
 def test_sv_series_matrix_exact():
     # g, tau/x, nu/x and h of the exact build
-    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("SV"), True)
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("SV"))
     assert g.coeffs == [1, 0, F(-1, 2), 0]
     assert tau_x.coeffs == [1, 0, 0]
     assert nu_x.coeffs == [1, 0, F(-1, 4)]
@@ -85,7 +108,9 @@ def test_sv_series_matrix_exact():
 def test_fr_series_matrix_against_surd_polynomials():
     cbrt2 = 2.0 ** (1.0 / 3.0)
     cbrt4 = 2.0 ** (2.0 / 3.0)
-    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("FR"), False)
+    # the exact build of FR's float steps, its coefficients taken as floats
+    g, tau_x, nu_x, h = ([float(c) for c in p.coeffs]
+                         for p in phasemap._polynomials(get_scheme("FR")))
     g_ref = [1, 0, -0.5, 0, 1 / 24, 0, (6 + 5 * cbrt2 + 4 * cbrt4) / 288, 0]
     tau_x_ref = [1, 0, -1 / 6, 0, -(1 + cbrt2) / (72 * cbrt4), 0,
                  (25 + 20 * cbrt2 + 16 * cbrt4) / 1728]
@@ -98,30 +123,36 @@ def test_fr_series_matrix_against_surd_polynomials():
 
 
 def test_series_matrix_det_is_one():
-    for name, exact in itertools.product(("SV", "FR", "C", "LF1"),
-                                         (True, False)):
-        polys = phasemap._polynomials(get_scheme(name), exact)
-        # the floats enter a Series at their exact values
-        g, tau_x, nu_x, h = polys if exact else map(Series, polys)
-        # det = g*h + x^2 (tau/x)(nu/x), truncated at the map's degree
+    for name in ("SV", "FR", "C", "LF1"):
+        g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name))
+        # det = g*h + x^2 (tau/x)(nu/x), truncated at the map's degree: the
+        # build is exact, so every shear's det = 1 leaves exactly 1
         det = g * h + (tau_x * nu_x).times_x().times_x().truncated(g.order)
-        assert all(abs(c) <= 1e-13 for c in det.coeffs[1:])
-        assert det.coeffs[0] == 1
+        assert det.coeffs == [1] + [0] * g.order
 
 
 def test_symmetric_series_parity():
-    for name, exact in itertools.product(("SV", "FR", "C", "M", "BM"),
-                                         (True, False)):
-        polys = phasemap._polynomials(get_scheme(name), exact)
-        g, tau_x, nu_x, h = (p.coeffs for p in polys) if exact else polys
-        assert g == h                      # exact, also once rounded
+    for name in ("SV", "FR", "C", "M", "BM"):
+        polys = phasemap._polynomials(get_scheme(name))
+        g, tau_x, nu_x, h = (p.coeffs for p in polys)
+        assert g == h
         assert not any(g[1::2])            # structural zeros are exact
         assert not any(tau_x[1::2])
         assert not any(nu_x[1::2])
 
 
+@pytest.mark.parametrize("s", [*filter(is_symmetric, registry()),
+                               _yoshida_six()], ids=lambda s: s.name)
+def test_reversible_scheme_matrix_has_g_equal_h_bitwise(s):
+    # g = h in the exact map, and each is rounded once from that one value
+    for eps, omega in [(0.3, 1.0), (-1.7, 0.9), (2.0**-600, 2.0**600),
+                       (1e-170, 3.0), (1e200, 1.0), (3.3, 1e-300)]:
+        m = scheme_matrix(s, eps, omega)
+        assert m.g.hex() == m.h.hex()
+
+
 def test_lf1_series_diagonal_gap():
-    g, _, _, h = phasemap._polynomials(get_scheme("LF1"), True)
+    g, _, _, h = phasemap._polynomials(get_scheme("LF1"))
     assert (g - h).coeffs == [0, 0, 1]  # g - h = +x^2
 
 
@@ -151,28 +182,54 @@ def test_series_mode_follows_coefficient_type_whichever_is_built_first(
         assert not any(isinstance(c, Fraction) for c in a.coeffs)
         assert not any(isinstance(c, float) for c in b.coeffs)
         assert all(abs(u - v) <= 1e-15 for u, v in zip(a.coeffs, b.coeffs))
-    assert scheme_matrix(approx, 0.3, 1.0) == scheme_matrix(exact, 0.3, 1.0)
+    # float C and Fraction C are two exact maps, each rounded from its own
+    for t in (approx, exact):
+        assert scheme_matrix(t, 0.3, 1.0)[:4] == _rounded_map(t, 0.3, 1.0)
 
 
-def _binary_exact(s):
-    return Scheme(**{**s._asdict(), "steps": tuple(
-        Step(st.kind, F(st.c), None if st.u is None else F(st.u))
-        for st in s.steps
-    )})
+def _round(v: Fraction) -> float:
+    """v correctly rounded to float, or to +-inf beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
-@pytest.mark.parametrize("s", [pytest.param(s, id=s.name) for s in registry()] + [
-    pytest.param(_with_float_coefficients(get_scheme(name)), id=name + "-float")
-    for name in ("SV", "C")
+def _rounded_map(s, eps, omega):
+    """(g, tau, nu, h) at (eps, omega) from the 2x2 Fraction shear product,
+    each entry rounded once."""
+    w = F(omega)
+    (a, b), (c, d) = _fraction_map(s, F(eps) * w)
+    # b = x*(tau/x) and c = -x*(nu/x), while tau = eps*(tau/x) = b/omega and
+    # nu = eps*omega^2*(nu/x) = -c*omega
+    return _round(a), _round(b / w), _round(-c * w), _round(d)
+
+
+def _random_points(seed, n):
+    """n pairs (eps, omega): |x| in [1e-3, 3.3], omega within 2^+-41."""
+    rng = random.Random(seed)
+    return [(rng.choice((-1, 1)) * rng.uniform(1e-3, 3.3) / omega, omega)
+            for omega in (2.0 ** rng.randint(-40, 40) * rng.uniform(0.5, 2)
+                          for _ in range(n))]
+
+
+@pytest.mark.parametrize("s", [
+    *(pytest.param(s, id=s.name) for s in registry()),
+    pytest.param(_yoshida_six(), id="Y6"),
+    *(pytest.param(_with_float_coefficients(get_scheme(name)), id=name + "-float")
+      for name in ("SV", "C")),
 ])
-def test_float_mode_is_the_correctly_rounded_exact_map(s, monkeypatch):
-    monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
-    exact = phasemap._polynomials(_binary_exact(s), True)
-    monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
-    floats = phasemap._polynomials(s, False)
-    for a, b in zip(floats, exact):
-        assert all(type(c) is float for c in a)
-        assert [c.hex() for c in a] == [float(c).hex() for c in b.coeffs]
+def test_float_mode_is_the_correctly_rounded_exact_map(s):
+    points = [*_random_points(20260, 12), (2.0**-600, 2.0**600),
+              (2.0**600, 2.0**-600), (1e200, 1.0), (-1e200, 1.0), (0.0, 1.0)]
+    for eps, omega in points:
+        got = scheme_matrix(s, eps, omega)
+        ref = _rounded_map(s, eps, omega)
+        assert [v.hex() for v in got[:4]] == [v.hex() for v in ref], (eps, omega)
+        assert not any(map(math.isnan, got[:4]))
+    if s.name == "LF1":
+        m = scheme_matrix(s, 1e200, 1.0)
+        assert m.g == 1.0 and m.h == -math.inf
 
 
 def test_one_build_serves_numeric_series_and_stability(monkeypatch):
@@ -184,32 +241,9 @@ def test_one_build_serves_numeric_series_and_stability(monkeypatch):
     assert len(phasemap._POLYNOMIALS) == 1
 
 
-def _fraction_map(s, x):
-    """Rows [[g, tau], [-nu, h]] at a rational x, omega = 1, by 2x2 products."""
-    m = [[F(1), F(0)], [F(0), F(1)]]
-    for st in s.active_steps():
-        c = F(st.c)
-        if st.kind == DRIFT:
-            shear = [[F(1), c * x], [F(0), F(1)]]
-        else:
-            mu = c * x + (F(st.u) * x**3 if st.kind == GKICK else 0)
-            shear = [[F(1), F(0)], [-mu, F(1)]]
-        m = [[sum(shear[i][k] * m[k][j] for k in range(2)) for j in range(2)]
-             for i in range(2)]
-    return m
-
-
-def _yoshida_six():
-    """The triple jump of FR: w1 = 1/(2 - 2^(1/5)), w0 = 1 - 2 w1, order 6."""
-    fr = get_scheme("FR")
-    w1 = 1 / (2 - 2 ** (1 / 5))
-    return Scheme("Y6", [Step(st.kind, w * st.c) for w in (w1, 1 - 2 * w1, w1)
-                         for st in fr.steps], 6, 9)
-
-
 @pytest.mark.parametrize("s", [*registry(), _yoshida_six()], ids=lambda s: s.name)
 def test_exact_polynomials_equal_the_fraction_shear_product(s):
-    g, tau_x, nu_x, h = phasemap._polynomials(s, True)
+    g, tau_x, nu_x, h = phasemap._polynomials(s)
     for x in (F(1, 3), F(7, 5)):
         (a, b), (c, d) = _fraction_map(s, x)
         assert (g(x), x * tau_x(x), -x * nu_x(x), h(x)) == (a, b, c, d)
@@ -218,7 +252,7 @@ def test_exact_polynomials_equal_the_fraction_shear_product(s):
 @pytest.mark.parametrize("order", [0, 1, 5, 7, 30])
 def test_series_matrix_pads_or_truncates_the_exact_map(order):
     # FR's map has degree 7: lower orders truncate it, higher ones pad zeros.
-    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("FR"), True)
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme("FR"))
     full = [p.coeffs + [0] * 40
             for p in (g, tau_x.times_x(), nu_x.times_x(), h)]
     m = scheme_series_matrix(get_scheme("FR"), order)
@@ -267,6 +301,13 @@ def test_spectral_rejects_nan_entries():
         spectral(PhaseMatrix(nan, 1.0, 1.0, nan, 1.0, 1.0))
     with pytest.raises(ValueError, match="NaN"):
         spectral(scheme_matrix(get_scheme("SV"), nan, 1.0))
+
+
+@pytest.mark.parametrize("eps, omega", [(math.nan, 1.0), (0.5, math.nan),
+                                        (math.inf, 1.0), (0.5, -math.inf)])
+def test_scheme_matrix_rejects_non_finite_eps_and_omega(eps, omega):
+    with pytest.raises(ValueError, match="NaN|infinite"):
+        scheme_matrix(get_scheme("SV"), eps, omega)
 
 
 def test_spectral_negative_step_keeps_shadow_parameters():
@@ -359,7 +400,7 @@ def _sweep_reference(name: str) -> list[tuple]:
     tolerances are 16 units of round-off of each Horner sum.
     """
     s = get_scheme(name)
-    polys = phasemap._polynomials(s, True)
+    polys = phasemap._polynomials(s)
     # every entry is even in x: evaluate in y = x^2 at half the length
     g, tau_x, nu_x, h = (Series(p.coeffs[::2]) for p in polys)
     half = Series([(a + b) / 2 for a, b in zip(g.coeffs, h.coeffs)])
@@ -388,7 +429,7 @@ def _even_sums(name: str) -> tuple[list[float], ...]:
     """Coefficients in y = x^2 of T = (g + h)/2, tau/x, nu/x and W = w/x^2,
     each rounded once by float() from the exact build, trailing zeros
     dropped: the sums the sweep kernel writes out."""
-    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name), True)
+    g, tau_x, nu_x, h = phasemap._polynomials(get_scheme(name))
     even_g, even_h = g.coeffs[::2], h.coeffs[::2]
     sums = ([(a + b) / 2 for a, b in zip(even_g, even_h)], tau_x.coeffs[::2],
             nu_x.coeffs[::2], [(a - b) / 2 for a, b in zip(even_g[1:], even_h[1:])])
@@ -524,13 +565,14 @@ def test_sweep_at_zero_and_negative_steps(s):
 
 def test_sweep_takes_no_scalar_route(monkeypatch):
     # the generated kernel alone handles x = 0, -0.0, negative and tiny steps
-    # and sums that overflow: the float build, scheme_matrix and spectral
-    # are never called
+    # and sums that overflow from the exact build: scheme_matrix and
+    # spectral are never called
     polynomials = phasemap._polynomials
 
-    def exact_only(s, exact):
-        assert exact, "sweep evaluated the float build"
-        return polynomials(s, exact)
+    def exact_only(s):
+        polys = polynomials(s)
+        assert all(p._bits is None for p in polys), "sweep read a rounded map"
+        return polys
 
     def unreachable(*args):
         raise AssertionError("sweep called the scalar route")

@@ -212,7 +212,7 @@ _RUN_CASES = [
 ])
 def test_is_symmetric_iff_the_exact_map_has_g_equal_h(s, reversible):
     # the verdicts are read off the merged runs by hand, not off the map
-    g, _, _, h = phasemap._polynomials(s, True)
+    g, _, _, h = phasemap._polynomials(s)
     assert is_symmetric(s) == (g.coeffs == h.coeffs) == reversible
 
 

@@ -230,11 +230,14 @@ def test_evaluation():
     b = Series([1, F(1, 3), F(-2, 7)])
     assert b(F(3, 2)) == 1 + F(1, 2) - F(9, 14)
     assert b(2) == 1 + F(2, 3) - F(8, 7)
-    assert b(0.5) == (F(-2, 7) * 0.5 + F(1, 3)) * 0.5 + 1
-    # the shared denominator exceeds float range; each coefficient does not
+    # a float point is taken at its binary value, and the value is exact
+    assert b(0.5) == 1 + F(1, 3) / 2 - F(2, 7) / 4
+    assert b(0.1) == b(F(0.1)) != b(F(1, 10))
+    assert type(b(0.5)) is F and type(a(2)) is F
+    # the shared denominator exceeds float range, and nothing is rounded
     tiny = Series([1, F(1, 3), F(1, 2**1100)])
     assert tiny._den > 2**1024
-    assert tiny(0.5) == 1 + 0.5 / 3
+    assert tiny(0.5) == 1 + F(1, 6) + F(1, 2**1102)
 
 
 # ---------------------------------------------------------------- properties
