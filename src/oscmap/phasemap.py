@@ -384,6 +384,11 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     data = spectral(mat)
     if data.regime is not Regime.ELLIPTIC:
         raise RegimeError(f"{data.regime.value} map: {data.detail}")
+    return _propagate(mat, data, t)
+
+
+def _propagate(mat: PhaseMatrix, data: SpectralData, t: float) -> Rows:
+    """`propagate_closed_form` of an elliptic map whose `spectral` is data."""
     angle = _angle(data.theta, t, mat.eps)
     c, s = math.cos(angle), math.sin(angle)
     shift = ((mat.g - mat.h) / (2.0 * data.xi)) * s

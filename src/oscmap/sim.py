@@ -5,15 +5,21 @@ one add per factor, without ever forming the composed 2x2 matrix; that keeps
 this module an independent oracle for the closed-form propagation and for the
 conservation of the modified energy. The step loop is generated once per
 drift/kick pattern of a scheme (e.g. "dkdkdkd") as straight-line Python, one
-line per shear in the scheme's order; the coefficients are arguments of the
+line per shear in the scheme's order; its body holds the step's lines
+`_UNROLL` times over, so the loop control is paid once per `_UNROLL` steps,
+and each shear is still one line. The coefficients are arguments of the
 generated function, never part of its source, so schemes with the same
-pattern share one compiled loop. Samples and energies are plain lists of
-Python floats.
+pattern share one compiled loop. The loop runs on (q, p * 2**-k), where
+omega = m * 2**k with m in [1, 2), so that no coefficient forms omega*omega:
+at eps = 2**-600, omega = 2**600 the trajectory in q is that of eps = omega
+= 1, and at omega = 1 nothing is scaled. Samples and energies are plain
+lists of Python floats.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -21,6 +27,9 @@ from .phasemap import Regime, scheme_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme, is_symmetric
 
 __all__ = ["TrajectoryRecord", "iterate"]
+
+#: Steps per pass of the generated loop body.
+_UNROLL = 8
 
 
 class TrajectoryRecord(NamedTuple):
@@ -41,26 +50,43 @@ class TrajectoryRecord(NamedTuple):
     modified_energy: list[float] | None
 
 
-def _kick_drift_program(s: Scheme, eps: float, omega: float):
-    """Per-step shear pattern and coefficients: 'd' for c*eps, 'k' for mu."""
-    w2 = omega * omega
+def _ldexp(v: float, k: int) -> float:
+    """v * 2**k, rounded once, and an inf of v's sign where that overflows."""
     try:
-        cube = eps**3
-    except OverflowError:  # a float power raises where eps*eps*eps gives inf
-        cube = math.copysign(math.inf, eps)
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _kick_drift_program(s: Scheme, eps: float, omega: float):
+    """Per-step shear pattern, coefficients and the scale k of p.
+
+    With omega = m * 2**k, m in [1, 2), the loop runs on (q, p * 2**-k) and
+    e = eps * 2**k: 'd' for c*e, 'k' for c*e*m^2 (+ u*e^3*m^4). Powers of two
+    move between omega and eps exactly, so the coefficients stay in range
+    where omega*omega would overflow or underflow; at omega = 1, k = 0.
+    """
+    k = math.frexp(omega)[1] - 1 if 0.0 < abs(omega) < math.inf else 0
+    m = math.ldexp(omega, -k)
+    m2 = m * m
+    e = _ldexp(eps, k)
+    try:
+        cube = e**3
+    except OverflowError:  # a float power raises where e*e*e gives inf
+        cube = math.copysign(math.inf, e)
     pattern = []
     coeffs = []
     for st in s.active_steps():
         if st.kind == DRIFT:
             pattern.append("d")
-            coeffs.append(float(st.c) * eps)
+            coeffs.append(float(st.c) * e)
         else:
-            mu = float(st.c) * eps * w2
+            mu = float(st.c) * e * m2
             if st.kind == GKICK:
-                mu += float(st.u) * cube * w2 * w2
+                mu += float(st.u) * cube * m2 * m2
             pattern.append("k")
             coeffs.append(mu)
-    return "".join(pattern), coeffs
+    return "".join(pattern), coeffs, k
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,12 +96,16 @@ def _shear_loop(pattern: str):
     The generated function takes (q, p, n_steps, stride, c0, c1, ...) and
     returns the lists of q and p after 0 steps, after every multiple of the
     stride and after the last step. Each shear is one line, `q += ci * p` or
-    `p -= ci * q`, in the pattern's order.
+    `p -= ci * q`, in the pattern's order. The loop body holds the step's
+    lines `_UNROLL` times over and runs block // _UNROLL times, then the
+    single step runs block % _UNROLL times, both counted by
+    `itertools.repeat`: the same float operations in the same order as one
+    step at a time, with less loop control per step.
     """
     coeffs = ", ".join(f"c{i}" for i in range(len(pattern)))
-    shears = "\n".join(
-        f"            q += c{i} * p" if kind == "d" else f"            p -= c{i} * q"
-        for i, kind in enumerate(pattern))
+    step = [f"q += c{i} * p" if kind == "d" else f"p -= c{i} * q"
+            for i, kind in enumerate(pattern)]
+    lines = "\n            ".join
     source = f"""\
 def run(q, p, n_steps, stride, {coeffs}):
     qs = [q]
@@ -83,14 +113,16 @@ def run(q, p, n_steps, stride, {coeffs}):
     done = 0
     while done < n_steps:
         block = min(stride, n_steps - done)
-        for _ in range(block):
-{shears}
+        for _ in repeat(None, block // {_UNROLL}):
+            {lines(step * _UNROLL)}
+        for _ in repeat(None, block % {_UNROLL}):
+            {lines(step)}
         done += block
         qs.append(q)
         ps.append(p)
     return qs, ps
 """
-    namespace = {}
+    namespace = {"repeat": itertools.repeat}
     exec(compile(source, f"<shear loop {pattern}>", "exec"), namespace)
     return namespace["run"]
 
@@ -101,8 +133,11 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
 
     The shears act one by one on (q, p) through the loop `_shear_loop`
     generates for the scheme's drift/kick pattern, with this call's
-    coefficients passed as arguments. Samples are taken at step 0, at every
-    multiple of the stride and at the final step, which is always included.
+    coefficients passed as arguments; it runs on (q, p * 2**-k), omega =
+    m * 2**k with m in [1, 2), and each later sample of p is scaled back by
+    2**k, to a signed inf where that overflows. Samples are taken at step 0,
+    at every multiple of the stride and at the final step, which is always
+    included.
     The shadow energy H_A follows `is_symmetric`, the test `analyze` prints
     as `reversible`: g = h in the exact map, not in the rounded map at this
     step, so it holds at every step size. Divergence in the hyperbolic
@@ -112,9 +147,12 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
         raise ValueError("n_steps must be at least 1")
     if sample_stride < 1:
         raise ValueError("sample_stride must be at least 1")
-    pattern, coeffs = _kick_drift_program(s, eps, omega)
-    qs, ps = _shear_loop(pattern)(float(q0), float(p0), n_steps, sample_stride,
+    q0, p0 = float(q0), float(p0)
+    pattern, coeffs, k = _kick_drift_program(s, eps, omega)
+    qs, ps = _shear_loop(pattern)(q0, _ldexp(p0, -k), n_steps, sample_stride,
                                   *coeffs)
+    if k:  # the first sample is p0 itself, even where p0 * 2**-k underflows
+        ps = [p0, *(_ldexp(p, k) for p in ps[1:])]
     index = [*range(0, n_steps, sample_stride), n_steps]
     # p * p, not p ** 2: a float power raises OverflowError where the product
     # of a diverging run just becomes inf

@@ -20,6 +20,7 @@ from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
     registry,
 )
+from oscmap import sim
 from oscmap.sim import _kick_drift_program, iterate
 
 
@@ -110,23 +111,34 @@ def phase_error(s, x):
 def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
     """Reference for `iterate`: one generic loop over (is_drift, coeff) pairs.
 
-    Returns (step indices, q samples, p samples); the generated per-pattern
-    loops must reproduce them bit for bit.
+    Writes omega = m * 2**k with m in [1, 2) and steps (q, p / 2**k) with
+    e = eps * 2**k: drift coefficients c*e, kick coefficients c*e*m^2 plus
+    u*e^3*m^4 for a force-gradient kick (a signed inf where the float power
+    e**3 overflows), each sampled p multiplied back by 2**k. Returns (step
+    indices, q samples, p samples); the generated per-pattern loops must
+    reproduce them bit for bit.
     """
-    w2 = omega * omega
+    mant, exp = math.frexp(omega)
+    scale = 2.0 ** (exp - 1)
+    m2 = (2.0 * mant) * (2.0 * mant)
+    e = eps * scale
+    try:
+        cube = e**3
+    except OverflowError:
+        cube = math.copysign(math.inf, e)
     program = []
     for step in s.active_steps():
         if step.kind == DRIFT:
-            program.append((True, float(step.c) * eps))
+            program.append((True, float(step.c) * e))
         else:
-            mu = float(step.c) * eps * w2
+            mu = float(step.c) * e * m2
             if step.kind == GKICK:
-                mu += float(step.u) * eps**3 * w2 * w2
+                mu += float(step.u) * cube * m2 * m2
             program.append((False, mu))
     idx = [0]
     qs = [float(q0)]
     ps = [float(p0)]
-    q, p = float(q0), float(p0)
+    q, p = float(q0), float(p0) / scale
     for k in range(1, n_steps + 1):
         for is_drift, coeff in program:
             if is_drift:
@@ -136,7 +148,7 @@ def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
         if k % sample_stride == 0 or k == n_steps:
             idx.append(k)
             qs.append(q)
-            ps.append(p)
+            ps.append(p * scale)
     return idx, qs, ps
 
 
@@ -177,11 +189,26 @@ def _step_counts(draw):
 @given(which=st.integers(0, len(registry())),
        counts=_step_counts(),
        q0=st.floats(-10, 10), p0=st.floats(-10, 10),
-       eps=st.floats(-3, 3), omega=st.sampled_from((1.0, 2.5)))
+       eps=st.floats(-3, 3),
+       omega=st.sampled_from((1.0, 2.5, 2.0**600, 1.5 * 2.0**-600)))
+@example(which=0, counts=(1, 1), q0=0.0, p0=5e-324, eps=0.0, omega=2.5)
 def test_iterate_matches_generic_loop_bitwise(uneven_scheme, which, counts,
                                               q0, p0, eps, omega):
     schemes = [*registry(), uneven_scheme]
     _assert_matches_generic_loop(schemes[which], q0, p0, eps, omega, *counts)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 8, 1000])
+@pytest.mark.parametrize("n_steps", [1, 7, 8, 9, 17, 1003])
+@pytest.mark.parametrize("name", ["SV", "C", "BM", "uneven", "SV diverging"])
+def test_iterate_matches_generic_loop_at_the_unroll_boundaries(
+        uneven_scheme, name, n_steps, stride):
+    # a block of b steps runs b // _UNROLL unrolled passes, then b % _UNROLL
+    # single steps; these sizes put each of them at 0, 1 and more
+    assert sim._UNROLL == 8
+    x = 2.5 if name == "SV diverging" else 0.3
+    s = uneven_scheme if name == "uneven" else get_scheme(name.split()[0])
+    _assert_matches_generic_loop(s, 1.0, 0.25, x, 1.0, n_steps, stride)
 
 
 @pytest.mark.parametrize("n_steps, stride", [(600, 1), (2000, 100)])
@@ -233,24 +260,62 @@ def test_energies_of_the_diverging_run_overflow_to_inf_and_nan():
     assert any(map(math.isinf, rec.energy)) and math.isnan(rec.energy[-1])
 
 
-@pytest.mark.parametrize("eps, sign", [(1e150, -1.0), (-1e150, 1.0)])
-def test_gkick_coefficient_overflows_to_a_signed_inf(eps, sign):
-    # eps**3 raises OverflowError as a float power; C's u = -1/96 flips its sign
+@pytest.mark.parametrize("eps, omega, sign", [
+    (1e150, 1.0, -1.0), (-1e150, 1.0, 1.0), (1e150 * 2.0**-600, 2.0**600, -1.0)])
+def test_gkick_coefficient_overflows_to_a_signed_inf(eps, omega, sign):
+    # (e)**3 raises OverflowError as a float power; C's u = -1/96 flips its
+    # sign. e = eps * 2**k is 1e150 in each case, omega = 2**k exactly
     c = get_scheme("C")
-    _, coeffs = _kick_drift_program(c, eps, 1.0)
+    _, coeffs, k = _kick_drift_program(c, eps, omega)
+    assert 2.0**k == omega
     assert coeffs[3] == sign * math.inf
-    rec = iterate(c, 1.0, 0.0, eps, 1.0, 2)
+    rec = iterate(c, 1.0, 0.0, eps, omega, 2)
     assert all(map(math.isnan, rec.q[1:] + rec.p[1:] + rec.energy[1:]))
     assert rec.modified_energy is None
 
 
-def test_gkick_coefficient_is_the_float_power_where_finite():
+@pytest.mark.parametrize("eps, omega, k", [
+    (0.3, 1.5, 0), (-1.7, 1.5, 0), (1e100, 1.5, 0), (0.3, 2.5, 1),
+    (-1.7, 2.5, 1), (1e100, 2.5, 1), (1e-100, 1e100, 332), (0.3, 0.7, -1)])
+def test_gkick_coefficient_is_the_scaled_float_power_where_finite(eps, omega,
+                                                                  k):
+    # omega = m * 2**k, m in [1, 2); the kick reads c*e*m^2 + u*e^3*m^4 with
+    # e = eps * 2**k, which is 2**-k times the unscaled c*eps*omega^2 +
+    # u*eps^3*omega^4 bit for bit while both are normal floats
     c = get_scheme("C")
-    for eps in (0.3, -1.7, 1e100):
-        _, coeffs = _kick_drift_program(c, eps, 1.5)
-        w2 = 1.5 * 1.5
-        mu = 0.25 * eps * w2 + (-1 / 96) * eps**3 * w2 * w2
-        assert coeffs[3].hex() == mu.hex()
+    pattern, coeffs, got_k = _kick_drift_program(c, eps, omega)
+    assert (pattern, got_k) == ("dkdkdkd", k)
+    m, e = omega / 2.0**k, eps * 2.0**k
+    m2 = m * m
+    mu = 0.25 * e * m2 + (-1 / 96) * e**3 * m2 * m2
+    assert coeffs[3].hex() == mu.hex()
+    assert coeffs[0].hex() == (1 / 6 * e).hex()
+    w2 = omega * omega
+    unscaled = 0.25 * eps * w2 + (-1 / 96) * eps**3 * w2 * w2
+    assert coeffs[3].hex() == math.ldexp(unscaled, -k).hex()
+
+
+@pytest.mark.parametrize("name", [s.name for s in registry()])
+def test_extreme_eps_and_omega_follow_the_unit_trajectory(name):
+    # only x = eps*omega reaches the map: (2**-600, 2**600) and (2**600,
+    # 2**-600) give the q of (x, 1) bit for bit, and p / omega its p, where
+    # omega*omega alone would be inf or 0
+    s = get_scheme(name)
+    ref = iterate(s, 1.0, 0.0, 0.5, 1.0, 40, 3)
+    for eps, omega in ((0.5 * 2.0**-600, 2.0**600), (0.5 * 2.0**600, 2.0**-600)):
+        rec = iterate(s, 1.0, 0.0, eps, omega, 40, 3)
+        assert _hexes(rec.q) == _hexes(ref.q)
+        assert _hexes([p / omega for p in rec.p]) == _hexes(ref.p)
+
+
+def test_extreme_eps_and_omega_pin_the_sv_quarter_turns():
+    # SV at x = 1: a quarter turn in q every step and a half, read from
+    # (q, p/omega) at the three scalings of one x
+    sv = get_scheme("SV")
+    for eps, omega in ((2.0**-600, 2.0**600), (2.0**600, 2.0**-600), (1.0, 1.0)):
+        rec = iterate(sv, 1.0, 0.0, eps, omega, 3)
+        assert rec.q == [1.0, 0.5, -0.5, -1.0]
+        assert [p / omega for p in rec.p] == [0.0, -0.75, -0.75, 0.0]
 
 
 def test_schemes_sharing_a_pattern_keep_their_coefficients():
