@@ -260,39 +260,38 @@ def test_energies_of_the_diverging_run_overflow_to_inf_and_nan():
     assert any(map(math.isinf, rec.energy)) and math.isnan(rec.energy[-1])
 
 
-@pytest.mark.parametrize("eps, omega, sign", [
-    (1e150, 1.0, -1.0), (-1e150, 1.0, 1.0), (1e150 * 2.0**-600, 2.0**600, -1.0)])
-def test_gkick_coefficient_overflows_to_a_signed_inf(eps, omega, sign):
-    # (e)**3 raises OverflowError as a float power; C's u = -1/96 flips its
-    # sign. e = eps * 2**k is 1e150 in each case, omega = 2**k exactly
+@pytest.mark.parametrize("eps, sign", [(1e150, -1.0), (-1e150, 1.0)])
+def test_gkick_coefficient_overflows_to_a_signed_inf(eps, sign):
+    # e**3 raises OverflowError as a float power; C's u = -1/96 flips its
+    # sign. e = eps * 2**k is the same at omega = 2**k with eps / omega
     c = get_scheme("C")
-    _, coeffs, k = _kick_drift_program(c, eps, omega)
-    assert 2.0**k == omega
-    assert coeffs[3] == sign * math.inf
-    rec = iterate(c, 1.0, 0.0, eps, omega, 2)
-    assert all(map(math.isnan, rec.q[1:] + rec.p[1:] + rec.energy[1:]))
-    assert rec.modified_energy is None
+    for omega in (1.0, 2.0**600):
+        _, coeffs, k = _kick_drift_program(c, eps / omega, omega)
+        assert 2.0**k == omega
+        assert coeffs[3] == sign * math.inf
+        rec = iterate(c, 1.0, 0.0, eps / omega, omega, 2)
+        assert all(map(math.isnan, rec.q[1:] + rec.p[1:] + rec.energy[1:]))
+        assert rec.modified_energy is None
 
 
-@pytest.mark.parametrize("eps, omega, k", [
-    (0.3, 1.5, 0), (-1.7, 1.5, 0), (1e100, 1.5, 0), (0.3, 2.5, 1),
-    (-1.7, 2.5, 1), (1e100, 2.5, 1), (1e-100, 1e100, 332), (0.3, 0.7, -1)])
-def test_gkick_coefficient_is_the_scaled_float_power_where_finite(eps, omega,
-                                                                  k):
+def test_gkick_coefficient_is_the_float_power_where_finite():
     # omega = m * 2**k, m in [1, 2); the kick reads c*e*m^2 + u*e^3*m^4 with
     # e = eps * 2**k, which is 2**-k times the unscaled c*eps*omega^2 +
     # u*eps^3*omega^4 bit for bit while both are normal floats
     c = get_scheme("C")
-    pattern, coeffs, got_k = _kick_drift_program(c, eps, omega)
-    assert (pattern, got_k) == ("dkdkdkd", k)
-    m, e = omega / 2.0**k, eps * 2.0**k
-    m2 = m * m
-    mu = 0.25 * e * m2 + (-1 / 96) * e**3 * m2 * m2
-    assert coeffs[3].hex() == mu.hex()
-    assert coeffs[0].hex() == (1 / 6 * e).hex()
-    w2 = omega * omega
-    unscaled = 0.25 * eps * w2 + (-1 / 96) * eps**3 * w2 * w2
-    assert coeffs[3].hex() == math.ldexp(unscaled, -k).hex()
+    for eps, omega, k in ((0.3, 1.5, 0), (-1.7, 1.5, 0), (1e100, 1.5, 0),
+                          (0.3, 2.5, 1), (-1.7, 2.5, 1), (1e100, 2.5, 1),
+                          (1e-100, 1e100, 332), (0.3, 0.7, -1)):
+        pattern, coeffs, got_k = _kick_drift_program(c, eps, omega)
+        assert (pattern, got_k) == ("dkdkdkd", k)
+        m, e = omega / 2.0**k, eps * 2.0**k
+        m2 = m * m
+        mu = 0.25 * e * m2 + (-1 / 96) * e**3 * m2 * m2
+        assert coeffs[3].hex() == mu.hex()
+        assert coeffs[0].hex() == (1 / 6 * e).hex()
+        w2 = omega * omega
+        unscaled = 0.25 * eps * w2 + (-1 / 96) * eps**3 * w2 * w2
+        assert coeffs[3].hex() == math.ldexp(unscaled, -k).hex()
 
 
 @pytest.mark.parametrize("name", [s.name for s in registry()])
