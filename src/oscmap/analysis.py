@@ -20,8 +20,8 @@ one.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import series as series_mod
 from .phasemap import Regime, _polynomials, scheme_matrix, spectral
@@ -59,11 +59,10 @@ class AnalysisError(ValueError):
     """A benchmark quantity is undefined or a cross-check failed."""
 
 
-class StabilityLimit(NamedTuple):
+class StabilityLimit(namedtuple("StabilityLimit", "x_max bounded")):
     """Largest stable x = eps*omega; bounded is False if none found in (0, 10]."""
 
-    x_max: float
-    bounded: bool
+    __slots__ = ()
 
 
 def _frequency_parts(s: Scheme, order: int):
@@ -440,18 +439,18 @@ def _taylor(q: list[int], n: int, bits: int) -> list[int]:
 
 # ----------------------------------------------------------- convergence
 
-class ConvergenceRow(NamedTuple):
-    order: int
-    partial_sum: float
-    abs_error: float | None
+class ConvergenceRow(namedtuple("ConvergenceRow",
+                                "order partial_sum abs_error")):
+    """Partial sum through x^order; abs_error is None off the elliptic regime."""
+
+    __slots__ = ()
 
 
-class ConvergenceStudy(NamedTuple):
-    scheme: str
-    x: float
-    closed_form: float | None
-    rows: tuple[ConvergenceRow, ...]
-    radius_estimate: float | None
+class ConvergenceStudy(namedtuple(
+        "ConvergenceStudy", "scheme x closed_form rows radius_estimate")):
+    """`ConvergenceRow`s at x; closed_form and radius_estimate may be None."""
+
+    __slots__ = ()
 
 
 def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
@@ -492,19 +491,16 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
 
 # -------------------------------------------------------------- report
 
-class PhaseErrorReport(NamedTuple):
-    """Everything cmd_analyze prints for one scheme except `reversible`."""
+class PhaseErrorReport(namedtuple(
+        "PhaseErrorReport", "scheme order_declared n c_n c_star stability "
+        "omega_a inv_mass k_star sigma")):
+    """Everything cmd_analyze prints for one scheme except `reversible`.
 
-    scheme: str
-    order_declared: int
-    n: int
-    c_n: float
-    c_star: float | None
-    stability: StabilityLimit
-    omega_a: Series
-    inv_mass: Series
-    k_star: Series
-    sigma: Series
+    c_star is None where the cost-normalized coefficient is undefined;
+    stability is a `StabilityLimit`, and the last four fields are `Series`.
+    """
+
+    __slots__ = ()
 
 
 def analyze(s: Scheme, order: int = 10) -> PhaseErrorReport:

@@ -32,10 +32,10 @@ pins this choice.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
 from .series import Series
 from .schemes import DRIFT, GKICK, Scheme, SchemeError, Step
@@ -64,18 +64,15 @@ class RegimeError(ValueError):
     """Raised when a quantity is requested outside the elliptic regime."""
 
 
-class PhaseMatrix(NamedTuple):
+class PhaseMatrix(namedtuple("PhaseMatrix", "g tau nu h eps omega")):
     """One-timestep map [[g, tau], [-nu, h]] on (q, p) at eps and omega."""
 
-    g: float
-    tau: float
-    nu: float
-    h: float
-    eps: float
-    omega: float
+    __slots__ = ()
 
 
-class SpectralData(NamedTuple):
+class SpectralData(namedtuple(
+        "SpectralData", "theta xi omega_a m_star k_star regime detail",
+        defaults=("",))):
     """Rotation data of one numeric map; fields undefined in its regime are None.
 
     theta, xi, omega_a, m_star and k_star are set in the elliptic regime
@@ -86,13 +83,7 @@ class SpectralData(NamedTuple):
     exact map, and with it whether m* and k* give a shadow energy H_A.
     """
 
-    theta: float | None
-    xi: float | None
-    omega_a: float | None
-    m_star: float | None
-    k_star: float | None
-    regime: Regime
-    detail: str = ""
+    __slots__ = ()
 
 
 # ------------------------------------------------------------ polynomial map

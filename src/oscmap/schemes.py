@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 __all__ = [
     "DRIFT", "KICK", "GKICK", "Step", "Scheme",
@@ -60,19 +60,12 @@ def _finite(v) -> bool:
     return True
 
 
-# A NamedTuple body cannot define __new__, so each validated record keeps its
-# fields in a NamedTuple base and checks them in a subclass's __new__. The
-# records are tuples: immutable, and hashed and compared as their fields.
-# _make builds through the class, and _replace through _make, so every way of
-# building a record runs the checks.
-class _StepFields(NamedTuple):
-    kind: str
-    c: float | Fraction
-    u: float | Fraction | None = None
+class Step(namedtuple("Step", "kind c u", defaults=(None,))):
+    """One elementary factor: kind, timestep fraction c, gradient weight u.
 
-
-class Step(_StepFields):
-    """One elementary factor: kind, timestep fraction c, gradient weight u."""
+    u is None except on a gkick step. Records are tuples: immutable, and
+    hashed and compared as their fields.
+    """
 
     __slots__ = ()
 
@@ -90,6 +83,7 @@ class Step(_StepFields):
             raise SchemeError(f"{kind} step must not carry a gradient coefficient")
         return super().__new__(cls, kind, c, u)
 
+    # namedtuple's _make skips __new__, and _replace calls _make: both check
     @classmethod
     def _make(cls, fields):
         return cls(*fields)
@@ -99,16 +93,12 @@ class Step(_StepFields):
         return self.c == 0 and (self.u is None or self.u == 0)
 
 
-class _SchemeFields(NamedTuple):
-    name: str
-    steps: tuple[Step, ...]
-    order: int
-    force_evals: int
-    citation: str = ""
+class Scheme(namedtuple("Scheme", "name steps order force_evals citation",
+                        defaults=("",))):
+    """An ordered factorization with declared order and cost metadata.
 
-
-class Scheme(_SchemeFields):
-    """An ordered factorization with declared order and cost metadata."""
+    steps is a tuple of `Step`s.
+    """
 
     __slots__ = ()
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
-from .phasemap import Regime, scheme_matrix, spectral
+from .phasemap import Regime, _rounded, scheme_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme, is_symmetric
 
 __all__ = ["TrajectoryRecord", "iterate"]
@@ -32,7 +32,8 @@ __all__ = ["TrajectoryRecord", "iterate"]
 _UNROLL = 8
 
 
-class TrajectoryRecord(NamedTuple):
+class TrajectoryRecord(namedtuple(
+        "TrajectoryRecord", "step_index t q p energy modified_energy")):
     """Sampled states of one discrete trajectory, one list entry per sample.
 
     `energy` is the true oscillator energy p^2/2 + omega^2 q^2 / 2;
@@ -42,20 +43,7 @@ class TrajectoryRecord(NamedTuple):
     A diverging run holds inf and NaN, as Python float arithmetic gives them.
     """
 
-    step_index: list[int]
-    t: list[float]
-    q: list[float]
-    p: list[float]
-    energy: list[float]
-    modified_energy: list[float] | None
-
-
-def _ldexp(v: float, k: int) -> float:
-    """v * 2**k, rounded once, and an inf of v's sign where that overflows."""
-    try:
-        return math.ldexp(v, k)
-    except OverflowError:
-        return math.copysign(math.inf, v)
+    __slots__ = ()
 
 
 def _kick_drift_program(s: Scheme, eps: float, omega: float):
@@ -69,7 +57,7 @@ def _kick_drift_program(s: Scheme, eps: float, omega: float):
     k = math.frexp(omega)[1] - 1 if 0.0 < abs(omega) < math.inf else 0
     m = math.ldexp(omega, -k)
     m2 = m * m
-    e = _ldexp(eps, k)
+    e = _rounded(eps, k)
     try:
         cube = e**3
     except OverflowError:  # a float power raises where e*e*e gives inf
@@ -149,10 +137,10 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
         raise ValueError("sample_stride must be at least 1")
     q0, p0 = float(q0), float(p0)
     pattern, coeffs, k = _kick_drift_program(s, eps, omega)
-    qs, ps = _shear_loop(pattern)(q0, _ldexp(p0, -k), n_steps, sample_stride,
+    qs, ps = _shear_loop(pattern)(q0, _rounded(p0, -k), n_steps, sample_stride,
                                   *coeffs)
     if k:  # the first sample is p0 itself, even where p0 * 2**-k underflows
-        ps = [p0, *(_ldexp(p, k) for p in ps[1:])]
+        ps = [p0, *(_rounded(p, k) for p in ps[1:])]
     index = [*range(0, n_steps, sample_stride), n_steps]
     # p * p, not p ** 2: a float power raises OverflowError where the product
     # of a diverging run just becomes inf

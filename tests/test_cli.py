@@ -487,6 +487,13 @@ def test_dataclasses_never_imported(args):
     assert "dataclasses" not in _imported_packages(args)
 
 
+@pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
+def test_typing_never_imported(args):
+    # without `site`, whose .pth files may load typing themselves: the records
+    # are built on collections.namedtuple, not typing.NamedTuple
+    assert "typing" not in _imported_packages(["-S", *args])
+
+
 #: The oscmap modules each subcommand never runs.
 _UNUSED = {
     "schemes": {"oscmap.analysis", "oscmap.sim"},

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oscmap import analysis, phasemap, sim
+import oscmap
+from oscmap import analysis, phasemap, schemes, sim
 from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, SchemeError, SchemeFileError, Step,
     get_scheme, has_exact_coefficients, is_symmetric, load_scheme, registry,
@@ -164,6 +165,45 @@ def test_records_are_immutable():
                 setattr(r, field, None)
         with pytest.raises(AttributeError):
             r.extra = None
+
+
+#: Each record's home module, fields and defaults, and an instance built by
+#: the code that returns it.
+_SHAPES = {
+    "Step": (schemes, "kind c u", {"u": None},
+             lambda sv: sv.steps[0]),
+    "Scheme": (schemes, "name steps order force_evals citation",
+               {"citation": ""}, lambda sv: sv),
+    "PhaseMatrix": (phasemap, "g tau nu h eps omega", {},
+                    lambda sv: phasemap.scheme_matrix(sv, 0.5, 1.0)),
+    "SpectralData": (phasemap, "theta xi omega_a m_star k_star regime detail",
+                     {"detail": ""}, lambda sv: phasemap.spectral(
+                         phasemap.scheme_matrix(sv, 0.5, 1.0))),
+    "StabilityLimit": (analysis, "x_max bounded", {},
+                       analysis.stability_limit),
+    "ConvergenceRow": (analysis, "order partial_sum abs_error", {},
+                       lambda sv: analysis.convergence_study(sv, 0.5, 4).rows[0]),
+    "ConvergenceStudy": (analysis, "scheme x closed_form rows radius_estimate",
+                         {}, lambda sv: analysis.convergence_study(sv, 0.5, 4)),
+    "PhaseErrorReport": (analysis, "scheme order_declared n c_n c_star "
+                         "stability omega_a inv_mass k_star sigma", {},
+                         lambda sv: analysis.analyze(sv, 4)),
+    "TrajectoryRecord": (sim, "step_index t q p energy modified_energy", {},
+                         lambda sv: sim.iterate(sv, 1.0, 0.0, 0.5, 1.0, 4)),
+}
+
+
+@pytest.mark.parametrize("name", _SHAPES)
+def test_record_keeps_its_fields_defaults_and_tuple_layout(name):
+    module, fields, defaults, build = _SHAPES[name]
+    cls = getattr(module, name)
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == defaults
+    record = build(get_scheme("SV"))
+    assert type(record) is cls and isinstance(record, tuple)
+    assert not hasattr(record, "__dict__")
+    assert name in module.__all__
+    assert getattr(oscmap, name, cls) is cls
 
 
 # ------------------------------------------------------------- symmetry
