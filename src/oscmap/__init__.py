@@ -30,10 +30,10 @@ _EXPORTS = {
                 "DATA_DIR_ENV"),
     "phasemap": ("PhaseMatrix", "Regime", "RegimeError", "SpectralData",
                  "propagate_closed_form", "scheme_matrix", "spectral", "sweep"),
-    "analysis": ("AnalysisError", "ConvergenceStudy", "PhaseErrorReport",
-                 "StabilityLimit", "analyze", "convergence_study",
-                 "effective_param_series", "omega_a_series",
-                 "order_coefficient", "stability_limit"),
+    "analysis": ("AnalysisError", "ConvergenceRow", "ConvergenceStudy",
+                 "PhaseErrorReport", "StabilityLimit", "analyze",
+                 "convergence_study", "effective_param_series",
+                 "omega_a_series", "order_coefficient", "stability_limit"),
     "sim": ("TrajectoryRecord", "iterate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

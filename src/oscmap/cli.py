@@ -6,9 +6,13 @@ document made from the same report objects. `main` renders it with
 `_emit`, the one writer of every command. CSV writes the header and rows
 with every number at 12 significant digits; JSON writes the document, or
 the rows as records, with every number rounded to the same digits and NaN
-and infinities as null. Outputs are deterministic (no timestamps), so
-byte-stable and suitable for golden-file comparisons. Errors go to stderr
-and flip the exit code; data never does.
+and infinities as null. Both writers lay the cells out row by row in one
+list, render in place each column that a format spec cannot write as it
+stands, and write every line with one %-template, the template of a row
+repeated once per row; a row whose length differs from the header's is
+refused. Outputs are deterministic (no timestamps), so byte-stable and
+suitable for golden-file comparisons. Errors go to stderr and flip the
+exit code; data never does.
 
 CSV cells are quoted by one fixed rule, csv.QUOTE_MINIMAL as Python 3.13
 applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
@@ -33,7 +37,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
+from itertools import chain
 from types import SimpleNamespace
 
 from .phasemap import (
@@ -73,7 +78,7 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _csv_column(cells: tuple) -> list[str]:
+def _csv_column(cells: list) -> list[str]:
     """The CSV cells of one column: strings quoted, numbers by `_fmt`.
 
     A column of floats and gaps (None) takes one format spec for all its
@@ -86,17 +91,48 @@ def _csv_column(cells: tuple) -> list[str]:
     return list(map(_quote, out)) if _needs_quotes("".join(out)) else out
 
 
-def _csv(header: list[str], rows: Iterable[Sequence]) -> str:
+def _cells(header: list[str], rows: Sequence[Sequence]) -> list:
+    """Every cell of the table in one list, row by row.
+
+    A row whose length differs from the header's raises ValueError.
+    """
+    n = len(header)
+    if not set(map(len, rows)) <= {n}:
+        k, row = next((k, r) for k, r in enumerate(rows) if len(r) != n)
+        raise ValueError(f"row {k} of the table has {len(row)} cells "
+                         f"under a header of {n}")
+    return list(chain.from_iterable(rows))
+
+
+def _csv(header: list[str], rows: Sequence[Sequence]) -> str:
     """The table as CSV lines, each ended by LF.
 
-    A line of one empty cell is written `""`, as csv.writer does, so that it
-    is not read as a blank line.
+    The cells lie row by row in one list, and one %-template, the template
+    of a row repeated once per row, writes them all. A column of floats
+    keeps them and takes a `%.12g` field; a column of Regime members keeps
+    them too and takes a `%s` field, which writes a member's value (no
+    value needs quotes); any other column is rendered in place by
+    `_csv_column` and takes a `%s` field. A line of one empty cell is
+    written `""`, as csv.writer does, so that it is not read as a blank
+    line.
     """
-    lines = [",".join(map(_quote, header)), *map(",".join, zip(
-        *map(_csv_column, zip(*rows, strict=True))))]
-    if len(header) == 1:
-        lines = [line or '""' for line in lines]
-    return "\n".join(lines) + "\n"
+    cells = _cells(header, rows)
+    n = len(header)
+    fields = []
+    for i in range(n):
+        kinds = set(map(type, cells[i::n]))
+        if kinds <= {float}:
+            fields.append("%.12g")
+            continue
+        if not kinds <= {Regime}:
+            column = _csv_column(cells[i::n])
+            cells[i::n] = [c or '""' for c in column] if n == 1 else column
+        fields.append("%s")
+    head = ",".join(map(_quote, header))
+    if n == 1 and not head:
+        head = '""'
+    return (head + "\n" + (",".join(fields) + "\n") * len(rows)
+            % tuple(cells))
 
 
 def _jnum(v):
@@ -119,7 +155,7 @@ def _jsonable(obj):
     return _jnum(obj)
 
 
-def _json_column(cells: tuple, encode_str) -> list[str]:
+def _json_column(cells: list, encode_str) -> list[str]:
     """The JSON values of one column as json.dumps writes `_jnum(v)`.
 
     A float's 12-digit text ends in a digit unless it is nan or inf, which
@@ -143,26 +179,30 @@ def _json_column(cells: tuple, encode_str) -> list[str]:
     return out
 
 
-def _json_records(header: list[str], rows: Iterable[Sequence]) -> str:
+def _json_records(header: list[str], rows: Sequence[Sequence]) -> str:
     """The rows as a JSON array of records, in the bytes that json.dumps
     writes for `_jsonable([dict(zip(header, row)) for row in rows])` with
     indent=2.
 
-    One %-template per table holds the escaped keys (header names are
-    distinct), and each column is rendered in one pass.
+    The cells lie row by row in one list, and each column is rendered in
+    place by `_json_column`. One %-template, the record of one row with
+    its escaped keys (header names are distinct) and a `%s` field per
+    value, repeated once per row, writes them all.
     """
     from json.encoder import encode_basestring_ascii as encode_str
-    cols = [_json_column(c, encode_str) for c in zip(*rows, strict=True)]
-    if not cols:
+    cells = _cells(header, rows)
+    if not rows:
         return "[]\n"
+    n = len(header)
+    for i in range(n):
+        cells[i::n] = _json_column(cells[i::n], encode_str)
     fields = ",\n".join(f"    {encode_str(k).replace('%', '%%')}: %s"
                          for k in header)
-    template = "  {\n" + fields + "\n  }"
-    body = ",\n".join([template % row for row in zip(*cols)])
-    return "[\n" + body + "\n]\n"
+    record = "  {\n" + fields + "\n  }"
+    return "[\n" + ",\n".join([record] * len(rows)) % tuple(cells) + "\n]\n"
 
 
-def _emit(args, header: list[str], rows: Iterable[Sequence], doc=None) -> None:
+def _emit(args, header: list[str], rows: Sequence[Sequence], doc=None) -> None:
     """Render one table in args.format to args.output or stdout."""
     if args.format == "csv":
         text = _csv(header, rows)

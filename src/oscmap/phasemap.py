@@ -55,6 +55,8 @@ Rows = tuple[tuple[float, float], tuple[float, float]]
 
 
 class Regime(str, Enum):
+    __str__ = str.__str__  # str(), format() and %s write the value
+
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
     HYPERBOLIC = "hyperbolic"

@@ -30,7 +30,7 @@ from oscmap.analysis import AnalysisError
 from oscmap.cli import (
     _csv, _fmt, _json_records, _jsonable, _parse, _sweep_grid, main,
 )
-from oscmap.phasemap import Regime
+from oscmap.phasemap import Regime, sweep
 from oscmap.schemes import SchemeError, get_scheme, registry_names
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -581,18 +581,69 @@ def _json_dumps_oracle(header, rows) -> str:
     return json.dumps(_jsonable(records), indent=2, allow_nan=False) + "\n"
 
 
+#: One table per column route of the writers.
+_ROUTES = (
+    # floats only, with every special value
+    (["x", "y"], [(math.nan, 1.0), (math.inf, -0.0), (-math.inf, 5e-324),
+                  (-0.0, 123456789012.5)]),
+    # Regime members only
+    (["r", "x"], [(Regime.ELLIPTIC, 0.5), (Regime.PARABOLIC, 2.0),
+                  (Regime.HYPERBOLIC, 3.0)]),
+    # text that needs quotes
+    (["a,b", 'q"'], [("x,y", 'say "hi"'), ("line\nbreak", "plain")]),
+    # floats with gaps
+    (["v", "w"], [(1.5, None), (None, math.nan), (1e16, -2.2e-308)]),
+    # ints and bools, apart and mixed
+    (["n", "flag", "mix"], [(3, True, 0), (-7, False, True),
+                            (10**20, True, -1)]),
+    # one column with empty cells
+    (["a"], [("",), (None,), ("x",), ("",)]),
+    # no rows
+    (["a", "b"], []),
+)
+
+
+def _route_examples(test):
+    """test with an @example of each table in _ROUTES."""
+    for table in _ROUTES:
+        test = example(table=table)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
-@example(table=(["a", "b"], []))
+@_route_examples
 def test_csv_writer_matches_csv_module(table):
     assert _csv(*table) == _csv_writer_oracle(*table)
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables(text=_TEXT | st.text(st.sampled_from('\r%"\\é\x00'))))
-@example(table=(["a", "b"], []))
+@_route_examples
 def test_json_records_match_json_dumps(table):
     assert _json_records(*table) == _json_dumps_oracle(*table)
+
+
+@pytest.mark.parametrize("name, quantity, gaps", [
+    ("BM", "omega_a", True), ("SV", "det", False)])
+def test_sweep_tables_match_the_oracles(name, quantity, gaps):
+    rows = sweep(get_scheme(name), _sweep_grid(0.05, 4.0, 2000), quantity)
+    # BM is hyperbolic past x = 3.13..., where omega_a is None
+    assert (None in [value for _, value, _ in rows]) is gaps
+    header = ["x", "value", "regime"]
+    assert _csv(header, rows) == _csv_writer_oracle(header, rows)
+    assert _json_records(header, rows) == _json_dumps_oracle(header, rows)
+
+
+@pytest.mark.parametrize("writer", [_csv, _json_records])
+@pytest.mark.parametrize("rows, bad", [
+    ([[1.0, 2.0], [3.0, 4.0]], "row 0 of the table has 2 cells"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]], "row 1 of the table has 4 cells"),
+    ([[1.0, 2.0, 3.0], ["a", "b"]], "row 1 of the table has 2 cells")])
+def test_writers_refuse_a_row_whose_length_differs_from_the_header(
+        writer, rows, bad):
+    with pytest.raises(ValueError, match=f"^{bad} under a header of 3$"):
+        writer(["a", "b", "c"], rows)
 
 
 def test_csv_quotes_a_carriage_return_on_every_python():

@@ -263,6 +263,18 @@ def test_series_matrix_pads_or_truncates_the_exact_map(order):
 
 # ------------------------------------------------------------------ spectral
 
+@pytest.mark.parametrize("member, text", [
+    (Regime.ELLIPTIC, "elliptic"), (Regime.PARABOLIC, "parabolic"),
+    (Regime.HYPERBOLIC, "hyperbolic")])
+def test_regime_prints_as_its_value(member, text):
+    # format() of a str-mixin Enum differs from 3.10 to 3.12 unless __str__
+    # is the value's; the CSV writer's %s fields rely on it
+    assert str(member) == text
+    assert format(member) == text
+    assert f"{member}" == text
+    assert "%s" % member == text
+
+
 def test_spectral_sv_at_unit_step():
     d = spectral(scheme_matrix(get_scheme("SV"), 1.0, 1.0))
     assert d.regime is Regime.ELLIPTIC
