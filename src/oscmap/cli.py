@@ -3,22 +3,24 @@
 Each subcommand builds its table once from raw values and returns it: a
 header, rows and, where the JSON shape is not one record per row, a
 document made from the same report objects. `main` renders it with
-`_emit`, the one writer of every command. CSV writes the header and rows
-with every number at 12 significant digits; JSON writes the document, or
-the rows as records, with every number rounded to the same digits and NaN
-and infinities as null. Both writers lay the cells out row by row in one
-list, render in place each column that a format spec cannot write as it
-stands, and write every line with one %-template, the template of a row
-repeated once per row; a row whose length differs from the header's is
-refused. Outputs are deterministic (no timestamps), so byte-stable and
-suitable for golden-file comparisons. Errors go to stderr and flip the
-exit code; data never does.
+`_emit`, the one writer of every command. Each format has one rule for a
+value: `_fmt` writes a CSV cell and `_json_value` a JSON value, every
+number at 12 significant digits and, in JSON, NaN and infinities as null;
+`_json` writes every JSON document in the indent=2 layout of json.dumps.
+A table's cells lie row by row in one list, and one %-template, a row's
+repeated once per row, writes every line; a row whose length differs from
+the header's is refused. Two column routes skip the call per value and
+write its bytes by a format spec, for speed: CSV floats and text that
+needs no quotes (the `sweep` workload), and JSON floats and gaps (the
+`simulate` workload). Outputs are deterministic (no timestamps), so
+byte-stable and suitable for golden-file comparisons. Errors go to stderr
+and flip the exit code; data never does.
 
 CSV cells are quoted by one fixed rule, csv.QUOTE_MINIMAL as Python 3.13
 applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
 double quotes with its quotes doubled, so the bytes do not depend on the
 Python version. A command imports only the modules it runs: `analysis`,
-`sim` and `json` load inside the commands and the writer that need them.
+`sim` and `json` load inside the commands and the writers that need them.
 
 The command line is `oscmap COMMAND [SCHEME] [options]`, read from one table,
 `_COMMANDS`, that holds each option's type, admissible range and default
@@ -52,18 +54,20 @@ from .schemes import (
 
 __all__ = ["main"]
 
-#: Cell types of a column that the writers render with one format spec.
-_FLOAT_COLUMN = {float, type(None)}
-
 
 def _fmt(v) -> str:
-    """Fixed 12-significant-digit decimal rendering for one CSV cell."""
+    """One CSV cell: text by `_quote`, a float at 12 significant digits, a
+    bool as true or false, an int in full and None as an empty cell."""
+    if v.__class__ is float:
+        return format(v, ".12g")
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return _quote(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if v is None:
-        return ""
     return f"{float(v):.12g}"
 
 
@@ -76,19 +80,6 @@ def _quote(cell: str) -> str:
     if _needs_quotes(cell):
         return '"' + cell.replace('"', '""') + '"'
     return cell
-
-
-def _csv_column(cells: list) -> list[str]:
-    """The CSV cells of one column: strings quoted, numbers by `_fmt`.
-
-    A column of floats and gaps (None) takes one format spec for all its
-    numbers, which gives `_fmt`'s bytes without its per-cell type tests;
-    no number needs quotes, so a column is searched for them once.
-    """
-    if set(map(type, cells)) <= _FLOAT_COLUMN:
-        return ["" if v is None else format(v, ".12g") for v in cells]
-    out = [v if isinstance(v, str) else _fmt(v) for v in cells]
-    return list(map(_quote, out)) if _needs_quotes("".join(out)) else out
 
 
 def _cells(header: list[str], rows: Sequence[Sequence]) -> list:
@@ -105,29 +96,32 @@ def _cells(header: list[str], rows: Sequence[Sequence]) -> list:
 
 
 def _csv(header: list[str], rows: Sequence[Sequence]) -> str:
-    """The table as CSV lines, each ended by LF.
+    """The table as CSV lines, each ended by LF, every cell by `_fmt`.
 
     The cells lie row by row in one list, and one %-template, the template
     of a row repeated once per row, writes them all. A column of floats
-    keeps them and takes a `%.12g` field; a column of Regime members keeps
-    them too and takes a `%s` field, which writes a member's value (no
-    value needs quotes); any other column is rendered in place by
-    `_csv_column` and takes a `%s` field. A line of one empty cell is
-    written `""`, as csv.writer does, so that it is not read as a blank
-    line.
+    keeps them under a `%.12g` field, and one of text that needs no quotes,
+    as of Regime members, keeps it under a `%s` field, so `sweep`'s tables
+    take no call per cell; any other column is rendered in place by `_fmt`
+    under a `%s` field. A line of one empty cell is written `""`, as
+    csv.writer does, so that it is not read as a blank line.
     """
     cells = _cells(header, rows)
     n = len(header)
     fields = []
     for i in range(n):
-        kinds = set(map(type, cells[i::n]))
+        column = cells[i::n]
+        kinds = set(map(type, column))
         if kinds <= {float}:
             fields.append("%.12g")
             continue
-        if not kinds <= {Regime}:
-            column = _csv_column(cells[i::n])
-            cells[i::n] = [c or '""' for c in column] if n == 1 else column
         fields.append("%s")
+        if (all(issubclass(k, str) for k in kinds)
+                and not _needs_quotes("".join(column))
+                and (n > 1 or all(column))):
+            continue
+        column = list(map(_fmt, column))
+        cells[i::n] = [c or '""' for c in column] if n == 1 else column
     head = ",".join(map(_quote, header))
     if n == 1 and not head:
         head = '""'
@@ -135,68 +129,73 @@ def _csv(header: list[str], rows: Sequence[Sequence]) -> str:
             % tuple(cells))
 
 
-def _jnum(v):
-    """JSON value rounded to the same 12 significant digits as the CSV.
-
-    NaN and infinities become null: strict JSON has no literal for them.
-    """
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    v = float(v)
-    return float(f"{v:.12g}") if math.isfinite(v) else None
+def _encode_str(text: str) -> str:
+    """json.encoder.encode_basestring_ascii, which takes this function's
+    place on the first call, so that only JSON output loads json."""
+    global _encode_str
+    from json.encoder import encode_basestring_ascii as _encode_str
+    return _encode_str(text)
 
 
-def _jsonable(obj):
-    """obj with _jnum applied to every value inside its dicts and lists."""
+def _json_value(v) -> str:
+    """One JSON value: text escaped to ASCII, None, NaN and infinities as
+    null (strict JSON has no literal for them), bools and ints as json
+    writes them, and any other number rounded to the same 12 significant
+    digits as the CSV."""
+    if isinstance(v, str):
+        return _encode_str(v)
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    text = format(float(v), ".12g")
+    return repr(float(text)) if text[-1].isdigit() else "null"
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """obj as json.dumps writes it with indent=2, every value by
+    `_json_value`: dicts with str keys and lists nest, anything else is a
+    value."""
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_jsonable(v) for v in obj]
-    return _jnum(obj)
-
-
-def _json_column(cells: list, encode_str) -> list[str]:
-    """The JSON values of one column as json.dumps writes `_jnum(v)`.
-
-    A float's 12-digit text ends in a digit unless it is nan or inf, which
-    become null like None.
-    """
-    if set(map(type, cells)) <= _FLOAT_COLUMN:
-        texts = ["nan" if v is None else format(v, ".12g") for v in cells]
-        return [repr(float(c)) if c[-1].isdigit() else "null" for c in texts]
-    out = []
-    for v in map(_jnum, cells):
-        if v is None:
-            out.append("null")
-        elif v is True or v is False:
-            out.append("true" if v else "false")
-        elif isinstance(v, str):
-            out.append(encode_str(v))
-        elif isinstance(v, int):
-            out.append(int.__repr__(v))
-        else:
-            out.append(float.__repr__(v))
-    return out
+        items = [f"{_encode_str(k)}: {_json(v, inner)}"
+                 for k, v in obj.items()]
+        ends = "{}"
+    elif isinstance(obj, list):
+        items, ends = [_json(v, inner) for v in obj], "[]"
+    else:
+        return _json_value(obj)
+    return (ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+            if items else ends)
 
 
 def _json_records(header: list[str], rows: Sequence[Sequence]) -> str:
-    """The rows as a JSON array of records, in the bytes that json.dumps
-    writes for `_jsonable([dict(zip(header, row)) for row in rows])` with
-    indent=2.
+    """The rows as a JSON array of records: the bytes of
+    `_json([dict(zip(header, row)) for row in rows])` and a final LF.
 
     The cells lie row by row in one list, and each column is rendered in
-    place by `_json_column`. One %-template, the record of one row with
-    its escaped keys (header names are distinct) and a `%s` field per
-    value, repeated once per row, writes them all.
+    place by `_json_value`, or, where it holds only floats and gaps (None),
+    as in `simulate`'s tables, by one format spec without a call per cell.
+    One %-template, the record of one row with its escaped keys (header
+    names are distinct) and a `%s` field per value, repeated once per row,
+    writes them all.
     """
-    from json.encoder import encode_basestring_ascii as encode_str
     cells = _cells(header, rows)
     if not rows:
         return "[]\n"
     n = len(header)
     for i in range(n):
-        cells[i::n] = _json_column(cells[i::n], encode_str)
-    fields = ",\n".join(f"    {encode_str(k).replace('%', '%%')}: %s"
+        column = cells[i::n]
+        if set(map(type, column)) <= {float, type(None)}:
+            # a float's 12-digit text ends in a digit unless it is nan or inf
+            texts = ["nan" if v is None else format(v, ".12g") for v in column]
+            cells[i::n] = [repr(float(c)) if c[-1].isdigit() else "null"
+                           for c in texts]
+        else:
+            cells[i::n] = list(map(_json_value, column))
+    fields = ",\n".join(f"    {_encode_str(k).replace('%', '%%')}: %s"
                          for k in header)
     record = "  {\n" + fields + "\n  }"
     return "[\n" + ",\n".join([record] * len(rows)) % tuple(cells) + "\n]\n"
@@ -209,8 +208,7 @@ def _emit(args, header: list[str], rows: Sequence[Sequence], doc=None) -> None:
     elif doc is None:
         text = _json_records(header, rows)
     else:
-        import json
-        text = json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
+        text = _json(doc) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return

@@ -181,8 +181,9 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry only the
     regime flag and a detail message.
 
-    A map is hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL,
-    else elliptic where disc > 0, else parabolic. det = 1 makes disc =
+    A map is hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL
+    or is NaN, as where the diagonal overflows to infinities of opposite
+    sign, else elliptic where disc > 0, else parabolic. det = 1 makes disc =
     nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
     keeps the classification sharp near theta -> 0, where the trace is
     quadratically insensitive. disc is formed from tau, nu and w scaled by
@@ -198,10 +199,13 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
     if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
         raise ValueError(_NAN_ENTRY)
-    if abs(g + h) - 2.0 > PARABOLIC_TOL:
+    if not abs(g + h) - 2.0 <= PARABOLIC_TOL:  # or NaN, where g = -h = +-inf
+        what = (f"the diagonal overflowed to {g!r} and {h!r}"
+                if math.isnan(g + h) else
+                f"|trace|/2 = {abs(g + h) / 2.0!r} exceeds 1")
         return SpectralData(None, None, None, None, None, Regime.HYPERBOLIC,
-                            f"|trace|/2 = {abs(g + h) / 2.0!r} exceeds 1; the "
-                            "map is unstable and has no real rotation angle")
+                            f"{what}; the map is unstable and has no real "
+                            "rotation angle")
     # tau*2^-kt and nu*2^(kt - 2e) lie in [1/2, 2): their product, and w*2^-e
     # squared, are disc = nu*tau - w^2 scaled by 4^-e
     kt = math.frexp(tau)[1]

@@ -27,9 +27,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oscmap import analysis
 from oscmap.analysis import AnalysisError
-from oscmap.cli import (
-    _csv, _fmt, _json_records, _jsonable, _parse, _sweep_grid, main,
-)
+from oscmap.cli import _csv, _json, _json_records, _parse, _sweep_grid, main
 from oscmap.phasemap import Regime, sweep
 from oscmap.schemes import SchemeError, get_scheme, registry_names
 
@@ -552,33 +550,74 @@ _TEXT = st.text(st.sampled_from(',"\n ') | st.characters(
     blacklist_categories=("Cs",), blacklist_characters="\r\x00"), max_size=6)
 _CELLS = st.one_of(_FLOATS, st.none(), st.integers(), st.booleans(),
                    st.sampled_from(list(Regime)), _TEXT)
+#: Text that json.dumps escapes, with the % of the writers' templates.
+_JSON_TEXT = _TEXT | st.text(st.sampled_from('\r%"\\é\x00'))
 
 
 @st.composite
 def _tables(draw, text=_TEXT):
-    """(header, rows): distinct names, and columns of floats and None or of
-    any cell, so both paths of each writer run."""
+    """(header, rows): distinct names, and columns of floats and None, of
+    text and Regime members or of any cell, so every path of each writer
+    runs."""
     width = draw(st.integers(2, 4))
     header = draw(st.lists(text, min_size=width, max_size=width, unique=True))
-    kinds = [draw(st.sampled_from([_FLOATS | st.none(), _CELLS]))
+    kinds = [draw(st.sampled_from([_FLOATS | st.none(),
+                                   text | st.sampled_from(list(Regime)),
+                                   _CELLS]))
              for _ in range(width)]
     rows = draw(st.lists(st.tuples(*kinds), max_size=5))
     return header, rows
 
 
+def _csv_number(v) -> str:
+    """One number as a CSV cell: 12 significant digits, bools as true or
+    false, ints in full and None as an empty cell."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return "" if v is None else f"{float(v):.12g}"
+
+
 def _csv_writer_oracle(header, rows) -> str:
-    """The CSV that csv.writer makes of the header and the `_fmt` cells."""
+    """The CSV that csv.writer makes of the header and the cells, each
+    number written by `_csv_number`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([[v if isinstance(v, str) else _fmt(v) for v in row]
-                      for row in rows])
+    writer.writerows([[v if isinstance(v, str) else _csv_number(v)
+                       for v in row] for row in rows])
     return buf.getvalue()
 
 
-def _json_dumps_oracle(header, rows) -> str:
+def _jnum(v):
+    """JSON value rounded to the same 12 significant digits as the CSV.
+
+    NaN and infinities become null: strict JSON has no literal for them.
+    """
+    if v is None or isinstance(v, (bool, int, str)):
+        return v
+    v = float(v)
+    return float(f"{v:.12g}") if math.isfinite(v) else None
+
+
+def _jsonable(obj):
+    """obj with _jnum applied to every value inside its dicts and lists."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_jsonable(v) for v in obj]
+    return _jnum(obj)
+
+
+def _json_dumps_oracle(doc) -> str:
+    """The JSON that json.dumps makes of doc, each value by `_jnum`."""
+    return json.dumps(_jsonable(doc), indent=2, allow_nan=False)
+
+
+def _json_records_oracle(header, rows) -> str:
     records = [dict(zip(header, row)) for row in rows]
-    return json.dumps(_jsonable(records), indent=2, allow_nan=False) + "\n"
+    return _json_dumps_oracle(records) + "\n"
 
 
 #: One table per column route of the writers.
@@ -600,6 +639,14 @@ _ROUTES = (
     (["a"], [("",), (None,), ("x",), ("",)]),
     # no rows
     (["a", "b"], []),
+    # text that needs no quotes next to Regime members
+    (["name", "regime"], [("SV", Regime.ELLIPTIC), ("", Regime.PARABOLIC),
+                          ("é 1", Regime.HYPERBOLIC)]),
+    # the same with one cell that needs quotes
+    (["name", "regime"], [("SV", Regime.ELLIPTIC), ("", Regime.PARABOLIC),
+                          ("é,1", Regime.HYPERBOLIC)]),
+    # one column of text that holds an empty cell
+    (["a"], [("x",), ("",), ("y",)]),
 )
 
 
@@ -618,10 +665,39 @@ def test_csv_writer_matches_csv_module(table):
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=_tables(text=_TEXT | st.text(st.sampled_from('\r%"\\é\x00'))))
+@given(table=_tables(text=_JSON_TEXT))
 @_route_examples
 def test_json_records_match_json_dumps(table):
-    assert _json_records(*table) == _json_dumps_oracle(*table)
+    assert _json_records(*table) == _json_records_oracle(*table)
+
+
+_DOCS = st.recursive(
+    st.one_of(_FLOATS, st.integers(-10**20, 10**20), st.booleans(), st.none(),
+              _JSON_TEXT),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+@example(doc={"values": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                         123456789012.5, 10**20, True, None,
+                         'q"\\é\x00\r%'],
+              "empty": {"dict": {}, "list": []}})
+@example(doc={})
+@example(doc=[])
+def test_document_encoder_matches_json_dumps(doc):
+    assert _json(doc) == _json_dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("argv", [["analyze"], ["stability"],
+                                  ["convergence", "--x", "0.5", "-K", "20"]])
+def test_documents_of_every_scheme_match_json_dumps(argv, name):
+    args = _parse([argv[0], name, *argv[1:]])
+    _, _, doc = args.func(args)
+    assert _json(doc) == _json_dumps_oracle(doc)
 
 
 @pytest.mark.parametrize("name, quantity, gaps", [
@@ -632,7 +708,7 @@ def test_sweep_tables_match_the_oracles(name, quantity, gaps):
     assert (None in [value for _, value, _ in rows]) is gaps
     header = ["x", "value", "regime"]
     assert _csv(header, rows) == _csv_writer_oracle(header, rows)
-    assert _json_records(header, rows) == _json_dumps_oracle(header, rows)
+    assert _json_records(header, rows) == _json_records_oracle(header, rows)
 
 
 @pytest.mark.parametrize("writer", [_csv, _json_records])

@@ -289,6 +289,20 @@ def test_spectral_hyperbolic_beyond_limit():
     assert "unstable" in d.detail
 
 
+def test_spectral_hyperbolic_where_the_diagonal_overflows():
+    # D(1/3) K(1/2) D(2/3) K(1/2) at x = 1e200 has g = -inf and h = inf, so
+    # g + h is NaN; the sweep kernel reads T from the exact map: hyperbolic
+    s = Scheme("DKDK", [Step("drift", F(1, 3)), Step("kick", F(1, 2)),
+                        Step("drift", F(2, 3)), Step("kick", F(1, 2))], 1, 2)
+    m = scheme_matrix(s, 1e200, 1.0)
+    assert (m.g, m.h) == (-math.inf, math.inf)
+    d = spectral(m)
+    assert d.regime is Regime.HYPERBOLIC is sweep(s, [1e200], "trace")[0][2]
+    assert d.detail.startswith("the diagonal overflowed to -inf and inf;")
+    with pytest.raises(RegimeError, match="^hyperbolic map: the diagonal"):
+        propagate_closed_form(m, 1e200)
+
+
 def test_spectral_parabolic_at_limit():
     d = spectral(scheme_matrix(get_scheme("SV"), 2.0, 1.0))
     assert d.regime is Regime.PARABOLIC
