@@ -44,8 +44,8 @@ from itertools import chain
 from types import SimpleNamespace
 
 from .phasemap import (
-    SWEEP_QUANTITIES, Regime, _angle, _propagate, scheme_matrix, spectral,
-    sweep,
+    SWEEP_QUANTITIES, Regime, _propagate, _shadow_energy, scheme_matrix,
+    spectral, sweep,
 )
 from .schemes import (
     SchemeError, get_scheme, is_symmetric, load_scheme,
@@ -298,40 +298,29 @@ def cmd_sweep(args):
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args):
-    """Iterate a trajectory at x = eps (omega = 1) against the closed form."""
+    """Iterate a trajectory at x = eps (omega = 1) with its H_A and closed form."""
     from . import sim
     s = args.scheme
     eps, omega, q0, p0 = args.x, 1.0, args.q0, args.p0
-    # iterate keeps each sample in six lists: step 0, each stride, the last
+    # iterate keeps each sample in five lists: step 0, each stride, the last
     samples = len(range(0, args.steps, args.stride)) + 1
     if samples > _MAX_ROWS:
         raise SchemeError(f"--steps {args.steps} at --stride {args.stride} "
                           f"samples {samples} rows, more than {_MAX_ROWS}")
     # a hyperbolic map diverges to inf and NaN: legitimate output
     rec = sim.iterate(s, q0, p0, eps, omega, args.steps, args.stride)
+    # + 0.0 turns the -0.0 of step 0 at a negative timestep into 0
+    rows = [[t + 0.0, q, p, h]
+            for t, q, p, h in zip(rec.t, rec.q, rec.p, rec.energy)]
     m = scheme_matrix(s, eps, omega)
     d = spectral(m)
-    elliptic = d.regime is Regime.ELLIPTIC
-    header = ["t", "q", "p", "H"]
-    if elliptic:
-        mid = "H_A" if rec.modified_energy is not None else "sigma"
-        header += [mid, "closed_form_error"]
-    rows = []
-    for i, t in enumerate(rec.t):
-        q, p = rec.q[i], rec.p[i]
-        # + 0.0 turns the -0.0 of step 0 at a negative timestep into 0
-        row = [t + 0.0, q, p, rec.energy[i]]
-        if elliptic:
-            if rec.modified_energy is not None:
-                row.append(rec.modified_energy[i])
-            else:
-                angle = _angle(d.theta, t, eps)
-                row.append((m.g - m.h) / (2.0 * d.xi) * math.sin(angle))
-            (a, b), (c, e) = _propagate(m, d, t)
-            row.append(max(abs(q - (a * q0 + b * p0)),
-                           abs(p - (c * q0 + e * p0))))
-        rows.append(row)
-    return header, rows
+    if d.regime is not Regime.ELLIPTIC:
+        return ["t", "q", "p", "H"], rows
+    h_a = _shadow_energy(m, d, rec.q, rec.p)
+    for row, t, q, p, h in zip(rows, rec.t, rec.q, rec.p, h_a):
+        (a, b), (c, e) = _propagate(m, d, t)
+        row += [h, max(abs(q - (a * q0 + b * p0)), abs(p - (c * q0 + e * p0)))]
+    return ["t", "q", "p", "H", "H_A", "closed_form_error"], rows
 
 
 # ---------------------------------------------------------------- stability

@@ -79,10 +79,8 @@ class SpectralData(namedtuple(
 
     theta, xi, omega_a, m_star and k_star are set in the elliptic regime
     only; `detail` says why a parabolic or hyperbolic map has none of them.
-    m_star or k_star beyond the float range is inf or 0.0. Whether the
-    scheme is time-reversible is not read from one numeric map, where
-    rounding can hide g - h: `schemes.is_symmetric` reads g = h off the
-    exact map, and with it whether m* and k* give a shadow energy H_A.
+    m_star or k_star beyond the float range is inf or 0.0. Every elliptic
+    map, reversible or not, has a shadow energy H_A (`_shadow_energy`).
     """
 
     __slots__ = ()
@@ -357,26 +355,14 @@ def sweep(s: Scheme, xs: list[float],
     return _sweep_kernel(s, quantity)(xs)
 
 
-def _angle(theta: float, t: float, eps: float) -> float:
-    """theta*t/eps, the rotation angle of the closed form at time t.
-
-    theta and eps are first scaled by eps's power of two, so theta*t does
-    not underflow when eps and t are tiny; the scaling is exact, so the
-    result is bitwise theta*t/eps wherever theta*t is a normal number.
-    """
-    k = math.frexp(eps)[1]
-    return math.ldexp(theta, -k) * t / math.ldexp(eps, -k)
-
-
 def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
-    """Exact evolution over continuous time t as rotation plus translation.
+    """Exact evolution over continuous time t: cos(phi) I + sin(phi) K.
 
-    Returns the rows ((a, b), (c, d)) of R + Sigma, where R is the pure
-    rotation with angle theta*t/eps and Sigma = ((g-h)/(2 xi))
-    sin(theta t/eps) diag(1, -1). Sigma vanishes exactly for time-reversible
-    maps (h = g). t need not be a multiple of the timestep; at t = N*eps the
-    result equals the N-fold matrix power. A map that is not elliptic raises
-    RegimeError.
+    phi = theta*t/eps and K = (M - T I)/xi (`_generator`), K^2 = -I. At
+    t = N*eps this is M^N = U_(N-1)(T) M - U_(N-2)(T) I, U_(N-1)(T) =
+    sin(N theta)/sin(theta), and t need not be a multiple of the timestep.
+    K's diagonal +-(g - h)/(2 xi) vanishes for time-reversible maps (h = g).
+    A map that is not elliptic raises RegimeError.
     """
     data = spectral(mat)
     if data.regime is not Regime.ELLIPTIC:
@@ -384,10 +370,40 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     return _propagate(mat, data, t)
 
 
+def _generator(mat: PhaseMatrix, data: SpectralData) -> tuple[float, float, float]:
+    """(kw, kt, kn) of K = (M - T I)/xi = [[kw, kt], [-kn, -kw]], where data
+    is the `spectral` of the elliptic map mat: kw = (g - h)/(2 xi), kt =
+    tau/xi, kn = nu/xi. M conserves the form kn q^2 + 2 kw q p + kt p^2."""
+    xi = data.xi
+    return (mat.g - mat.h) / (2.0 * xi), mat.tau / xi, mat.nu / xi
+
+
 def _propagate(mat: PhaseMatrix, data: SpectralData, t: float) -> Rows:
-    """`propagate_closed_form` of an elliptic map whose `spectral` is data."""
-    angle = _angle(data.theta, t, mat.eps)
+    """`propagate_closed_form` of an elliptic map whose `spectral` is data.
+
+    theta and eps are scaled by eps's power of two before theta*t/eps, so
+    theta*t does not underflow when eps and t are tiny; the scaling is
+    exact, so the angle is bitwise theta*t/eps wherever theta*t is normal.
+    """
+    kw, kt, kn = _generator(mat, data)
+    k = math.frexp(mat.eps)[1]
+    angle = math.ldexp(data.theta, -k) * t / math.ldexp(mat.eps, -k)
     c, s = math.cos(angle), math.sin(angle)
-    shift = ((mat.g - mat.h) / (2.0 * data.xi)) * s
-    return ((c + shift, (mat.tau / data.xi) * s),
-            (-(mat.nu / data.xi) * s, c - shift))
+    return ((c + kw * s, kt * s), (-kn * s, c - kw * s))
+
+
+def _shadow_energy(mat: PhaseMatrix, data: SpectralData,
+                   qs: list[float], ps: list[float]) -> list[float]:
+    """The exact invariant H_A of the elliptic map mat at each (q, p).
+
+    H_A = (omega_a/2)(kn q^2 + 2 kw q p + kt p^2), K's form (`_generator`)
+    with the sign of kn, so positive definite; in the first stable window
+    it is (theta/eps)/2 (...), whose flow over eps is M. For g = h it is
+    p^2/(2 m*) + k* q^2/2; its qp coefficient is omega_a*sigma. M(-eps) =
+    P M(eps) P, P = diag(1, -1), so H_A at -eps and (q, p) is bitwise H_A
+    at eps and (q, -p). q (kn q + kw p) + p (kw q + kt p) adds no 0 * inf.
+    """
+    kw, kt, kn = _generator(mat, data)
+    half = math.copysign(0.5 * data.omega_a, kn)
+    return [half * (q * (kn * q + kw * p) + p * (kw * q + kt * p))
+            for q, p in zip(qs, ps)]

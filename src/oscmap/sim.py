@@ -1,19 +1,19 @@
 """Brute-force iteration of schemes on the oscillator.
 
 The stepping applies each shear update directly to (q, p), one multiply and
-one add per factor, without ever forming the composed 2x2 matrix; that keeps
-this module an independent oracle for the closed-form propagation and for the
-conservation of the modified energy. The step loop is generated once per
+one add per factor, and reads nothing from the composed 2x2 matrix; that
+keeps this module an independent oracle for the closed form and for the
+conservation of the shadow energy. The step loop is generated once per
 drift/kick pattern of a scheme (e.g. "dkdkdkd") as straight-line Python, one
 line per shear in the scheme's order; its body holds the step's lines
-`_UNROLL` times over, so the loop control is paid once per `_UNROLL` steps,
-and each shear is still one line. The coefficients are arguments of the
-generated function, never part of its source, so schemes with the same
-pattern share one compiled loop. The loop runs on (q, p * 2**-k), where
-omega = m * 2**k with m in [1, 2), so that no coefficient forms omega*omega:
+`_UNROLL` times over, so the loop control is paid once per `_UNROLL` steps.
+The coefficients are arguments of the generated function, never part of its
+source, so schemes with the same pattern share one compiled loop. The loop
+runs on (q, p * 2**-k) * 2**-j, where omega = m * 2**k with m in [1, 2), so
+that no coefficient forms omega*omega, and 2**j brings the state to O(1):
 at eps = 2**-600, omega = 2**600 the trajectory in q is that of eps = omega
-= 1, and at omega = 1 nothing is scaled. Samples and energies are plain
-lists of Python floats.
+= 1, and at omega = 1 from (1, 0) nothing is scaled. Samples and energies
+are plain lists of Python floats.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import itertools
 import math
 from collections import namedtuple
 
-from .phasemap import Regime, _rounded, scheme_matrix, spectral
-from .schemes import DRIFT, GKICK, Scheme, is_symmetric
+from .phasemap import _rounded
+from .schemes import DRIFT, GKICK, Scheme
 
 __all__ = ["TrajectoryRecord", "iterate"]
 
@@ -33,14 +33,11 @@ _UNROLL = 8
 
 
 class TrajectoryRecord(namedtuple(
-        "TrajectoryRecord", "step_index t q p energy modified_energy")):
+        "TrajectoryRecord", "step_index t q p energy")):
     """Sampled states of one discrete trajectory, one list entry per sample.
 
-    `energy` is the true oscillator energy p^2/2 + omega^2 q^2 / 2;
-    `modified_energy` is the shadow energy H_A = p^2/(2 m*) + k* q^2/2 when
-    the scheme is reversible, g = h in its exact map as `is_symmetric`
-    reads it, and the map is elliptic at this step size (None otherwise).
-    A diverging run holds inf and NaN, as Python float arithmetic gives them.
+    `energy` is the true oscillator energy p^2/2 + omega^2 q^2 / 2. A
+    diverging run holds inf and NaN, as Python float arithmetic gives them.
     """
 
     __slots__ = ()
@@ -119,17 +116,15 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
             n_steps: int, sample_stride: int = 1) -> TrajectoryRecord:
     """Apply the scheme's shear updates n_steps times, sampling every stride.
 
-    The shears act one by one on (q, p) through the loop `_shear_loop`
-    generates for the scheme's drift/kick pattern, with this call's
-    coefficients passed as arguments; it runs on (q, p * 2**-k), omega =
-    m * 2**k with m in [1, 2), and each later sample of p is scaled back by
-    2**k, to a signed inf where that overflows. Samples are taken at step 0,
-    at every multiple of the stride and at the final step, which is always
-    included.
-    The shadow energy H_A follows `is_symmetric`, the test `analyze` prints
-    as `reversible`: g = h in the exact map, not in the rounded map at this
-    step, so it holds at every step size. Divergence in the hyperbolic
-    regime is legitimate output, not an error.
+    The shears act one by one through the loop `_shear_loop` generates for
+    the scheme's pattern, with this call's coefficients as arguments, on
+    (q, p * 2**-k) * 2**-j: omega = m * 2**k, m in [1, 2), and the larger
+    of |q0|, |p0 * 2**-k| in [2**j, 2**(j + 1)). The map is linear, so each
+    later sample is scaled back, to a signed inf past the float range, and
+    no bit changes while the scaled run holds normal floats. Samples are
+    taken at step 0 (q0 and p0 themselves), at every multiple of the stride
+    and at the final step. Divergence in the hyperbolic regime is
+    legitimate output, not an error.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -137,19 +132,18 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
         raise ValueError("sample_stride must be at least 1")
     q0, p0 = float(q0), float(p0)
     pattern, coeffs, k = _kick_drift_program(s, eps, omega)
-    qs, ps = _shear_loop(pattern)(q0, _rounded(p0, -k), n_steps, sample_stride,
-                                  *coeffs)
-    if k:  # the first sample is p0 itself, even where p0 * 2**-k underflows
-        ps = [p0, *(_rounded(p, k) for p in ps[1:])]
+    # j from the exponents, so no product of the state is formed
+    j = max((math.frexp(v)[1] - n for v, n in ((q0, 1), (p0, k + 1)) if v),
+            default=0)
+    qs, ps = _shear_loop(pattern)(math.ldexp(q0, -j), math.ldexp(p0, -k - j),
+                                  n_steps, sample_stride, *coeffs)
+    if j:
+        qs = [q0, *(_rounded(q, j) for q in qs[1:])]
+    if k + j:
+        ps = [p0, *(_rounded(p, k + j) for p in ps[1:])]
     index = [*range(0, n_steps, sample_stride), n_steps]
     # p * p, not p ** 2: a float power raises OverflowError where the product
     # of a diverging run just becomes inf
     energy = [0.5 * (p * p) + 0.5 * ((omega * q) * (omega * q))
               for q, p in zip(qs, ps)]
-    modified = None
-    data = spectral(scheme_matrix(s, eps, omega))
-    if data.regime is Regime.ELLIPTIC and is_symmetric(s):
-        two_m, half_k = 2.0 * data.m_star, 0.5 * data.k_star
-        modified = [p * p / two_m + half_k * (q * q) for q, p in zip(qs, ps)]
-    return TrajectoryRecord(index, [i * eps for i in index], qs, ps, energy,
-                            modified)
+    return TrajectoryRecord(index, [i * eps for i in index], qs, ps, energy)

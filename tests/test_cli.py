@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oscmap import analysis
+from oscmap import analysis, cli, sim
 from oscmap.analysis import AnalysisError
 from oscmap.cli import _csv, _json, _json_records, _parse, _sweep_grid, main
 from oscmap.phasemap import Regime, sweep
@@ -775,7 +775,8 @@ def test_negative_value_in_exponent_form_is_read_as_a_value(flag, value,
     assert out == _run([*argv, *joined], capsys)[1]
 
 
-@pytest.mark.parametrize("name, tol", [("SV", 0.0), ("FR", 1e-184),
+@pytest.mark.parametrize("name, tol", [("SV", 0.0), ("LF1", 0.0),
+                                       ("LF1T", 0.0), ("FR", 1e-184),
                                        ("BM", 1e-184)])
 def test_simulate_keeps_its_shadow_columns_at_the_smallest_steps(name, tol,
                                                                  capsys):
@@ -790,13 +791,44 @@ def test_simulate_keeps_its_shadow_columns_at_the_smallest_steps(name, tol,
 
 
 @pytest.mark.parametrize("name", ["LF1", "LF1T"])
-def test_simulate_prints_sigma_for_a_non_reversible_scheme_at_any_step(
+def test_simulate_prints_h_a_for_a_non_reversible_scheme_at_any_step(
         name, capsys):
-    # g - h = x^2 is 1e-12 here: the scheme is still not reversible
-    code, out, _ = _run(["simulate", name, "--x", "1e-6", "--steps", "2"],
-                        capsys)
-    assert code == 0
-    assert out.splitlines()[0] == "t,q,p,H,sigma,closed_form_error"
+    # g - h = x^2 tilts the invariant ellipse, which H_A follows: one value
+    # on every row, the same at -x as at x
+    argv = ["simulate", name, "--steps", "40", "--stride", "8", "--format",
+            "json", "--x"]
+    for x in ("1e-6", "0.5", "1.9"):
+        code, out, _ = _run([*argv, x], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert list(rows[0]) == ["t", "q", "p", "H", "H_A", "closed_form_error"]
+        h_a = [r["H_A"] for r in rows]
+        assert max(h_a) - min(h_a) <= 1e-12 * h_a[0], x
+        _, out, _ = _run([*argv, "-" + x], capsys)
+        assert [r["H_A"] for r in json.loads(out)] == h_a, x
+
+
+def test_simulate_builds_one_map(monkeypatch, capsys):
+    calls = {"scheme_matrix": 0, "spectral": 0}
+
+    def counted(name):
+        func = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    for scheme in ("SV", "LF1", "BM"):
+        calls.update(dict.fromkeys(calls, 0))
+        code, _, _ = _run(["simulate", scheme, "--x", "0.5", "--steps", "100",
+                           "--stride", "10"], capsys)
+        assert code == 0
+        assert calls == {"scheme_matrix": 1, "spectral": 1}, scheme
+    for name in ("scheme_matrix", "spectral", "is_symmetric"):
+        assert not hasattr(sim, name), name
 
 
 def test_split_drift_scheme_is_reversible(tmp_path, capsys):

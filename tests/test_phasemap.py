@@ -19,7 +19,6 @@ from oscmap.phasemap import (
     PhaseMatrix, Regime, RegimeError, SWEEP_QUANTITIES, propagate_closed_form,
     scheme_matrix, scheme_series_matrix, spectral, sweep,
 )
-from oscmap.sim import iterate
 
 from mpmath_oracle import mp_half_trace
 
@@ -686,10 +685,11 @@ def test_sigma_amplitude_first_order():
 
 # ------------------------------------------------------ modified Hamiltonian
 
-def _h_a(s, x: float, q: float, p: float):
-    """The shadow energy H_A that `iterate` reports at the start (q, p)."""
-    energies = iterate(s, q, p, x, 1.0, 1).modified_energy
-    return None if energies is None else energies[0]
+def _h_a(s, x: float, q: float, p: float) -> float:
+    """The shadow energy H_A of the map at x (omega = 1) at (q, p)."""
+    m = scheme_matrix(s, x, 1.0)
+    [h_a] = phasemap._shadow_energy(m, spectral(m), [q], [p])
+    return h_a
 
 
 def test_modified_hamiltonian_continuum_limit():
@@ -705,9 +705,16 @@ def test_modified_hamiltonian_sv_closed_form():
                         rel_tol=1e-13)
 
 
-def test_modified_hamiltonian_rejects_nonreversible():
-    # the quadratic form p^2/(2 m*) + k* q^2/2 holds for reversible maps only
-    assert _h_a(get_scheme("LF1"), 0.3, 1.0, 0.0) is None
+def test_modified_hamiltonian_of_a_non_reversible_map_is_tilted():
+    # p^2/(2 m*) + k* q^2/2 holds for reversible maps only; LF1's H_A has a
+    # qp term omega_a*sigma, sigma = (g - h)/(2 sin(theta)), and M(-x) =
+    # P M(x) P, P = diag(1, -1), mirrors it in p
+    lf1, x = get_scheme("LF1"), 0.3
+    d = spectral(scheme_matrix(lf1, x, 1.0))
+    sigma = x * x / (2.0 * d.xi)  # g - h = x^2
+    cross = _h_a(lf1, x, 1.0, 1.0) - _h_a(lf1, x, 1.0, 0.0) - _h_a(lf1, x, 0.0, 1.0)
+    assert math.isclose(abs(cross), d.omega_a * sigma, rel_tol=1e-13)
+    assert _h_a(lf1, -x, 1.0, 1.0) == _h_a(lf1, x, 1.0, -1.0)
 
 
 # ------------------------------------------------------------ invariant form

@@ -188,7 +188,7 @@ _SHAPES = {
     "PhaseErrorReport": (analysis, "scheme order_declared n c_n c_star "
                          "stability omega_a inv_mass k_star sigma", {},
                          lambda sv: analysis.analyze(sv, 4)),
-    "TrajectoryRecord": (sim, "step_index t q p energy modified_energy", {},
+    "TrajectoryRecord": (sim, "step_index t q p energy", {},
                          lambda sv: sim.iterate(sv, 1.0, 0.0, 0.5, 1.0, 4)),
 }
 

@@ -6,7 +6,9 @@ samples with numpy; they live here as test helpers, not in the package.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oscmap.analysis import order_coefficient
 from oscmap.phasemap import (
-    Regime, RegimeError, propagate_closed_form, scheme_matrix, spectral, sweep,
+    Regime, RegimeError, _shadow_energy, propagate_closed_form, scheme_matrix,
+    spectral, sweep,
 )
 from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
@@ -108,20 +111,35 @@ def phase_error(s, x):
     return value
 
 
+def _times_power_of_two(v, n):
+    """v * 2**n rounded once, by exact rationals: a signed inf past the float
+    range, a zero of v's sign below it, and inf or NaN as they are."""
+    if not math.isfinite(v):
+        return v
+    try:
+        return math.copysign(float(Fraction(v) * Fraction(2) ** n), v)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
     """Reference for `iterate`: one generic loop over (is_drift, coeff) pairs.
 
-    Writes omega = m * 2**k with m in [1, 2) and steps (q, p / 2**k) with
-    e = eps * 2**k: drift coefficients c*e, kick coefficients c*e*m^2 plus
-    u*e^3*m^4 for a force-gradient kick (a signed inf where the float power
-    e**3 overflows), each sampled p multiplied back by 2**k. Returns (step
-    indices, q samples, p samples); the generated per-pattern loops must
-    reproduce them bit for bit.
+    Writes omega = m * 2**k with m in [1, 2) and steps the state
+    (q, p / 2**k) / 2**j, where 2**j is the power of two at or below the
+    larger of |q0| and |p0| / 2**k, found by halving and doubling that
+    rational (j = 0 for a zero state), with e = eps * 2**k: drift
+    coefficients c*e, kick coefficients c*e*m^2 plus u*e^3*m^4 for a
+    force-gradient kick (a signed inf where the float power e**3
+    overflows). Each later sample of q is multiplied back by 2**j and of p
+    by 2**(k + j), rounded once. Returns (step indices, q samples, p
+    samples); the generated per-pattern loops must reproduce them bit for
+    bit.
     """
     mant, exp = math.frexp(omega)
-    scale = 2.0 ** (exp - 1)
+    k = exp - 1
     m2 = (2.0 * mant) * (2.0 * mant)
-    e = eps * scale
+    e = eps * 2.0**k
     try:
         cube = e**3
     except OverflowError:
@@ -135,20 +153,27 @@ def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
             if step.kind == GKICK:
                 mu += float(step.u) * cube * m2 * m2
             program.append((False, mu))
+    big = max(abs(Fraction(q0)), abs(Fraction(p0)) / Fraction(2) ** k)
+    j = 0
+    while big >= 2:
+        big, j = big / 2, j + 1
+    while 0 < big < 1:
+        big, j = big * 2, j - 1
     idx = [0]
     qs = [float(q0)]
     ps = [float(p0)]
-    q, p = float(q0), float(p0) / scale
-    for k in range(1, n_steps + 1):
+    q = _times_power_of_two(float(q0), -j)
+    p = _times_power_of_two(float(p0), -k - j)
+    for n in range(1, n_steps + 1):
         for is_drift, coeff in program:
             if is_drift:
                 q += coeff * p
             else:
                 p -= coeff * q
-        if k % sample_stride == 0 or k == n_steps:
-            idx.append(k)
-            qs.append(q)
-            ps.append(p * scale)
+        if n % sample_stride == 0 or n == n_steps:
+            idx.append(n)
+            qs.append(_times_power_of_two(q, j))
+            ps.append(_times_power_of_two(p, k + j))
     return idx, qs, ps
 
 
@@ -192,6 +217,8 @@ def _step_counts(draw):
        eps=st.floats(-3, 3),
        omega=st.sampled_from((1.0, 2.5, 2.0**600, 1.5 * 2.0**-600)))
 @example(which=0, counts=(1, 1), q0=0.0, p0=5e-324, eps=0.0, omega=2.5)
+@example(which=0, counts=(3, 1), q0=-0.0, p0=-0.0, eps=-0.5, omega=1.0)
+@example(which=2, counts=(5, 2), q0=5e-324, p0=-1e-320, eps=0.7, omega=2.0**600)
 def test_iterate_matches_generic_loop_bitwise(uneven_scheme, which, counts,
                                               q0, p0, eps, omega):
     schemes = [*registry(), uneven_scheme]
@@ -223,7 +250,9 @@ def test_iterate_matches_generic_loop_when_diverging(n_steps, stride):
 
 
 def _array_energies(s, rec, eps, omega):
-    """Energy and shadow energy by the numpy formulas `iterate` once used."""
+    """Energy by the numpy formula `iterate` once used, and the shadow energy
+    p^2/(2 m*) + k* q^2/2 of a reversible elliptic map (None otherwise), the
+    formula `iterate` used before H_A was read from K for every scheme."""
     q, p = np.array(rec.q), np.array(rec.p)
     modified = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,7 +280,16 @@ def test_energies_match_the_array_formulas_bitwise(which, q0, p0, eps, omega,
     rec = iterate(s, q0, p0, eps, omega, 600, stride)
     energy, modified = _array_energies(s, rec, eps, omega)
     assert _hexes(rec.energy) == _hexes(energy)
-    assert _hexes(rec.modified_energy) == _hexes(modified)
+    m = scheme_matrix(s, eps, omega)
+    data = spectral(m)
+    # the shadow energy read from K agrees with p^2/(2 m*) + k* q^2/2 where
+    # xi = sin(theta) is a normal float: a subnormal xi, as at eps = 5e-324,
+    # omega = 2.5, has lost bits that m* and k*, read from scaled entries,
+    # keep
+    if modified is None or abs(data.xi) < sys.float_info.min:
+        return
+    h_a = _shadow_energy(m, data, rec.q, rec.p)
+    assert all(abs(a - b) <= 1e-15 * b for a, b in zip(h_a, modified.tolist()))
 
 
 def test_energies_of_the_diverging_run_overflow_to_inf_and_nan():
@@ -271,7 +309,6 @@ def test_gkick_coefficient_overflows_to_a_signed_inf(eps, sign):
         assert coeffs[3] == sign * math.inf
         rec = iterate(c, 1.0, 0.0, eps / omega, omega, 2)
         assert all(map(math.isnan, rec.q[1:] + rec.p[1:] + rec.energy[1:]))
-        assert rec.modified_energy is None
 
 
 def test_gkick_coefficient_is_the_float_power_where_finite():
@@ -374,12 +411,53 @@ def test_iterate_hyperbolic_growth():
     assert absq[-1] > 1e10
 
 
+def _loop_shadow_energy(s, x, n_steps, stride=1, q0=1.0, p0=0.0):
+    """H_A of the map at x (omega = 1) along the shear loop's samples."""
+    m = scheme_matrix(s, x, 1.0)
+    rec = iterate(s, q0, p0, x, 1.0, n_steps, stride)
+    return _shadow_energy(m, spectral(m), rec.q, rec.p)
+
+
 def test_modified_energy_constant():
-    rec = iterate(get_scheme("SV"), 1.0, 0.0, 0.5, 1.0, 100_000,
-                  sample_stride=100)
-    assert rec.modified_energy is not None
-    h_a = np.array(rec.modified_energy)
+    h_a = np.array(_loop_shadow_energy(get_scheme("SV"), 0.5, 100_000, 100))
     assert np.max(np.abs(h_a - h_a[0])) / abs(h_a[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.2, -0.5])
+@pytest.mark.parametrize("name", [s.name for s in registry()])
+def test_shadow_energy_is_constant_along_the_shear_loop(name, x):
+    # every orbit of an elliptic map lies on one level set of H_A, for the
+    # non-reversible LF1 and LF1T as for the reversible schemes
+    h_a = _loop_shadow_energy(get_scheme(name), x, 2000, q0=0.8, p0=-0.6)
+    assert max(h_a) - min(h_a) <= 1e-13 * h_a[0]
+
+
+@pytest.mark.parametrize("name, x", [("C", 4.0), ("M", 4.0), ("BM", 5.0)])
+def test_shadow_energy_is_positive_past_the_first_stable_window(name, x):
+    # in a second stable window nu/xi has the sign of -eps; H_A takes the
+    # sign of kn and stays p^2/(2 m*) + k* q^2/2 with positive m* and k*
+    s = get_scheme(name)
+    m = scheme_matrix(s, x, 1.0)
+    data = spectral(m)
+    assert data.regime is Regime.ELLIPTIC and m.nu < 0.0 < x
+    h_a = _loop_shadow_energy(s, x, 500, q0=0.8, p0=-0.6)
+    assert max(h_a) - min(h_a) <= 1e-13 * h_a[0]
+    assert math.isclose(h_a[0], 0.36 / (2.0 * data.m_star) + data.k_star * 0.32,
+                        rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("name", [s.name for s in registry()])
+def test_shadow_energy_is_the_same_at_minus_x(name):
+    # M(-x) = P M(x) P with P = diag(1, -1): from (q0, 0) the orbit at -x is
+    # the one at x with p negated, and its H_A column is the same bit for bit
+    s = get_scheme(name)
+    for x in (0.3, 1e-6, 1.2):
+        forward = _loop_shadow_energy(s, x, 200, 7)
+        assert _hexes(_loop_shadow_energy(s, -x, 200, 7)) == _hexes(forward)
+        # at one point, H_A at -x and (q, p) is H_A at x and (q, -p)
+        back, fwd = (scheme_matrix(s, e, 1.0) for e in (-x, x))
+        assert (_shadow_energy(back, spectral(back), [0.8], [-0.6])
+                == _shadow_energy(fwd, spectral(fwd), [0.8], [0.6]))
 
 
 def test_true_energy_bounded_not_growing():
@@ -406,16 +484,25 @@ def test_reversibility_round_trip():
         assert abs(back.p[-1] - 0.25) <= 1e-9
 
 
-def test_non_reversible_excluded_from_modified_energy():
-    # g - h = x^2 for LF1: a tolerance on it would call the map reversible
-    # at small x, which `is_symmetric` never does
+def test_non_reversible_schemes_have_a_shadow_energy():
+    # g - h = x^2 for LF1 and LF1T, and tau = nu = x: at (1, 0) H_A is
+    # (theta/x)/(2 sin(theta)) nu = asin(x/2)/(x sqrt(1 - x^2/4)), down to
+    # x = 1e-170 where x^2 underflows and H_A is the oscillator energy 1/2
     for name in ("LF1", "LF1T"):
         s = get_scheme(name)
         for x in (0.3, 1e-6, 1e-170):
-            rec = iterate(s, 1.0, 0.0, x, 1.0, 10)
-            assert rec.modified_energy is None, (name, x)
-            # the rotation angle is still defined
-            assert _phase(s, rec, x, 1.0) is not None, (name, x)
+            h_a = _loop_shadow_energy(s, x, 10)
+            exact = math.asin(x / 2) / (x * math.sqrt(1 - x * x / 4))
+            assert math.isclose(h_a[0], exact, rel_tol=1e-15), (name, x)
+            assert max(h_a) - min(h_a) <= 1e-15, (name, x)
+
+
+def test_iterate_scales_the_whole_state():
+    # (q0, p0 / omega) = (0, 1e300) is past the float range only as p0
+    # scaled alone; scaled together the first steps stay finite
+    sv = get_scheme("SV")
+    assert iterate(sv, 0.0, 1e300, 1.0, 1e-300, 2).q == [0.0, 1e300, 2e300]
+    _assert_matches_generic_loop(sv, 0.0, 1e300, 1.0, 1e-300, 2, 1)
 
 
 # ------------------------------------------------------------------- drift
