@@ -298,7 +298,7 @@ def cmd_sweep(args):
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(args):
-    """Iterate a trajectory at x = eps (omega = 1) with its H_A and closed form."""
+    """Iterate a trajectory at x = eps (omega = 1) with H_A and closed form."""
     from . import sim
     s = args.scheme
     eps, omega, q0, p0 = args.x, 1.0, args.q0, args.p0
@@ -319,7 +319,8 @@ def cmd_simulate(args):
     h_a = _shadow_energy(m, d, rec.q, rec.p)
     for row, t, q, p, h in zip(rows, rec.t, rec.q, rec.p, h_a):
         (a, b), (c, e) = _propagate(m, d, t)
-        row += [h, max(abs(q - (a * q0 + b * p0)), abs(p - (c * q0 + e * p0)))]
+        row += [h, max(abs(q - (a * q0 + b * p0)),
+                       abs(p - (c * q0 + e * p0)))]
     return ["t", "q", "p", "H", "H_A", "closed_form_error"], rows
 
 

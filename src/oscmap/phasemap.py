@@ -370,7 +370,7 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     return _propagate(mat, data, t)
 
 
-def _generator(mat: PhaseMatrix, data: SpectralData) -> tuple[float, float, float]:
+def _generator(mat: PhaseMatrix, data: SpectralData) -> tuple[float, ...]:
     """(kw, kt, kn) of K = (M - T I)/xi = [[kw, kt], [-kn, -kw]], where data
     is the `spectral` of the elliptic map mat: kw = (g - h)/(2 xi), kt =
     tau/xi, kn = nu/xi. M conserves the form kn q^2 + 2 kw q p + kt p^2."""
@@ -381,9 +381,8 @@ def _generator(mat: PhaseMatrix, data: SpectralData) -> tuple[float, float, floa
 def _propagate(mat: PhaseMatrix, data: SpectralData, t: float) -> Rows:
     """`propagate_closed_form` of an elliptic map whose `spectral` is data.
 
-    theta and eps are scaled by eps's power of two before theta*t/eps, so
-    theta*t does not underflow when eps and t are tiny; the scaling is
-    exact, so the angle is bitwise theta*t/eps wherever theta*t is normal.
+    theta and eps are scaled exactly by eps's power of two, so theta*t does
+    not underflow and the angle is bitwise theta*t/eps where that is normal.
     """
     kw, kt, kn = _generator(mat, data)
     k = math.frexp(mat.eps)[1]
