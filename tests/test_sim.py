@@ -498,8 +498,8 @@ def test_non_reversible_schemes_have_a_shadow_energy():
 
 
 def test_iterate_scales_the_whole_state():
-    # (q0, p0 / omega) = (0, 1e300) is past the float range only as p0
-    # scaled alone; scaled together the first steps stay finite
+    # p0 / omega = 1e600 is past the float range, but the state scaled as a
+    # whole by one power of two is not, so the first steps stay finite
     sv = get_scheme("SV")
     assert iterate(sv, 0.0, 1e300, 1.0, 1e-300, 2).q == [0.0, 1e300, 2e300]
     _assert_matches_generic_loop(sv, 0.0, 1e300, 1.0, 1e-300, 2, 1)
