@@ -175,24 +175,20 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     constant 1/m* = omega_a*sqrt(tau/nu), k* = omega_a*sqrt(nu/tau); disc > 0
     below implies nu*tau > 0. A negative eps gives the inverse map, which
     conserves the same ellipse, so omega_a, m* and k* do not change sign
-    with it.
-    Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry only the
-    regime flag and a detail message.
+    with it. Parabolic (|Tr M| = 2) and hyperbolic (|Tr M| > 2) maps carry
+    only the regime flag and a detail message.
 
     A map is hyperbolic where |Tr M| exceeds 2 by more than PARABOLIC_TOL
     or is NaN, as where the diagonal overflows to infinities of opposite
     sign, else elliptic where disc > 0, else parabolic. det = 1 makes disc =
     nu*tau - ((g-h)/2)^2 = sin^2(theta); testing it instead of the trace
     keeps the classification sharp near theta -> 0, where the trace is
-    quadratically insensitive. disc is formed from tau, nu and w scaled by
-    powers of two to near 1, so it does not underflow at the smallest steps;
-    the scaling is exact, so wherever the unscaled products are normal
-    numbers the result is bitwise theirs. m* and k* are formed from the same
-    scaled entries and a scaled omega_a, with the power of two applied
-    last, so tau/nu never overflows or underflows on the way: scaling eps
-    by 2^-k and omega by 2^k keeps m* bit for bit and multiplies k* by 4^k,
-    which gives inf or 0.0 only beyond the float range. A NaN entry raises
-    ValueError: no regime can be read from it.
+    quadratically insensitive; it is formed from scaled entries (`_scaled`).
+    m* and k* are formed from the same scaled entries and a scaled omega_a,
+    with the power of two applied last, so tau/nu never overflows or
+    underflows on the way: scaling eps by 2^-k and omega by 2^k keeps m* bit
+    for bit and multiplies k* by 4^k, which gives inf or 0.0 only beyond the
+    float range. A NaN entry raises ValueError: no regime can be read from it.
     """
     g, tau, nu, h = mat.g, mat.tau, mat.nu, mat.h
     if math.isnan(g) or math.isnan(tau) or math.isnan(nu) or math.isnan(h):
@@ -204,13 +200,7 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
         return SpectralData(None, None, None, None, None, Regime.HYPERBOLIC,
                             f"{what}; the map is unstable and has no real "
                             "rotation angle")
-    # tau*2^-kt and nu*2^(kt - 2e) lie in [1/2, 2): their product, and w*2^-e
-    # squared, are disc = nu*tau - w^2 scaled by 4^-e
-    kt = math.frexp(tau)[1]
-    e = (kt + math.frexp(nu)[1]) // 2
-    tau_s, nu_s = math.ldexp(tau, -kt), math.ldexp(nu, kt - 2 * e)
-    w_s = math.ldexp((g - h) / 2.0, -e)
-    disc = nu_s * tau_s - w_s * w_s
+    kt, e, tau_s, nu_s, disc = _scaled(mat)
     if not disc > 0.0:
         return SpectralData(None, None, None, None, None, Regime.PARABOLIC,
                             "|trace| equals 2 within tolerance; the rotation "
@@ -228,6 +218,18 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
     m_star = _rounded(1.0 / (a * root_s), e - kt - ka)
     k_star = _rounded(a / root_s, e - kt + ka)
     return SpectralData(theta, xi, omega_a, m_star, k_star, Regime.ELLIPTIC)
+
+
+def _scaled(mat: PhaseMatrix) -> tuple:
+    """(kt, e, tau*2^-kt, nu*2^(kt - 2e), disc*4^-e) of a non-NaN map, disc
+    = nu*tau - ((g - h)/2)^2: the scaled entries lie near 1, so disc does not
+    underflow at the smallest steps, and it is bitwise the unscaled one
+    wherever that is normal."""
+    kt = math.frexp(mat.tau)[1]
+    e = (kt + math.frexp(mat.nu)[1]) // 2
+    tau_s, nu_s = math.ldexp(mat.tau, -kt), math.ldexp(mat.nu, kt - 2 * e)
+    w_s = math.ldexp((mat.g - mat.h) / 2.0, -e)
+    return kt, e, tau_s, nu_s, nu_s * tau_s - w_s * w_s
 
 
 def _rounded(v: float | Fraction, n: int = 0) -> float:
@@ -361,7 +363,6 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     phi = theta*t/eps and K = (M - T I)/xi (`_generator`), K^2 = -I. At
     t = N*eps this is M^N = U_(N-1)(T) M - U_(N-2)(T) I, U_(N-1)(T) =
     sin(N theta)/sin(theta), and t need not be a multiple of the timestep.
-    K's diagonal +-(g - h)/(2 xi) vanishes for time-reversible maps (h = g).
     A map that is not elliptic raises RegimeError.
     """
     data = spectral(mat)
@@ -370,12 +371,14 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     return _propagate(mat, data, t)
 
 
-def _generator(mat: PhaseMatrix, data: SpectralData) -> tuple[float, ...]:
-    """(kw, kt, kn) of K = (M - T I)/xi = [[kw, kt], [-kn, -kw]], where data
-    is the `spectral` of the elliptic map mat: kw = (g - h)/(2 xi), kt =
-    tau/xi, kn = nu/xi. M conserves the form kn q^2 + 2 kw q p + kt p^2."""
-    xi = data.xi
-    return (mat.g - mat.h) / (2.0 * xi), mat.tau / xi, mat.nu / xi
+def _generator(mat: PhaseMatrix) -> tuple[float, ...]:
+    """(kw, kt, kn) = ((g - h)/2, tau, nu)/xi of K = (M - T I)/xi, which M
+    conserves as kn q^2 + 2 kw q p + kt p^2; as entry*2^-e over sqrt(disc)
+    (`_scaled`), bitwise the plain quotients where xi is normal."""
+    _, e, _, _, disc = _scaled(mat)
+    r = math.sqrt(disc)
+    return (math.ldexp(mat.g - mat.h, -e - 1) / r, math.ldexp(mat.tau, -e) / r,
+            math.ldexp(mat.nu, -e) / r)
 
 
 def _propagate(mat: PhaseMatrix, data: SpectralData, t: float) -> Rows:
@@ -384,7 +387,7 @@ def _propagate(mat: PhaseMatrix, data: SpectralData, t: float) -> Rows:
     theta and eps are scaled exactly by eps's power of two, so theta*t does
     not underflow and the angle is bitwise theta*t/eps where that is normal.
     """
-    kw, kt, kn = _generator(mat, data)
+    kw, kt, kn = _generator(mat)
     k = math.frexp(mat.eps)[1]
     angle = math.ldexp(data.theta, -k) * t / math.ldexp(mat.eps, -k)
     c, s = math.cos(angle), math.sin(angle)
@@ -402,7 +405,7 @@ def _shadow_energy(mat: PhaseMatrix, data: SpectralData,
     P M(eps) P, P = diag(1, -1), so H_A at -eps and (q, p) is bitwise H_A
     at eps and (q, -p). q (kn q + kw p) + p (kw q + kt p) adds no 0 * inf.
     """
-    kw, kt, kn = _generator(mat, data)
+    kw, kt, kn = _generator(mat)
     half = math.copysign(0.5 * data.omega_a, kn)
     return [half * (q * (kn * q + kw * p) + p * (kw * q + kt * p))
             for q, p in zip(qs, ps)]

@@ -8,12 +8,9 @@ drift/kick pattern of a scheme (e.g. "dkdkdkd") as straight-line Python, one
 line per shear in the scheme's order; its body holds the step's lines
 `_UNROLL` times over, so the loop control is paid once per `_UNROLL` steps.
 The coefficients are arguments of the generated function, never part of its
-source, so schemes with the same pattern share one compiled loop. The loop
-runs on (q, p * 2**-k) * 2**-j, where omega = m * 2**k with m in [1, 2), so
-that no coefficient forms omega*omega, and 2**j brings the state to O(1):
-at eps = 2**-600, omega = 2**600 the trajectory in q is that of eps = omega
-= 1, and at omega = 1 from (1, 0) nothing is scaled. Samples and energies
-are plain lists of Python floats.
+source, so schemes with the same pattern share one compiled loop. The state
+is scaled by powers of two (`iterate`), so no coefficient forms omega*omega
+and the state is O(1). Samples and energies are plain lists of floats.
 """
 
 from __future__ import annotations
