@@ -59,6 +59,8 @@ def _cases() -> dict[str, list[str]]:
     # x = 2 is SV's parabolic point: one elliptic, parabolic, hyperbolic row
     cases["sweep_SV_regimes"] = ["sweep", "SV", "--min", "1", "--max", "3",
                                  "--points", "3"]
+    # M's coefficients are pinned here by its c_4, x_max and series
+    cases["analyze_M"] = ["analyze", "M"]
     # BM's thin unstable window near x = 3.14 and the stable re-entry after it
     cases["sweep_BM_window"] = ["sweep", "BM", "--min", "3.12", "--max", "3.17",
                                 "--points", "6"]
