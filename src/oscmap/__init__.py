@@ -26,8 +26,7 @@ _EXPORTS = {
     "series": ("Series", "asin"),
     "schemes": ("DRIFT", "KICK", "GKICK", "Step", "Scheme", "SchemeError",
                 "SchemeFileError", "get_scheme", "has_exact_coefficients",
-                "is_symmetric", "load_scheme", "registry", "registry_names",
-                "DATA_DIR_ENV"),
+                "is_symmetric", "load_scheme", "registry", "registry_names"),
     "phasemap": ("PhaseMatrix", "Regime", "RegimeError", "SpectralData",
                  "propagate_closed_form", "scheme_matrix", "spectral", "sweep"),
     "analysis": ("AnalysisError", "ConvergenceRow", "ConvergenceStudy",

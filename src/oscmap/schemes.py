@@ -9,12 +9,15 @@ oscillator phase point in list order:
 
 First-order consistency requires the drift coefficients and the kick
 coefficients each to sum to 1.
+
+The registry is one table, `_REGISTRY`, with a row per scheme; a palindrome
+is written as its first half. Any other scheme is read from a JSON file
+(`load_scheme`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import namedtuple
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ __all__ = [
     "DRIFT", "KICK", "GKICK", "Step", "Scheme",
     "SchemeError", "SchemeFileError",
     "is_symmetric", "has_exact_coefficients",
-    "registry", "registry_names", "get_scheme", "load_scheme", "DATA_DIR_ENV",
+    "registry", "registry_names", "get_scheme", "load_scheme",
 ]
 
 DRIFT = "drift"
@@ -31,12 +34,6 @@ GKICK = "gkick"
 _KINDS = (DRIFT, KICK, GKICK)
 
 CONSISTENCY_TOL = 1e-12
-
-#: Environment variable overriding the directory that holds the coefficient
-#: files for the data-backed registry schemes (M, BM).
-DATA_DIR_ENV = "OSCMAP_DATA_DIR"
-
-_DATA_FILES = {"M": "mclachlan4.json", "BM": "blanes_moan6.json"}
 
 
 class SchemeError(ValueError):
@@ -206,7 +203,7 @@ def load_scheme(path: str) -> Scheme:
     [{"kind": "drift"|"kick"|"gkick", "c": number, "u": number (gkick only)}]}``
     with plain decimal numbers (no expression evaluation).
     """
-    import json  # only file and data-backed schemes need it
+    import json  # only scheme files need it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -221,102 +218,68 @@ def load_scheme(path: str) -> Scheme:
 
 # ------------------------------------------------------------------ registry
 
-def _sv() -> Scheme:
-    half = Fraction(1, 2)
-    return Scheme(
-        "SV",
-        (Step(KICK, half), Step(DRIFT, 1), Step(KICK, half)),
-        order=2,
-        force_evals=1,
-        citation="Stoermer/Verlet leapfrog",
-    )
+def _palindrome(*half: Step) -> tuple[Step, ...]:
+    """The steps of half, then those before its last in reverse order."""
+    return half + half[-2::-1]
 
 
-def _lf1() -> Scheme:
-    return Scheme(
-        "LF1",
-        (Step(DRIFT, 1), Step(KICK, 1)),
-        order=1,
-        force_evals=1,
-        citation="first-order drift-then-kick map (non-reversible)",
-    )
+_FR_THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 
+#: Every registry scheme as name -> (order, force_evals, citation, steps),
+#: in listing order (also the CLI output order).
+_REGISTRY = {
+    "SV": (2, 1, "Stoermer/Verlet leapfrog",
+           _palindrome(Step(KICK, Fraction(1, 2)), Step(DRIFT, 1))),
+    "LF1": (1, 1, "first-order drift-then-kick map (non-reversible)",
+            (Step(DRIFT, 1), Step(KICK, 1))),
+    "LF1T": (1, 1, "first-order kick-then-drift map (transpose of LF1)",
+             (Step(KICK, 1), Step(DRIFT, 1))),
+    "FR": (4, 3, "Forest and Ruth (1990); coefficients after "
+                 "Creutz-Gocksch/Yoshida",
+           _palindrome(Step(DRIFT, _FR_THETA / 2), Step(KICK, _FR_THETA),
+                       Step(DRIFT, (1 - _FR_THETA) / 2),
+                       Step(KICK, 1 - 2 * _FR_THETA))),
+    "C": (4, 4, "Chin forward force-gradient algorithm (4C form), "
+                "3 force + 1 gradient evaluation",
+          _palindrome(Step(DRIFT, Fraction(1, 6)), Step(KICK, Fraction(3, 8)),
+                      Step(DRIFT, Fraction(1, 3)),
+                      Step(GKICK, Fraction(1, 4), Fraction(-1, 96)))),
+    "M": (4, 4, "McLachlan, SIAM J. Sci. Comput. 16 (1995) 151-168; "
+                "four-stage fourth-order symmetric method",
+          _palindrome(Step(DRIFT, 0.16913927992207206),
+                      Step(KICK, 0.5454545454545454),
+                      Step(DRIFT, -0.2991862039040509),
+                      Step(KICK, -0.045454545454545414),
+                      Step(DRIFT, 1.2600938479639576))),
+    "BM": (4, 6, "Blanes and Moan, J. Comput. Appl. Math. 142 (2002) "
+                 "313-330; six-stage fourth-order symmetric "
+                 "Runge-Kutta-Nystroem method",
+           _palindrome(Step(DRIFT, 0.0792036964311957),
+                       Step(KICK, 0.209515106613362),
+                       Step(DRIFT, 0.353172906049774),
+                       Step(KICK, -0.143851773179818),
+                       Step(DRIFT, -0.0420650803577195),
+                       Step(KICK, 0.434336666566456),
+                       Step(DRIFT, 0.21937695575349958))),
+}
 
-def _lf1t() -> Scheme:
-    return Scheme(
-        "LF1T",
-        (Step(KICK, 1), Step(DRIFT, 1)),
-        order=1,
-        force_evals=1,
-        citation="first-order kick-then-drift map (transpose of LF1)",
-    )
-
-
-def _fr() -> Scheme:
-    theta = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    return Scheme(
-        "FR",
-        (
-            Step(DRIFT, theta / 2), Step(KICK, theta),
-            Step(DRIFT, (1 - theta) / 2), Step(KICK, 1 - 2 * theta),
-            Step(DRIFT, (1 - theta) / 2), Step(KICK, theta),
-            Step(DRIFT, theta / 2),
-        ),
-        order=4,
-        force_evals=3,
-        citation="Forest and Ruth (1990); coefficients after Creutz-Gocksch/Yoshida",
-    )
-
-
-def _c() -> Scheme:
-    return Scheme(
-        "C",
-        (
-            Step(DRIFT, Fraction(1, 6)), Step(KICK, Fraction(3, 8)),
-            Step(DRIFT, Fraction(1, 3)),
-            Step(GKICK, Fraction(1, 4), Fraction(-1, 96)),
-            Step(DRIFT, Fraction(1, 3)), Step(KICK, Fraction(3, 8)),
-            Step(DRIFT, Fraction(1, 6)),
-        ),
-        order=4,
-        force_evals=4,
-        citation="Chin forward force-gradient algorithm (4C form), "
-                 "3 force + 1 gradient evaluation",
-    )
-
-
-_BUILTINS = {"SV": _sv, "LF1": _lf1, "LF1T": _lf1t, "FR": _fr, "C": _c}
-
-#: Fixed registry listing order (also the CLI output order).
-REGISTRY_ORDER = ("SV", "LF1", "LF1T", "FR", "C", "M", "BM")
+REGISTRY_ORDER = tuple(_REGISTRY)
 
 
 def registry_names() -> tuple[str, ...]:
     return REGISTRY_ORDER
 
 
-def _data_dir() -> str:
-    return (os.environ.get(DATA_DIR_ENV)
-            or os.path.join(os.path.dirname(__file__), "data"))
-
-
 def get_scheme(name: str) -> Scheme:
-    """Look up a registry scheme by name; data-backed entries load from disk."""
-    if name in _BUILTINS:
-        return _BUILTINS[name]()
-    if name in _DATA_FILES:
-        path = os.path.join(_data_dir(), _DATA_FILES[name])
-        scheme = load_scheme(path)
-        if scheme.name != name:
-            raise SchemeFileError(
-                f"{path}: declares scheme {scheme.name!r}, expected {name!r}"
-            )
-        return scheme
-    raise SchemeError(
-        f"unknown scheme {name!r}; registry has {', '.join(REGISTRY_ORDER)}"
-    )
+    """Look up a registry scheme by name."""
+    if name not in _REGISTRY:
+        raise SchemeError(
+            f"unknown scheme {name!r}; registry has {', '.join(REGISTRY_ORDER)}"
+        )
+    order, force_evals, citation, steps = _REGISTRY[name]
+    return Scheme(name, steps, order, force_evals, citation)
 
 
 def registry() -> list[Scheme]:
-    """All registry schemes; raises SchemeFileError if M/BM files are bad."""
+    """All registry schemes, in listing order."""
     return [get_scheme(name) for name in REGISTRY_ORDER]

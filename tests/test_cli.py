@@ -178,11 +178,11 @@ def test_order_and_points_have_an_upper_bound(flag, dest, argv, largest):
             _parse([*argv, flag, str(value)])
 
 
-def test_scheme_name_with_file_is_an_error(capsys):
-    # the name was silently ignored: `stability SV --file <BM>` reported BM
-    path = SRC / "oscmap" / "data" / "blanes_moan6.json"
-    assert _run(["stability", "--file", str(path)], capsys)[0] == 0
-    code, out, err = _run(["stability", "SV", "--file", str(path)], capsys)
+def test_scheme_name_with_file_is_an_error(tmp_path, capsys):
+    # the name was silently ignored: `stability SV --file <FR>` reported FR
+    path = _fr_file(tmp_path)
+    assert _run(["stability", "--file", path], capsys)[0] == 0
+    code, out, err = _run(["stability", "SV", "--file", path], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("oscmap: error: ") and "not both" in err
 
@@ -303,25 +303,6 @@ def test_map_coefficient_beyond_float_range(command, tmp_path):
     assert proc.stderr.startswith("oscmap: error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "'huge'" in proc.stderr and "beyond float range" in proc.stderr
-
-
-def test_schemes_lists_a_data_file_whose_map_overflows(tmp_path, monkeypatch,
-                                                      capsys):
-    # is_symmetric reads the map, so the row reports it instead of a verdict
-    data = Path(__file__).resolve().parents[1] / "src" / "oscmap" / "data"
-    (tmp_path / "blanes_moan6.json").write_bytes(
-        (data / "blanes_moan6.json").read_bytes())
-    (tmp_path / "mclachlan4.json").write_text(json.dumps(
-        {"name": "M", "order": 1, "force_evals": 3, "steps": _HUGE_MAP_STEPS}))
-    monkeypatch.setenv("OSCMAP_DATA_DIR", str(tmp_path))
-    code, out, err = _run(["schemes", "--format", "json"], capsys)
-    rows = {row["name"]: row for row in json.loads(out)}
-    assert code == 0 and err == "" and list(rows) == list(registry_names())
-    assert rows["M"]["symmetric"] is None
-    assert rows["M"]["status"] == ("coefficients unavailable: scheme 'M': a "
-                                   "coefficient of its one-step map is beyond "
-                                   "float range")
-    assert all(rows[n]["status"] == "ok" for n in rows if n != "M")
 
 
 def _fr_file(tmp_path, **fields) -> str:
@@ -516,9 +497,11 @@ def test_subcommand_loads_only_the_modules_it_uses(args):
 
 
 def test_csv_sweep_does_not_import_json():
-    imported = _imported_modules(["-m", "oscmap", "sweep", "SV", "--min", "0.1",
-                                  "--max", "1", "--points", "5"])
-    assert "oscmap.phasemap" in imported and "json" not in imported
+    # every registry scheme is defined in code, so none is read from a file
+    for name in ("SV", "BM"):
+        imported = _imported_modules(["-m", "oscmap", "sweep", name, "--min",
+                                      "0.1", "--max", "1", "--points", "5"])
+        assert "oscmap.phasemap" in imported and "json" not in imported
 
 
 def test_analysis_error_in_a_command_is_one_error_line(monkeypatch, capsys):
@@ -531,8 +514,8 @@ def test_analysis_error_in_a_command_is_one_error_line(monkeypatch, capsys):
 
 
 def test_cli_imports_without_importlib_resources():
-    # without `site`, whose .pth files may load it anyway: the data files are
-    # found next to the package, so importlib.resources is never needed
+    # without `site`, whose .pth files may load it anyway: no command reads
+    # a packaged resource, so importlib.resources is never needed
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys; sys.path.insert(0, {str(SRC)!r}); import oscmap.cli; "

@@ -455,14 +455,6 @@ def test_load_invalid_json(tmp_path):
         load_scheme(str(path))
 
 
-def test_data_dir_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("OSCMAP_DATA_DIR", str(tmp_path))
-    with pytest.raises(SchemeFileError, match="not found"):
-        get_scheme("M")
-    monkeypatch.delenv("OSCMAP_DATA_DIR")
-    assert get_scheme("M").force_evals == 4
-
-
 def test_gkick_file_round_trip(tmp_path):
     # decimal JSON cannot hold 1/6 exactly, so compare within float rounding
     c = get_scheme("C")
