@@ -165,6 +165,9 @@ def scheme_series_matrix(s: Scheme, order: int) -> tuple[Series, ...]:
 
 _NAN_ENTRY = "the map has a NaN entry or timestep, so it has no regime"
 
+#: The smallest normal float; below it a float keeps fewer than 53 bits.
+_NORMAL_MIN = 2.0 ** -1022
+
 
 def spectral(mat: PhaseMatrix) -> SpectralData:
     """Classify the map and extract rotation angle and effective parameters.
@@ -206,11 +209,18 @@ def spectral(mat: PhaseMatrix) -> SpectralData:
                             "|trace| equals 2 within tolerance; the rotation "
                             "angle is degenerate and no spectral quantities "
                             "are defined")
-    xi = math.ldexp(math.sqrt(disc), e)
+    root = math.sqrt(disc)
+    xi = math.ldexp(root, e)
     # atan2 form of arccos(half_trace): same principal branch (0, pi) since
     # det = 1 forces xi = sin(theta), but well conditioned as theta -> 0.
     theta = math.atan2(xi, (g + h) / 2.0)
-    omega_a = theta / abs(mat.eps)
+    if theta < _NORMAL_MIN:
+        # theta = xi to a relative xi^2/6 here, and both lost bits: read
+        # omega_a = xi/|eps| off the scaled root, rounded once at the end
+        m, k = math.frexp(abs(mat.eps))
+        omega_a = _rounded(root / m, e - k)
+    else:
+        omega_a = theta / abs(mat.eps)
     # sqrt(tau/nu) = sqrt(tau_s/nu_s)*2^(kt - e) and omega_a = a*2^ka: the
     # products below lie near 1 and round as the unscaled ones do
     a, ka = math.frexp(omega_a)
@@ -386,10 +396,14 @@ def _propagate(mat: PhaseMatrix, data: SpectralData, t: float) -> Rows:
 
     theta and eps are scaled exactly by eps's power of two, so theta*t does
     not underflow and the angle is bitwise theta*t/eps where that is normal.
+    A theta below the normal range lost bits, and the angle is omega_a*t.
     """
     kw, kt, kn = _generator(mat)
-    k = math.frexp(mat.eps)[1]
-    angle = math.ldexp(data.theta, -k) * t / math.ldexp(mat.eps, -k)
+    if data.theta < _NORMAL_MIN:
+        angle = math.copysign(data.omega_a, mat.eps) * t
+    else:
+        k = math.frexp(mat.eps)[1]
+        angle = math.ldexp(data.theta, -k) * t / math.ldexp(mat.eps, -k)
     c, s = math.cos(angle), math.sin(angle)
     return ((c + kw * s, kt * s), (-kn * s, c - kw * s))
 

@@ -648,6 +648,20 @@ def test_propagate_single_step_reproduces_matrix():
                            rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("eps", [5e-324, -5e-324])
+def test_propagate_turns_at_omega_a_where_theta_is_subnormal(eps):
+    # the float map is [[1, eps], [-6 eps, 1]]: xi = sqrt(6)|eps| and theta
+    # round to 2|eps|, so the angle is read from omega_a = sqrt(6); either
+    # sign of eps gives the flow of H = p^2/2 + 6 q^2/2 over t
+    m = scheme_matrix(get_scheme("SV"), eps, 2.5)
+    assert (m.g, m.tau, m.nu, m.h) == (1.0, eps, 6 * eps, 1.0)
+    assert math.isclose(spectral(m).omega_a, math.sqrt(6), rel_tol=1e-15)
+    t = 0.5
+    c, s = math.cos(math.sqrt(6) * t), math.sin(math.sqrt(6) * t)
+    expected = ((c, s / math.sqrt(6)), (-math.sqrt(6) * s, c))
+    assert np.allclose(propagate_closed_form(m, t), expected, rtol=0, atol=1e-15)
+
+
 def test_propagate_matches_matrix_power():
     m = scheme_matrix(get_scheme("SV"), 0.3, 1.0)
     for n in (1, 10, 1000, 10000):

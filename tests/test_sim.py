@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -266,6 +267,20 @@ def _array_energies(s, rec, eps, omega):
                     for q, p in zip(map(Fraction, rec.q), map(Fraction, rec.p))]
 
 
+def _mp_shadow_parameters(m):
+    """omega_a, m* and k* of the float map m at 40 digits: theta =
+    atan2(sqrt(nu tau - ((g - h)/2)^2), (g + h)/2), omega_a = theta/|eps|,
+    1/m* = omega_a sqrt(tau/nu) and k* = omega_a sqrt(nu/tau)."""
+    with mpmath.workdps(40):
+        g, tau, nu, h, eps = map(mpmath.mpf, m[:5])
+        theta = mpmath.atan2(mpmath.sqrt(nu * tau - ((g - h) / 2) ** 2),
+                             (g + h) / 2)
+        omega_a = theta / abs(eps)
+        root = mpmath.sqrt(tau / nu)
+        return [float(v) for v in (omega_a, 1 / (omega_a * root),
+                                   omega_a / root)]
+
+
 def _hexes(values):
     return None if values is None else [float(v).hex() for v in values]
 
@@ -288,7 +303,12 @@ def test_energies_match_the_array_formulas_bitwise(which, q0, p0, eps, omega,
     if modified is None:
         return
     m = scheme_matrix(s, eps, omega)
-    h_a = _shadow_energy(m, spectral(m), rec.q, rec.p)
+    data = spectral(m)
+    # the oracle's m* and k* are spectral's: check them, and omega_a, on
+    # the same float map by another route
+    assert all(math.isclose(a, b, rel_tol=2e-15) for a, b in zip(
+        (data.omega_a, data.m_star, data.k_star), _mp_shadow_parameters(m)))
+    h_a = _shadow_energy(m, data, rec.q, rec.p)
     # 1e-15 relative, and a few spacings 2^-1074 where H_A rounds on the
     # subnormal grid, where no float holds 1e-15 relative
     slack = 4 * Fraction(2) ** -1074
