@@ -44,8 +44,8 @@ from itertools import chain
 from types import SimpleNamespace
 
 from .phasemap import (
-    SWEEP_QUANTITIES, Regime, _propagate, _shadow_energy, scheme_matrix,
-    spectral, sweep,
+    SWEEP_QUANTITIES, Regime, _generator, _propagate, _shadow_energy,
+    scheme_matrix, spectral, sweep,
 )
 from .schemes import (
     SchemeError, get_scheme, is_symmetric, load_scheme, registry,
@@ -308,9 +308,10 @@ def cmd_simulate(args):
     d = spectral(m)
     if d.regime is not Regime.ELLIPTIC:
         return ["t", "q", "p", "H"], rows
-    h_a = _shadow_energy(m, d, rec.q, rec.p)
-    for row, t, q, p, h in zip(rows, rec.t, rec.q, rec.p, h_a):
-        (a, b), (c, e) = _propagate(m, d, t)
+    gen = _generator(m)
+    h_a = _shadow_energy(gen, d, rec.q, rec.p)
+    closed = _propagate(m, d, gen, rec.t)
+    for row, q, p, h, ((a, b), (c, e)) in zip(rows, rec.q, rec.p, h_a, closed):
         row += [h, max(abs(q - (a * q0 + b * p0)),
                        abs(p - (c * q0 + e * p0)))]
     return ["t", "q", "p", "H", "H_A", "closed_form_error"], rows

@@ -378,7 +378,8 @@ def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     data = spectral(mat)
     if data.regime is not Regime.ELLIPTIC:
         raise RegimeError(f"{data.regime.value} map: {data.detail}")
-    return _propagate(mat, data, t)
+    [rows] = _propagate(mat, data, _generator(mat), [t])
+    return rows
 
 
 def _generator(mat: PhaseMatrix) -> tuple[float, ...]:
@@ -391,26 +392,34 @@ def _generator(mat: PhaseMatrix) -> tuple[float, ...]:
             math.ldexp(mat.nu, -e) / r)
 
 
-def _propagate(mat: PhaseMatrix, data: SpectralData, t: float) -> Rows:
-    """`propagate_closed_form` of an elliptic map whose `spectral` is data.
+def _propagate(mat: PhaseMatrix, data: SpectralData, gen: tuple[float, ...],
+               ts: list[float]) -> list[Rows]:
+    """`propagate_closed_form` at each time in ts of an elliptic map whose
+    `spectral` is data and whose K is gen (`_generator`).
 
     theta and eps are scaled exactly by eps's power of two, so theta*t does
     not underflow and the angle is bitwise theta*t/eps where that is normal.
-    A theta below the normal range lost bits, and the angle is omega_a*t.
+    A theta below the normal range lost bits, and the angle is omega_a*t
+    (over 1.0, which is exact). The scaling is formed once for all of ts.
     """
-    kw, kt, kn = _generator(mat)
+    kw, kt, kn = gen
     if data.theta < _NORMAL_MIN:
-        angle = math.copysign(data.omega_a, mat.eps) * t
+        rate, unit = math.copysign(data.omega_a, mat.eps), 1.0
     else:
         k = math.frexp(mat.eps)[1]
-        angle = math.ldexp(data.theta, -k) * t / math.ldexp(mat.eps, -k)
-    c, s = math.cos(angle), math.sin(angle)
-    return ((c + kw * s, kt * s), (-kn * s, c - kw * s))
+        rate, unit = math.ldexp(data.theta, -k), math.ldexp(mat.eps, -k)
+    rows = []
+    for t in ts:
+        angle = rate * t / unit
+        c, s = math.cos(angle), math.sin(angle)
+        rows.append(((c + kw * s, kt * s), (-kn * s, c - kw * s)))
+    return rows
 
 
-def _shadow_energy(mat: PhaseMatrix, data: SpectralData,
+def _shadow_energy(gen: tuple[float, ...], data: SpectralData,
                    qs: list[float], ps: list[float]) -> list[float]:
-    """The exact invariant H_A of the elliptic map mat at each (q, p).
+    """The exact invariant H_A at each (q, p) of the elliptic map whose K is
+    gen (`_generator`) and whose `spectral` is data.
 
     H_A = (omega_a/2)(kn q^2 + 2 kw q p + kt p^2), K's form (`_generator`)
     with the sign of kn, so positive definite; in the first stable window
@@ -419,7 +428,7 @@ def _shadow_energy(mat: PhaseMatrix, data: SpectralData,
     P M(eps) P, P = diag(1, -1), so H_A at -eps and (q, p) is bitwise H_A
     at eps and (q, -p). q (kn q + kw p) + p (kw q + kt p) adds no 0 * inf.
     """
-    kw, kt, kn = _generator(mat)
+    kw, kt, kn = gen
     half = math.copysign(0.5 * data.omega_a, kn)
     return [half * (q * (kn * q + kw * p) + p * (kw * q + kt * p))
             for q, p in zip(qs, ps)]

@@ -702,7 +702,8 @@ def test_sigma_amplitude_first_order():
 def _h_a(s, x: float, q: float, p: float) -> float:
     """The shadow energy H_A of the map at x (omega = 1) at (q, p)."""
     m = scheme_matrix(s, x, 1.0)
-    [h_a] = phasemap._shadow_energy(m, spectral(m), [q], [p])
+    [h_a] = phasemap._shadow_energy(
+        phasemap._generator(m), spectral(m), [q], [p])
     return h_a
 
 
