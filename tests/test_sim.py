@@ -122,8 +122,19 @@ def _times_power_of_two(v, n):
         return math.copysign(math.inf, v)
 
 
+def _shears(q, p, program):
+    """(q, p) after the (is_drift, coeff) shears of program, in order."""
+    for is_drift, coeff in program:
+        if is_drift:
+            q += coeff * p
+        else:
+            p -= coeff * q
+    return q, p
+
+
 def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
-    """Reference for `iterate`: one generic loop over (is_drift, coeff) pairs.
+    """Reference for `iterate`: one step at a time over (is_drift, coeff)
+    pairs.
 
     Writes omega = m * 2**k with m in [1, 2) and steps the state
     (q, p / 2**k) / 2**j, where 2**j is the power of two at or below the
@@ -131,7 +142,12 @@ def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
     rational (j = 0 for a zero state), with e = eps * 2**k: drift
     coefficients c*e, kick coefficients c*e*m^2 plus u*e^3*m^4 for a
     force-gradient kick (a signed inf where the float power e**3
-    overflows). Each later sample of q is multiplied back by 2**j and of p
+    overflows). Where the first and last shear are of one kind and the sum
+    of their coefficients is finite, the state is held one shear short of
+    each step boundary: step 1 runs all but the last shear, every later
+    step runs one shear by that sum and then the middle shears, and a
+    sample applies the last shear to a copy. Otherwise each step runs all
+    the shears. Each later sample of q is multiplied back by 2**j and of p
     by 2**(k + j), rounded once. Returns (step indices, q samples, p
     samples); the generated per-pattern loops must reproduce them bit for
     bit.
@@ -153,6 +169,12 @@ def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
             if step.kind == GKICK:
                 mu += float(step.u) * cube * m2 * m2
             program.append((False, mu))
+    (first_drift, first), (last_drift, last) = program[0], program[-1]
+    if first_drift == last_drift and math.isfinite(first + last):
+        head, later, tail = (program[:-1], [(first_drift, first + last),
+                                            *program[1:-1]], program[-1:])
+    else:
+        head, later, tail = program, program, []
     big = max(abs(Fraction(q0)), abs(Fraction(p0)) / Fraction(2) ** k)
     j = 0
     while big >= 2:
@@ -165,15 +187,12 @@ def _generic_loop(s, q0, p0, eps, omega, n_steps, sample_stride):
     q = _times_power_of_two(float(q0), -j)
     p = _times_power_of_two(float(p0), -k - j)
     for n in range(1, n_steps + 1):
-        for is_drift, coeff in program:
-            if is_drift:
-                q += coeff * p
-            else:
-                p -= coeff * q
+        q, p = _shears(q, p, head if n == 1 else later)
         if n % sample_stride == 0 or n == n_steps:
+            sq, sp = _shears(q, p, tail)
             idx.append(n)
-            qs.append(_times_power_of_two(q, j))
-            ps.append(_times_power_of_two(p, k + j))
+            qs.append(_times_power_of_two(sq, j))
+            ps.append(_times_power_of_two(sp, k + j))
     return idx, qs, ps
 
 
@@ -247,6 +266,87 @@ def test_iterate_matches_generic_loop_when_diverging(n_steps, stride):
     assert np.isnan(rec.q[-1])
     assert np.isinf(rec.q).any() == (stride == 1)
     _assert_matches_generic_loop(s, 1.0, 0.0, 2.5, 1.0, n_steps, stride)
+
+
+#: Kick-drift-kick like SV, with ends of different coefficients.
+_SKEW = Scheme("SKEW", (Step(KICK, 0.3), Step(DRIFT, 1.0), Step(KICK, 0.7)),
+               order=1, force_evals=2)
+
+
+@pytest.mark.parametrize("name", [*(s.name for s in registry()), "SKEW",
+                                  "uneven"])
+def test_sample_stride_does_not_change_a_sample(uneven_scheme, name):
+    # a merged loop holds its state one shear short of each step boundary and
+    # completes a sample on a copy, so a sample at step n has the bits of
+    # the stride-1 run's sample at step n
+    s = {"SKEW": _SKEW, "uneven": uneven_scheme}.get(name) or get_scheme(name)
+    every = iterate(s, 0.8, -0.6, 0.4, 1.0, 2003, 1)
+    for stride in (7, 1000):
+        rec = iterate(s, 0.8, -0.6, 0.4, 1.0, 2003, stride)
+        assert rec.step_index == [*range(0, 2003, stride), 2003]
+        assert _hexes(rec.q) == _hexes(every.q[n] for n in rec.step_index)
+        assert _hexes(rec.p) == _hexes(every.p[n] for n in rec.step_index)
+
+
+def _exact_run(pattern, coeffs, q0, p0, n_steps):
+    """(q, p) after each of n_steps steps of the shears with the float
+    coefficients read as the binary fractions they are, iterated exactly and
+    rounded once per sample. The state is held as integers over one power of
+    two: a step multiplies the denominators by up to 2^60 per shear, and a
+    Fraction's gcd over numbers that long takes seconds per run."""
+    qn, qd = q0.as_integer_ratio()
+    pn, pd = p0.as_integer_ratio()
+    qn, pn, e = qn * pd, pn * qd, (qd * pd).bit_length() - 1
+    program = [(kind, *c.as_integer_ratio()) for kind, c in zip(pattern, coeffs)]
+    out = []
+    for _ in range(n_steps):
+        for kind, a, b in program:
+            f = b.bit_length() - 1
+            if kind == "d":
+                qn, pn = (qn << f) + a * pn, pn << f
+            else:
+                qn, pn = qn << f, (pn << f) - a * qn
+            e += f
+        out.append((qn / (1 << e), pn / (1 << e)))
+    return out
+
+
+@pytest.mark.parametrize("name", [s.name for s in registry()])
+def test_both_loops_stay_near_the_exact_iteration(name):
+    # each shear rounds a product and a sum of numbers below 2, each by at
+    # most 2^-53, and the map at x = 0.5 is close enough to a rotation that
+    # it does not amplify what earlier shears lost; the largest error seen
+    # is 3.9e-15, a merged shear's coefficient c0 + c(n-1) rounded included
+    n_steps = 400
+    pattern, coeffs, _ = _kick_drift_program(get_scheme(name), 0.5, 1.0)
+    exact = _exact_run(pattern, coeffs, 0.8, -0.6, n_steps)
+    bound = n_steps * len(pattern) * 2.0**-52
+    # LF1 and LF1T have ends of two kinds and run unmerged only
+    for merged in {False, pattern[0] == pattern[-1]}:
+        qs, ps = sim._shear_loop(pattern, merged)(0.8, -0.6, n_steps, 1,
+                                                   *coeffs)
+        assert max(max(abs(q - a), abs(p - b)) for q, p, (a, b)
+                   in zip(qs[1:], ps[1:], exact)) <= bound, merged
+
+
+def test_a_merged_shear_that_overflows_is_not_merged():
+    # FR at eps = 1.5e308: its end drifts theta/2 * eps are finite, their sum
+    # theta * eps is not. Its kicks overflow too, so the run is NaN; SV at
+    # omega = 1.9 keeps its kicks finite where their sum is not, and from
+    # (0, 0) only a merged shear by inf would make a NaN
+    fr = get_scheme("FR")
+    pattern, coeffs, _ = _kick_drift_program(fr, 1.5e308, 1.0)
+    assert math.isfinite(coeffs[0]) and coeffs[0] + coeffs[-1] == math.inf
+    rec = iterate(fr, 1.0, 0.0, 1.5e308, 1.0, 20, 3)
+    qs, ps = sim._shear_loop(pattern, False)(1.0, 0.0, 20, 3, *coeffs)
+    assert (_hexes(rec.q), _hexes(rec.p)) == (_hexes(qs), _hexes(ps))
+    _assert_matches_generic_loop(fr, 1.0, 0.0, 1.5e308, 1.0, 20, 3)
+    sv = get_scheme("SV")
+    _, coeffs, _ = _kick_drift_program(sv, 9e307, 1.9)
+    assert all(map(math.isfinite, coeffs)) and coeffs[0] + coeffs[-1] == math.inf
+    rec = iterate(sv, 0.0, 0.0, 9e307, 1.9, 20, 3)
+    assert rec.q == rec.p == [0.0] * len(rec.step_index)
+    _assert_matches_generic_loop(sv, 0.0, 0.0, 9e307, 1.9, 20, 3)
 
 
 def _array_energies(s, rec, eps, omega):
@@ -382,12 +482,10 @@ def test_schemes_sharing_a_pattern_keep_their_coefficients():
     # SV and this scheme both compile to the pattern kick-drift-kick, so they
     # run one cached loop that must take its coefficients from each call
     sv = get_scheme("SV")
-    skew = Scheme("SKEW", (Step(KICK, 0.3), Step(DRIFT, 1.0), Step(KICK, 0.7)),
-                  order=1, force_evals=2)
-    runs = [iterate(s, 1.0, 0.0, 0.4, 1.0, 50, 5) for s in (sv, skew, sv)]
+    runs = [iterate(s, 1.0, 0.0, 0.4, 1.0, 50, 5) for s in (sv, _SKEW, sv)]
     assert not np.array_equal(runs[0].q, runs[1].q)
     assert np.array_equal(runs[0].q, runs[2].q)
-    for s in (sv, skew):
+    for s in (sv, _SKEW):
         _assert_matches_generic_loop(s, 1.0, 0.0, 0.4, 1.0, 50, 5)
 
 
