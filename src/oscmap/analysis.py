@@ -458,6 +458,9 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
 
     Rows k = 0..order hold the partial sum through x^k and, when the map is
     elliptic at this x, the absolute error against the arccos closed form.
+    In a fixed-point series the terms below the first coefficient beyond
+    _PARITY_TOL (FR's c_2 = -3.7e-17) are round-off residues of the float
+    scheme and are skipped as exact zeros are; later small terms are real.
     The radius estimate is a plain ratio test over the last four nonzero
     coefficients (diagnostic only), where a fixed-point series'
     coefficients within _PARITY_TOL of 0 count as zero.
@@ -466,17 +469,19 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
     data = spectral(scheme_matrix(s, float(x), 1.0))
     closed = data.omega_a if data.regime is Regime.ELLIPTIC else None
     coeffs = wa._floats()
+    tol = 0 if wa._bits is None else _PARITY_TOL
+    lead = next((k for k, c in enumerate(coeffs) if k and abs(c) > tol),
+                len(coeffs))
     rows = []
     acc = 0.0
     power = 1.0
     for k, c in enumerate(coeffs):
         # a zero term adds nothing, also where x^k has overflowed to inf
-        if c:
+        if c and not 0 < k < lead:
             acc += c * power
         power *= x
         err = abs(acc - closed) if closed is not None else None
         rows.append(ConvergenceRow(k, acc, err))
-    tol = 0 if wa._bits is None else _PARITY_TOL
     nonzero = [(k, abs(c)) for k, c in enumerate(coeffs) if k >= 1 and abs(c) > tol]
     radius = None
     if len(nonzero) >= 2:

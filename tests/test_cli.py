@@ -839,10 +839,13 @@ def test_split_drift_scheme_is_reversible(tmp_path, capsys):
 @pytest.mark.parametrize("name, sums", [
     ("C", ["1", "1", "1", "1"]),                 # 1 + c4 x^4 + ...
     ("LF1", ["1", "1", "inf", "inf", "inf"]),
+    ("FR", ["1", "1", "1", "1"]),                # c2 = -3.7e-17 is round-off
+    ("BM", ["1", "1", "1", "1"]),                # c2 = 3.6e-18 is round-off
 ])
 def test_convergence_zero_terms_leave_the_partial_sum_where_x_k_overflows(
         name, sums, capsys):
-    # x^k is inf from k = 2 on; a zero coefficient adds nothing, not 0*inf
+    # x^k is inf from k = 2 on; a zero coefficient adds nothing, not 0*inf,
+    # and neither does a float scheme's residue below its leading order
     code, out, _ = _run(["convergence", name, "--x", "1e300",
                          "-K", str(len(sums) - 1)], capsys)
     assert code == 0
