@@ -235,19 +235,26 @@ def _lead_order(s: Scheme) -> int:
     return max(10, s.order + 4)
 
 
-def _leading_term(s: Scheme, wa: Series):
-    """(n, c_n) of order_coefficient, read from the omega_a series wa.
+def _leading_index(wa: Series) -> int | None:
+    """The first k >= 1 whose term in the omega_a series wa leads, or None.
 
-    In a fixed-point series a term within _PARITY_TOL of 0 does not lead.
+    In a fixed-point series a term within _PARITY_TOL of 0 does not lead:
+    it is a round-off residue of the float scheme.
     """
-    coeffs = wa.coeffs
+    coeffs = wa._floats()
     tol = 0 if wa._bits is None else _PARITY_TOL
-    n = next((k for k in range(1, wa.order + 1) if abs(coeffs[k]) > tol), None)
+    return next((k for k in range(1, wa.order + 1) if abs(coeffs[k]) > tol),
+                None)
+
+
+def _leading_term(s: Scheme, wa: Series):
+    """(n, c_n) of order_coefficient, read from the omega_a series wa."""
+    n = _leading_index(wa)
     if n is None:
         raise AnalysisError(
             f"leading order of {s.name!r} exceeds truncation order {wa.order}"
         )
-    c_n = coeffs[n]
+    c_n = wa.coeffs[n]
     numeric = _richardson_order_coefficient(s, n)
     if abs(numeric - float(c_n)) > RICHARDSON_RTOL * abs(float(c_n)):
         raise AnalysisError(
@@ -458,9 +465,9 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
 
     Rows k = 0..order hold the partial sum through x^k and, when the map is
     elliptic at this x, the absolute error against the arccos closed form.
-    In a fixed-point series the terms below the first coefficient beyond
-    _PARITY_TOL (FR's c_2 = -3.7e-17) are round-off residues of the float
-    scheme and are skipped as exact zeros are; later small terms are real.
+    The terms below the leading one (`_leading_index`), such as FR's
+    round-off residue c_2 = -3.7e-17, are skipped as exact zeros are; later
+    small terms are real.
     The radius estimate is a plain ratio test over the last four nonzero
     coefficients (diagnostic only), where a fixed-point series'
     coefficients within _PARITY_TOL of 0 count as zero.
@@ -469,9 +476,7 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
     data = spectral(scheme_matrix(s, float(x), 1.0))
     closed = data.omega_a if data.regime is Regime.ELLIPTIC else None
     coeffs = wa._floats()
-    tol = 0 if wa._bits is None else _PARITY_TOL
-    lead = next((k for k, c in enumerate(coeffs) if k and abs(c) > tol),
-                len(coeffs))
+    lead = _leading_index(wa) or len(coeffs)
     rows = []
     acc = 0.0
     power = 1.0
@@ -482,6 +487,7 @@ def convergence_study(s: Scheme, x: float, order: int = 20) -> ConvergenceStudy:
         power *= x
         err = abs(acc - closed) if closed is not None else None
         rows.append(ConvergenceRow(k, acc, err))
+    tol = 0 if wa._bits is None else _PARITY_TOL
     nonzero = [(k, abs(c)) for k, c in enumerate(coeffs) if k >= 1 and abs(c) > tol]
     radius = None
     if len(nonzero) >= 2:
