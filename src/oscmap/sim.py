@@ -7,15 +7,15 @@ conservation of the shadow energy. The step loop is generated once per
 drift/kick pattern of a scheme (e.g. "dkdkdkd") as straight-line Python, one
 line per shear in the scheme's order; its body holds the step's lines
 `_UNROLL` times over, so the loop control is paid once per `_UNROLL` steps.
-Where a step's first and last shears are of one kind, as in every
-time-reversible scheme, the two commute, and one step's last shear and the
-next step's first run as one shear by the sum of their coefficients: n - 1
-shears per step, not n. Samples complete the step on a copy, so a sample's
-bits do not depend on the stride. The coefficients are arguments of the
-generated function, never part of its source, so schemes with the same
-pattern share one compiled loop. The state is scaled by powers of two
-(`iterate`), so no coefficient forms omega*omega and the state is O(1).
-Samples and energies are plain lists of floats.
+Where a step's first and last shears are of one kind, as at the two ends
+of a time-reversible scheme's palindrome, one step's last shear and the
+next step's first commute and run as one shear by the sum of their
+coefficients: n - 1 shears per step, not n. Samples complete the step on a
+copy, so a sample's bits do not depend on the stride. The coefficients are
+arguments of the generated function, never part of its source, so schemes
+with the same pattern share one compiled loop. The state is scaled by
+powers of two (`iterate`), so no coefficient forms omega*omega and the
+state is O(1). Samples and energies are plain lists of floats.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ def iterate(s: Scheme, q0: float, p0: float, eps: float, omega: float,
             default=0)
     # merge one step's last shear into the next step's first where both are
     # of one kind and their sum is finite
-    merged = pattern[0] == pattern[-1] and math.isfinite(coeffs[0] + coeffs[-1])
+    merged = (pattern[0] == pattern[-1]
+              and math.isfinite(coeffs[0] + coeffs[-1]))
     qs, ps = _shear_loop(pattern, merged)(
         math.ldexp(q0, -j), math.ldexp(p0, -k - j), n_steps, sample_stride,
         *coeffs)

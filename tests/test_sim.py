@@ -297,7 +297,8 @@ def _exact_run(pattern, coeffs, q0, p0, n_steps):
     qn, qd = q0.as_integer_ratio()
     pn, pd = p0.as_integer_ratio()
     qn, pn, e = qn * pd, pn * qd, (qd * pd).bit_length() - 1
-    program = [(kind, *c.as_integer_ratio()) for kind, c in zip(pattern, coeffs)]
+    program = [(kind, *c.as_integer_ratio())
+               for kind, c in zip(pattern, coeffs)]
     out = []
     for _ in range(n_steps):
         for kind, a, b in program:
@@ -343,7 +344,8 @@ def test_a_merged_shear_that_overflows_is_not_merged():
     _assert_matches_generic_loop(fr, 1.0, 0.0, 1.5e308, 1.0, 20, 3)
     sv = get_scheme("SV")
     _, coeffs, _ = _kick_drift_program(sv, 9e307, 1.9)
-    assert all(map(math.isfinite, coeffs)) and coeffs[0] + coeffs[-1] == math.inf
+    assert all(map(math.isfinite, coeffs))
+    assert coeffs[0] + coeffs[-1] == math.inf
     rec = iterate(sv, 0.0, 0.0, 9e307, 1.9, 20, 3)
     assert rec.q == rec.p == [0.0] * len(rec.step_index)
     _assert_matches_generic_loop(sv, 0.0, 0.0, 9e307, 1.9, 20, 3)
