@@ -20,7 +20,10 @@ CSV cells are quoted by one fixed rule, csv.QUOTE_MINIMAL as Python 3.13
 applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
 double quotes with its quotes doubled, so the bytes do not depend on the
 Python version. A command imports only the modules it runs: `analysis`,
-`sim` and `json` load inside the commands and the writers that need them.
+`sim` and `closedform` load inside the commands that run them,
+`sweepkernel` inside `phasemap.sweep`, and `schemefile`, with `json`, only
+for `--file`. The JSON writer escapes text with the `_json` accelerator's
+function, so no output loads the `json` package.
 
 The command line is `oscmap COMMAND [SCHEME] [options]`, read from one table,
 `_COMMANDS`, that holds each option's type, admissible range and default
@@ -43,10 +46,7 @@ from collections.abc import Sequence
 from itertools import chain
 from types import SimpleNamespace
 
-from .phasemap import (
-    SWEEP_QUANTITIES, Regime, _generator, _propagate, _shadow_energy,
-    scheme_matrix, spectral, sweep,
-)
+from .phasemap import SWEEP_QUANTITIES, Regime, scheme_matrix, spectral, sweep
 from .schemes import (
     SchemeError, get_scheme, is_symmetric, load_scheme, registry,
 )
@@ -130,9 +130,16 @@ def _csv(header: list[str], rows: Sequence[Sequence]) -> str:
 
 def _encode_str(text: str) -> str:
     """json.encoder.encode_basestring_ascii, which takes this function's
-    place on the first call, so that only JSON output loads json."""
+    place on the first call, so that CSV output loads nothing for it.
+
+    It is CPython's `_json` accelerator, the function json.encoder
+    re-exports, so JSON output does not load the `json` package either.
+    """
     global _encode_str
-    from json.encoder import encode_basestring_ascii as _encode_str
+    try:
+        from _json import encode_basestring_ascii as _encode_str
+    except ImportError:  # an interpreter without CPython's accelerator
+        from json.encoder import encode_basestring_ascii as _encode_str
     return _encode_str(text)
 
 
@@ -291,7 +298,7 @@ def cmd_sweep(args):
 
 def cmd_simulate(args):
     """Iterate a trajectory at x = eps (omega = 1) with H_A and closed form."""
-    from . import sim
+    from . import closedform, sim
     s = args.scheme
     eps, omega, q0, p0 = args.x, 1.0, args.q0, args.p0
     # iterate keeps each sample in five lists: step 0, each stride, the last
@@ -308,9 +315,9 @@ def cmd_simulate(args):
     d = spectral(m)
     if d.regime is not Regime.ELLIPTIC:
         return ["t", "q", "p", "H"], rows
-    gen = _generator(m)
-    h_a = _shadow_energy(gen, d, rec.q, rec.p)
-    closed = _propagate(m, d, gen, rec.t)
+    gen = closedform._generator(m)
+    h_a = closedform._shadow_energy(gen, d, rec.q, rec.p)
+    closed = closedform._propagate(m, d, gen, rec.t)
     for row, q, p, h, ((a, b), (c, e)) in zip(rows, rec.q, rec.p, h_a, closed):
         row += [h, max(abs(q - (a * q0 + b * p0)),
                        abs(p - (c * q0 + e * p0)))]

@@ -23,6 +23,12 @@ build, and reads the regime from T and the discriminant scaled by x^2,
 x = 0 and overflowed sums included. It agrees with `spectral` of
 `scheme_matrix` to round-off, not bit for bit.
 
+Two parts live in modules of their own, imported by the first call that
+runs them, so a command compiles only what it uses: the sweep kernel in
+`sweepkernel`, imported by `sweep`, and the closed-form evolution and the
+shadow energy H_A in `closedform`, imported by `propagate_closed_form` and
+by `simulate`.
+
 Ordering convention: the first step of a scheme acts first on the phase
 point, so the matrix product carries the first step rightmost. The
 Stoermer/Verlet anchor g = 1 - x^2/2, tau = eps, nu = eps*omega^2*(1 - x^2/4)
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
@@ -80,7 +85,8 @@ class SpectralData(namedtuple(
     theta, xi, omega_a, m_star and k_star are set in the elliptic regime
     only; `detail` says why a parabolic or hyperbolic map has none of them.
     m_star or k_star beyond the float range is inf or 0.0. Every elliptic
-    map, reversible or not, has a shadow energy H_A (`_shadow_energy`).
+    map, reversible or not, has a shadow energy H_A
+    (`closedform._shadow_energy`).
     """
 
     __slots__ = ()
@@ -90,8 +96,6 @@ class SpectralData(namedtuple(
 
 #: Built maps, keyed by active steps.
 _POLYNOMIALS: dict[tuple[Step, ...], tuple[Series, ...]] = {}
-#: Generated sweep kernels, keyed by (active steps, quantity).
-_KERNELS: dict[tuple[tuple[Step, ...], str], Callable] = {}
 
 
 def _polynomials(s: Scheme) -> tuple[Series, ...]:
@@ -267,168 +271,38 @@ _KERNEL_VALUES = {
 SWEEP_QUANTITIES = tuple(_KERNEL_VALUES)
 
 
-def _horner_y(cs: list[float]) -> str:
-    """Source of sum_j cs[j]*y^j by Horner's rule.
-
-    Each coefficient is written as its repr; trailing zeros are dropped.
-    """
-    cs = list(cs)
-    while cs and cs[-1] == 0.0:
-        cs.pop()
-    src = repr(cs.pop()) if cs else "0.0"
-    for c in reversed(cs):
-        src = f"{c!r} + y * ({src})"
-    return src
-
-
-def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
-    """Compiled grid loop of one scheme and quantity, built once and cached.
-
-    The generated function takes xs and returns sweep's rows. Per point it
-    evaluates T = (g + h)/2, tau/x, nu/x and W = w/x^2, where w = (g - h)/2,
-    as polynomials in y = x^2 with coefficients rounded once from the exact
-    build; every entry is even in x, so each sum has half the terms. A map is
-    hyperbolic where |T| - 1 > PARABOLIC_TOL/2, else elliptic where x != 0
-    and d = (tau/x)(nu/x) - (x*W)^2 > 0, else parabolic. d equals
-    sin^2(theta)/x^2 and is never folded into one polynomial, which would
-    lose accuracy near the stability limit; theta = atan2(|x|*sqrt(d), T).
-    det is (T + w)(T - w) + y*(tau/x)(nu/x) and the trace 2T. A map with g = h
-    has W = 0, and its kernel leaves W out. Every point takes this one route:
-    x = 0 is the identity map, parabolic; sums that overflow make T infinite,
-    hyperbolic; a NaN x lands in the parabolic branch, which raises the
-    ValueError of `spectral` for it.
-    """
-    key = (s.active_steps(), quantity)
-    kernel = _KERNELS.get(key)
-    if kernel is not None:
-        return kernel
-    g, tau_x, nu_x, h = _polynomials(s)
-    tilt = _horner_y(((g - h) / 2)._floats()[2::2])
-    if tilt == "0.0":
-        lines = []
-        det, disc = "T * T + y * tx * nx", "tx * nx"
-    else:
-        lines = [f"W = {tilt}", "wx = x * W"]
-        det, disc = "(T + x * wx) * (T - x * wx) + y * tx * nx", "tx * nx - wx * wx"
-    off, on = _KERNEL_VALUES[quantity]
-    elliptic = [f"append((x, {on}, ELLIPTIC))"]
-    if "omega_a" in on:
-        elliptic[:0] = ["ax = abs(x)", "omega_a = atan2(ax * sqrt(d), T) / ax"]
-    body = [
-        "y = x * x",
-        f"T = {_horner_y(((g + h) / 2)._floats()[::2])}",
-        f"tx = {_horner_y(tau_x._floats()[::2])}",
-        f"nx = {_horner_y(nu_x._floats()[::2])}",
-        *lines,
-        *([f"det = {det}"] if quantity == "det" else []),
-        f"if abs(T) - 1.0 > {PARABOLIC_TOL / 2!r}:",
-        f"    append((x, {off}, HYPERBOLIC))",
-        "    continue",
-        f"d = {disc}",
-        "if d > 0.0 and x:",
-        *(f"    {line}" for line in elliptic),
-        "else:",
-        "    if x != x:",
-        "        raise ValueError(NAN_ENTRY)",
-        f"    append((x, {off}, PARABOLIC))",
-    ]
-    loop = "\n".join(f"        {line}" for line in body)
-    source = f"""\
-def kernel(xs):
-    rows = []
-    append = rows.append
-    for x in xs:
-{loop}
-    return rows
-"""
-    namespace = {"atan2": math.atan2, "sqrt": math.sqrt,
-                 "NAN_ENTRY": _NAN_ENTRY, "ELLIPTIC": Regime.ELLIPTIC,
-                 "PARABOLIC": Regime.PARABOLIC, "HYPERBOLIC": Regime.HYPERBOLIC}
-    exec(compile(source, f"<sweep kernel {quantity}>", "exec"), namespace)
-    kernel = _KERNELS[key] = namespace["kernel"]
-    return kernel
-
-
 def sweep(s: Scheme, xs: list[float],
           quantity: str) -> list[tuple[float, float | None, Regime]]:
     """(x, value, regime) of one quantity at each timestep x, with omega = 1.
 
     value is None where the quantity is undefined in the map's regime; the
     phase error per period is 2*pi*(omega_a - 1). The points run through the
-    scheme's generated kernel (`_sweep_kernel`), every point alike. It agrees
-    with `spectral(scheme_matrix(s, x, 1.0))` to round-off, not bit for bit,
-    and the regimes can differ only within round-off of a regime boundary.
-    x = 0 is parabolic, points whose polynomial sums overflow are hyperbolic,
-    and a NaN x raises ValueError as it does in `spectral`.
+    scheme's generated kernel (`sweepkernel._sweep_kernel`), every point
+    alike. It agrees with `spectral(scheme_matrix(s, x, 1.0))` to round-off,
+    not bit for bit, and the regimes can differ only within round-off of a
+    regime boundary. x = 0 is parabolic, points whose polynomial sums
+    overflow are hyperbolic, and a NaN x raises ValueError as it does in
+    `spectral`.
     """
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"unknown sweep quantity {quantity!r}; "
                          f"choose from {', '.join(SWEEP_QUANTITIES)}")
+    from .sweepkernel import _sweep_kernel
     return _sweep_kernel(s, quantity)(xs)
 
 
 def propagate_closed_form(mat: PhaseMatrix, t: float) -> Rows:
     """Exact evolution over continuous time t: cos(phi) I + sin(phi) K.
 
-    phi = theta*t/eps and K = (M - T I)/xi (`_generator`), K^2 = -I. At
-    t = N*eps this is M^N = U_(N-1)(T) M - U_(N-2)(T) I, U_(N-1)(T) =
-    sin(N theta)/sin(theta), and t need not be a multiple of the timestep.
+    phi = theta*t/eps and K = (M - T I)/xi (`closedform._generator`),
+    K^2 = -I. At t = N*eps this is M^N = U_(N-1)(T) M - U_(N-2)(T) I,
+    U_(N-1)(T) = sin(N theta)/sin(theta), and t need not be a multiple of
+    the timestep.
     A map that is not elliptic raises RegimeError.
     """
     data = spectral(mat)
     if data.regime is not Regime.ELLIPTIC:
         raise RegimeError(f"{data.regime.value} map: {data.detail}")
+    from .closedform import _generator, _propagate
     [rows] = _propagate(mat, data, _generator(mat), [t])
     return rows
-
-
-def _generator(mat: PhaseMatrix) -> tuple[float, ...]:
-    """(kw, kt, kn) = ((g - h)/2, tau, nu)/xi of K = (M - T I)/xi, which M
-    conserves as kn q^2 + 2 kw q p + kt p^2; as entry*2^-e over sqrt(disc)
-    (`_scaled`), bitwise the plain quotients where xi is normal."""
-    _, e, _, _, disc = _scaled(mat)
-    r = math.sqrt(disc)
-    return (math.ldexp(mat.g - mat.h, -e - 1) / r, math.ldexp(mat.tau, -e) / r,
-            math.ldexp(mat.nu, -e) / r)
-
-
-def _propagate(mat: PhaseMatrix, data: SpectralData, gen: tuple[float, ...],
-               ts: list[float]) -> list[Rows]:
-    """`propagate_closed_form` at each time in ts of an elliptic map whose
-    `spectral` is data and whose K is gen (`_generator`).
-
-    theta and eps are scaled exactly by eps's power of two, so theta*t does
-    not underflow and the angle is bitwise theta*t/eps where that is normal.
-    A theta below the normal range lost bits, and the angle is omega_a*t
-    (over 1.0, which is exact). The scaling is formed once for all of ts.
-    """
-    kw, kt, kn = gen
-    if data.theta < _NORMAL_MIN:
-        rate, unit = math.copysign(data.omega_a, mat.eps), 1.0
-    else:
-        k = math.frexp(mat.eps)[1]
-        rate, unit = math.ldexp(data.theta, -k), math.ldexp(mat.eps, -k)
-    rows = []
-    for t in ts:
-        angle = rate * t / unit
-        c, s = math.cos(angle), math.sin(angle)
-        rows.append(((c + kw * s, kt * s), (-kn * s, c - kw * s)))
-    return rows
-
-
-def _shadow_energy(gen: tuple[float, ...], data: SpectralData,
-                   qs: list[float], ps: list[float]) -> list[float]:
-    """The exact invariant H_A at each (q, p) of the elliptic map whose K is
-    gen (`_generator`) and whose `spectral` is data.
-
-    H_A = (omega_a/2)(kn q^2 + 2 kw q p + kt p^2), K's form (`_generator`)
-    with the sign of kn, so positive definite; in the first stable window
-    it is (theta/eps)/2 (...), whose flow over eps is M. For g = h it is
-    p^2/(2 m*) + k* q^2/2; its qp coefficient is omega_a*sigma. M(-eps) =
-    P M(eps) P, P = diag(1, -1), so H_A at -eps and (q, p) is bitwise H_A
-    at eps and (q, -p). q (kn q + kw p) + p (kw q + kt p) adds no 0 * inf.
-    """
-    kw, kt, kn = gen
-    half = math.copysign(0.5 * data.omega_a, kn)
-    return [half * (q * (kn * q + kw * p) + p * (kw * q + kt * p))
-            for q, p in zip(qs, ps)]

@@ -12,7 +12,7 @@ coefficients each to sum to 1.
 
 The registry is one table, `_REGISTRY`, with a row per scheme; a palindrome
 is written as its first half. Any other scheme is read from a JSON file
-(`load_scheme`).
+(`load_scheme`, whose reader, `schemefile`, loads only when called).
 """
 
 from __future__ import annotations
@@ -173,29 +173,6 @@ def has_exact_coefficients(s: Scheme) -> bool:
 
 # ---------------------------------------------------------------------- I/O
 
-def _scheme_from_dict(obj: dict, where: str) -> Scheme:
-    if not isinstance(obj, dict):
-        raise SchemeFileError(f"{where}: expected a JSON object")
-    for key in ("name", "order", "force_evals", "steps"):
-        if key not in obj:
-            raise SchemeFileError(f"{where}: missing required key {key!r}")
-    if not isinstance(obj["steps"], list) or not obj["steps"]:
-        raise SchemeFileError(f"{where}: steps must be a non-empty array")
-    steps = []
-    for i, item in enumerate(obj["steps"]):
-        if not isinstance(item, dict):
-            raise SchemeFileError(f"{where}: step {i}: expected an object")
-        try:
-            steps.append(Step(item.get("kind"), item.get("c"), item.get("u")))
-        except SchemeError as exc:
-            raise SchemeFileError(f"{where}: step {i}: {exc}") from exc
-    try:
-        return Scheme(obj["name"], steps, obj["order"], obj["force_evals"],
-                      obj.get("citation", ""))
-    except SchemeError as exc:
-        raise SchemeFileError(f"{where}: {exc}") from exc
-
-
 def load_scheme(path: str) -> Scheme:
     """Load a scheme from a JSON coefficient file.
 
@@ -203,17 +180,8 @@ def load_scheme(path: str) -> Scheme:
     [{"kind": "drift"|"kick"|"gkick", "c": number, "u": number (gkick only)}]}``
     with plain decimal numbers (no expression evaluation).
     """
-    import json  # only scheme files need it
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemeFileError(f"scheme file not found: {path}") from exc
-    except OSError as exc:
-        raise SchemeFileError(f"cannot read scheme file {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemeFileError(f"{path}: invalid JSON: {exc}") from exc
-    return _scheme_from_dict(obj, str(path))
+    from .schemefile import read_scheme_file  # only scheme files need it
+    return read_scheme_file(path)
 
 
 # ------------------------------------------------------------------ registry

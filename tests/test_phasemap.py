@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oscmap import phasemap
+from oscmap import closedform, phasemap, sweepkernel
 from oscmap.analysis import _frequency_parts, omega_a_series, stability_limit
 from oscmap.series import Series
 from oscmap.schemes import (DRIFT, GKICK, Scheme, Step, get_scheme, is_symmetric,
@@ -605,7 +605,7 @@ def test_sweep_takes_no_scalar_route(monkeypatch):
     monkeypatch.setattr(phasemap, "_polynomials", exact_only)
     monkeypatch.setattr(phasemap, "scheme_matrix", unreachable)
     monkeypatch.setattr(phasemap, "spectral", unreachable)
-    monkeypatch.setattr(phasemap, "_KERNELS", {})
+    monkeypatch.setattr(sweepkernel, "_KERNELS", {})
     xs = ([0.0, -0.0, -0.75, 1e-300] + [10.0 ** k for k in range(1, 309)]
           + [sys.float_info.max])
     for s in registry():
@@ -702,8 +702,8 @@ def test_sigma_amplitude_first_order():
 def _h_a(s, x: float, q: float, p: float) -> float:
     """The shadow energy H_A of the map at x (omega = 1) at (q, p)."""
     m = scheme_matrix(s, x, 1.0)
-    [h_a] = phasemap._shadow_energy(
-        phasemap._generator(m), spectral(m), [q], [p])
+    [h_a] = closedform._shadow_energy(
+        closedform._generator(m), spectral(m), [q], [p])
     return h_a
 
 

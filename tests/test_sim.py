@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oscmap.analysis import order_coefficient
+from oscmap.closedform import _generator, _shadow_energy
 from oscmap.phasemap import (
-    Regime, RegimeError, _generator, _shadow_energy, propagate_closed_form,
+    Regime, RegimeError, propagate_closed_form,
     scheme_matrix, spectral, sweep,
 )
 from oscmap.schemes import (
