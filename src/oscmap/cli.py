@@ -101,9 +101,10 @@ def _csv(header: list[str], rows: Sequence[Sequence]) -> str:
     of a row repeated once per row, writes them all. A column of floats
     keeps them under a `%.12g` field, and one of text that needs no quotes,
     as of Regime members, keeps it under a `%s` field, so `sweep`'s tables
-    take no call per cell; any other column is rendered in place by `_fmt`
-    under a `%s` field. A line of one empty cell is written `""`, as
-    csv.writer does, so that it is not read as a blank line.
+    take no call per cell. A column of floats with gaps (None) is rendered
+    in place by one format spec, and any other column by `_fmt`, under a
+    `%s` field. A line of one empty cell is written `""`, as csv.writer
+    does, so that it is not read as a blank line.
     """
     cells = _cells(header, rows)
     n = len(header)
@@ -119,7 +120,10 @@ def _csv(header: list[str], rows: Sequence[Sequence]) -> str:
                 and not _needs_quotes("".join(column))
                 and (n > 1 or all(column))):
             continue
-        column = list(map(_fmt, column))
+        if kinds <= {float, type(None)}:  # floats with gaps, as in `sweep`
+            column = ["" if v is None else format(v, ".12g") for v in column]
+        else:
+            column = list(map(_fmt, column))
         cells[i::n] = [c or '""' for c in column] if n == 1 else column
     head = ",".join(map(_quote, header))
     if n == 1 and not head:

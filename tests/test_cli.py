@@ -719,6 +719,17 @@ def test_csv_writes_a_lone_empty_cell_as_two_quotes(rows):
     assert '""\n' in text and "\n\n" not in text
 
 
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 3), data=st.data())
+def test_csv_float_columns_with_gaps_write_the_cells_of_fmt(width, data):
+    # such a column is written by one format spec, not by a call per cell
+    cells = st.lists(_FLOATS | st.none(), min_size=width, max_size=width)
+    rows = data.draw(st.lists(cells, max_size=8)) + [[None] * width]
+    lines = [",".join(map(cli._fmt, row)) or '""' for row in rows]
+    header = [f"c{i}" for i in range(width)]
+    assert _csv(header, rows) == "\n".join([",".join(header), *lines, ""])
+
+
 # --------------------------------------------------------------- sweep grid
 
 @settings(max_examples=200, deadline=None)
