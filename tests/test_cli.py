@@ -442,6 +442,13 @@ _EVERY_SUBCOMMAND = [
     ["-m", "oscmap", "simulate", "LF1", "--x", "0.5", "--steps", "100"],
     ["-m", "oscmap", "simulate", "SV", "--x", "2.5", "--steps", "2000",
      "--stride", "100"],
+    ["-m", "oscmap", "schemes", "--format", "json"],
+    ["-m", "oscmap", "analyze", "SV", "--format", "json"],
+    ["-m", "oscmap", "stability", "BM", "--format", "json"],
+    ["-m", "oscmap", "convergence", "C", "--x", "0.5", "-K", "20",
+     "--format", "json"],
+    ["-m", "oscmap", "simulate", "FR", "--x", "0.5", "--steps", "100",
+     "--format", "json"],
 ]
 
 
@@ -475,14 +482,19 @@ def test_typing_never_imported(args):
     assert "typing" not in _imported_packages(["-S", *args])
 
 
+#: The modules that only `sweep`, only `simulate` or only `--file` runs.
+_KERNEL, _CLOSED_FORM, _SCHEME_FILE = (
+    "oscmap.sweepkernel", "oscmap.closedform", "oscmap.schemefile")
+
 #: The oscmap modules each subcommand never runs.
 _UNUSED = {
-    "schemes": {"oscmap.analysis", "oscmap.sim"},
-    "sweep": {"oscmap.analysis", "oscmap.sim"},
-    "simulate": {"oscmap.analysis"},
-    "analyze": {"oscmap.sim"},
-    "stability": {"oscmap.sim"},
-    "convergence": {"oscmap.sim"},
+    "schemes": {"oscmap.analysis", "oscmap.sim", _KERNEL, _CLOSED_FORM,
+                _SCHEME_FILE},
+    "sweep": {"oscmap.analysis", "oscmap.sim", _CLOSED_FORM, _SCHEME_FILE},
+    "simulate": {"oscmap.analysis", _KERNEL, _SCHEME_FILE},
+    "analyze": {"oscmap.sim", _KERNEL, _CLOSED_FORM, _SCHEME_FILE},
+    "stability": {"oscmap.sim", _KERNEL, _CLOSED_FORM, _SCHEME_FILE},
+    "convergence": {"oscmap.sim", _KERNEL, _CLOSED_FORM, _SCHEME_FILE},
 }
 
 
@@ -502,6 +514,25 @@ def test_csv_sweep_does_not_import_json():
         imported = _imported_modules(["-m", "oscmap", "sweep", name, "--min",
                                       "0.1", "--max", "1", "--points", "5"])
         assert "oscmap.phasemap" in imported and "json" not in imported
+
+
+@pytest.mark.parametrize("args", [args for args in _EVERY_SUBCOMMAND
+                                  if "json" in args])
+def test_json_output_does_not_import_json(args):
+    # the writer escapes text with the function of CPython's _json itself
+    assert "json" not in _imported_modules(args)
+
+
+def test_a_scheme_file_run_imports_json_and_the_scheme_file_reader(tmp_path):
+    path = tmp_path / "sv.json"
+    path.write_text(json.dumps({"name": "SV", "order": 2, "force_evals": 1,
+                                "steps": [{"kind": "kick", "c": 0.5},
+                                          {"kind": "drift", "c": 1},
+                                          {"kind": "kick", "c": 0.5}]}),
+                    encoding="utf-8")
+    imported = _imported_modules(["-m", "oscmap", "stability", "--file",
+                                  str(path), "--format", "json"])
+    assert {"json", _SCHEME_FILE} <= imported
 
 
 def test_analysis_error_in_a_command_is_one_error_line(monkeypatch, capsys):
@@ -728,6 +759,18 @@ def test_csv_float_columns_with_gaps_write_the_cells_of_fmt(width, data):
     lines = [",".join(map(cli._fmt, row)) or '""' for row in rows]
     header = [f"c{i}" for i in range(width)]
     assert _csv(header, rows) == "\n".join([",".join(header), *lines, ""])
+
+
+#: Text json.dumps escapes: controls, quotes, lone surrogates, astral.
+_ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ["\x00", "\x1f", "\x7f", '"', "\\", "\ud800", "\udfff", "\U0001f600"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_ANY_TEXT)
+@example(text="\x00\r\n\t\x7f  \ud83d \ude00 \U0001f600 \"\\ é")
+def test_encode_str_matches_json_dumps(text):
+    assert cli._encode_str(text) == json.dumps(text)
 
 
 # --------------------------------------------------------------- sweep grid
