@@ -245,10 +245,9 @@ def _resolve_scheme(name: str | None, path: str | None):
 
 def cmd_schemes(args):
     """List the scheme registry."""
-    rows = [[s.name, s.order, s.force_evals, len(s.steps), is_symmetric(s),
-             "ok"] for s in registry()]
-    return ["name", "order", "force_evals", "steps", "symmetric",
-            "status"], rows
+    rows = [[s.name, s.order, s.force_evals, len(s.steps), is_symmetric(s)]
+            for s in registry()]
+    return ["name", "order", "force_evals", "steps", "symmetric"], rows
 
 
 # ------------------------------------------------------------------ analyze
