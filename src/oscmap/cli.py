@@ -9,12 +9,13 @@ number at 12 significant digits and, in JSON, NaN and infinities as null;
 `_json` writes every JSON document in the indent=2 layout of json.dumps.
 A table's cells lie row by row in one list, and one %-template, a row's
 repeated once per row, writes every line; a row whose length differs from
-the header's is refused. Two column routes skip the call per value and
-write its bytes by a format spec, for speed: CSV floats and text that
-needs no quotes (the `sweep` workload), and JSON floats and gaps (the
-`simulate` workload). Outputs are deterministic (no timestamps), so
-byte-stable and suitable for golden-file comparisons. Errors go to stderr
-and flip the exit code; data never does.
+the header's is refused. Column routes skip the `_fmt` or `_json_value`
+call per value and write its bytes by a format spec, for speed: CSV
+floats, with or without gaps, and text that needs no quotes (the `sweep`
+workload), and JSON floats and gaps (the `simulate` workload). Outputs
+are deterministic (no timestamps), so byte-stable and suitable for
+golden-file comparisons. Errors go to stderr and flip the exit code; data
+never does.
 
 CSV cells are quoted by one fixed rule, csv.QUOTE_MINIMAL as Python 3.13
 applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
