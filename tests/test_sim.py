@@ -17,8 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from oscmap.analysis import order_coefficient
 from oscmap.closedform import _generator, _shadow_energy
 from oscmap.phasemap import (
-    Regime, RegimeError, propagate_closed_form,
-    scheme_matrix, spectral, sweep,
+    Regime, RegimeError, propagate_closed_form, scheme_matrix, spectral, sweep,
 )
 from oscmap.schemes import (
     DRIFT, GKICK, KICK, Scheme, Step, get_scheme, is_symmetric, load_scheme,
