@@ -24,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import series as series_mod
-from .phasemap import Regime, _polynomials, scheme_matrix, spectral
+from .phasemap import Regime, _map, _polynomials, scheme_matrix, spectral
 from .schemes import DRIFT, GKICK, Scheme, get_scheme, has_exact_coefficients
 from .series import Series
 
@@ -337,14 +337,14 @@ def _stability_factors(s: Scheme) -> tuple[list[int], list[int]]:
     A rounded map would not do: rounding can split a point where T only
     touches -1 into two close roots, an unstable window that the scheme does
     not have. T is even in x, because every shear keeps the diagonal even and
-    the off-diagonal odd, so 2T = sum e_j y^j with y = x^2; with L the lcm
-    of the denominators of the e_j, n_j = L*e_j are integers and n_0 = 2L.
-    The exact map holds g + h as integer numerators over that very L, so the
-    n_j are its even numerators. Then 2L(T - 1) = sum_(j>=1) n_j y^j, which
-    y divides, and 2L(T + 1) = 2n_0 + sum_(j>=1) n_j y^j.
+    the off-diagonal odd, so 2T = sum e_j y^j with y = x^2. The exact map
+    (`phasemap._map`) holds g and h as integer numerators over one
+    denominator D, so n_j = D*e_j, the sums of their even numerators, are
+    integers and n_0 = 2D. Then 2D(T - 1) = sum_(j>=1) n_j y^j, which y
+    divides, and 2D(T + 1) = 2n_0 + sum_(j>=1) n_j y^j.
     """
-    g, _, _, h = _polynomials(s)
-    n = (g + h)._nums[::2]
+    g, _, _, h, _ = _map(s)
+    n = [a + b for a, b in zip(g[::2], h[::2])]
     return _primitive(n[1:]), _primitive([2 * n[0], *n[1:]])
 
 

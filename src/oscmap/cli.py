@@ -21,10 +21,10 @@ CSV cells are quoted by one fixed rule, csv.QUOTE_MINIMAL as Python 3.13
 applies it: a cell holding a comma, a double quote, CR or LF is wrapped in
 double quotes with its quotes doubled, so the bytes do not depend on the
 Python version. A command imports only the modules it runs: `analysis`,
-`sim` and `closedform` load inside the commands that run them,
-`sweepkernel` inside `phasemap.sweep`, and `schemefile`, with `json`, only
-for `--file`. The JSON writer escapes text with the `_json` accelerator's
-function, so no output loads the `json` package.
+with the `series` ring, `sim` and `closedform` load inside the commands that
+run them, `sweepkernel` inside `phasemap.sweep`, and `schemefile`, with
+`json`, only for `--file`. The JSON writer escapes text with the `_json`
+accelerator's function, so no output loads the `json` package.
 
 The command line is `oscmap COMMAND [SCHEME] [options]`, read from one table,
 `_COMMANDS`, that holds each option's type, admissible range and default

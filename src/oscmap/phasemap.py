@@ -4,18 +4,18 @@ A scheme acting on the oscillator is a linear map of (q, p), stored through
 the four entries [[g, tau], [-nu, h]]; symplecticity means
 det = g*h + tau*nu = 1. In x = eps*omega (and omega = 1) each entry is a
 finite polynomial: every drift or kick raises the degree by one and every
-force-gradient kick by three. The four polynomials are built once per scheme,
-in exact arithmetic, by applying its shears one by one in the Series ring,
-where each polynomial is integer numerators over one shared denominator; a
-float step coefficient enters as its binary-exact rational, so the build is
-exact for any scheme. Every other form is read from it: the frequency series
-in `analysis` read the polynomials themselves, exact for a scheme with int
-or Fraction coefficients and, otherwise, rounded once to fixed-point
-integers and read as correctly rounded floats; `scheme_matrix` evaluates
-them exactly at one timestep eps and frequency omega and rounds each entry
+force-gradient kick by three. The four polynomials are built once per scheme
+(`_map`) by applying its shears to lists of integer numerators over one
+shared denominator; a float step coefficient enters as its binary-exact
+ratio, so the build is exact for any scheme. Every other form is read from
+it: the frequency series in `analysis` read its Series view (`_polynomials`,
+the one route that imports the ring), exact for a scheme with int or
+Fraction coefficients and, otherwise, rounded once to fixed-point integers
+and read as correctly rounded floats; `scheme_matrix` evaluates the lists
+in integers at one timestep eps and frequency omega and rounds each entry
 once to float. The stability limit in `analysis` reads the half trace's
-integer numerators from the exact build, and `schemes.is_symmetric`
-compares its diagonal entries g and h. `sweep` runs a kernel generated once
+numerators from the lists, and `schemes.is_symmetric` compares the lists
+of the diagonal entries g and h. `sweep` runs a kernel generated once
 per scheme and quantity, in plain Python floats: per grid point it
 evaluates the even polynomials T = (g + h)/2, tau/x, nu/x and W = w/x^2,
 w = (g - h)/2, in y = x^2, each coefficient rounded once from the exact
@@ -40,9 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
-from .series import Series
 from .schemes import DRIFT, GKICK, Scheme, SchemeError, Step
 
 __all__ = [
@@ -94,68 +92,107 @@ class SpectralData(namedtuple(
 
 # ------------------------------------------------------------ polynomial map
 
-#: Built maps, keyed by active steps.
-_POLYNOMIALS: dict[tuple[Step, ...], tuple[Series, ...]] = {}
+#: Built maps and their Series views, each keyed by active steps.
+_MAPS: dict[tuple[Step, ...], tuple] = {}
+_POLYNOMIALS: dict[tuple[Step, ...], tuple] = {}
 
 
-def _polynomials(s: Scheme) -> tuple[Series, ...]:
-    """g, tau/x, nu/x and h of the scheme's map as polynomials in x.
+def _shear(row: list, other: list, b: int, mu: list) -> tuple[list, list]:
+    """(b*row + mu*other, b*other) for rows of two numerator lists each and
+    mu as (power, coefficient) pairs, kept to the lists' length."""
+    out = []
+    for p, o in zip(row, other):
+        r = [b * c for c in p]
+        for i, m in mu:
+            for k in range(i, len(r)):
+                r[k] += m * o[k - i]
+        out.append(r)
+    return out, [[b * c for c in o] for o in other]
 
-    The shears are applied once per scheme, in step order, in the Series ring
-    at truncation order = degree, so nothing is dropped, with every step
-    coefficient taken at its exact value, binary-exact for a float. A
-    drift c*x changes only the top row and a kick mu(x) = c*x (+ u*x^3 for a
-    gkick) only the bottom one, so each step is two ring products. The
-    build is the exact map of the scheme as stored, in integer numerators
-    over one denominator per polynomial. A map coefficient beyond float
-    range, which steps within it can multiply to, raises SchemeError. Steps
-    that compare equal, such as Fraction(1, 2) and 0.5, have the same exact
-    value, so they share one build. Callers must not mutate the result.
-    """
+
+def _map(s: Scheme) -> tuple:
+    """(g, tau/x, nu/x, h, d): the exact map as integer numerator lists in
+    x, lowest power first, over one shared denominator d, built once.
+
+    With each step coefficient at its exact value a/b, binary-exact for a
+    float, a drift sets the top row (g, tau) to b*top + a*x*bottom and a kick
+    the bottom row (-nu, h) to b*bottom - mu(x)*top, mu = c*x (+ u*x^3 for a
+    gkick). A coefficient beyond float range raises SchemeError. Steps that
+    compare equal, as Fraction(1, 2) and 0.5 do, share one build, which
+    callers must not mutate."""
     steps = s.active_steps()
-    polys = _POLYNOMIALS.get(steps)
-    if polys is None:
-        degree = sum(3 if st.kind == GKICK else 1 for st in steps)
-        g = h = Series.one(degree)
-        tau = nu = Series.zero(degree)
+    built = _MAPS.get(steps)
+    if built is None:
+        n = 1 + sum(3 if st.kind == GKICK else 1 for st in steps)
+        one, zero = [1] + [0] * (n - 1), [0] * n
+        top, bottom, d = [one, zero], [zero, one], 1
         for st in steps:
+            a, b = st.c.as_integer_ratio()
             if st.kind == DRIFT:
-                cx = Series([0, st.c], degree)
-                g, tau = g - cx * nu, tau + cx * h
+                top, bottom = _shear(top, bottom, b, [(1, a)])
             else:
-                mu = Series([0, st.c, 0, st.u] if st.kind == GKICK
-                            else [0, st.c], degree)
-                nu, h = nu + mu * g, h - mu * tau
-        polys = (g, tau.divided_by_x(), nu.divided_by_x(), h)
+                u, v = st.u.as_integer_ratio() if st.kind == GKICK else (0, 1)
+                b, mu = b * v, [(1, -a * v), (3, -u * b)]
+                bottom, top = _shear(bottom, top, b, mu)
+            d *= b
+        (g, tau), (nu, h) = top, bottom
+        built = (g, tau[1:], [-c for c in nu[1:]], h, d)
         try:  # the largest coefficient is the largest numerator over d
-            max(max(map(abs, p._nums)) / p._den for p in polys)
+            max(abs(c) for p in built[:4] for c in p) / d
         except OverflowError:
             raise SchemeError(f"scheme {s.name!r}: a coefficient of its one-step "
                               "map is beyond float range") from None
-        _POLYNOMIALS[steps] = polys
-    return polys
+        _MAPS[steps] = built
+    return built
+
+
+def _polynomials(s: Scheme) -> tuple:
+    """g, tau/x, nu/x and h of `_map` as exact Series in lowest terms, built
+    once per active steps; the first call imports the ring."""
+    steps = s.active_steps()
+    if steps not in _POLYNOMIALS:
+        from .series import _reduced
+        *lists, d = _map(s)
+        _POLYNOMIALS[steps] = tuple(_reduced(p, d, None) for p in lists)
+    return _POLYNOMIALS[steps]
+
+
+def _at(cs: list[int], p: int, q: int) -> int:
+    """q^(len(cs) - 1) times the polynomial cs at x = p/q, by Horner's rule."""
+    acc, qj = 0, 1
+    for c in reversed(cs):
+        acc = acc * p + c * qj
+        qj *= q
+    return acc
 
 
 def scheme_matrix(s: Scheme, eps: float, omega: float) -> PhaseMatrix:
     """Numeric one-timestep matrix: the exact map at x = eps*omega, rounded once.
 
-    g(x), eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x) are evaluated exactly
-    at x = Fraction(eps)*Fraction(omega) and each rounded once, to +-inf past
-    the float range: no entry is NaN, and g = h bitwise for a reversible
-    scheme. omega = 0 and negative eps are fine; a NaN or infinite eps or
-    omega raises ValueError.
+    g(x), eps*(tau/x)(x), eps*omega^2*(nu/x)(x) and h(x) are evaluated in
+    integers at the exact x = eps*omega, and each is rounded once, by int
+    true division, to +-inf past the float range: no entry is NaN, and g = h
+    bitwise for a reversible scheme. omega = 0 and negative eps are fine; a
+    NaN or infinite eps or omega raises ValueError.
     """
     if not (math.isfinite(eps) and math.isfinite(omega)):
         raise ValueError(f"eps = {eps!r}, omega = {omega!r}: NaN or infinite")
-    e, w = Fraction(eps), Fraction(omega)
-    x = e * w
-    g, tau_x, nu_x, h = _polynomials(s)
-    return PhaseMatrix(_rounded(g(x)), _rounded(e * tau_x(x)),
-                       _rounded(x * w * nu_x(x)), _rounded(h(x)), eps, omega)
+    (pe, qe), (pw, qw) = eps.as_integer_ratio(), omega.as_integer_ratio()
+    p, q = pe * pw, qe * qw
+    g, tau_x, nu_x, h, d = _map(s)
+    dg = d * q ** (len(g) - 1)  # g and h are over dg, tau/x and nu/x over dg/q
+    entries = []
+    for num, den in ((_at(g, p, q), dg), (pe * _at(tau_x, p, q), qe * dg // q),
+                     (p * pw * _at(nu_x, p, q), qw * dg), (_at(h, p, q), dg)):
+        try:
+            entries.append(num / den)
+        except OverflowError:
+            entries.append(math.inf if num > 0 else -math.inf)
+    return PhaseMatrix(*entries, eps, omega)
 
 
-def scheme_series_matrix(s: Scheme, order: int) -> tuple[Series, ...]:
-    """(g, tau, nu, h) of the exact map at truncation `order`.
+def scheme_series_matrix(s: Scheme, order: int) -> tuple:
+    """(g, tau, nu, h) of the exact map as Series at truncation `order`.
 
     It has no caller in the package; it is kept because the benchmark's span
     list (`perfbench/tracing.py`) names it.
@@ -246,9 +283,8 @@ def _scaled(mat: PhaseMatrix) -> tuple:
     return kt, e, tau_s, nu_s, nu_s * tau_s - w_s * w_s
 
 
-def _rounded(v: float | Fraction, n: int = 0) -> float:
-    """v*2^n rounded once to float, +-inf past the float range (n = 0 for
-    a Fraction v)."""
+def _rounded(v: float, n: int) -> float:
+    """v*2^n rounded once to float, +-inf past the float range."""
     try:
         return math.ldexp(v, n)
     except OverflowError:

@@ -156,9 +156,9 @@ def is_symmetric(s: Scheme) -> bool:
     SchemeError, as every reader of the map does.
     """
     # phasemap imports this module, so the map is imported at call time
-    from .phasemap import _polynomials
+    from .phasemap import _map
 
-    g, _, _, h = _polynomials(s)
+    g, _, _, h, _ = _map(s)
     return g == h
 
 

@@ -1,13 +1,14 @@
 """The grid loop behind `phasemap.sweep`, generated once per scheme and quantity.
 
 Only `sweep` runs it, and `phasemap.sweep` imports this module when called,
-so no other command compiles it.
+so no other command compiles it. It reads the integer lists of
+`phasemap._map`, so `sweep` imports neither `analysis` nor `series`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from . import phasemap
 from .phasemap import _KERNEL_VALUES, _NAN_ENTRY, PARABOLIC_TOL, Regime
@@ -17,7 +18,7 @@ from .schemes import Scheme, Step
 _KERNELS: dict[tuple[tuple[Step, ...], str], Callable] = {}
 
 
-def _horner_y(cs: list[float]) -> str:
+def _horner_y(cs: Iterable[float]) -> str:
     """Source of sum_j cs[j]*y^j by Horner's rule.
 
     Each coefficient is written as its repr; trailing zeros are dropped.
@@ -52,8 +53,8 @@ def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
     kernel = _KERNELS.get(key)
     if kernel is not None:
         return kernel
-    g, tau_x, nu_x, h = phasemap._polynomials(s)
-    tilt = _horner_y(((g - h) / 2)._floats()[2::2])
+    g, tau_x, nu_x, h, den = phasemap._map(s)
+    tilt = _horner_y((a - b) / (2 * den) for a, b in zip(g[2::2], h[2::2]))
     if tilt == "0.0":
         lines = []
         det, disc = "T * T + y * tx * nx", "tx * nx"
@@ -66,9 +67,9 @@ def _sweep_kernel(s: Scheme, quantity: str) -> Callable:
         elliptic[:0] = ["ax = abs(x)", "omega_a = atan2(ax * sqrt(d), T) / ax"]
     body = [
         "y = x * x",
-        f"T = {_horner_y(((g + h) / 2)._floats()[::2])}",
-        f"tx = {_horner_y(tau_x._floats()[::2])}",
-        f"nx = {_horner_y(nu_x._floats()[::2])}",
+        f"T = {_horner_y((a + b) / (2 * den) for a, b in zip(g[::2], h[::2]))}",
+        f"tx = {_horner_y(c / den for c in tau_x[::2])}",
+        f"nx = {_horner_y(c / den for c in nu_x[::2])}",
         *lines,
         *([f"det = {det}"] if quantity == "det" else []),
         f"if abs(T) - 1.0 > {PARABOLIC_TOL / 2!r}:",

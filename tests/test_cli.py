@@ -482,16 +482,19 @@ def test_typing_never_imported(args):
     assert "typing" not in _imported_packages(["-S", *args])
 
 
-#: The modules that only `sweep`, only `simulate` or only `--file` runs.
-_KERNEL, _CLOSED_FORM, _SCHEME_FILE = (
-    "oscmap.sweepkernel", "oscmap.closedform", "oscmap.schemefile")
+#: The modules that only `sweep`, only `simulate` or only `--file` runs, and
+#: the series ring, which only the commands that import `analysis` run.
+_KERNEL, _CLOSED_FORM, _SCHEME_FILE, _SERIES = (
+    "oscmap.sweepkernel", "oscmap.closedform", "oscmap.schemefile",
+    "oscmap.series")
 
 #: The oscmap modules each subcommand never runs.
 _UNUSED = {
     "schemes": {"oscmap.analysis", "oscmap.sim", _KERNEL, _CLOSED_FORM,
-                _SCHEME_FILE},
-    "sweep": {"oscmap.analysis", "oscmap.sim", _CLOSED_FORM, _SCHEME_FILE},
-    "simulate": {"oscmap.analysis", _KERNEL, _SCHEME_FILE},
+                _SCHEME_FILE, _SERIES},
+    "sweep": {"oscmap.analysis", "oscmap.sim", _CLOSED_FORM, _SCHEME_FILE,
+              _SERIES},
+    "simulate": {"oscmap.analysis", _KERNEL, _SCHEME_FILE, _SERIES},
     "analyze": {"oscmap.sim", _KERNEL, _CLOSED_FORM, _SCHEME_FILE},
     "stability": {"oscmap.sim", _KERNEL, _CLOSED_FORM, _SCHEME_FILE},
     "convergence": {"oscmap.sim", _KERNEL, _CLOSED_FORM, _SCHEME_FILE},
@@ -503,6 +506,8 @@ def test_subcommand_loads_only_the_modules_it_uses(args):
     imported = _imported_modules(args)
     if args[0] == "-m":
         assert not imported & _UNUSED[args[2]]
+        assert (_SERIES in imported) == (args[2] in ("analyze", "stability",
+                                                     "convergence"))
     else:  # import oscmap
         assert not [m for m in imported if m.startswith("oscmap.")]
     assert "csv" not in imported  # the CSV writer quotes cells itself

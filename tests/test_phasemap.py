@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oscmap import closedform, phasemap, sweepkernel
 from oscmap.analysis import _frequency_parts, omega_a_series, stability_limit
@@ -232,12 +233,75 @@ def test_float_mode_is_the_correctly_rounded_exact_map(s):
 
 
 def test_one_build_serves_numeric_series_and_stability(monkeypatch):
+    monkeypatch.setattr(phasemap, "_MAPS", {})
     monkeypatch.setattr(phasemap, "_POLYNOMIALS", {})
     c = get_scheme("C")
     scheme_matrix(c, 0.3, 1.0)
     omega_a_series(c, 8)
     stability_limit(c)
-    assert len(phasemap._POLYNOMIALS) == 1
+    assert len(phasemap._MAPS) == len(phasemap._POLYNOMIALS) == 1
+    # the Series view holds the very values of the integer build
+    *lists, d = phasemap._map(c)
+    for p, ref in zip(phasemap._polynomials(c), lists):
+        assert p.coeffs == [F(n, d) for n in ref]
+
+
+def _series_route_matrix(s, eps, omega):
+    """(g, tau, nu, h) as the Series build gave them: each Series of the
+    map evaluated exactly at Fraction(eps)*Fraction(omega), rounded once."""
+    e, w = F(eps), F(omega)
+    x = e * w
+    g, tau_x, nu_x, h = phasemap._polynomials(s)
+    return tuple(_round(v) for v in (g(x), e * tau_x(x), x * w * nu_x(x), h(x)))
+
+
+#: Timesteps and frequencies across the float range: powers 2^+-600,
+#: subnormals, negatives, zero and values whose entries overflow.
+_EDGE_FLOATS = (2.0**600, 2.0**-600, -(2.0**600), 5e-324, -2.5e-310, 1e-170,
+                -0.75, 1e200, -1e300, sys.float_info.max, 0.0)
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_EDGE_FLOATS))
+
+
+def _assert_integer_route_is_the_series_route(s, eps, omega):
+    got = scheme_matrix(s, eps, omega)
+    ref = _series_route_matrix(s, eps, omega)
+    assert [v.hex() for v in got[:4]] == [v.hex() for v in ref], (eps, omega)
+
+
+@pytest.mark.parametrize("s", [*registry(), _yoshida_six()], ids=lambda s: s.name)
+def test_integer_scheme_matrix_is_the_series_route_bitwise(s):
+    for eps in _EDGE_FLOATS:
+        for omega in (*_EDGE_FLOATS, 1.0, 2.5):
+            _assert_integer_route_is_the_series_route(s, eps, omega)
+
+
+@st.composite
+def _drawn_schemes(draw):
+    """Up to five random drift, kick and gkick steps, float or Fraction,
+    closed by a drift and a kick that make each sum 1."""
+    coeff = st.one_of(st.floats(-2, 2), st.fractions(-2, 2, max_denominator=99))
+    steps = [Step(kind, draw(coeff), draw(coeff) if kind == GKICK else None)
+             for kind in draw(st.lists(st.sampled_from((DRIFT, "kick", GKICK)),
+                                       max_size=5))]
+    drifts = sum(step.c for step in steps if step.kind == DRIFT)
+    kicks = sum(step.c for step in steps if step.kind != DRIFT)
+    steps += [Step(DRIFT, 1 - drifts), Step(GKICK, 1 - kicks, draw(coeff))]
+    return Scheme("drawn", steps, 1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=_drawn_schemes(), eps=_ANY_FLOAT, omega=_ANY_FLOAT)
+@example(s=get_scheme("LF1"), eps=1e200, omega=1.0)
+@example(s=get_scheme("C"), eps=2.0**-600, omega=2.0**600)
+@example(s=get_scheme("BM"), eps=5e-324, omega=0.0)
+def test_integer_scheme_matrix_matches_the_series_route_on_drawn_schemes(
+        s, eps, omega):
+    _assert_integer_route_is_the_series_route(s, eps, omega)
+    if omega:  # and the 2x2 Fraction shear product, which builds it apart
+        got = scheme_matrix(s, eps, omega)
+        ref = _rounded_map(s, eps, omega)
+        assert [v.hex() for v in got[:4]] == [v.hex() for v in ref]
 
 
 @pytest.mark.parametrize("s", [*registry(), _yoshida_six()], ids=lambda s: s.name)
@@ -590,21 +654,23 @@ def test_sweep_at_zero_and_negative_steps(s):
 
 def test_sweep_takes_no_scalar_route(monkeypatch):
     # the generated kernel alone handles x = 0, -0.0, negative and tiny steps
-    # and sums that overflow from the exact build: scheme_matrix and
-    # spectral are never called
-    polynomials = phasemap._polynomials
+    # and sums that overflow from the exact build: scheme_matrix, spectral
+    # and the Series view are never called
+    build, built = phasemap._map, []
 
     def exact_only(s):
-        polys = polynomials(s)
-        assert all(p._bits is None for p in polys), "sweep read a rounded map"
-        return polys
+        lists = build(s)
+        assert all(type(c) is int for p in lists[:4] for c in p) \
+            and type(lists[4]) is int, "sweep read a rounded map"
+        built.append(s)
+        return lists
 
     def unreachable(*args):
         raise AssertionError("sweep called the scalar route")
 
-    monkeypatch.setattr(phasemap, "_polynomials", exact_only)
-    monkeypatch.setattr(phasemap, "scheme_matrix", unreachable)
-    monkeypatch.setattr(phasemap, "spectral", unreachable)
+    monkeypatch.setattr(phasemap, "_map", exact_only)
+    for name in ("scheme_matrix", "spectral", "_polynomials"):
+        monkeypatch.setattr(phasemap, name, unreachable)
     monkeypatch.setattr(sweepkernel, "_KERNELS", {})
     xs = ([0.0, -0.0, -0.75, 1e-300] + [10.0 ** k for k in range(1, 309)]
           + [sys.float_info.max])
@@ -616,6 +682,8 @@ def test_sweep_takes_no_scalar_route(monkeypatch):
                 assert regime is Regime.PARABOLIC
                 assert value == {"det": 1.0, "trace": 2.0}.get(quantity)
             assert rows[-1][2] is Regime.HYPERBOLIC
+    # every kernel was generated from the exact integer map
+    assert built == [s for s in registry() for _ in SWEEP_QUANTITIES]
 
 
 @pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
